@@ -44,8 +44,9 @@ from .measures import StateDistribution, save_distribution_csv, theta_moment
 from .mckean_vlasov import (EquilibriumNotFoundError, StiffnessError, check_B2,
                             find_equilibrium, monotone_convergence_diagnostic,
                             time_to_KDelta)
-from .models import (RateModel, interacting_wlan_model, mm1_model,
-                     wlan_const_model, wlan_decay_model)
+from .models import (RateModel, has_stationary_law, interacting_wlan_model,
+                     is_counterexample, mm1_model, wlan_const_model,
+                     wlan_decay_model)
 from .quasipotential import (PhaseOrderingError, cm_bound,
                              counterexample_report, save_trajectory_and_bound,
                              v_upper_bound)
@@ -152,8 +153,7 @@ def validate(config_path: str | Path) -> list[str]:
             ks = _parse_int_list(sec.get("k_list", ""))
             if not ks or any(k < 10 for k in ks):
                 problems.append("counterexample needs k_list with entries >= 10")
-            if model is not None and (model.interacting
-                                      or model.name not in ("mm1", "wlan_const")):
+            if model is not None and not is_counterexample(model):
                 problems.append("counterexample experiment needs a "
                                 "non-interacting counterexample model")
         elif exp == "rate_curve":
@@ -186,6 +186,10 @@ def validate(config_path: str | Path) -> list[str]:
                 problems.append("tightness_audit needs positive m_list")
             if sec.getint("n", 0) < 1:
                 problems.append("tightness_audit needs n >= 1")
+        if (exp != "duality_check" and model is not None and not
+                has_stationary_law(model, parser["model"].getint("z_max", 30))):
+            problems.append("model has no stationary law (forward rate >= "
+                            "backward rate); only duality_check runs without one")
     except ValueError as exc:
         problems.append(f"bad numeric value: {exc}")
     return problems
@@ -293,17 +297,19 @@ def _run_mve_audit(cfg: ExperimentConfig, out: Path, threads: int) -> None:
         fh.write("\n")
 
 
-def _corpus_targets(cfg: ExperimentConfig, n_targets: int, M: float):
-    rng = np.random.default_rng(cfg.seed)
-    xi_star = find_equilibrium(cfg.model, cfg.z_max)
+def _corpus_targets(model: RateModel, z_max: int, M: float, n: int,
+                    seed: int) -> list[StateDistribution]:
+    """n random laws in K_M: the equilibrium mixed with a sparse Dirichlet law."""
+    rng = np.random.default_rng(seed)
+    xi_star = find_equilibrium(model, z_max)
     targets = []
-    while len(targets) < n_targets:
+    while len(targets) < n:
         k = int(rng.integers(2, 7))
-        support = rng.choice(cfg.z_max + 1, size=k, replace=False)
+        support = rng.choice(z_max + 1, size=k, replace=False)
         w = rng.dirichlet(np.ones(k))
         p = 0.6 * xi_star.probs + 0.4 * np.bincount(
-            support, weights=w, minlength=cfg.z_max + 1)
-        dist = StateDistribution(p / p.sum(), cfg.z_max)
+            support, weights=w, minlength=z_max + 1)
+        dist = StateDistribution(p / p.sum(), z_max)
         if theta_moment(dist) <= M:
             targets.append(dist)
     return targets
@@ -314,7 +320,7 @@ def _run_quasipotential_bounds(cfg: ExperimentConfig, out: Path,
     n_targets = int(cfg.params.get("n_targets", "20"))
     M = float(cfg.params.get("m", "5"))
     refine = cfg.params.get("refine", "true").lower() in ("1", "true", "yes")
-    targets = _corpus_targets(cfg, n_targets, M)
+    targets = _corpus_targets(cfg.model, cfg.z_max, M, n_targets, cfg.seed)
     rows = []
     for i, xi in enumerate(targets):
         bound = v_upper_bound(cfg.model, xi, refine=refine)

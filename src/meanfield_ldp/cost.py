@@ -205,35 +205,11 @@ def concatenate(a: FluxTrajectory, b: FluxTrajectory) -> FluxTrajectory:
 # Control-form (non-variational) cost, closed form per segment
 # ---------------------------------------------------------------------------
 
-def _int_log_affine(phi0: float, phi1: float, delta: float) -> float:
-    """integral_0^delta log(phi0 + v t) dt through the x log x - x antiderivative."""
-    v = (phi1 - phi0) / delta
-    if abs(phi1 - phi0) <= 1e-14 * max(phi0, phi1):
-        mid = 0.5 * (phi0 + phi1)
-        return delta * math.log(mid)
-    def F(x: float) -> float:
-        return x * math.log(x) - x if x > 0.0 else 0.0
-    return (F(phi1) - F(phi0)) / v
-
-
-def _edge_cost(f: float, lam: float, phi0: float, phi1: float,
-               delta: float) -> float:
-    """Closed-form integral of tau*(f/(lam*phi) - 1) * lam * phi over a
-    segment where phi is affine and lam is frozen."""
-    phi0 = max(phi0, 0.0)
-    phi1 = max(phi1, 0.0)
-    if f == 0.0:
-        return lam * delta * 0.5 * (phi0 + phi1)
-    if phi0 <= 0.0 and phi1 <= 0.0:
-        return math.inf
-    return (f * delta * (math.log(f) - math.log(lam) - 1.0)
-            - f * _int_log_affine(phi0, phi1, delta)
-            + lam * delta * 0.5 * (phi0 + phi1))
-
-
 def _edge_cost_vec(f: np.ndarray, lam: np.ndarray, phi0: np.ndarray,
                    phi1: np.ndarray, delta: float) -> float:
-    """Vectorised sum of :func:`_edge_cost` over an edge family."""
+    """Sum over an edge family of the closed-form integral of
+    tau*(f/(lam*phi) - 1) * lam * phi over a segment where phi is affine
+    and lam is frozen."""
     phi0 = np.clip(phi0, 0.0, None)
     phi1 = np.clip(phi1, 0.0, None)
     active = f > 0.0
@@ -357,11 +333,7 @@ class _DualWorkspace:
     def __init__(self, model: RateModel, z_max: int):
         self.model = model
         self.z_max = z_max
-        src = list(range(z_max)) + list(range(1, z_max + 1))
-        dst = list(range(1, z_max + 1)) + [model.backward_target(z)
-                                           for z in range(1, z_max + 1)]
-        self.src = np.array(src)
-        self.dst = np.array(dst)
+        self.src, self.dst = np.array(model.edges(z_max)).T.copy()
         self._static_rates: tuple[np.ndarray, np.ndarray] | None = None
         if not model.interacting:
             self._static_rates = (model.forward_rates(z_max),

@@ -7,16 +7,21 @@ Two edge-set shapes cover everything built here:
   * ``CHAIN_WITH_RESETS``  -- forward edges (z, z+1) and reset edges
                               (z, 0) for z >= 1 (backoff-like).
 
-A ``RateModel`` bundles the edge shape with a rate evaluator
-lambda(z, z', xi) that may depend on the current empirical measure xi,
-plus declared envelope constants lambda_lower / lambda_upper.  The
-decay condition checked by :func:`verify_A2` is
+A ``RateModel`` bundles the edge shape with one vectorised rate table:
+``forward(z, xi)`` and ``backward(z, xi)`` map an array of states z to
+the rates lambda(z, z+1, xi) and lambda(z, backward_target(z), xi),
+where xi is the current empirical measure.  Everything else -- the
+single-edge ``rate``, the window tables, the generator, the drift, the
+stability and counterexample predicates and the assumption audits --
+is derived from these two functions.  The declared envelope constants
+lambda_lower / lambda_upper enter the decay condition checked by
+:func:`verify_A2`:
 
     lambda_lower/(z+1) <= rate(z, z+1, xi) <= lambda_upper/(z+1)
     lambda_lower       <= rate(z, 0,   xi) <= lambda_upper
 
-Rate evaluators must be pure functions; RateModel values are immutable
-and shareable across threads.  The forward rate out of the truncation
+Rate functions must be pure; RateModel values are immutable and
+shareable across threads.  The forward rate out of the truncation
 level z_max is taken to be zero in every module (reflecting closure),
 which conserves probability; the induced error is controlled by
 tail-mass diagnostics.
@@ -49,32 +54,32 @@ class MissingBoundsError(ValueError):
     """Operation requires declared rate envelope constants."""
 
 
-RateFn = Callable[[int, int, np.ndarray], float]
+RateFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class RateModel:
-    """Edge set plus rate evaluator with declared envelope constants.
+    """Edge set plus vectorised rate table with declared envelope constants.
 
-    ``forward``/``backward`` evaluate one edge; the optional vectorised
-    ``forward_profile``/``backward_profile`` map a state array to the
-    rate array in one call (hot loops use them when present).
+    ``forward``/``backward`` take an integer state array z and the field
+    probabilities xi and return the rate array of the same shape (the
+    backward entry at z = 0 is ignored).  They are the only rate
+    representation; hot loops call them through :meth:`forward_rates` and
+    :meth:`backward_rates`.
     """
 
     kind: EdgeKind
-    forward: Callable[[int, np.ndarray], float]
-    backward: Callable[[int, np.ndarray], float]
+    forward: RateFn
+    backward: RateFn
     lambda_upper: float
     lambda_lower: float
     interacting: bool
     name: str
     params: dict = field(default_factory=dict)
-    forward_profile: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    backward_profile: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     # -- edge bookkeeping ----------------------------------------------------
 
-    def backward_target(self, z: int) -> int:
+    def backward_target(self, z):
         return 0 if self.kind is EdgeKind.CHAIN_WITH_RESETS else z - 1
 
     def has_edge(self, z: int, z_prime: int) -> bool:
@@ -92,9 +97,8 @@ class RateModel:
         probs = self._probs(xi)
         if not self.has_edge(z, z_prime):
             raise EdgeNotPresentError(f"no edge ({z},{z_prime}) in {self.kind.value}")
-        if z_prime == z + 1:
-            return self.forward(z, probs)
-        return self.backward(z, probs)
+        fn = self.forward if z_prime == z + 1 else self.backward
+        return float(fn(np.array(z), probs))
 
     def _probs(self, xi) -> np.ndarray:
         if xi is None:
@@ -109,37 +113,24 @@ class RateModel:
 
     def forward_rates(self, z_max: int, xi=None) -> np.ndarray:
         """Forward rates for z = 0..z_max with the boundary rate zeroed."""
-        probs = self._probs(xi)
-        if self.forward_profile is not None:
-            out = np.asarray(self.forward_profile(np.arange(z_max + 1), probs),
-                             dtype=float).copy()
-        else:
-            out = np.array([self.forward(z, probs) for z in range(z_max + 1)])
+        out = np.array(self.forward(np.arange(z_max + 1), self._probs(xi)),
+                       dtype=float)
         out[z_max] = 0.0
         return out
 
     def backward_rates(self, z_max: int, xi=None) -> np.ndarray:
         """Backward/reset rates for z = 0..z_max (entry 0 is zero)."""
-        probs = self._probs(xi)
-        if self.backward_profile is not None:
-            out = np.asarray(self.backward_profile(np.arange(z_max + 1), probs),
-                             dtype=float).copy()
-        else:
-            out = np.zeros(z_max + 1)
-            for z in range(1, z_max + 1):
-                out[z] = self.backward(z, probs)
+        out = np.array(self.backward(np.arange(z_max + 1), self._probs(xi)),
+                       dtype=float)
         out[0] = 0.0
         return out
 
     def generator(self, z_max: int, xi=None) -> np.ndarray:
         """Dense single-particle generator Lambda_xi on the closed window."""
-        fwd = self.forward_rates(z_max, xi)
-        back = self.backward_rates(z_max, xi)
+        z = np.arange(1, z_max + 1)
         Q = np.zeros((z_max + 1, z_max + 1))
-        for z in range(z_max):
-            Q[z, z + 1] += fwd[z]
-        for z in range(1, z_max + 1):
-            Q[z, self.backward_target(z)] += back[z]
+        Q[z - 1, z] = self.forward_rates(z_max, xi)[:-1]
+        Q[z, self.backward_target(z)] = self.backward_rates(z_max, xi)[1:]
         np.fill_diagonal(Q, Q.diagonal() - Q.sum(axis=1))
         return Q
 
@@ -168,20 +159,22 @@ def _require_positive(**kw: float) -> None:
             raise ValueError(f"{k} must be positive, got {v!r}")
 
 
+def _constant(value: float) -> RateFn:
+    return lambda z, xi: np.full(z.shape, value)
+
+
 def mm1_model(lambda_f: float, lambda_b: float) -> RateModel:
     """Independent M/M/1 queues: forward lambda_f, backward lambda_b."""
     _require_positive(lambda_f=lambda_f, lambda_b=lambda_b)
     return RateModel(
         kind=EdgeKind.BIRTH_DEATH,
-        forward=lambda z, xi: lambda_f,
-        backward=lambda z, xi: lambda_b,
+        forward=_constant(lambda_f),
+        backward=_constant(lambda_b),
         lambda_upper=max(lambda_f, lambda_b),
         lambda_lower=min(lambda_f, lambda_b),
         interacting=False,
         name="mm1",
         params={"lambda_f": lambda_f, "lambda_b": lambda_b},
-        forward_profile=lambda z, xi: np.full(z.shape, lambda_f),
-        backward_profile=lambda z, xi: np.full(z.shape, lambda_b),
     )
 
 
@@ -190,15 +183,13 @@ def wlan_const_model(lambda_f: float, lambda_b: float) -> RateModel:
     _require_positive(lambda_f=lambda_f, lambda_b=lambda_b)
     return RateModel(
         kind=EdgeKind.CHAIN_WITH_RESETS,
-        forward=lambda z, xi: lambda_f,
-        backward=lambda z, xi: lambda_b,
+        forward=_constant(lambda_f),
+        backward=_constant(lambda_b),
         lambda_upper=max(lambda_f, lambda_b),
         lambda_lower=min(lambda_f, lambda_b),
         interacting=False,
         name="wlan_const",
         params={"lambda_f": lambda_f, "lambda_b": lambda_b},
-        forward_profile=lambda z, xi: np.full(z.shape, lambda_f),
-        backward_profile=lambda z, xi: np.full(z.shape, lambda_b),
     )
 
 
@@ -207,15 +198,13 @@ def wlan_decay_model(lambda_f: float, lambda_b: float) -> RateModel:
     _require_positive(lambda_f=lambda_f, lambda_b=lambda_b)
     return RateModel(
         kind=EdgeKind.CHAIN_WITH_RESETS,
-        forward=lambda z, xi: lambda_f / (z + 1),
-        backward=lambda z, xi: lambda_b,
+        forward=lambda z, xi: lambda_f / (z + 1.0),
+        backward=_constant(lambda_b),
         lambda_upper=max(lambda_f, lambda_b),
         lambda_lower=min(lambda_f, lambda_b),
         interacting=False,
         name="wlan_decay",
         params={"lambda_f": lambda_f, "lambda_b": lambda_b},
-        forward_profile=lambda z, xi: lambda_f / (z + 1.0),
-        backward_profile=lambda z, xi: np.full(z.shape, lambda_b),
     )
 
 
@@ -231,25 +220,15 @@ def interacting_wlan_model(kappa: float) -> RateModel:
     """
     if not 0.0 <= kappa < 1.0:
         raise ValueError("kappa must lie in [0, 1)")
-
-    def fwd(z: int, xi: np.ndarray) -> float:
-        return (1.0 + kappa * float(xi[0])) / (z + 1)
-
-    def back(z: int, xi: np.ndarray) -> float:
-        return 1.0 + kappa * (1.0 - float(xi[0]))
-
     return RateModel(
         kind=EdgeKind.CHAIN_WITH_RESETS,
-        forward=fwd,
-        backward=back,
+        forward=lambda z, xi: (1.0 + kappa * xi[0]) / (z + 1.0),
+        backward=lambda z, xi: np.full(z.shape, 1.0 + kappa * (1.0 - xi[0])),
         lambda_upper=1.0 + kappa,
         lambda_lower=1.0,
         interacting=kappa > 0.0,
         name="interacting_wlan",
         params={"kappa": kappa},
-        forward_profile=lambda z, xi: (1.0 + kappa * xi[0]) / (z + 1.0),
-        backward_profile=lambda z, xi: np.full(
-            z.shape, 1.0 + kappa * (1.0 - xi[0])),
     )
 
 
@@ -262,16 +241,28 @@ def dominating_chain(model: RateModel) -> RateModel:
     ub, lb = model.lambda_upper, model.lambda_lower
     return RateModel(
         kind=EdgeKind.CHAIN_WITH_RESETS,
-        forward=lambda z, xi: ub / (z + 1),
-        backward=lambda z, xi: lb,
+        forward=lambda z, xi: ub / (z + 1.0),
+        backward=_constant(lb),
         lambda_upper=ub,
         lambda_lower=lb,
         interacting=False,
         name=f"dominating({model.name})",
         params={"lambda_upper": ub, "lambda_lower": lb},
-        forward_profile=lambda z, xi: ub / (z + 1.0),
-        backward_profile=lambda z, xi: np.full(z.shape, lb),
     )
+
+
+def is_counterexample(model: RateModel) -> bool:
+    """Whether the model is one of the paper's counterexamples.
+
+    Those are the non-interacting chains whose forward rate does not
+    decay: it is the same at every state (checked on {0..60}, the
+    window :func:`verify_A2` audits by default).  That covers mm1 and
+    wlan_const for every parameter value.
+    """
+    if model.interacting:
+        return False
+    fwd = model.forward(np.arange(61), np.zeros(1))
+    return bool(np.all(fwd == fwd[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +301,19 @@ def _stationary_product_form(model: RateModel, z_max: int,
     return pi / pi.sum()
 
 
+def has_stationary_law(model: RateModel, z_max: int, xi=None) -> bool:
+    """Whether the chain keeps a stationary law as the window grows.
+
+    Reset chains always return to 0.  A birth-death chain has none once
+    forward(z_max - 1) / backward(z_max) >= 1, i.e. once it stops
+    drifting back from the window edge; for mm1 that is
+    lambda_f >= lambda_b.
+    """
+    if model.kind is not EdgeKind.BIRTH_DEATH:
+        return True
+    return model.rate(z_max - 1, z_max, xi) < model.rate(z_max, z_max - 1, xi)
+
+
 def single_particle_stationary(model: RateModel, z_max: int,
                                frozen_field: StateDistribution | None = None
                                ) -> StateDistribution:
@@ -325,9 +329,10 @@ def single_particle_stationary(model: RateModel, z_max: int,
         raise ValueError("truncation too small: z_max >= 10 required")
     if model.interacting and frozen_field is None:
         raise ValueError("interacting model needs a frozen mean field")
-    if model.name == "mm1" and model.params["lambda_f"] >= model.params["lambda_b"]:
-        raise InstabilityError("mm1 requires lambda_f < lambda_b")
     xi = frozen_field.probs if frozen_field is not None else None
+    if not has_stationary_law(model, z_max, xi):
+        raise InstabilityError(f"{model.name}: forward rate >= backward rate "
+                               "at the window edge, no stationary law")
     pi = _stationary_product_form(model, z_max, xi)
     if pi is None:
         Q = model.generator(z_max, xi)
@@ -361,24 +366,31 @@ class A2Report:
 
 def verify_A2(model: RateModel, sample_measures: Sequence[StateDistribution],
               z_max: int = 60) -> A2Report:
-    """Check the decay envelope on every edge against every sample field."""
+    """Check the decay envelope on every edge against every sample field.
+
+    The reported violation is the first one in (sample, z) order, the
+    forward edge of a state before its reset edge.
+    """
     if not sample_measures:
         raise ValueError("need at least one sample measure")
     if model.kind is not EdgeKind.CHAIN_WITH_RESETS:
         return A2Report(False, (0, "edge_set", 0.0, 0.0, 0.0, -1))
     lo, hi = model.lambda_lower, model.lambda_upper
     tol = 1e-12
+    z = np.arange(z_max + 1)
+    low, high = lo / (z + 1.0), hi / (z + 1.0)
     for i, xi in enumerate(sample_measures):
-        probs = xi.probs
-        for z in range(z_max + 1):
-            r = model.forward(z, probs)
-            low, high = lo / (z + 1), hi / (z + 1)
-            if not (low - tol <= r <= high + tol):
-                return A2Report(False, (z, "forward", r, low, high, i))
-            if z >= 1:
-                r = model.backward(z, probs)
-                if not (lo - tol <= r <= hi + tol):
-                    return A2Report(False, (z, "reset", r, lo, hi, i))
+        fwd = model.forward(z, xi.probs)
+        back = model.backward(z, xi.probs)
+        bad_fwd = ~((low - tol <= fwd) & (fwd <= high + tol))
+        bad_back = ~((lo - tol <= back) & (back <= hi + tol)) & (z >= 1)
+        bad = np.flatnonzero(bad_fwd | bad_back)
+        if bad.size:
+            k = int(bad[0])
+            if bad_fwd[k]:
+                return A2Report(False, (k, "forward", float(fwd[k]),
+                                        float(low[k]), float(high[k]), i))
+            return A2Report(False, (k, "reset", float(back[k]), lo, hi, i))
     return A2Report(True, None)
 
 
@@ -400,6 +412,7 @@ def lipschitz_estimate(model: RateModel, trials: int, rng_seed: int,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(rng_seed)
+    z = np.arange(min(z_max, 20) + 1)
     best = 0.0
     for _ in range(trials):
         a = random_distribution(rng, z_max)
@@ -407,12 +420,12 @@ def lipschitz_estimate(model: RateModel, trials: int, rng_seed: int,
         d = tv_distance(a, b)
         if d < 1e-9:
             continue
-        for z in range(0, min(z_max, 20) + 1):
-            gap = abs((z + 1) * (model.forward(z, a.probs) - model.forward(z, b.probs)))
-            best = max(best, gap / d)
-            if z >= 1:
-                gap = abs(model.backward(z, a.probs) - model.backward(z, b.probs))
-                best = max(best, gap / d)
+        fwd_gap = np.abs((z + 1) * (model.forward(z, a.probs)
+                                    - model.forward(z, b.probs)))
+        back_gap = np.abs(model.backward(z[1:], a.probs)
+                          - model.backward(z[1:], b.probs))
+        best = max(best, float(np.max(fwd_gap / d)),
+                   float(np.max(back_gap / d, initial=0.0)))
     return best
 
 

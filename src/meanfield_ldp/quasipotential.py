@@ -35,11 +35,12 @@ import numpy as np
 
 from .cost import (FluxTrajectory, Segment, concatenate, cost_nonvariational,
                    evolve, flux_from_path, testfunction_lower_bound)
-from .measures import (StateDistribution, TailProfile, in_class_KDelta,
-                       relative_entropy, theta_moment, theta_values,
-                       tv_distance)
+from .measures import (StateDistribution, TailProfile, UndecidableTailError,
+                       in_class_KDelta, relative_entropy, theta_moment,
+                       theta_values, tv_distance)
 from .mckean_vlasov import find_equilibrium, integrate
-from .models import EdgeKind, RateModel
+from .models import (EdgeKind, RateModel, is_counterexample,
+                     single_particle_stationary)
 
 _E = math.e
 _MASS_FLOOR = 1e-15
@@ -47,10 +48,6 @@ _MASS_FLOOR = 1e-15
 
 class PhaseOrderingError(RuntimeError):
     """Connector phases would drive an intermediate mass negative."""
-
-
-class UndecidableTailError(ValueError):
-    """Finiteness predicate asked about an undeclared tail profile."""
 
 
 def _require_reset_model(model: RateModel) -> None:
@@ -417,12 +414,9 @@ def counterexample_report(model: RateModel, K_list: Sequence[int],
     stabilises in K while the theta-moment (and with it the
     theta-tent lower bound on horizon-T costs) keeps growing.
     """
-    if model.interacting:
-        raise ValueError("counterexamples are the non-interacting systems")
-    if model.name not in ("mm1", "wlan_const"):
-        raise ValueError("counterexample models are mm1 and wlan_const")
-    from .models import single_particle_stationary
-
+    if not is_counterexample(model):
+        raise ValueError("counterexample models are non-interacting with a "
+                         "constant forward rate (mm1, wlan_const)")
     rows: list[CounterexampleRow] = []
     for K in K_list:
         target = heavy_tail_target(K)

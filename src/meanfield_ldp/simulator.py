@@ -464,12 +464,7 @@ def estimate_rate_curve(model: RateModel, event, N_list: Sequence[int],
         while remaining > 0:
             m = min(chunk, remaining)
             draws = rng.multinomial(N, pi.probs, size=m) / N
-            if hasattr(event, "batch"):
-                hits += int(event.batch(draws).sum())
-            else:
-                for row in draws:
-                    if event(StateDistribution(row, z_max)):
-                        hits += 1
+            hits += int(event.batch(draws).sum())
             remaining -= m
         if hits == 0:
             p_ub = min(1.0, 3.0 / samples_per_N)

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from meanfield_ldp.cost import FluxTrajectory, Segment
 from meanfield_ldp.measures import StateDistribution
 from meanfield_ldp.models import (interacting_wlan_model, mm1_model,
                                   wlan_const_model, wlan_decay_model)
@@ -30,3 +33,35 @@ def random_dist(rng: np.random.Generator, z_max: int,
                 concentration: float = 1.0) -> StateDistribution:
     return StateDistribution(rng.dirichlet(np.full(z_max + 1, concentration)),
                              z_max)
+
+
+def random_feasible(model, rng, z_max, T_max):
+    """Random flux plan of 3-5 segments that keeps every mass above 1e-4."""
+    p = rng.dirichlet(np.full(z_max + 1, 2.0))
+    p = 0.7 * p + 0.3 / (z_max + 1)
+    init = StateDistribution(p / p.sum(), z_max)
+    segs = []
+    cur = init.probs.copy()
+    n_seg = int(rng.integers(3, 6))
+    for _ in range(n_seg):
+        d = float(rng.uniform(0.1, T_max / n_seg))
+        fwd = model.forward_rates(z_max, cur) * cur
+        back = model.backward_rates(z_max, cur) * cur
+        fluxes = {}
+        for z in range(z_max):
+            fluxes[(z, z + 1)] = float(fwd[z] * math.exp(rng.uniform(-0.6, 0.6)))
+        for z in range(1, z_max + 1):
+            fluxes[(z, model.backward_target(z))] = \
+                float(back[z] * math.exp(rng.uniform(-0.6, 0.6)))
+        for _ in range(50):
+            div = np.zeros(z_max + 1)
+            for (a, b), f in fluxes.items():
+                div[a] -= f
+                div[b] += f
+            trial = cur + d * div
+            if trial.min() > 1e-4:
+                break
+            fluxes = {e: 0.5 * f for e, f in fluxes.items()}
+        segs.append(Segment(d, fluxes))
+        cur = trial
+    return FluxTrajectory(init, tuple(segs), z_max)

@@ -17,6 +17,7 @@ import warnings
 
 import numpy as np
 
+from meanfield_ldp.cli import _corpus_targets
 from meanfield_ldp.measures import (StateDistribution, sanov_inf_over_ball,
                                     theta_moment, theta_values, tv_distance)
 from meanfield_ldp.mckean_vlasov import find_equilibrium, integrate
@@ -24,9 +25,8 @@ from meanfield_ldp.models import (factorial_decay_bound,
                                   interacting_wlan_model, mm1_model,
                                   single_particle_stationary, wlan_const_model,
                                   wlan_decay_model)
-from meanfield_ldp.cost import (FluxTrajectory, Segment, cost_nonvariational,
-                                cost_variational, evolve, flux_from_path,
-                                moment_inequality_check)
+from meanfield_ldp.cost import (cost_nonvariational, cost_variational, evolve,
+                                flux_from_path, moment_inequality_check)
 from meanfield_ldp.quasipotential import (choose_z0, cm_bound, connector,
                                           construct_delta0_to_target,
                                           construct_equilibrium_to_delta0,
@@ -36,6 +36,8 @@ from meanfield_ldp.quasipotential import (choose_z0, cm_bound, connector,
 from meanfield_ldp.simulator import (BallEvent, NotInKMEvent, SimConfig,
                                      estimate_invariant_multi,
                                      estimate_rate_curve)
+
+from conftest import random_feasible
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -190,37 +192,6 @@ def test_criterion_03_zero_cost_flow():
 # 4. Duality
 # ---------------------------------------------------------------------------
 
-def _random_feasible(model, rng, z_max, T_max):
-    p = rng.dirichlet(np.full(z_max + 1, 2.0))
-    p = 0.7 * p + 0.3 / (z_max + 1)
-    init = StateDistribution(p / p.sum(), z_max)
-    segs = []
-    cur = init.probs.copy()
-    n_seg = int(rng.integers(3, 6))
-    for _ in range(n_seg):
-        d = float(rng.uniform(0.1, T_max / n_seg))
-        fwd = model.forward_rates(z_max, cur) * cur
-        back = model.backward_rates(z_max, cur) * cur
-        fl = {}
-        for z in range(z_max):
-            fl[(z, z + 1)] = float(fwd[z] * math.exp(rng.uniform(-0.6, 0.6)))
-        for z in range(1, z_max + 1):
-            fl[(z, model.backward_target(z))] = \
-                float(back[z] * math.exp(rng.uniform(-0.6, 0.6)))
-        for _ in range(50):
-            div = np.zeros(z_max + 1)
-            for (a, b), f in fl.items():
-                div[a] -= f
-                div[b] += f
-            trial = cur + d * div
-            if trial.min() > 1e-4:
-                break
-            fl = {e: 0.5 * f for e, f in fl.items()}
-        segs.append(Segment(d, fl))
-        cur = trial
-    return FluxTrajectory(init, tuple(segs), z_max)
-
-
 def test_criterion_04_duality():
     t0 = time.monotonic()
     worst = 0.0
@@ -229,7 +200,7 @@ def test_criterion_04_duality():
         for model in (mm1_model(1.0, 2.0), wlan_const_model(1.0, 1.0)):
             rng = np.random.default_rng(2026)
             for _ in range(10):
-                traj = _random_feasible(model, rng, 10, 2.0)
+                traj = random_feasible(model, rng, 10, 2.0)
                 path = evolve(traj)
                 var = cost_variational(model, path)
                 rec = flux_from_path(model, path)
@@ -248,29 +219,13 @@ def test_criterion_04_duality():
 # 5. Constructive bound
 # ---------------------------------------------------------------------------
 
-def _corpus_in_KM(model, z_max, M, n, seed):
-    rng = np.random.default_rng(seed)
-    xi_star = find_equilibrium(model, z_max)
-    out = []
-    while len(out) < n:
-        k = int(rng.integers(2, 7))
-        support = rng.choice(z_max + 1, size=k, replace=False)
-        w = rng.dirichlet(np.ones(k))
-        p = 0.6 * xi_star.probs + 0.4 * np.bincount(
-            support, weights=w, minlength=z_max + 1)
-        dist = StateDistribution(p / p.sum(), z_max)
-        if theta_moment(dist) <= M:
-            out.append(dist)
-    return out
-
-
 def test_criterion_05_constructive_bound():
     t0 = time.monotonic()
     checked = 0
     worst_margin = -math.inf
     vstar_worst = 0.0
     for model in (wlan_decay_model(1.0, 1.0), interacting_wlan_model(0.5)):
-        for xi in _corpus_in_KM(model, 30, 5.0, 10, seed=17):
+        for xi in _corpus_targets(model, 30, 5.0, 10, seed=17):
             bound = v_upper_bound(model, xi, refine=True)
             cm = cm_bound(model, xi)
             assert bound.upper <= cm, \
@@ -315,7 +270,7 @@ def test_criterion_06_moment_inequality():
             start = StateDistribution(w, z_max)
             trajs.append(construct_equilibrium_to_delta0(model, start))
         for _ in range(10):
-            trajs.append(_random_feasible(model, rng, 12, 1.5))
+            trajs.append(random_feasible(model, rng, 12, 1.5))
         trajs.append(descend_to_equilibrium(
             model, StateDistribution.delta(0, z_max), 0.05))
         for traj in trajs:

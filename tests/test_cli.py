@@ -65,6 +65,16 @@ k_list = 20,40
     assert any("non-interacting" in p for p in problems)
 
 
+def test_validate_flags_unstable_model(tmp_path):
+    out = tmp_path / "out"
+    unstable = RATE_CURVE.replace("lambda_f = 1", "lambda_f = 2") \
+                         .replace("lambda_b = 2", "lambda_b = 1")
+    cfg = write_cfg(tmp_path, unstable.format(out=out))
+    assert any("no stationary law" in p for p in cli.validate(cfg))
+    assert cli.run(cfg, threads=1) == 2
+    assert not out.exists()
+
+
 def test_validate_missing_file(tmp_path):
     assert cli.validate(tmp_path / "nope.cfg")
 

@@ -16,6 +16,9 @@ from meanfield_ldp.cost import (EndpointMismatchError, FluxTrajectory,
                                 load_trajectory, moment_inequality_check,
                                 save_trajectory, tau, tau_star,
                                 testfunction_lower_bound)
+from meanfield_ldp.cost import _edge_cost_vec
+
+from conftest import random_feasible
 
 
 # -- Poisson conjugate pair ------------------------------------------------------
@@ -160,8 +163,33 @@ def test_cost_nonnegative_random(wlan_const):
         assert c >= -1e-10
 
 
+def _int_log_affine(phi0: float, phi1: float, delta: float) -> float:
+    """integral_0^delta log(phi0 + v t) dt through the x log x - x antiderivative."""
+    v = (phi1 - phi0) / delta
+    if abs(phi1 - phi0) <= 1e-14 * max(phi0, phi1):
+        mid = 0.5 * (phi0 + phi1)
+        return delta * math.log(mid)
+    def F(x: float) -> float:
+        return x * math.log(x) - x if x > 0.0 else 0.0
+    return (F(phi1) - F(phi0)) / v
+
+
+def _edge_cost(f: float, lam: float, phi0: float, phi1: float,
+               delta: float) -> float:
+    """Scalar oracle: closed-form integral of tau*(f/(lam*phi) - 1) * lam * phi
+    over a segment where phi is affine and lam is frozen."""
+    phi0 = max(phi0, 0.0)
+    phi1 = max(phi1, 0.0)
+    if f == 0.0:
+        return lam * delta * 0.5 * (phi0 + phi1)
+    if phi0 <= 0.0 and phi1 <= 0.0:
+        return math.inf
+    return (f * delta * (math.log(f) - math.log(lam) - 1.0)
+            - f * _int_log_affine(phi0, phi1, delta)
+            + lam * delta * 0.5 * (phi0 + phi1))
+
+
 def test_edge_cost_vectorised_matches_scalar():
-    from meanfield_ldp.cost import _edge_cost, _edge_cost_vec
     rng = np.random.default_rng(0)
     for _ in range(200):
         f = float(rng.choice([0.0, rng.uniform(0, 2)]))
@@ -199,41 +227,10 @@ def test_variational_nonnegative(wlan_const):
         assert cost_variational(wlan_const, (times, probs)) >= 0.0
 
 
-def _random_feasible(model, rng, z_max, T_max):
-    p = rng.dirichlet(np.full(z_max + 1, 2.0))
-    p = 0.7 * p + 0.3 / (z_max + 1)
-    init = StateDistribution(p / p.sum(), z_max)
-    segs = []
-    cur = init.probs.copy()
-    n_seg = int(rng.integers(3, 6))
-    for _ in range(n_seg):
-        d = float(rng.uniform(0.1, T_max / n_seg))
-        fwd = model.forward_rates(z_max, cur) * cur
-        back = model.backward_rates(z_max, cur) * cur
-        fluxes = {}
-        for z in range(z_max):
-            fluxes[(z, z + 1)] = float(fwd[z] * math.exp(rng.uniform(-0.6, 0.6)))
-        for z in range(1, z_max + 1):
-            fluxes[(z, model.backward_target(z))] = \
-                float(back[z] * math.exp(rng.uniform(-0.6, 0.6)))
-        for _ in range(50):
-            div = np.zeros(z_max + 1)
-            for (a, b), f in fluxes.items():
-                div[a] -= f
-                div[b] += f
-            trial = cur + d * div
-            if trial.min() > 1e-4:
-                break
-            fluxes = {e: 0.5 * f for e, f in fluxes.items()}
-        segs.append(Segment(d, fluxes))
-        cur = trial
-    return FluxTrajectory(init, tuple(segs), z_max)
-
-
 def test_duality_crosscheck_small(mm1, wlan_const):
     rng = np.random.default_rng(11)
     for model in (mm1, wlan_const):
-        traj = _random_feasible(model, rng, 6, 1.5)
+        traj = random_feasible(model, rng, 6, 1.5)
         path = evolve(traj)
         var = cost_variational(model, path)
         rec = flux_from_path(model, path)

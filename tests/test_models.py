@@ -1,15 +1,42 @@
 import numpy as np
 import pytest
 
-from meanfield_ldp.measures import StateDistribution
-from meanfield_ldp.models import (EdgeNotPresentError, InstabilityError,
+from meanfield_ldp.measures import StateDistribution, tv_distance
+from meanfield_ldp.models import (A2Report, EdgeKind, EdgeNotPresentError,
+                                  InstabilityError, RateModel,
                                   dominating_chain, factorial_decay_bound,
-                                  interacting_wlan_model, lipschitz_estimate,
-                                  mm1_model, single_particle_stationary,
+                                  has_stationary_law, interacting_wlan_model,
+                                  is_counterexample, lipschitz_estimate,
+                                  mm1_model, random_distribution,
+                                  single_particle_stationary,
                                   stationarity_residual, verify_A2,
-                                  wlan_decay_model)
+                                  wlan_const_model, wlan_decay_model)
 
 from conftest import random_dist
+
+BUILTINS = [mm1_model(1.0, 2.0), wlan_const_model(1.0, 1.0),
+            wlan_decay_model(2.0, 1.0), interacting_wlan_model(0.5),
+            dominating_chain(interacting_wlan_model(0.5))]
+# The envelope [1, 1.5] breaks once xi(0) > 0.25 (forward edges; from
+# z = 1 on in the second model) or xi(1) > 0.25 (reset edges); the third
+# model leaves it by less than the audit's 1e-12 tolerance.
+VIOLATING = [
+    RateModel(EdgeKind.CHAIN_WITH_RESETS,
+              forward=lambda z, xi: (1.0 + 2.0 * xi[0]) / (z + 1.0),
+              backward=lambda z, xi: np.full(z.shape, 1.0),
+              lambda_upper=1.5, lambda_lower=1.0, interacting=True,
+              name="forward_violation"),
+    RateModel(EdgeKind.CHAIN_WITH_RESETS,
+              forward=lambda z, xi: (1.0 + 2.0 * xi[0] * (z >= 1)) / (z + 1.0),
+              backward=lambda z, xi: np.full(z.shape, 1.0 + 2.0 * xi[1]),
+              lambda_upper=1.5, lambda_lower=1.0, interacting=True,
+              name="mixed_violation"),
+    RateModel(EdgeKind.CHAIN_WITH_RESETS,
+              forward=lambda z, xi: (1.5 + 5e-13) / (z + 1.0),
+              backward=lambda z, xi: np.full(z.shape, 1.0 - 5e-13),
+              lambda_upper=1.5, lambda_lower=1.0, interacting=False,
+              name="within_tolerance"),
+]
 
 
 def test_mm1_rates(mm1):
@@ -145,3 +172,89 @@ def test_edges_enumeration(mm1, wlan_const):
     assert len(em) == len(set(em))
     ew = wlan_const.edges(4)
     assert (3, 4) in ew and (4, 0) in ew and (1, 0) in ew
+
+
+def test_rate_matches_rate_tables():
+    rng = np.random.default_rng(3)
+    for model in BUILTINS:
+        xi = random_dist(rng, 15)
+        fwd = model.forward_rates(15, xi)
+        back = model.backward_rates(15, xi)
+        for z in range(15):
+            assert model.rate(z, z + 1, xi) == fwd[z]
+        for z in range(1, 16):
+            assert model.rate(z, model.backward_target(z), xi) == back[z]
+
+
+def test_stationarity_and_counterexample_predicates():
+    assert has_stationary_law(mm1_model(1.0, 2.0), 30)
+    assert not has_stationary_law(mm1_model(2.0, 1.0), 30)
+    assert not has_stationary_law(mm1_model(1.0, 1.0), 30)
+    for lf, lb in [(1.0, 2.0), (3.0, 0.5)]:
+        assert is_counterexample(mm1_model(lf, lb))
+        assert is_counterexample(wlan_const_model(lf, lb))
+        assert not is_counterexample(wlan_decay_model(lf, lb))
+    for model in BUILTINS[2:] + [interacting_wlan_model(0.0),
+                                 dominating_chain(wlan_const_model(1.0, 1.0))]:
+        assert has_stationary_law(model, 30)
+        assert not is_counterexample(model)
+
+
+# -- per-state reference oracles for the vectorised audits ----------------------
+
+def _verify_A2_loop(model, sample_measures, z_max=60):
+    if model.kind is not EdgeKind.CHAIN_WITH_RESETS:
+        return A2Report(False, (0, "edge_set", 0.0, 0.0, 0.0, -1))
+    lo, hi = model.lambda_lower, model.lambda_upper
+    tol = 1e-12
+    for i, xi in enumerate(sample_measures):
+        for z in range(z_max + 1):
+            r = model.rate(z, z + 1, xi)
+            low, high = lo / (z + 1), hi / (z + 1)
+            if not (low - tol <= r <= high + tol):
+                return A2Report(False, (z, "forward", r, low, high, i))
+            if z >= 1:
+                r = model.rate(z, 0, xi)
+                if not (lo - tol <= r <= hi + tol):
+                    return A2Report(False, (z, "reset", r, lo, hi, i))
+    return A2Report(True, None)
+
+
+def _lipschitz_loop(model, trials, rng_seed, z_max=30):
+    rng = np.random.default_rng(rng_seed)
+    best = 0.0
+    for _ in range(trials):
+        a = random_distribution(rng, z_max)
+        b = random_distribution(rng, z_max)
+        d = tv_distance(a, b)
+        if d < 1e-9:
+            continue
+        for z in range(0, min(z_max, 20) + 1):
+            gap = abs((z + 1) * (model.rate(z, z + 1, a) - model.rate(z, z + 1, b)))
+            best = max(best, gap / d)
+            if z >= 1:
+                zb = model.backward_target(z)
+                gap = abs(model.rate(z, zb, a) - model.rate(z, zb, b))
+                best = max(best, gap / d)
+    return best
+
+
+@pytest.mark.parametrize("model", BUILTINS + VIOLATING,
+                         ids=lambda m: m.name)
+def test_verify_A2_matches_per_state_loop(model):
+    rng = np.random.default_rng(8)
+    both = StateDistribution.from_weights(np.r_[0.4, 0.4, np.full(29, 0.01)], 30)
+    singles = [StateDistribution.delta(z, 30) for z in (5, 1, 0)]
+    fields = [random_dist(rng, 30, 0.5) for _ in range(20)]
+    for samples in (singles, [both] + singles, fields, singles[:1]):
+        for z_max in (60, 10):
+            assert verify_A2(model, samples, z_max) \
+                == _verify_A2_loop(model, samples, z_max)
+
+
+@pytest.mark.parametrize("model", BUILTINS + VIOLATING,
+                         ids=lambda m: m.name)
+def test_lipschitz_estimate_matches_per_state_loop(model):
+    for seed, z_max in ((0, 30), (4, 12)):
+        assert lipschitz_estimate(model, 40, seed, z_max) \
+            == _lipschitz_loop(model, 40, seed, z_max)
