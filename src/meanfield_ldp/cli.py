@@ -44,9 +44,9 @@ from .measures import StateDistribution, save_distribution_csv, theta_moment
 from .mckean_vlasov import (EquilibriumNotFoundError, StiffnessError, check_B2,
                             find_equilibrium, monotone_convergence_diagnostic,
                             time_to_KDelta)
-from .models import (RateModel, has_stationary_law, interacting_wlan_model,
-                     is_counterexample, mm1_model, wlan_const_model,
-                     wlan_decay_model)
+from .models import (MIN_Z_MAX, RateModel, has_stationary_law,
+                     interacting_wlan_model, is_counterexample, mm1_model,
+                     wlan_const_model, wlan_decay_model)
 from .quasipotential import (PhaseOrderingError, cm_bound,
                              counterexample_report, save_trajectory_and_bound,
                              v_upper_bound)
@@ -59,6 +59,9 @@ EXPERIMENTS = ("counterexample", "rate_curve", "mve_audit",
 
 _MODEL_KEYS = {"model", "lambda_f", "lambda_b", "kappa", "z_max"}
 _COMMON_EXP_KEYS = {"experiment", "output_dir", "seed"}
+# experiments that compute a stationary law or an equilibrium on {0..z_max}
+_STATIONARY_EXPERIMENTS = ("rate_curve", "mve_audit", "quasipotential_bounds",
+                           "tightness_audit")
 _EXP_KEYS = {
     "counterexample": {"k_list", "t"},
     "rate_curve": {"n_list", "samples_per_n", "event", "radius", "m"},
@@ -186,8 +189,11 @@ def validate(config_path: str | Path) -> list[str]:
                 problems.append("tightness_audit needs positive m_list")
             if sec.getint("n", 0) < 1:
                 problems.append("tightness_audit needs n >= 1")
+        z_max = parser["model"].getint("z_max", 30)
+        if exp in _STATIONARY_EXPERIMENTS and z_max < MIN_Z_MAX:
+            problems.append(f"{exp} needs z_max >= {MIN_Z_MAX}, got {z_max}")
         if (exp != "duality_check" and model is not None and not
-                has_stationary_law(model, parser["model"].getint("z_max", 30))):
+                has_stationary_law(model, z_max)):
             problems.append("model has no stationary law (forward rate >= "
                             "backward rate); only duality_check runs without one")
     except ValueError as exc:

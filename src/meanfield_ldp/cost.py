@@ -41,7 +41,7 @@ from typing import Mapping
 import numpy as np
 
 from .measures import StateDistribution, theta_values, tv_distance
-from .models import EdgeKind, EdgeNotPresentError, RateModel
+from .models import EdgeKind, EdgeNotPresentError, MissingBoundsError, RateModel
 
 Edge = tuple[int, int]
 
@@ -261,10 +261,12 @@ def _freeze_pieces(model: RateModel, fluxes: Mapping[Edge, float],
     """
     if not model.interacting:
         return 1
+    if model.lipschitz is None:
+        raise MissingBoundsError(f"{model.name}: interacting model declares "
+                                 "no Lipschitz constant")
     dtv = 0.5 * float(np.abs(p1 - p0).sum())
     lam_scale = 2.0 * model.lambda_upper + sum(fluxes.values())
-    lip = 2.0 * model.params.get("kappa", 1.0)
-    est = lip * dtv * dtv * lam_scale * delta
+    est = model.lipschitz * dtv * dtv * lam_scale * delta
     if est <= freeze_tol:
         return 1
     return min(4096, math.ceil(math.sqrt(est / freeze_tol)))
@@ -274,20 +276,21 @@ def _segment_cost(model: RateModel, fluxes: Mapping[Edge, float],
                   p0: np.ndarray, p1: np.ndarray, delta: float,
                   z_max: int, pieces: int = 1) -> float:
     """Cost of one constant-flux segment, optionally subdivided into
-    equal pieces with the rate re-frozen at each piece midpoint."""
+    equal pieces with the rate re-frozen at each piece midpoint (one
+    stacked rate-table call covers all pieces)."""
     f_fwd, f_back = _flux_arrays(fluxes, model, z_max)
     lam = np.arange(pieces + 1) / pieces
     P = p0[None, :] + (p1 - p0)[None, :] * lam[:, None]
     mids = 0.5 * (P[:-1] + P[1:])
-    fwd = np.stack([model.forward_rates(z_max, mids[j]) for j in range(pieces)])
-    back = np.stack([model.backward_rates(z_max, mids[j]) for j in range(pieces)])
+    fwd = model.forward_rates(z_max, mids)
+    back = model.backward_rates(z_max, mids)
     dp = delta / pieces
-    c = _edge_cost_vec(np.broadcast_to(f_fwd[:-1], (pieces, z_max)).ravel(),
+    c = _edge_cost_vec(np.tile(f_fwd[:-1], pieces),
                        fwd[:, :-1].ravel(), P[:-1, :-1].ravel(),
                        P[1:, :-1].ravel(), dp)
     if c == math.inf:
         return math.inf
-    c2 = _edge_cost_vec(np.broadcast_to(f_back[1:], (pieces, z_max)).ravel(),
+    c2 = _edge_cost_vec(np.tile(f_back[1:], pieces),
                         back[:, 1:].ravel(), P[:-1, 1:].ravel(),
                         P[1:, 1:].ravel(), dp)
     if c2 == math.inf:
@@ -327,113 +330,156 @@ def cost_nonvariational(model: RateModel, traj: FluxTrajectory,
 # Variational cost: pointwise concave maximisation + trapezoid in time
 # ---------------------------------------------------------------------------
 
+_NEWTON_DAMPS = (1.0, 0.5, 0.25, 0.1, 0.03, 0.01)
+_GRADIENT_DAMPS = (1.0, 0.1, 0.01, 1e-3, 1e-4)
+# nodes per batched solve: bounds the (nodes, n, n) Hessian stack
+_CHUNK = 256
+
+
 class _DualWorkspace:
-    """Edge tables for the inner maximisation at one grid node."""
+    """Edge tables for the inner maximisation over a stack of grid nodes."""
 
     def __init__(self, model: RateModel, z_max: int):
         self.model = model
         self.z_max = z_max
         self.src, self.dst = np.array(model.edges(z_max)).T.copy()
+        self.edges = list(zip(self.src.tolist(), self.dst.tolist()))
         self._static_rates: tuple[np.ndarray, np.ndarray] | None = None
         if not model.interacting:
             self._static_rates = (model.forward_rates(z_max),
                                   model.backward_rates(z_max))
 
-    def weights(self, p: np.ndarray) -> np.ndarray:
+    def weights(self, P: np.ndarray) -> np.ndarray:
+        """Edge weights lambda * phi for a (nodes, z_max+1) stack of fields."""
         if self._static_rates is not None:
             fwd_r, back_r = self._static_rates
         else:
-            fwd_r = self.model.forward_rates(self.z_max, p)
-            back_r = self.model.backward_rates(self.z_max, p)
-        fwd = fwd_r * p
-        back = back_r * p
-        return np.concatenate([fwd[:-1], back[1:]])
+            fwd_r = self.model.forward_rates(self.z_max, P)
+            back_r = self.model.backward_rates(self.z_max, P)
+        return np.concatenate([(fwd_r * P)[:, :-1], (back_r * P)[:, 1:]],
+                              axis=1)
 
 
-def _dual_maximize(ws: _DualWorkspace, p: np.ndarray, psi: np.ndarray,
-                   warm: np.ndarray | None = None, grad_tol: float = 1e-10,
-                   max_iter: int = 300) -> tuple[float, np.ndarray, bool]:
-    """max over alpha of <alpha, psi> - sum_e (exp(d alpha)-1) w_e.
+# The stacked kernels below repeat the single-node float operations in
+# the same order (per-row sums and dot products, ufunc.at assembly in
+# edge order, one LAPACK solve per node), so every node's iterates equal
+# those of a solve of that node alone, within the tolerances of the
+# single-node oracle test (a stacked matmul or batched solve need not
+# round like the 1-D call under every BLAS).
 
-    Damped Newton ascent from alpha = 0 (or a warm start), with alpha
-    boxed to +-50 -- the box realises the compact-support limit, and a
-    coordinate parked at the box with favourable multiplier sign is
-    KKT-converged.  Returns (value, alpha, converged).
-    """
-    n = p.shape[0]
-    w = ws.weights(np.clip(p, 0.0, None))
-    src, dst = ws.src, ws.dst
-    alpha = np.zeros(n) if warm is None else np.clip(warm, -_ALPHA_CAP, _ALPHA_CAP)
+def _dual_value(ws: _DualWorkspace, A: np.ndarray, Psi: np.ndarray,
+                W: np.ndarray) -> np.ndarray:
+    dots = (A[:, None, :] @ Psi[:, :, None])[:, 0, 0]
+    return dots - ((np.exp(A[:, ws.dst] - A[:, ws.src]) - 1.0) * W).sum(axis=1)
 
-    def value(a: np.ndarray) -> float:
-        return float(a @ psi - np.sum((np.exp(a[dst] - a[src]) - 1.0) * w))
 
-    def grad_hess(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ew = np.exp(a[dst] - a[src]) * w
-        g = psi.copy()
-        np.add.at(g, src, ew)
-        np.subtract.at(g, dst, ew)
-        H = np.zeros((n, n))
-        np.add.at(H, (src, src), ew)
-        np.add.at(H, (dst, dst), ew)
-        np.subtract.at(H, (src, dst), ew)
-        np.subtract.at(H, (dst, src), ew)
-        return g, H
-
-    cur = value(alpha)
-    converged = False
-    for _ in range(max_iter):
-        g, H = grad_hess(alpha)
-        resid = g.copy()
-        at_lo = alpha <= -_ALPHA_CAP + 1e-12
-        at_hi = alpha >= _ALPHA_CAP - 1e-12
-        resid[at_lo] = np.maximum(resid[at_lo], 0.0)
-        resid[at_hi] = np.minimum(resid[at_hi], 0.0)
-        if float(np.abs(resid).max()) < grad_tol:
-            converged = True
+def _line_search(ws: _DualWorkspace, A: np.ndarray, cur: np.ndarray,
+                 todo: np.ndarray, direction: np.ndarray, scale: np.ndarray,
+                 damps: tuple, Psi: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Move each node of ``todo`` by the first damped step
+    damp * direction / scale that raises its value (A and cur are
+    updated in place); returns the nodes no damping improved."""
+    for damp in damps:
+        if not todo.size:
             break
-        ridge = 1e-12 * (1.0 + float(np.trace(H)) / max(n, 1))
+        cand = np.clip(A[todo] + damp * direction[todo] / scale[todo, None],
+                       -_ALPHA_CAP, _ALPHA_CAP)
+        v = _dual_value(ws, cand, Psi[todo], W[todo])
+        up = v > cur[todo] + 1e-18
+        A[todo[up]] = cand[up]
+        cur[todo[up]] = v[up]
+        todo = todo[~up]
+    return todo
+
+
+def _dual_maximize(ws: _DualWorkspace, P: np.ndarray, Psi: np.ndarray,
+                   grad_tol: float = 1e-10, max_iter: int = 300
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each node b: max over alpha of
+    <alpha, Psi[b]> - sum_e (exp(d alpha)-1) w_e(P[b]).
+
+    P and Psi are (nodes, z_max+1) stacks of fields and slopes; the
+    nodes are solved together, in chunks of at most ``_CHUNK``.  Each
+    node runs damped Newton ascent from alpha = 0, with alpha boxed to
+    +-50 -- the box realises the compact-support limit, and a coordinate
+    parked at the box with favourable multiplier sign is KKT-converged.
+    A node that no damped Newton step improves tries damped gradient
+    steps; when those fail too it stops, converged if its projected
+    gradient is below 1e-8.  Returns (values, alphas, converged).
+    """
+    out = [_dual_chunk(ws, P[s:s + _CHUNK], Psi[s:s + _CHUNK], grad_tol,
+                       max_iter) for s in range(0, P.shape[0], _CHUNK)]
+    if not out:
+        return np.zeros(0), np.zeros((0, P.shape[1])), np.zeros(0, dtype=bool)
+    values, alphas, converged = zip(*out)
+    return (np.concatenate(values), np.concatenate(alphas),
+            np.concatenate(converged))
+
+
+def _dual_chunk(ws: _DualWorkspace, P: np.ndarray, Psi: np.ndarray,
+                grad_tol: float, max_iter: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    B, n = P.shape
+    src, dst = ws.src, ws.dst
+    W = ws.weights(np.clip(P, 0.0, None))
+    alpha = np.zeros((B, n))
+    cur = _dual_value(ws, alpha, Psi, W)
+    converged = np.zeros(B, dtype=bool)
+    live = np.arange(B)
+    rows = slice(None)
+    for _ in range(max_iter):
+        A, psi, w, c = alpha[live], Psi[live], W[live], cur[live]
+        ew = np.exp(A[:, dst] - A[:, src]) * w
+        g = psi.copy()
+        np.add.at(g, (rows, src), ew)
+        np.subtract.at(g, (rows, dst), ew)
+        resid = np.where(A <= -_ALPHA_CAP + 1e-12, np.maximum(g, 0.0),
+                         np.where(A >= _ALPHA_CAP - 1e-12,
+                                  np.minimum(g, 0.0), g))
+        rmax = np.abs(resid).max(axis=1)
+        done = rmax < grad_tol
+        converged[live[done]] = True
+        live, A, psi, w, c, ew, g, rmax = (
+            x[~done] for x in (live, A, psi, w, c, ew, g, rmax))
+        if not live.size:
+            break
+        H = np.zeros((live.size, n, n))
+        np.add.at(H, (rows, src, src), ew)
+        np.add.at(H, (rows, dst, dst), ew)
+        np.subtract.at(H, (rows, src, dst), ew)
+        np.subtract.at(H, (rows, dst, src), ew)
+        ridge = 1e-12 * (1.0 + np.trace(H, axis1=1, axis2=2) / n)
+        H += ridge[:, None, None] * np.eye(n)
         try:
-            step = np.linalg.solve(H + ridge * np.eye(n), g)
+            step = np.linalg.solve(H, g[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            step = g
-        improved = False
-        for damp in (1.0, 0.5, 0.25, 0.1, 0.03, 0.01):
-            cand = np.clip(alpha + damp * step, -_ALPHA_CAP, _ALPHA_CAP)
-            v = value(cand)
-            if v > cur + 1e-18:
-                alpha, cur = cand, v
-                improved = True
-                break
-        if not improved:
-            # fall back to a plain gradient step
-            gnorm = float(np.abs(g).max())
-            if gnorm < grad_tol:
-                converged = True
-                break
-            for damp in (1.0, 0.1, 0.01, 1e-3, 1e-4):
-                cand = np.clip(alpha + damp * g / max(gnorm, 1.0),
-                               -_ALPHA_CAP, _ALPHA_CAP)
-                v = value(cand)
-                if v > cur + 1e-18:
-                    alpha, cur = cand, v
-                    improved = True
-                    break
-            if not improved:
-                g2, _ = grad_hess(alpha)
-                r2 = g2.copy()
-                r2[alpha <= -_ALPHA_CAP + 1e-12] = np.maximum(
-                    r2[alpha <= -_ALPHA_CAP + 1e-12], 0.0)
-                r2[alpha >= _ALPHA_CAP - 1e-12] = np.minimum(
-                    r2[alpha >= _ALPHA_CAP - 1e-12], 0.0)
-                converged = float(np.abs(r2).max()) < 1e-8
-                break
+            # a singular node steps along its gradient
+            step = g.copy()
+            for i in range(live.size):
+                try:
+                    step[i] = np.linalg.solve(H[i], g[i])
+                except np.linalg.LinAlgError:
+                    pass
+        ones = np.ones(live.size)
+        stuck = _line_search(ws, A, c, np.arange(live.size), step, ones,
+                             _NEWTON_DAMPS, psi, w)
+        # |g| >= |resid| >= grad_tol here, so every stuck node goes on
+        # to plain gradient steps
+        dead = stuck
+        if stuck.size:
+            gnorm = np.maximum(np.abs(g).max(axis=1), 1.0)
+            dead = _line_search(ws, A, c, stuck, g, gnorm, _GRADIENT_DAMPS,
+                                psi, w)
+            converged[live[dead]] = rmax[dead] < 1e-8
+        alpha[live] = A
+        cur[live] = c
+        live = np.delete(live, dead)
     # A coordinate parked at the +cap with positive multiplier means the
     # exact sup is only approached as the test vector grows (mass appears
     # in a state no live edge can feed at this node); the capped value is
     # the compact-support approximation and vanishes under refinement for
     # feasible paths, so it is returned as the flagged best value.
-    return max(cur, 0.0), alpha, converged
+    return np.maximum(cur, 0.0), alpha, converged
 
 
 def _as_grid(path) -> tuple[np.ndarray, np.ndarray]:
@@ -451,32 +497,32 @@ def _refine_grid(times: np.ndarray, probs: np.ndarray,
     keeping the original nodes so kinks stay grid-aligned."""
     if pieces <= 1:
         return times, probs
-    ts, ps = [times[0]], [probs[0]]
-    for k in range(len(times) - 1):
-        for j in range(1, pieces + 1):
-            lam = j / pieces
-            ts.append(times[k] + lam * (times[k + 1] - times[k]))
-            ps.append((1 - lam) * probs[k] + lam * probs[k + 1])
-    return np.array(ts), np.stack(ps)
+    lam = np.arange(1, pieces + 1) / pieces
+    ts = times[:-1, None] + lam * (times[1:] - times[:-1])[:, None]
+    ps = ((1 - lam)[:, None] * probs[:-1, None, :]
+          + lam[:, None] * probs[1:, None, :])
+    return (np.concatenate([times[:1], ts.ravel()]),
+            np.concatenate([probs[:1], ps.reshape(-1, probs.shape[1])]))
 
 
-def _variational_on_grid(model: RateModel, times: np.ndarray,
+def _intervals(times: np.ndarray, probs: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Indices, lengths and slopes of the positive-length grid intervals."""
+    dt = np.diff(times)
+    k = np.flatnonzero(dt > 0)
+    return k, dt[k], (probs[k + 1] - probs[k]) / dt[k, None]
+
+
+def _variational_on_grid(ws: _DualWorkspace, times: np.ndarray,
                          probs: np.ndarray, grad_tol: float) -> tuple[float, bool]:
-    z_max = probs.shape[1] - 1
-    ws = _DualWorkspace(model, z_max)
-    total = 0.0
-    ok = True
-    warm: np.ndarray | None = None
-    for k in range(len(times) - 1):
-        dt = times[k + 1] - times[k]
-        if dt <= 0:
-            continue
-        psi = (probs[k + 1] - probs[k]) / dt
-        vl, warm, c1 = _dual_maximize(ws, probs[k], psi, warm, grad_tol)
-        vr, warm, c2 = _dual_maximize(ws, probs[k + 1], psi, warm, grad_tol)
-        total += 0.5 * dt * (vl + vr)
-        ok = ok and c1 and c2
-    return total, ok
+    """Trapezoid rule over the grid; every interval contributes its two
+    end nodes, each with the interval's slope, and all nodes are solved
+    in one batched call."""
+    k, dt, psi = _intervals(times, probs)
+    vals, _, ok = _dual_maximize(ws, np.concatenate([probs[k], probs[k + 1]]),
+                                 np.concatenate([psi, psi]), grad_tol)
+    total = np.sum(0.5 * dt * (vals[:k.size] + vals[k.size:]))
+    return float(total), bool(ok.all())
 
 
 def cost_variational(model: RateModel, path, z_max: int | None = None,
@@ -493,12 +539,13 @@ def cost_variational(model: RateModel, path, z_max: int | None = None,
     times, probs = _as_grid(path)
     if z_max is not None and probs.shape[1] != z_max + 1:
         raise ValueError("path window disagrees with z_max")
-    prev, ok = _variational_on_grid(model, times, probs, grad_tol)
+    ws = _DualWorkspace(model, probs.shape[1] - 1)
+    prev, ok = _variational_on_grid(ws, times, probs, grad_tol)
     pieces = 2
     extrap = prev
     for level in range(10):
         t2, p2 = _refine_grid(times, probs, pieces)
-        nxt, ok2 = _variational_on_grid(model, t2, p2, grad_tol)
+        nxt, ok2 = _variational_on_grid(ws, t2, p2, grad_tol)
         done = abs(nxt - prev) < richardson_tol
         # trapezoid converges at second order, so the halved-step pair
         # extrapolates one order higher
@@ -532,25 +579,16 @@ def flux_from_path(model: RateModel, path, refine: int | None = None,
 
     def build(pieces: int) -> FluxTrajectory:
         t2, p2 = _refine_grid(times, probs, pieces)
-        segments: list[Segment] = []
-        warm: np.ndarray | None = None
-        for k in range(len(t2) - 1):
-            dt = t2[k + 1] - t2[k]
-            if dt <= 0:
-                continue
-            mid = np.clip(0.5 * (p2[k] + p2[k + 1]), 0.0, None)
-            psi = (p2[k + 1] - p2[k]) / dt
-            val, alpha, okk = _dual_maximize(ws, mid, psi, warm, grad_tol)
-            if not okk:
-                warnings.warn("flux recovery: inner ascent flagged", RuntimeWarning)
-            warm = alpha
-            w = ws.weights(mid)
-            f = np.exp(alpha[ws.dst] - alpha[ws.src]) * w
-            fluxes = {}
-            for e in range(f.shape[0]):
-                if f[e] > 0.0:
-                    fluxes[(int(ws.src[e]), int(ws.dst[e]))] = float(f[e])
-            segments.append(Segment(float(dt), fluxes))
+        k, dt, psi = _intervals(t2, p2)
+        mid = np.clip(0.5 * (p2[k] + p2[k + 1]), 0.0, None)
+        _, alpha, ok = _dual_maximize(ws, mid, psi, grad_tol)
+        if not ok.all():
+            warnings.warn(f"flux recovery: inner ascent flagged at "
+                          f"{int(np.sum(~ok))} of {ok.size} nodes",
+                          RuntimeWarning)
+        F = np.exp(alpha[:, ws.dst] - alpha[:, ws.src]) * ws.weights(mid)
+        segments = [Segment(d, {e: fe for e, fe in zip(ws.edges, f) if fe > 0.0})
+                    for d, f in zip(dt.tolist(), F.tolist())]
         p0 = np.clip(probs[0], 0.0, None)
         tail = path.tail_mass if isinstance(path, SampledPath) else 0.0
         if tail <= 0.0:

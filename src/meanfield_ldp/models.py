@@ -57,6 +57,16 @@ class MissingBoundsError(ValueError):
 RateFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
+def _stacked_table(fn: RateFn, z_max: int, probs: np.ndarray) -> np.ndarray:
+    """One rate row per field of a (B, z_max+1) stack.
+
+    The stack goes in state-axis first, so ``xi[0]`` is the mass at
+    state 0 of every field, and z is repeated to the same 2-D shape.
+    """
+    z = np.arange(z_max + 1)[:, None].repeat(probs.shape[0], axis=1)
+    return np.array(fn(z, probs.T), dtype=float).T
+
+
 @dataclass(frozen=True)
 class RateModel:
     """Edge set plus vectorised rate table with declared envelope constants.
@@ -66,6 +76,23 @@ class RateModel:
     backward entry at z = 0 is ignored).  They are the only rate
     representation; hot loops call them through :meth:`forward_rates` and
     :meth:`backward_rates`.
+
+    Stacked fields: :meth:`forward_rates` and :meth:`backward_rates` also
+    take a stack of B fields, shape (B, z_max+1), and return one rate row
+    per field, shape (B, z_max+1), each row equal to the call with that
+    field alone.  The rate function then sees the stack state-axis
+    first: xi has shape (z_max+1, B) and z is repeated to the same
+    shape, so ``xi[0]`` is the mass at state 0 of every field and
+    ``np.full(z.shape, value)`` gives one column per field.  A rate
+    function written elementwise in z and in the rows of xi serves both
+    calls unchanged.
+
+    ``lipschitz`` is the declared constant L of the rates in the field:
+    (z+1)|forward(z, xi) - forward(z, zeta)| <= L d(xi, zeta) and
+    |backward(z, xi) - backward(z, zeta)| <= L d(xi, zeta), d the TV
+    distance.  The control-form cost of an interacting model sizes its
+    rate-freezing pieces with it; a non-interacting model may leave it
+    None.
     """
 
     kind: EdgeKind
@@ -76,6 +103,7 @@ class RateModel:
     interacting: bool
     name: str
     params: dict = field(default_factory=dict)
+    lipschitz: float | None = None
 
     # -- edge bookkeeping ----------------------------------------------------
 
@@ -113,15 +141,23 @@ class RateModel:
 
     def forward_rates(self, z_max: int, xi=None) -> np.ndarray:
         """Forward rates for z = 0..z_max with the boundary rate zeroed."""
-        out = np.array(self.forward(np.arange(z_max + 1), self._probs(xi)),
-                       dtype=float)
+        probs = self._probs(xi)
+        if probs.ndim == 2:
+            out = _stacked_table(self.forward, z_max, probs)
+            out[:, z_max] = 0.0
+            return out
+        out = np.array(self.forward(np.arange(z_max + 1), probs), dtype=float)
         out[z_max] = 0.0
         return out
 
     def backward_rates(self, z_max: int, xi=None) -> np.ndarray:
         """Backward/reset rates for z = 0..z_max (entry 0 is zero)."""
-        out = np.array(self.backward(np.arange(z_max + 1), self._probs(xi)),
-                       dtype=float)
+        probs = self._probs(xi)
+        if probs.ndim == 2:
+            out = _stacked_table(self.backward, z_max, probs)
+            out[:, 0] = 0.0
+            return out
+        out = np.array(self.backward(np.arange(z_max + 1), probs), dtype=float)
         out[0] = 0.0
         return out
 
@@ -229,6 +265,7 @@ def interacting_wlan_model(kappa: float) -> RateModel:
         interacting=kappa > 0.0,
         name="interacting_wlan",
         params={"kappa": kappa},
+        lipschitz=2.0 * kappa,
     )
 
 
@@ -314,6 +351,10 @@ def has_stationary_law(model: RateModel, z_max: int, xi=None) -> bool:
     return model.rate(z_max - 1, z_max, xi) < model.rate(z_max, z_max - 1, xi)
 
 
+# smallest window on which stationary laws are computed
+MIN_Z_MAX = 10
+
+
 def single_particle_stationary(model: RateModel, z_max: int,
                                frozen_field: StateDistribution | None = None
                                ) -> StateDistribution:
@@ -325,8 +366,8 @@ def single_particle_stationary(model: RateModel, z_max: int,
     direct linear solve with the normalisation row replacing one
     balance row.  Interacting models must supply ``frozen_field``.
     """
-    if z_max < 10:
-        raise ValueError("truncation too small: z_max >= 10 required")
+    if z_max < MIN_Z_MAX:
+        raise ValueError(f"truncation too small: z_max >= {MIN_Z_MAX} required")
     if model.interacting and frozen_field is None:
         raise ValueError("interacting model needs a frozen mean field")
     xi = frozen_field.probs if frozen_field is not None else None

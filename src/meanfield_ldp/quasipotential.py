@@ -299,8 +299,9 @@ def v_upper_bound(model: RateModel, xi: StateDistribution,
     except PhaseOrderingError:
         pass
 
-    best = min(candidates, key=lambda t: cost_nonvariational(model, t))
-    upper = cost_nonvariational(model, best)
+    costs = [cost_nonvariational(model, t) for t in candidates]
+    upper = min(costs)
+    best = candidates[costs.index(upper)]
     if refine:
         polished = _refine_witness(model, best)
         polished_cost = cost_nonvariational(model, polished)

@@ -1,8 +1,12 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from meanfield_ldp import cli
 from meanfield_ldp.cost import InfeasibleTrajectoryError
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 
 def write_cfg(tmp_path: Path, body: str, name: str = "exp.cfg") -> Path:
@@ -73,6 +77,31 @@ def test_validate_flags_unstable_model(tmp_path):
     assert any("no stationary law" in p for p in cli.validate(cfg))
     assert cli.run(cfg, threads=1) == 2
     assert not out.exists()
+
+
+def test_validate_flags_small_window(tmp_path):
+    out = tmp_path / "out"
+    small = RATE_CURVE.replace("z_max = 25", "z_max = 5")
+    cfg = write_cfg(tmp_path, small.format(out=out))
+    assert any("z_max >= 10" in p for p in cli.validate(cfg))
+    assert cli.run(cfg, threads=1) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["mve_audit", "quasipotential_bounds",
+                                  "tightness_audit"])
+def test_validate_flags_small_window_of_equilibrium_experiments(tmp_path, name):
+    body = (CONFIG_DIR / f"{name}.cfg").read_text()
+    lines = [ln for ln in body.splitlines() if not ln.startswith("z_max")]
+    lines.insert(lines.index("[experiment]") - 1, "z_max = 9")
+    cfg = write_cfg(tmp_path, "\n".join(lines) + "\n")
+    assert any("z_max >= 10" in p for p in cli.validate(cfg))
+
+
+@pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.cfg")),
+                         ids=lambda p: p.stem)
+def test_bundled_configs_validate(config):
+    assert cli.validate(config) == []
 
 
 def test_validate_missing_file(tmp_path):

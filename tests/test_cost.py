@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from meanfield_ldp.measures import StateDistribution, theta_values
 from meanfield_ldp.mckean_vlasov import find_equilibrium, integrate
-from meanfield_ldp.models import single_particle_stationary
+from meanfield_ldp.models import (EdgeKind, MissingBoundsError, RateModel,
+                                  interacting_wlan_model,
+                                  single_particle_stationary)
 from meanfield_ldp.cost import (EndpointMismatchError, FluxTrajectory,
                                 InfeasibleTrajectoryError, Segment,
                                 concatenate, cost_nonvariational,
@@ -16,7 +18,9 @@ from meanfield_ldp.cost import (EndpointMismatchError, FluxTrajectory,
                                 load_trajectory, moment_inequality_check,
                                 save_trajectory, tau, tau_star,
                                 testfunction_lower_bound)
-from meanfield_ldp.cost import _edge_cost_vec
+from meanfield_ldp.cost import (_ALPHA_CAP, _DualWorkspace, _dual_maximize,
+                                _edge_cost_vec, _flux_arrays, _freeze_pieces,
+                                _refine_grid, _segment_cost)
 
 from conftest import random_feasible
 
@@ -206,7 +210,179 @@ def test_edge_cost_vectorised_matches_scalar():
             assert vec == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
 
+def _segment_cost_loop(model, fluxes, p0, p1, delta, z_max, pieces):
+    """Oracle: the segment cost with one rate-table call per piece."""
+    f_fwd, f_back = _flux_arrays(fluxes, model, z_max)
+    lam = np.arange(pieces + 1) / pieces
+    P = p0[None, :] + (p1 - p0)[None, :] * lam[:, None]
+    mids = 0.5 * (P[:-1] + P[1:])
+    fwd = np.stack([model.forward_rates(z_max, mids[j]) for j in range(pieces)])
+    back = np.stack([model.backward_rates(z_max, mids[j]) for j in range(pieces)])
+    dp = delta / pieces
+    c = _edge_cost_vec(np.broadcast_to(f_fwd[:-1], (pieces, z_max)).ravel(),
+                       fwd[:, :-1].ravel(), P[:-1, :-1].ravel(),
+                       P[1:, :-1].ravel(), dp)
+    if c == math.inf:
+        return math.inf
+    c2 = _edge_cost_vec(np.broadcast_to(f_back[1:], (pieces, z_max)).ravel(),
+                        back[:, 1:].ravel(), P[:-1, 1:].ravel(),
+                        P[1:, 1:].ravel(), dp)
+    if c2 == math.inf:
+        return math.inf
+    return c + c2
+
+
+@pytest.mark.parametrize("pieces", [1, 2, 3, 17, 256])
+def test_segment_cost_matches_per_piece_loop(interacting, pieces):
+    rng = np.random.default_rng(pieces)
+    z_max = 12
+    for _ in range(5):
+        traj = random_feasible(interacting, rng, z_max, 2.0)
+        path = evolve(traj)
+        for k, seg in enumerate(traj.segments):
+            args = (interacting, seg.fluxes, path.probs[k], path.probs[k + 1],
+                    seg.duration, z_max, pieces)
+            assert _segment_cost(*args) == _segment_cost_loop(*args)
+
+
+def test_freeze_pieces_needs_declared_lipschitz_constant(interacting):
+    assert interacting.lipschitz == 2.0 * interacting.params["kappa"]
+    undeclared = RateModel(EdgeKind.CHAIN_WITH_RESETS, interacting.forward,
+                           interacting.backward, lambda_upper=1.5,
+                           lambda_lower=1.0, interacting=True, name="undeclared")
+    p0 = StateDistribution.geometric(0.5, 8).probs
+    p1 = np.roll(p0, 1)
+    with pytest.raises(MissingBoundsError):
+        _freeze_pieces(undeclared, {(0, 1): 0.5}, p0, p1, 1.0, 1e-7)
+
+
 # -- variational form and duality ------------------------------------------------------
+
+def _dual_maximize_scalar(ws, p, psi, rungs, grad_tol=1e-10, max_iter=300):
+    """Oracle: the single-node damped Newton ascent from alpha = 0 with
+    its gradient and stop rungs; records the rungs reached in ``rungs``."""
+    n = p.shape[0]
+    w = ws.weights(np.clip(p, 0.0, None)[None])[0]
+    src, dst = ws.src, ws.dst
+    alpha = np.zeros(n)
+
+    def value(a):
+        return float(a @ psi - np.sum((np.exp(a[dst] - a[src]) - 1.0) * w))
+
+    def grad_hess(a):
+        ew = np.exp(a[dst] - a[src]) * w
+        g = psi.copy()
+        np.add.at(g, src, ew)
+        np.subtract.at(g, dst, ew)
+        H = np.zeros((n, n))
+        np.add.at(H, (src, src), ew)
+        np.add.at(H, (dst, dst), ew)
+        np.subtract.at(H, (src, dst), ew)
+        np.subtract.at(H, (dst, src), ew)
+        return g, H
+
+    cur = value(alpha)
+    converged = False
+    for _ in range(max_iter):
+        g, H = grad_hess(alpha)
+        resid = g.copy()
+        at_lo = alpha <= -_ALPHA_CAP + 1e-12
+        at_hi = alpha >= _ALPHA_CAP - 1e-12
+        resid[at_lo] = np.maximum(resid[at_lo], 0.0)
+        resid[at_hi] = np.minimum(resid[at_hi], 0.0)
+        if float(np.abs(resid).max()) < grad_tol:
+            converged = True
+            break
+        ridge = 1e-12 * (1.0 + float(np.trace(H)) / max(n, 1))
+        try:
+            step = np.linalg.solve(H + ridge * np.eye(n), g)
+        except np.linalg.LinAlgError:
+            step = g
+        improved = False
+        for damp in (1.0, 0.5, 0.25, 0.1, 0.03, 0.01):
+            cand = np.clip(alpha + damp * step, -_ALPHA_CAP, _ALPHA_CAP)
+            v = value(cand)
+            if v > cur + 1e-18:
+                alpha, cur = cand, v
+                improved = True
+                break
+        if not improved:
+            rungs.add("gradient")
+            gnorm = float(np.abs(g).max())
+            if gnorm < grad_tol:
+                converged = True
+                break
+            for damp in (1.0, 0.1, 0.01, 1e-3, 1e-4):
+                cand = np.clip(alpha + damp * g / max(gnorm, 1.0),
+                               -_ALPHA_CAP, _ALPHA_CAP)
+                v = value(cand)
+                if v > cur + 1e-18:
+                    alpha, cur = cand, v
+                    improved = True
+                    break
+            if not improved:
+                rungs.add("stop")
+                g2, _ = grad_hess(alpha)
+                r2 = g2.copy()
+                r2[alpha <= -_ALPHA_CAP + 1e-12] = np.maximum(
+                    r2[alpha <= -_ALPHA_CAP + 1e-12], 0.0)
+                r2[alpha >= _ALPHA_CAP - 1e-12] = np.minimum(
+                    r2[alpha >= _ALPHA_CAP - 1e-12], 0.0)
+                converged = float(np.abs(r2).max()) < 1e-8
+                break
+    return max(cur, 0.0), alpha, converged
+
+
+def _dual_nodes(model, z_max, rng):
+    """(field, slope) nodes: midpoints and slopes of refined random flux
+    plans, random fields with random mass-conserving slopes, and fields
+    whose slope puts mass on a state no live edge feeds (parked at the
+    +50 box)."""
+    P, Psi = [], []
+    for _ in range(2):
+        path = evolve(random_feasible(model, rng, z_max, 1.5))
+        t2, p2 = _refine_grid(path.times, path.probs, 16)
+        P.append(0.5 * (p2[:-1] + p2[1:]))
+        Psi.append(np.diff(p2, axis=0) / np.diff(t2)[:, None])
+    s = rng.normal(size=(40, z_max + 1))
+    P.append(rng.dirichlet(np.ones(z_max + 1), size=40))
+    Psi.append((s - s.mean(axis=1, keepdims=True))
+               * rng.uniform(0.01, 2.0, size=(40, 1)))
+    k = z_max // 2
+    P.append(np.concatenate([rng.dirichlet(np.ones(k), size=10),
+                             np.zeros((10, z_max + 1 - k))], axis=1))
+    s = np.zeros((10, z_max + 1))
+    s[:, k + 1] = rng.uniform(0.05, 0.5, 10)
+    s[:, 0] = -s[:, k + 1]
+    Psi.append(s)
+    return np.concatenate(P), np.concatenate(Psi)
+
+
+@pytest.mark.parametrize("name", ["wlan_const", "mm1", "interacting"])
+def test_batched_dual_matches_single_node_oracle(request, name):
+    model = request.getfixturevalue(name)
+    z_max = 8
+    ws = _DualWorkspace(model, z_max)
+    P, Psi = _dual_nodes(model, z_max, np.random.default_rng(3))
+    vals, alphas, ok = _dual_maximize(ws, P, Psi)
+    rungs = [set() for _ in P]
+    ref = [_dual_maximize_scalar(ws, p, s, r)
+           for p, s, r in zip(P, Psi, rungs)]
+    assert np.abs(vals - [v for v, _, _ in ref]).max() <= 1e-12
+    assert np.abs(alphas - np.array([a for _, a, _ in ref])).max() <= 1e-9
+    assert ok.tolist() == [c for _, _, c in ref]
+    # the sample covers every rung of the ladder and the box
+    assert sum("gradient" in r for r in rungs) >= 10
+    assert sum("stop" in r for r in rungs) >= 10
+    assert np.sum(np.abs(alphas).max(axis=1) >= _ALPHA_CAP - 1e-12) >= 10
+    # one Newton step cannot reach the tolerance: nodes end unconverged
+    vals, alphas, ok = _dual_maximize(ws, P, Psi, max_iter=1)
+    ref = [_dual_maximize_scalar(ws, p, s, set(), max_iter=1)
+           for p, s in zip(P, Psi)]
+    assert np.abs(vals - [v for v, _, _ in ref]).max() <= 1e-12
+    assert np.abs(alphas - np.array([a for _, a, _ in ref])).max() <= 1e-9
+    assert ok.tolist() == [c for _, _, c in ref]
+    assert not ok.any()
 
 def test_variational_zero_on_flow(wlan_const):
     nu = StateDistribution.from_weights(np.exp(-0.4 * np.arange(21)), 20)

@@ -39,6 +39,19 @@ VIOLATING = [
 ]
 
 
+@pytest.mark.parametrize("model", BUILTINS + [interacting_wlan_model(0.9)],
+                         ids=lambda m: m.name)
+def test_stacked_rate_tables_match_rows(model):
+    rng = np.random.default_rng(5)
+    for B in (1, 2, 7):
+        P = rng.dirichlet(np.ones(21), size=B)
+        fwd = model.forward_rates(20, P)
+        back = model.backward_rates(20, P)
+        assert fwd.shape == back.shape == (B, 21)
+        assert np.array_equal(fwd, [model.forward_rates(20, p) for p in P])
+        assert np.array_equal(back, [model.backward_rates(20, p) for p in P])
+
+
 def test_mm1_rates(mm1):
     assert mm1.rate(0, 1) == 1.0
     assert mm1.rate(3, 2) == 2.0
