@@ -24,7 +24,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -85,9 +85,6 @@ class ParticleSystemState:
     def z_max(self) -> int:
         return self.counts.shape[0] - 1
 
-    def empirical(self) -> StateDistribution:
-        return StateDistribution(self.counts / self.N, self.z_max)
-
     @staticmethod
     def all_at_zero(N: int, z_max: int) -> "ParticleSystemState":
         c = np.zeros(z_max + 1, dtype=np.int64)
@@ -141,6 +138,13 @@ class RateEstimate:
 # Events
 # ---------------------------------------------------------------------------
 
+class Event(Protocol):
+    """A set of empirical measures, tested a stack at a time: ``batch``
+    maps a (B, z_max+1) array of probability rows to a bool[B] mask."""
+
+    def batch(self, probs: np.ndarray) -> np.ndarray: ...
+
+
 @dataclass(frozen=True)
 class BallEvent:
     """{ xi : tv(xi, center) <= radius }."""
@@ -172,9 +176,6 @@ class NotInKMEvent:
     def __post_init__(self) -> None:
         object.__setattr__(self, "theta", theta_values(self.z_max))
 
-    def __call__(self, dist: StateDistribution) -> bool:
-        return float(dist.probs @ self.theta) > self.M
-
     def batch(self, probs: np.ndarray) -> np.ndarray:
         return probs @ self.theta > self.M
 
@@ -184,9 +185,6 @@ class NotInKMEvent:
 
 @dataclass(frozen=True)
 class WholeSpaceEvent:
-    def __call__(self, dist: StateDistribution) -> bool:
-        return True
-
     def batch(self, probs: np.ndarray) -> np.ndarray:
         return np.ones(probs.shape[0], dtype=bool)
 
@@ -198,41 +196,31 @@ class WholeSpaceEvent:
 # Gillespie core
 # ---------------------------------------------------------------------------
 
-def _edge_rates(model: RateModel, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-state aggregate forward and backward jump rates N*xi(z)*lambda."""
+def gillespie_step(model: RateModel, counts: np.ndarray,
+                   rng: np.random.Generator) -> tuple[int, int, float]:
+    """One exact jump from the occupancy ``counts``: an exponential
+    holding time at the total rate, then an edge (z, z') chosen
+    proportionally to its rate.  Returns (z, z', dt) and leaves
+    ``counts`` as it is; the caller moves one particle from z to z'."""
     z_max = counts.shape[0] - 1
+    if model.interacting and counts[z_max] > 0:
+        raise TruncationOverflowError(
+            "particle reached z_max; enlarge the window")
     xi = counts / counts.sum()
     fwd = model.forward_rates(z_max, xi) * counts
     back = model.backward_rates(z_max, xi) * counts
-    return fwd, back
-
-
-def gillespie_step(model: RateModel, state: ParticleSystemState,
-                   rng: np.random.Generator) -> tuple[ParticleSystemState, float]:
-    """One exact jump: exponential holding time at the total rate, then
-    one particle moves along an edge chosen proportionally to its rate."""
-    counts = state.counts
-    if model.interacting and counts[state.z_max] > 0:
-        raise TruncationOverflowError(
-            "particle reached z_max; enlarge the window")
-    fwd, back = _edge_rates(model, counts)
-    total = float(fwd.sum() + back.sum())
+    fwd_total = fwd.sum()
+    total = float(fwd_total + back.sum())
     if total <= 0.0:
         raise AbsorbingStateError("total jump rate is zero")
     dt = rng.exponential(1.0 / total)
-    u = rng.uniform(0.0, total)
-    cum = np.concatenate([np.cumsum(fwd), fwd.sum() + np.cumsum(back)])
-    idx = int(np.searchsorted(cum, u, side="right"))
-    n = counts.shape[0]
-    new = counts.copy()
-    if idx < n:
-        z, zp = idx, idx + 1
-    else:
-        z = idx - n
-        zp = model.backward_target(z)
-    new[z] -= 1
-    new[zp] += 1
-    return ParticleSystemState(new, state.N), dt
+    u = total * rng.random()  # the draw of rng.uniform(0.0, total), bit for bit
+    cum = np.concatenate([fwd.cumsum(), fwd_total + back.cumsum()])
+    idx = int(cum.searchsorted(u, side="right"))
+    if idx <= z_max:
+        return idx, idx + 1, dt
+    z = idx - z_max - 1
+    return z, model.backward_target(z), dt
 
 
 def simulate_path(model: RateModel, config: SimConfig,
@@ -242,43 +230,64 @@ def simulate_path(model: RateModel, config: SimConfig,
     holding the last jump state.  Deterministic in (model, config)."""
     rng = substream(config.seed, 0)
     state = initial or ParticleSystemState.all_at_zero(config.N, config.z_max)
+    counts = state.counts.copy()
     t = 0.0
     sample_times = np.arange(0.0, config.horizon + 1e-12, config.thinning)
     out = np.zeros((sample_times.shape[0], config.z_max + 1), dtype=np.int64)
     k = 0
     while k < sample_times.shape[0]:
-        next_state, dt = gillespie_step(model, state, rng)
+        z, zp, dt = gillespie_step(model, counts, rng)
         while k < sample_times.shape[0] and sample_times[k] <= t + dt:
-            out[k] = state.counts
+            out[k] = counts
             k += 1
         t += dt
-        state = next_state
+        counts[z] -= 1
+        counts[zp] += 1
     return sample_times, out
 
 
-def _occupation(model: RateModel, config: SimConfig,
-                events: Sequence[Callable[[StateDistribution], bool]],
+_BLOCK = 512  # held states per batched event evaluation
+
+
+def _occupation(model: RateModel, config: SimConfig, events: Sequence[Event],
                 replica: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Time-weighted occupation of several events along one run.
 
     Returns (occupied_time[e], batch_lengths[b], batch_fractions[e, b])
-    over 20 equal post-burn-in batches."""
+    over 20 equal post-burn-in batches.  Held states are evaluated
+    ``_BLOCK`` at a time through ``Event.batch``; their holding pieces
+    are then added in jump order, so every sum rounds as it would one
+    jump at a time."""
     rng = substream(config.seed, replica)
-    state = ParticleSystemState.all_at_zero(config.N, config.z_max)
+    counts = ParticleSystemState.all_at_zero(config.N, config.z_max).counts
     burn = config.resolved_burn_in(model)
     n_batches = 20
     batch_len = (config.horizon - burn) / n_batches
-    n_ev = len(events)
-    occupied = np.zeros((n_ev, n_batches))
+    occupied = np.zeros((len(events), n_batches))
     lengths = np.zeros(n_batches)
+    held = np.empty((_BLOCK, config.z_max + 1))
+    pieces: list[tuple[int, int, float]] = []  # (row of held, batch, weight)
+
+    def flush(k: int) -> None:
+        if not pieces:
+            return
+        hits = np.empty((len(events), k), dtype=bool)
+        for i, ev in enumerate(events):
+            hits[i] = ev.batch(held[:k])
+        rows, js, ws = (np.array(c) for c in zip(*pieces))
+        # ufunc.at adds in index order: each cell sums in jump order
+        np.add.at(occupied, (slice(None), js), ws * hits[:, rows])
+        np.add.at(lengths, js, ws)
+        pieces.clear()
+
+    k = 0
     t = 0.0
     while t < config.horizon:
-        nxt, dt = gillespie_step(model, state, rng)
+        z, zp, dt = gillespie_step(model, counts, rng)
         a, b = t, min(t + dt, config.horizon)
         if b > burn:
             lo = max(a, burn)
-            emp = state.empirical()
-            hits = np.array([1.0 if ev(emp) else 0.0 for ev in events])
+            np.divide(counts, config.N, out=held[k])
             # spread the holding interval across the batch grid
             j0 = int((lo - burn) / batch_len)
             j1 = int((b - burn) / batch_len)
@@ -286,10 +295,15 @@ def _occupation(model: RateModel, config: SimConfig,
                 seg_lo = burn + j * batch_len
                 seg_hi = seg_lo + batch_len
                 w = max(0.0, min(b, seg_hi) - max(lo, seg_lo))
-                occupied[:, j] += w * hits
-                lengths[j] += w
+                pieces.append((k, j, w))
+            k += 1
+            if k == _BLOCK:
+                flush(k)
+                k = 0
         t += dt
-        state = nxt
+        counts[z] -= 1
+        counts[zp] += 1
+    flush(k)
     fractions = occupied / np.maximum(lengths, 1e-300)[None, :]
     return occupied.sum(axis=1), lengths, fractions
 
@@ -310,9 +324,13 @@ def _estimate_from_batches(name: str, occ: float, fractions: np.ndarray,
 
 
 def estimate_invariant_multi(model: RateModel, config: SimConfig,
-                             events: Sequence, names: Sequence[str] | None = None
+                             events: Sequence[Event],
+                             names: Sequence[str] | None = None
                              ) -> list[RateEstimate]:
-    """Occupation estimates for several events sharing one long run."""
+    """Occupation estimates for several events sharing one long run.
+
+    Each event is tested through ``batch`` on stacks of the empirical
+    measures the run holds (see ``estimate_invariant``)."""
     names = names or [getattr(ev, "describe", lambda: "event")()
                       for ev in events]
     occ, lengths, fractions = _occupation(model, config, events, replica=0)
@@ -322,13 +340,13 @@ def estimate_invariant_multi(model: RateModel, config: SimConfig,
             for nm, o, fr in zip(names, occ, fractions)]
 
 
-def estimate_invariant(model: RateModel, config: SimConfig,
-                       event: Callable[[StateDistribution], bool],
+def estimate_invariant(model: RateModel, config: SimConfig, event: Event,
                        event_name: str | None = None) -> RateEstimate:
     """Occupation estimate of the stationary probability of an event.
 
-    Events are evaluated at jump epochs weighted by holding times
-    (exact for occupation measures).  The confidence interval is a
+    The event is evaluated through ``event.batch`` on the empirical
+    measures held between jumps, weighted by holding times (exact for
+    occupation measures).  The confidence interval is a
     batch-means interval over 20 post-burn-in batches; zero observed
     occupancy falls back to a one-sided rule-of-three bound over the
     batch count, and the rate is then reported as a lower bound.
@@ -338,8 +356,9 @@ def estimate_invariant(model: RateModel, config: SimConfig,
 
 
 def burn_in_diagnostic(model: RateModel, config: SimConfig,
-                       event: Callable[[StateDistribution], bool]) -> float:
-    """|first-half - second-half| occupation gap (post burn-in)."""
+                       event: Event) -> float:
+    """|first-half - second-half| occupation gap (post burn-in) of an
+    event tested through ``event.batch``."""
     _, _, fractions = _occupation(model, config, [event], replica=0)
     h = fractions.shape[1] // 2
     return abs(float(fractions[0, :h].mean()) - float(fractions[0, h:].mean()))
@@ -451,7 +470,9 @@ def estimate_rate_curve(model: RateModel, event, N_list: Sequence[int],
     zeta = None
     if importance and isinstance(event, BallEvent) and not event(pi):
         zeta = entropy_projection(pi, event.center, event.radius, z_max)
-    chunk = max(1, min(200_000, samples_per_N))
+    # 25,000 rows per chunk: each thread holds a few chunk-sized arrays at
+    # once, and the draws do not depend on the chunk size
+    chunk = max(1, min(25_000, samples_per_N))
 
     def one(i_N: tuple[int, int]) -> RateEstimate:
         i, N = i_N

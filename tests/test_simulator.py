@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from meanfield_ldp.measures import StateDistribution, theta_values, tv_distance
+from meanfield_ldp.measures import (StateDistribution, entropy_projection,
+                                    theta_values, tv_distance)
 from meanfield_ldp.mckean_vlasov import find_equilibrium
 from meanfield_ldp.models import dominating_chain, single_particle_stationary
-from meanfield_ldp.simulator import (BallEvent, NotInKMEvent,
+from meanfield_ldp.simulator import (_BLOCK, BallEvent, NotInKMEvent,
                                      ParticleSystemState, SimConfig,
                                      TruncationOverflowError, WholeSpaceEvent,
+                                     _occupation, _tilted_estimate,
                                      burn_in_diagnostic, estimate_invariant,
                                      estimate_rate_curve, gillespie_step,
                                      sample_iid_stationary, save_counts_path,
@@ -17,27 +19,35 @@ from meanfield_ldp.simulator import (BallEvent, NotInKMEvent,
 
 
 def test_single_enabled_transition(mm1):
-    state = ParticleSystemState.all_at_zero(1, 10)
+    counts = ParticleSystemState.all_at_zero(1, 10).counts
+    before = counts.copy()
     rng = substream(0, 0)
-    nxt, dt = gillespie_step(mm1, state, rng)
+    z, zp, dt = gillespie_step(mm1, counts, rng)
+    assert np.array_equal(counts, before)  # the caller applies the move
     assert dt > 0
-    assert nxt.counts[1] == 1 and nxt.counts[0] == 0
+    counts[z] -= 1
+    counts[zp] += 1
+    assert counts[1] == 1 and counts[0] == 0
 
 
 def test_two_particles_at_zero(wlan_const):
-    state = ParticleSystemState.all_at_zero(2, 10)
+    counts = ParticleSystemState.all_at_zero(2, 10).counts
     rng = substream(0, 1)
-    nxt, _ = gillespie_step(wlan_const, state, rng)
-    assert nxt.counts[0] == 1 and nxt.counts[1] == 1
+    z, zp, _ = gillespie_step(wlan_const, counts, rng)
+    counts[z] -= 1
+    counts[zp] += 1
+    assert counts[0] == 1 and counts[1] == 1
 
 
 def test_counts_invariant_preserved(interacting):
-    state = ParticleSystemState.all_at_zero(20, 15)
+    counts = ParticleSystemState.all_at_zero(20, 15).counts
     rng = substream(3, 0)
     for _ in range(2000):
-        state, _ = gillespie_step(interacting, state, rng)
-        assert int(state.counts.sum()) == 20
-        assert state.counts.min() >= 0
+        z, zp, _ = gillespie_step(interacting, counts, rng)
+        counts[z] -= 1
+        counts[zp] += 1
+        assert int(counts.sum()) == 20
+        assert counts.min() >= 0
 
 
 def test_edge_selection_frequencies(mm1):
@@ -46,16 +56,12 @@ def test_edge_selection_frequencies(mm1):
     counts = np.zeros(11, dtype=np.int64)
     counts[0] = 3
     counts[1] = 2
-    state = ParticleSystemState(counts, 5)
     rng = substream(7, 0)
     hits = {}
     n = 100_000
     for _ in range(n):
-        nxt, _ = gillespie_step(mm1, state, rng)
-        delta = nxt.counts - state.counts
-        src = int(np.where(delta == -1)[0][0])
-        dst = int(np.where(delta == 1)[0][0])
-        hits[(src, dst)] = hits.get((src, dst), 0) + 1
+        z, zp, _ = gillespie_step(mm1, counts, rng)
+        hits[(z, zp)] = hits.get((z, zp), 0) + 1
     # rates: (0,1): 3*1, (1,2): 2*1, (1,0): 2*2
     total = 3.0 + 2.0 + 4.0
     expected = {(0, 1): 3 / total, (1, 2): 2 / total, (1, 0): 4 / total}
@@ -109,9 +115,138 @@ def test_truncation_overflow_aborts(interacting):
     counts = np.zeros(13, dtype=np.int64)
     counts[12] = 1
     counts[0] = 9
-    state = ParticleSystemState(counts, 10)
     with pytest.raises(TruncationOverflowError):
-        gillespie_step(interacting, state, substream(0, 0))
+        gillespie_step(interacting, counts, substream(0, 0))
+
+
+# -- the per-jump loops, kept as the reference for the count-vector loops ----------
+
+def _step_reference(model, state, rng):
+    """One jump from a validated state to a new validated state."""
+    counts = state.counts
+    z_max = state.z_max
+    xi = counts / counts.sum()
+    fwd = model.forward_rates(z_max, xi) * counts
+    back = model.backward_rates(z_max, xi) * counts
+    total = float(fwd.sum() + back.sum())
+    dt = rng.exponential(1.0 / total)
+    u = rng.uniform(0.0, total)
+    cum = np.concatenate([np.cumsum(fwd), fwd.sum() + np.cumsum(back)])
+    idx = int(np.searchsorted(cum, u, side="right"))
+    n = counts.shape[0]
+    new = counts.copy()
+    if idx < n:
+        z, zp = idx, idx + 1
+    else:
+        z = idx - n
+        zp = model.backward_target(z)
+    new[z] -= 1
+    new[zp] += 1
+    return ParticleSystemState(new, state.N), dt
+
+
+def _hit_reference(event, dist):
+    """One event tested on one measure, without ``batch``."""
+    if isinstance(event, BallEvent):
+        return event(dist)
+    if isinstance(event, NotInKMEvent):
+        return float(dist.probs @ event.theta) > event.M
+    return True
+
+
+def _occupation_reference(model, config, events):
+    """The per-jump occupation loop; also returns the number of held
+    states it evaluated and the most batches one holding interval met."""
+    rng = substream(config.seed, 0)
+    state = ParticleSystemState.all_at_zero(config.N, config.z_max)
+    burn = config.resolved_burn_in(model)
+    n_batches = 20
+    batch_len = (config.horizon - burn) / n_batches
+    occupied = np.zeros((len(events), n_batches))
+    lengths = np.zeros(n_batches)
+    held = widest = 0
+    t = 0.0
+    while t < config.horizon:
+        nxt, dt = _step_reference(model, state, rng)
+        a, b = t, min(t + dt, config.horizon)
+        if b > burn:
+            lo = max(a, burn)
+            emp = StateDistribution(state.counts / state.N, state.z_max)
+            hits = np.array([1.0 if _hit_reference(ev, emp) else 0.0
+                             for ev in events])
+            held += 1
+            j0 = int((lo - burn) / batch_len)
+            j1 = int((b - burn) / batch_len)
+            widest = max(widest, min(j1, n_batches - 1) + 1 - j0)
+            for j in range(j0, min(j1, n_batches - 1) + 1):
+                seg_lo = burn + j * batch_len
+                seg_hi = seg_lo + batch_len
+                w = max(0.0, min(b, seg_hi) - max(lo, seg_lo))
+                occupied[:, j] += w * hits
+                lengths[j] += w
+        t += dt
+        state = nxt
+    fractions = occupied / np.maximum(lengths, 1e-300)[None, :]
+    return occupied.sum(axis=1), lengths, fractions, held, widest
+
+
+def _simulate_path_reference(model, config):
+    rng = substream(config.seed, 0)
+    state = ParticleSystemState.all_at_zero(config.N, config.z_max)
+    t = 0.0
+    sample_times = np.arange(0.0, config.horizon + 1e-12, config.thinning)
+    out = np.zeros((sample_times.shape[0], config.z_max + 1), dtype=np.int64)
+    k = 0
+    while k < sample_times.shape[0]:
+        next_state, dt = _step_reference(model, state, rng)
+        while k < sample_times.shape[0] and sample_times[k] <= t + dt:
+            out[k] = state.counts
+            k += 1
+        t += dt
+        state = next_state
+    return sample_times, out
+
+
+# (N, horizon, burn_in, least held states, least batches one holding
+# interval meets): several evaluation blocks of short intervals, or a
+# short run whose intervals span several batches of length 0.1.  Holding
+# times are differences of clock values, so a batch sums them exactly in
+# any order unless the clock is small against the batch length; the
+# short burn-in of the first run makes the sums of its first batch round
+# differently when the order of the pieces changes.
+_OCCUPATION_RUNS = [(20, 70.0, 0.05, 3 * _BLOCK, 2), (2, 5.0, 3.0, 1, 3)]
+
+
+@pytest.mark.parametrize("run", _OCCUPATION_RUNS, ids=["long", "straddling"])
+@pytest.mark.parametrize("which", ["interacting", "mm1", "wlan_const"])
+def test_occupation_matches_per_jump_reference(request, which, run):
+    """Occupied times, batch lengths and fractions are bitwise those of
+    the per-jump loop, over several evaluation blocks."""
+    model = request.getfixturevalue(which)
+    N, horizon, burn_in, least_held, least_widest = run
+    z_max = 15
+    cfg = SimConfig(N=N, seed=17, horizon=horizon, burn_in=burn_in,
+                    z_max=z_max)
+    events = [BallEvent(StateDistribution.geometric(0.5, z_max), 0.3),
+              NotInKMEvent(0.8, z_max), WholeSpaceEvent()]
+    occ, lengths, fractions, held, widest = \
+        _occupation_reference(model, cfg, events)
+    got = _occupation(model, cfg, events, replica=0)
+    assert np.array_equal(got[0], occ)
+    assert np.array_equal(got[1], lengths)
+    assert np.array_equal(got[2], fractions)
+    assert 0.0 < fractions[:2].mean() < 1.0  # the events do not all tie
+    assert held >= least_held and widest >= least_widest
+
+
+@pytest.mark.parametrize("which", ["interacting", "mm1", "wlan_const"])
+def test_simulate_path_matches_per_jump_reference(request, which):
+    model = request.getfixturevalue(which)
+    cfg = SimConfig(N=20, seed=4, horizon=40.0, z_max=15, thinning=0.25)
+    times, counts = simulate_path(model, cfg)
+    ref_times, ref_counts = _simulate_path_reference(model, cfg)
+    assert np.array_equal(times, ref_times)
+    assert np.array_equal(counts, ref_counts)
 
 
 # -- exact i.i.d. stationary sampling ----------------------------------------------
@@ -225,6 +360,20 @@ def test_rate_curve_importance_agrees_with_plain_at_small_N(mm1, which):
     assert not tilted.lower_bound_only and not plain.lower_bound_only
     assert tilted.ci_low <= plain.ci_high and plain.ci_low <= tilted.ci_high
     assert _rel_se(tilted) < _rel_se(plain)
+
+
+def test_tilted_estimate_does_not_depend_on_chunk(mm1):
+    """Multinomial draws consume the stream row by row, so the chunk
+    size bounds memory without changing the estimate."""
+    pi = single_particle_stationary(mm1, 30)
+    event = BallEvent(StateDistribution.delta(0, 30), 0.1)
+    zeta = entropy_projection(pi, event.center, event.radius, 30)
+    n = 2000
+    small, whole = (_tilted_estimate("ball", event, pi, zeta, 20, n, 3,
+                                     substream(3, 0), chunk)
+                    for chunk in (7, n))
+    assert not whole.lower_bound_only
+    assert small == whole
 
 
 def test_rate_curve_threaded_deterministic(mm1):
