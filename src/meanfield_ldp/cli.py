@@ -38,8 +38,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cost import (InfeasibleTrajectoryError, cost_nonvariational,
-                   cost_variational, evolve, flux_from_path)
+from .cost import (FluxTrajectory, InfeasibleTrajectoryError, _mass_balance,
+                   cost_nonvariational, cost_variational, evolve,
+                   flux_from_path)
 from .measures import StateDistribution, save_distribution_csv, theta_moment
 from .mckean_vlasov import (EquilibriumNotFoundError, StiffnessError, check_B2,
                             find_equilibrium, monotone_convergence_diagnostic,
@@ -344,37 +345,28 @@ def _run_quasipotential_bounds(cfg: ExperimentConfig, out: Path,
 
 
 def _random_feasible_trajectory(model: RateModel, rng: np.random.Generator,
-                                z_max: int, T_max: float):
-    from .cost import FluxTrajectory, Segment
-
+                                z_max: int, T_max: float) -> FluxTrajectory:
     p = rng.dirichlet(np.full(z_max + 1, 2.0))
     p = 0.7 * p + 0.3 / (z_max + 1)
     init = StateDistribution(p / p.sum(), z_max)
     n_seg = int(rng.integers(3, 7))
     durations = rng.uniform(0.08, T_max / n_seg, size=n_seg)
-    segments = []
+    rows = []
     cur = init.probs.copy()
     for d in durations:
         fwd = model.forward_rates(z_max, cur) * cur
         back = model.backward_rates(z_max, cur) * cur
         scale = np.exp(rng.uniform(-0.7, 0.7, size=2 * z_max + 1))
-        fluxes = {}
-        for z in range(z_max):
-            fluxes[(z, z + 1)] = float(fwd[z] * scale[z])
-        for z in range(1, z_max + 1):
-            fluxes[(z, model.backward_target(z))] = float(back[z] * scale[z_max + z])
+        row = np.concatenate([fwd[:-1] * scale[:z_max],
+                              back[1:] * scale[z_max + 1:]])
         for _ in range(40):
-            div = np.zeros(z_max + 1)
-            for (a, b), f in fluxes.items():
-                div[a] -= f
-                div[b] += f
-            trial = cur + d * div
+            trial = cur + d * _mass_balance(row[None], model.kind)[0]
             if trial.min() > 1e-4:
                 break
-            fluxes = {e: 0.5 * f for e, f in fluxes.items()}
-        segments.append(Segment(float(d), fluxes))
+            row = 0.5 * row
+        rows.append(row)
         cur = trial
-    return FluxTrajectory(init, tuple(segments), z_max)
+    return FluxTrajectory(init, model.kind, durations, np.array(rows))
 
 
 def _run_duality_check(cfg: ExperimentConfig, out: Path, threads: int) -> None:

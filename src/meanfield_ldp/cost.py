@@ -32,18 +32,17 @@ trajectory.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
 from .measures import StateDistribution, theta_values, tv_distance
-from .models import EdgeKind, EdgeNotPresentError, MissingBoundsError, RateModel
-
-Edge = tuple[int, int]
+from .models import (EdgeKind, EdgeNotPresentError, MissingBoundsError,
+                     RateModel, edge_list)
 
 _E = math.e
 _ALPHA_CAP = 50.0
@@ -80,21 +79,6 @@ def tau_star(u: float) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Segment:
-    """Constant per-edge fluxes held for a positive duration."""
-
-    duration: float
-    fluxes: Mapping[Edge, float]
-
-    def __post_init__(self) -> None:
-        if not self.duration > 0.0:
-            raise ValueError("segment duration must be positive")
-        for (z, zp), f in self.fluxes.items():
-            if not (math.isfinite(f) and f >= 0.0):
-                raise ValueError(f"flux on edge ({z},{zp}) must be finite and >= 0")
-
-
-@dataclass(frozen=True)
 class SampledPath:
     """Piecewise-affine path given by node times and node distributions.
 
@@ -125,39 +109,64 @@ class SampledPath:
         return StateDistribution(p, self.z_max, tail_mass=self.tail_mass)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FluxTrajectory:
-    """Piecewise-constant per-edge flux plan started from a distribution."""
+    """Piecewise-constant per-edge flux plan started from a distribution.
+
+    Flux row k is held for ``durations[k]``.  Its 2*z_max columns follow
+    :func:`~meanfield_ldp.models.edge_list`: the forward edges (z, z+1)
+    for z < z_max, then the backward edges out of z = 1..z_max, which
+    end where ``kind`` says.
+    """
 
     initial: StateDistribution
-    segments: tuple[Segment, ...]
-    z_max: int
+    kind: EdgeKind
+    durations: np.ndarray  # (S,)
+    fluxes: np.ndarray  # (S, 2*z_max)
 
     def __post_init__(self) -> None:
-        if self.initial.z_max != self.z_max:
-            raise ValueError("initial distribution window differs from z_max")
-        for seg in self.segments:
-            for (z, zp) in seg.fluxes:
-                if not (0 <= z <= self.z_max and 0 <= zp <= self.z_max):
-                    raise ValueError(f"edge ({z},{zp}) leaves the window")
+        d = np.asarray(self.durations, dtype=float)
+        f = np.asarray(self.fluxes, dtype=float)
+        object.__setattr__(self, "durations", d)
+        object.__setattr__(self, "fluxes", f)
+        if d.ndim != 1 or f.shape != (d.size, 2 * self.z_max):
+            raise ValueError(f"durations {d.shape} and fluxes {f.shape} do not "
+                             f"fit the window z_max={self.z_max}")
+        if not np.all(d > 0.0):
+            raise ValueError("segment durations must be positive")
+        if not np.all(np.isfinite(f) & (f >= 0.0)):
+            raise ValueError("fluxes must be finite and >= 0")
+
+    @property
+    def z_max(self) -> int:
+        return self.initial.z_max
 
     @property
     def duration(self) -> float:
-        return float(sum(s.duration for s in self.segments))
+        # summed in segment order, as the path times are
+        return float(sum(self.durations.tolist()))
 
-    def check_edges(self, model: RateModel) -> None:
-        for seg in self.segments:
-            for (z, zp) in seg.fluxes:
-                if not model.has_edge(z, zp):
-                    raise EdgeNotPresentError(
-                        f"flux on edge ({z},{zp}) not in {model.kind.value}")
+    @property
+    def segments(self) -> tuple[tuple[float, np.ndarray], ...]:
+        """(duration, flux row) pairs; perfbench's tracer reads their count."""
+        return tuple(zip(self.durations.tolist(), self.fluxes))
 
 
-def _divergence(fluxes: Mapping[Edge, float], n: int) -> np.ndarray:
-    v = np.zeros(n)
-    for (z, zp), f in fluxes.items():
-        v[z] -= f
-        v[zp] += f
+@functools.lru_cache(maxsize=None)
+def _backward_targets(kind: EdgeKind, z_max: int) -> np.ndarray:
+    return np.array([zp for _, zp in edge_list(kind, z_max)[z_max:]], dtype=int)
+
+
+def _mass_balance(fluxes: np.ndarray, kind: EdgeKind) -> np.ndarray:
+    """Net inflow into each state for every flux row, shape (S, z_max+1);
+    each state's terms are added in edge-column order, as a per-edge loop would."""
+    z_max = fluxes.shape[1] // 2
+    fwd, back = fluxes[:, :z_max], fluxes[:, z_max:]
+    v = np.zeros((fluxes.shape[0], z_max + 1))
+    v[:, 1:] += fwd
+    v[:, :-1] -= fwd
+    v[:, 1:] -= back
+    np.add.at(v, (slice(None), _backward_targets(kind, z_max)), back)
     return v
 
 
@@ -169,36 +178,33 @@ def evolve(traj: FluxTrajectory) -> SampledPath:
     :class:`InfeasibleTrajectoryError`; per-state masses are affine
     inside segments, so endpoint checks cover the interior.
     """
-    n = traj.z_max + 1
     p = traj.initial.probs.copy()
-    times = [0.0]
-    probs = [p.copy()]
-    t = 0.0
-    for k, seg in enumerate(traj.segments):
-        p = p + seg.duration * _divergence(seg.fluxes, n)
+    probs = [p]
+    balance = _mass_balance(traj.fluxes, traj.kind)
+    for k, (d, v) in enumerate(zip(traj.durations.tolist(), balance)):
+        p = p + d * v
         if p.min() < -1e-12:
-            z_bad = int(np.argmin(p))
-            raise InfeasibleTrajectoryError(
-                f"state {z_bad} mass {p.min():.3e} after segment {k}")
+            raise InfeasibleTrajectoryError(f"state {int(np.argmin(p))} mass "
+                                            f"{p.min():.3e} after segment {k}")
         p = np.clip(p, 0.0, None)
-        t += seg.duration
-        times.append(t)
-        probs.append(p.copy())
-    return SampledPath(np.array(times), np.stack(probs),
-                       tail_mass=traj.initial.tail_mass)
+        probs.append(p)
+    times = np.concatenate([[0.0], np.cumsum(traj.durations)])
+    return SampledPath(times, np.stack(probs), tail_mass=traj.initial.tail_mass)
 
 
 def concatenate(a: FluxTrajectory, b: FluxTrajectory) -> FluxTrajectory:
     """Glue two flux plans; endpoints must agree within 1e-9 in TV."""
-    if a.z_max != b.z_max:
-        raise EndpointMismatchError("window mismatch")
-    if not b.segments:
+    if a.z_max != b.z_max or a.kind is not b.kind:
+        raise EndpointMismatchError("window or edge kind mismatch")
+    if not b.durations.size:
         return a
     end = evolve(a).final_distribution()
     gap = tv_distance(end, b.initial)
     if gap > 1e-9:
         raise EndpointMismatchError(f"endpoint gap {gap:.3e} exceeds 1e-9")
-    return FluxTrajectory(a.initial, a.segments + b.segments, a.z_max)
+    return FluxTrajectory(a.initial, a.kind,
+                          np.concatenate([a.durations, b.durations]),
+                          np.concatenate([a.fluxes, b.fluxes]))
 
 
 # ---------------------------------------------------------------------------
@@ -238,21 +244,8 @@ def _edge_cost_vec(f: np.ndarray, lam: np.ndarray, phi0: np.ndarray,
     return total
 
 
-def _flux_arrays(fluxes: Mapping[Edge, float], model: RateModel,
-                 z_max: int) -> tuple[np.ndarray, np.ndarray]:
-    f_fwd = np.zeros(z_max + 1)
-    f_back = np.zeros(z_max + 1)
-    for (z, zp), f in fluxes.items():
-        if zp == z + 1:
-            f_fwd[z] = f
-        else:
-            f_back[z] = f
-    return f_fwd, f_back
-
-
-def _freeze_pieces(model: RateModel, fluxes: Mapping[Edge, float],
-                   p0: np.ndarray, p1: np.ndarray, delta: float,
-                   freeze_tol: float) -> int:
+def _freeze_pieces(model: RateModel, row: np.ndarray, p0: np.ndarray,
+                   p1: np.ndarray, delta: float, freeze_tol: float) -> int:
     """Subdivision count holding the midpoint-freezing bias below tol.
 
     Freezing the rate at the piece-midpoint field cancels the bias at
@@ -265,32 +258,31 @@ def _freeze_pieces(model: RateModel, fluxes: Mapping[Edge, float],
         raise MissingBoundsError(f"{model.name}: interacting model declares "
                                  "no Lipschitz constant")
     dtv = 0.5 * float(np.abs(p1 - p0).sum())
-    lam_scale = 2.0 * model.lambda_upper + sum(fluxes.values())
+    lam_scale = 2.0 * model.lambda_upper + sum(row.tolist())  # in edge order
     est = model.lipschitz * dtv * dtv * lam_scale * delta
     if est <= freeze_tol:
         return 1
     return min(4096, math.ceil(math.sqrt(est / freeze_tol)))
 
 
-def _segment_cost(model: RateModel, fluxes: Mapping[Edge, float],
-                  p0: np.ndarray, p1: np.ndarray, delta: float,
-                  z_max: int, pieces: int = 1) -> float:
+def _segment_cost(model: RateModel, row: np.ndarray, p0: np.ndarray,
+                  p1: np.ndarray, delta: float, pieces: int = 1) -> float:
     """Cost of one constant-flux segment, optionally subdivided into
     equal pieces with the rate re-frozen at each piece midpoint (one
     stacked rate-table call covers all pieces)."""
-    f_fwd, f_back = _flux_arrays(fluxes, model, z_max)
+    z_max = p0.shape[0] - 1
     lam = np.arange(pieces + 1) / pieces
     P = p0[None, :] + (p1 - p0)[None, :] * lam[:, None]
     mids = 0.5 * (P[:-1] + P[1:])
     fwd = model.forward_rates(z_max, mids)
     back = model.backward_rates(z_max, mids)
     dp = delta / pieces
-    c = _edge_cost_vec(np.tile(f_fwd[:-1], pieces),
+    c = _edge_cost_vec(np.tile(row[:z_max], pieces),
                        fwd[:, :-1].ravel(), P[:-1, :-1].ravel(),
                        P[1:, :-1].ravel(), dp)
     if c == math.inf:
         return math.inf
-    c2 = _edge_cost_vec(np.tile(f_back[1:], pieces),
+    c2 = _edge_cost_vec(np.tile(row[z_max:], pieces),
                         back[:, 1:].ravel(), P[:-1, 1:].ravel(),
                         P[1:, 1:].ravel(), dp)
     if c2 == math.inf:
@@ -309,17 +301,17 @@ def cost_nonvariational(model: RateModel, traj: FluxTrajectory,
     midpoint field of each piece and segments are subdivided until the
     Lipschitz bias estimate falls below ``freeze_tol`` per segment.
     """
-    traj.check_edges(model)
+    # the two edge kinds share every edge but the backward ones out of z >= 2
+    if traj.kind is not model.kind and traj.fluxes[:, traj.z_max + 1:].any():
+        raise EdgeNotPresentError(f"plan has flux on {traj.kind.value} edges "
+                                  f"not in {model.kind.value}")
     path = evolve(traj)
-    z_max = traj.z_max
     total = 0.0
-    for k, seg in enumerate(traj.segments):
+    for k, (d, row) in enumerate(zip(traj.durations.tolist(), traj.fluxes)):
         p0 = path.probs[k]
         p1 = path.probs[k + 1]
-        pieces = _freeze_pieces(model, seg.fluxes, p0, p1, seg.duration,
-                                freeze_tol)
-        c = _segment_cost(model, seg.fluxes, p0, p1, seg.duration, z_max,
-                          pieces)
+        pieces = _freeze_pieces(model, row, p0, p1, d, freeze_tol)
+        c = _segment_cost(model, row, p0, p1, d, pieces)
         if c == math.inf:
             return math.inf
         total += c
@@ -343,7 +335,6 @@ class _DualWorkspace:
         self.model = model
         self.z_max = z_max
         self.src, self.dst = np.array(model.edges(z_max)).T.copy()
-        self.edges = list(zip(self.src.tolist(), self.dst.tolist()))
         self._static_rates: tuple[np.ndarray, np.ndarray] | None = None
         if not model.interacting:
             self._static_rates = (model.forward_rates(z_max),
@@ -571,7 +562,8 @@ def flux_from_path(model: RateModel, path, refine: int | None = None,
     dual-optimal alpha resolves it through h = exp(d alpha) - 1, so
     the control cost of the result matches the variational cost of the
     path.  Each interval becomes one segment per refinement piece with
-    fluxes exp(d alpha) * lambda * phi evaluated at the piece midpoint.
+    fluxes exp(d alpha) * lambda * phi evaluated at the piece midpoint,
+    in the edge order of the plan's flux columns.
     """
     times, probs = _as_grid(path)
     z_max = probs.shape[1] - 1
@@ -587,14 +579,12 @@ def flux_from_path(model: RateModel, path, refine: int | None = None,
                           f"{int(np.sum(~ok))} of {ok.size} nodes",
                           RuntimeWarning)
         F = np.exp(alpha[:, ws.dst] - alpha[:, ws.src]) * ws.weights(mid)
-        segments = [Segment(d, {e: fe for e, fe in zip(ws.edges, f) if fe > 0.0})
-                    for d, f in zip(dt.tolist(), F.tolist())]
         p0 = np.clip(probs[0], 0.0, None)
         tail = path.tail_mass if isinstance(path, SampledPath) else 0.0
         if tail <= 0.0:
             p0 = p0 / p0.sum()
         init = StateDistribution(p0, z_max, tail_mass=tail)
-        return FluxTrajectory(init, tuple(segments), z_max)
+        return FluxTrajectory(init, model.kind, dt, F)
 
     if refine is not None:
         return build(refine)
@@ -709,23 +699,30 @@ def moment_inequality_check(model: RateModel, traj: FluxTrajectory,
 def save_trajectory(traj: FluxTrajectory, path: str | Path) -> None:
     """Structured text: header (z_max, n_segments), the initial
     distribution, then per segment a duration line followed by
-    z,z_prime,flux lines.  Floats round-trip exactly at 17 digits."""
+    z,z_prime,flux lines for the positive fluxes in sorted edge order.
+    Floats round-trip exactly at 17 digits."""
+    by_edge = sorted((e, c) for c, e in
+                     enumerate(edge_list(traj.kind, traj.z_max)))
     with open(path, "w") as fh:
         fh.write(f"z_max,{traj.z_max}\n")
-        fh.write(f"n_segments,{len(traj.segments)}\n")
+        fh.write(f"n_segments,{traj.durations.size}\n")
         fh.write("initial\n")
         for z in range(traj.z_max + 1):
             fh.write(f"{z},{format(float(traj.initial.probs[z]), '.17g')}\n")
         if traj.initial.tail_mass > 0.0:
             fh.write(f"tail,{format(traj.initial.tail_mass, '.17g')}\n")
         fh.write("end_initial\n")
-        for seg in traj.segments:
-            fh.write(f"duration,{format(seg.duration, '.17g')}\n")
-            for (z, zp) in sorted(seg.fluxes):
-                fh.write(f"{z},{zp},{format(seg.fluxes[(z, zp)], '.17g')}\n")
+        for d, row in zip(traj.durations.tolist(), traj.fluxes.tolist()):
+            fh.write(f"duration,{format(d, '.17g')}\n")
+            for (z, zp), c in by_edge:
+                if row[c] > 0.0:
+                    fh.write(f"{z},{zp},{format(row[c], '.17g')}\n")
 
 
 def load_trajectory(path: str | Path) -> FluxTrajectory:
+    """Read :func:`save_trajectory` output.  The edge kind is read off
+    the backward edges out of z >= 2 -- (z, 0) for resets, (z, z-1) for
+    birth-death; a file with neither loads with reset edges."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     it = iter(lines)
@@ -744,20 +741,27 @@ def load_trajectory(path: str | Path) -> FluxTrajectory:
         else:
             probs[int(key)] = float(val)
     initial = StateDistribution(probs, z_max, tail)
-    segments: list[Segment] = []
-    duration: float | None = None
-    fluxes: dict[Edge, float] = {}
+    durations, entries = [], []  # entries: (segment, edge, flux)
     for ln in it:
         parts = ln.split(",")
         if parts[0] == "duration":
-            if duration is not None:
-                segments.append(Segment(duration, fluxes))
-            duration = float(parts[1])
-            fluxes = {}
+            durations.append(float(parts[1]))
+        elif not durations:
+            raise ValueError("flux line before the first duration")
         else:
-            fluxes[(int(parts[0]), int(parts[1]))] = float(parts[2])
-    if duration is not None:
-        segments.append(Segment(duration, fluxes))
-    if len(segments) != n_segments:
+            entries.append((len(durations) - 1, (int(parts[0]), int(parts[1])),
+                            float(parts[2])))
+    if len(durations) != n_segments:
         raise ValueError("segment count mismatch")
-    return FluxTrajectory(initial, tuple(segments), z_max)
+    kinds = {EdgeKind.BIRTH_DEATH if zp else EdgeKind.CHAIN_WITH_RESETS
+             for _, (z, zp), _ in entries if z >= 2 and zp in (0, z - 1)}
+    if len(kinds) > 1:
+        raise ValueError("file mixes reset and birth-death edges")
+    kind = kinds.pop() if kinds else EdgeKind.CHAIN_WITH_RESETS
+    column = {e: c for c, e in enumerate(edge_list(kind, z_max))}
+    fluxes = np.zeros((n_segments, 2 * z_max))
+    for k, e, f in entries:
+        if e not in column:
+            raise ValueError(f"({e[0]},{e[1]}) is no edge inside the window")
+        fluxes[k, column[e]] = f
+    return FluxTrajectory(initial, kind, durations, fluxes)

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .measures import (StateDistribution, in_class_KDelta, theta_moment,
-                       theta_values)
+                       theta_values, tv_distance)
 from .models import RateModel, single_particle_stationary
 
 _MIN_DT = 1e-12
@@ -252,7 +252,6 @@ def monotone_convergence_diagnostic(model: RateModel, nu: StateDistribution,
     """
     xi_star = find_equilibrium(model, nu.z_max)
     path = integrate(model, nu, horizon, tol=1e-9)
-    from .measures import tv_distance
     dists = [tv_distance(s, xi_star) for s in path.states]
     start = int(settle_fraction * len(dists))
     tail = dists[start:]

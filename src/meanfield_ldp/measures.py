@@ -197,9 +197,6 @@ class StateDistribution:
         tail = self.tail_mass + float(self.probs[z_max + 1:].sum())
         return StateDistribution(p, z_max, tail, self.tail_profile)
 
-    def close_to(self, other: "StateDistribution", tol: float) -> bool:
-        return tv_distance(self, other) <= tol
-
 
 def _check_same_window(a: StateDistribution, b: StateDistribution) -> None:
     if a.z_max != b.z_max:

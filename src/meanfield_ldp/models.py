@@ -57,6 +57,18 @@ class MissingBoundsError(ValueError):
 RateFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
+def _backward_target(kind: EdgeKind, z):
+    return 0 if kind is EdgeKind.CHAIN_WITH_RESETS else z - 1
+
+
+def edge_list(kind: EdgeKind, z_max: int) -> list[tuple[int, int]]:
+    """All edges inside the window, in flux-column order: the forward
+    edges (z, z+1) for z < z_max, then the backward edge out of each
+    z = 1..z_max.  The forward edge out of z_max is dropped."""
+    return ([(z, z + 1) for z in range(z_max)]
+            + [(z, _backward_target(kind, z)) for z in range(1, z_max + 1)])
+
+
 def _stacked_table(fn: RateFn, z_max: int, probs: np.ndarray) -> np.ndarray:
     """One rate row per field of a (B, z_max+1) stack.
 
@@ -108,7 +120,7 @@ class RateModel:
     # -- edge bookkeeping ----------------------------------------------------
 
     def backward_target(self, z):
-        return 0 if self.kind is EdgeKind.CHAIN_WITH_RESETS else z - 1
+        return _backward_target(self.kind, z)
 
     def has_edge(self, z: int, z_prime: int) -> bool:
         if z_prime == z + 1 and z >= 0:
@@ -116,10 +128,7 @@ class RateModel:
         return z >= 1 and z_prime == self.backward_target(z)
 
     def edges(self, z_max: int) -> list[tuple[int, int]]:
-        """All edges inside the window; the forward edge out of z_max is dropped."""
-        es = [(z, z + 1) for z in range(z_max)]
-        es += [(z, self.backward_target(z)) for z in range(1, z_max + 1)]
-        return es
+        return edge_list(self.kind, z_max)
 
     def rate(self, z: int, z_prime: int, xi: StateDistribution | np.ndarray | None = None) -> float:
         probs = self._probs(xi)

@@ -33,17 +33,21 @@ from typing import Sequence
 
 import numpy as np
 
-from .cost import (FluxTrajectory, Segment, concatenate, cost_nonvariational,
-                   evolve, flux_from_path, testfunction_lower_bound)
+from .cost import (FluxTrajectory, _freeze_pieces, _segment_cost, concatenate,
+                   cost_nonvariational, evolve, flux_from_path,
+                   save_trajectory, testfunction_lower_bound)
 from .measures import (StateDistribution, TailProfile, UndecidableTailError,
-                       in_class_KDelta, relative_entropy, theta_moment,
-                       theta_values, tv_distance)
+                       in_class_KDelta, relative_entropy, save_distribution_csv,
+                       theta_moment, theta_values, tv_distance)
 from .mckean_vlasov import find_equilibrium, integrate
 from .models import (EdgeKind, RateModel, is_counterexample,
                      single_particle_stationary)
 
 _E = math.e
 _MASS_FLOOR = 1e-15
+# witness refinement: coordinate-descent moves and their random stream
+_REFINE_ROUNDS = 200
+_REFINE_SEED = 7
 
 
 class PhaseOrderingError(RuntimeError):
@@ -59,9 +63,19 @@ def _require_reset_model(model: RateModel) -> None:
 # Elementary plans
 # ---------------------------------------------------------------------------
 
-def _staircase_up(z: int, mass: float) -> list[Segment]:
+def _staircase_up(z: int, mass: float) -> list[tuple[float, int]]:
     """Carry ``mass`` from state 0 to state z in z unit-velocity steps."""
-    return [Segment(mass, {(k - 1, k): 1.0}) for k in range(1, z + 1)]
+    return [(mass, k - 1) for k in range(1, z + 1)]
+
+
+def _unit_plan(initial: StateDistribution,
+               moves: list[tuple[float, int]]) -> FluxTrajectory:
+    """One segment per (duration, column) move, flux 1 on that column:
+    column z-1 is the edge (z-1, z), column z_max+z-1 the reset (z, 0)."""
+    fluxes = np.zeros((len(moves), 2 * initial.z_max))
+    fluxes[np.arange(len(moves)), [c for _, c in moves]] = 1.0
+    return FluxTrajectory(initial, EdgeKind.CHAIN_WITH_RESETS,
+                          [d for d, _ in moves], fluxes)
 
 
 def construct_delta0_to_target(model: RateModel,
@@ -69,13 +83,12 @@ def construct_delta0_to_target(model: RateModel,
     """Plan from the point mass at 0 to xi: staircase each xi(z) up,
     top state first; duration sum_z z*xi(z)."""
     _require_reset_model(model)
-    segs: list[Segment] = []
+    moves: list[tuple[float, int]] = []
     for z in range(xi.z_max, 0, -1):
         m = float(xi.probs[z])
         if m > _MASS_FLOOR:
-            segs.extend(_staircase_up(z, m))
-    return FluxTrajectory(StateDistribution.delta(0, xi.z_max), tuple(segs),
-                          xi.z_max)
+            moves.extend(_staircase_up(z, m))
+    return _unit_plan(StateDistribution.delta(0, xi.z_max), moves)
 
 
 def construct_equilibrium_to_delta0(model: RateModel,
@@ -83,10 +96,10 @@ def construct_equilibrium_to_delta0(model: RateModel,
     """Plan from xi_star to the point mass at 0: sweep each state's mass
     down the reset edge at unit velocity; duration sum_{z>=1} xi*(z)."""
     _require_reset_model(model)
-    segs = [Segment(float(xi_star.probs[z]), {(z, 0): 1.0})
-            for z in range(1, xi_star.z_max + 1)
-            if xi_star.probs[z] > _MASS_FLOOR]
-    return FluxTrajectory(xi_star, tuple(segs), xi_star.z_max)
+    z_max = xi_star.z_max
+    return _unit_plan(xi_star, [(float(xi_star.probs[z]), z_max + z - 1)
+                                for z in range(1, z_max + 1)
+                                if xi_star.probs[z] > _MASS_FLOOR])
 
 
 def choose_z0(to: StateDistribution, tol: float = 1e-6) -> int:
@@ -115,13 +128,13 @@ def connector(model: RateModel, from_: StateDistribution,
         raise ValueError("windows differ")
     z_max = from_.z_max
     if tv_distance(from_, to) == 0.0:
-        return FluxTrajectory(from_, (), z_max)
-    segs: list[Segment] = []
+        return _unit_plan(from_, [])
+    moves: list[tuple[float, int]] = []
     cur = from_.probs.copy()
 
     def move_to_zero(z: int, m: float) -> None:
         if m > _MASS_FLOOR:
-            segs.append(Segment(m, {(z, 0): 1.0}))
+            moves.append((m, z_max + z - 1))
             cur[z] -= m
             cur[0] += m
 
@@ -146,8 +159,7 @@ def connector(model: RateModel, from_: StateDistribution,
 
     # phase 2: carry eps up to z0+1
     if eps > _MASS_FLOOR:
-        for k in range(1, z0 + 2):
-            segs.append(Segment(eps, {(k - 1, k): 1.0}))
+        moves.extend(_staircase_up(z0 + 1, eps))
         cur[0] -= eps
         cur[z0 + 1] += eps
 
@@ -155,8 +167,7 @@ def connector(model: RateModel, from_: StateDistribution,
     for z in range(z_max, z0 + 1, -1):
         m = float(to.probs[z])
         if m > _MASS_FLOOR:
-            for k in range(z0 + 2, z + 1):
-                segs.append(Segment(m, {(k - 1, k): 1.0}))
+            moves.extend(_staircase_up(z, m)[z0 + 1:])
             cur[z0 + 1] -= m
             cur[z] += m
             if cur[z0 + 1] < -1e-12:
@@ -170,14 +181,13 @@ def connector(model: RateModel, from_: StateDistribution,
     for z in range(1, z0 + 1):
         deficit = float(to.probs[z] - cur[z])
         if deficit > _MASS_FLOOR:
-            for k in range(1, z + 1):
-                segs.append(Segment(deficit, {(k - 1, k): 1.0}))
+            moves.extend(_staircase_up(z, deficit))
             cur[0] -= deficit
             cur[z] += deficit
             if cur[0] < -1e-12:
                 raise PhaseOrderingError("state-0 reservoir exhausted (z0 too small)")
 
-    traj = FluxTrajectory(from_, tuple(segs), z_max)
+    traj = _unit_plan(from_, moves)
     end = evolve(traj).final_distribution()
     if tv_distance(end, to.retruncate(z_max)) > 1e-10:
         raise PhaseOrderingError("connector endpoint misses the target")
@@ -236,8 +246,7 @@ class VBound:
                 raise ValueError("lower bound exceeds upper bound")
 
 
-def _refine_witness(model: RateModel, traj: FluxTrajectory,
-                    rounds: int = 200, seed: int = 7) -> FluxTrajectory:
+def _refine_witness(model: RateModel, traj: FluxTrajectory) -> FluxTrajectory:
     """Mass-preserving coordinate descent on (duration, flux) pairs.
 
     Each move rescales one segment's duration by (1+eta) and every flux
@@ -245,38 +254,33 @@ def _refine_witness(model: RateModel, traj: FluxTrajectory,
     states are unchanged, so feasibility is preserved and only that
     segment's cost moves.  Accept on decrease.
     """
-    if not traj.segments:
+    if not traj.durations.size:
         return traj
-    rng = np.random.default_rng(seed)
-    segs = list(traj.segments)
+    rng = np.random.default_rng(_REFINE_SEED)
+    durations = traj.durations.copy()
+    fluxes = traj.fluxes.copy()
     path = evolve(traj)
-    z_max = traj.z_max
 
-    from .cost import _freeze_pieces, _segment_cost
+    def seg_cost(k: int, d: float, row: np.ndarray) -> float:
+        p0, p1 = path.probs[k], path.probs[k + 1]
+        pieces = _freeze_pieces(model, row, p0, p1, d, 1e-7)
+        return _segment_cost(model, row, p0, p1, d, pieces)
 
-    def seg_cost(k: int, seg: Segment) -> float:
-        pieces = _freeze_pieces(model, seg.fluxes, path.probs[k],
-                                path.probs[k + 1], seg.duration, 1e-7)
-        return _segment_cost(model, seg.fluxes, path.probs[k],
-                             path.probs[k + 1], seg.duration, z_max, pieces)
-
-    costs = [seg_cost(k, s) for k, s in enumerate(segs)]
-    for _ in range(rounds):
-        k = int(rng.integers(len(segs)))
+    costs = [seg_cost(k, d, row)
+             for k, (d, row) in enumerate(zip(durations.tolist(), fluxes))]
+    for _ in range(_REFINE_ROUNDS):
+        k = int(rng.integers(durations.size))
         eta = float(rng.choice([0.25, 0.1, -0.2, -0.0909090909090909]))
         scale = 1.0 + eta
-        cand = Segment(segs[k].duration * scale,
-                       {e: f / scale for e, f in segs[k].fluxes.items()})
-        c = seg_cost(k, cand)
+        d, row = float(durations[k]) * scale, fluxes[k] / scale
+        c = seg_cost(k, d, row)
         if c < costs[k] - 1e-15:
-            segs[k] = cand
-            costs[k] = c
-    return FluxTrajectory(traj.initial, tuple(segs), z_max)
+            durations[k], fluxes[k], costs[k] = d, row, c
+    return FluxTrajectory(traj.initial, traj.kind, durations, fluxes)
 
 
 def v_upper_bound(model: RateModel, xi: StateDistribution,
-                  refine: bool = False, z_max: int | None = None,
-                  lower_T: float | None = None) -> VBound:
+                  refine: bool = False) -> VBound:
     """Constructive upper bound on V(xi) with a witness trajectory.
 
     Candidates: the glued sweep-down ++ staircase-up plan through
@@ -286,14 +290,11 @@ def v_upper_bound(model: RateModel, xi: StateDistribution,
     the best test-function bound at the witness horizon.
     """
     _require_reset_model(model)
-    z_max = xi.z_max if z_max is None else z_max
-    xi = xi.retruncate(z_max)
+    z_max = xi.z_max
     xi_star = find_equilibrium(model, z_max)
 
-    candidates: list[FluxTrajectory] = []
-    glued = concatenate(construct_equilibrium_to_delta0(model, xi_star),
-                        construct_delta0_to_target(model, xi))
-    candidates.append(glued)
+    candidates = [concatenate(construct_equilibrium_to_delta0(model, xi_star),
+                              construct_delta0_to_target(model, xi))]
     try:
         candidates.append(connector(model, xi_star, xi, choose_z0(xi)))
     except PhaseOrderingError:
@@ -308,7 +309,7 @@ def v_upper_bound(model: RateModel, xi: StateDistribution,
         if polished_cost < upper:
             best, upper = polished, polished_cost
 
-    T = lower_T if lower_T is not None else max(best.duration, 1e-6)
+    T = max(best.duration, 1e-6)
     lower, params = -math.inf, (T, 1, "linear_fn")
     for kind in ("linear_fn", "theta_n"):
         for n in (1, 2, 4, 8, 16, min(32, z_max), z_max):
@@ -449,9 +450,6 @@ def save_trajectory_and_bound(bound: VBound, out_dir: str | Path,
                               target_file: str, witness_file: str,
                               bound_file: str) -> None:
     """Write the target distribution, the witness plan, and the bound."""
-    from .cost import save_trajectory
-    from .measures import save_distribution_csv
-
     out = Path(out_dir)
     save_distribution_csv(bound.target, out / target_file)
     save_trajectory(bound.witness, out / witness_file)

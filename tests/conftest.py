@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from meanfield_ldp.cost import FluxTrajectory, Segment
+from meanfield_ldp.cost import FluxTrajectory, _mass_balance
 from meanfield_ldp.measures import StateDistribution
 from meanfield_ldp.models import (interacting_wlan_model, mm1_model,
                                   wlan_const_model, wlan_decay_model)
@@ -40,28 +40,21 @@ def random_feasible(model, rng, z_max, T_max):
     p = rng.dirichlet(np.full(z_max + 1, 2.0))
     p = 0.7 * p + 0.3 / (z_max + 1)
     init = StateDistribution(p / p.sum(), z_max)
-    segs = []
+    durations, rows = [], []
     cur = init.probs.copy()
     n_seg = int(rng.integers(3, 6))
     for _ in range(n_seg):
         d = float(rng.uniform(0.1, T_max / n_seg))
         fwd = model.forward_rates(z_max, cur) * cur
         back = model.backward_rates(z_max, cur) * cur
-        fluxes = {}
-        for z in range(z_max):
-            fluxes[(z, z + 1)] = float(fwd[z] * math.exp(rng.uniform(-0.6, 0.6)))
-        for z in range(1, z_max + 1):
-            fluxes[(z, model.backward_target(z))] = \
-                float(back[z] * math.exp(rng.uniform(-0.6, 0.6)))
+        scale = [math.exp(rng.uniform(-0.6, 0.6)) for _ in range(2 * z_max)]
+        row = np.concatenate([fwd[:-1], back[1:]]) * scale
         for _ in range(50):
-            div = np.zeros(z_max + 1)
-            for (a, b), f in fluxes.items():
-                div[a] -= f
-                div[b] += f
-            trial = cur + d * div
+            trial = cur + d * _mass_balance(row[None], model.kind)[0]
             if trial.min() > 1e-4:
                 break
-            fluxes = {e: 0.5 * f for e, f in fluxes.items()}
-        segs.append(Segment(d, fluxes))
+            row = 0.5 * row
+        durations.append(d)
+        rows.append(row)
         cur = trial
-    return FluxTrajectory(init, tuple(segs), z_max)
+    return FluxTrajectory(init, model.kind, durations, np.array(rows))

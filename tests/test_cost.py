@@ -8,19 +8,20 @@ from hypothesis import strategies as st
 
 from meanfield_ldp.measures import StateDistribution, theta_values
 from meanfield_ldp.mckean_vlasov import find_equilibrium, integrate
-from meanfield_ldp.models import (EdgeKind, MissingBoundsError, RateModel,
-                                  interacting_wlan_model,
-                                  single_particle_stationary)
+from meanfield_ldp.models import (EdgeKind, EdgeNotPresentError,
+                                  MissingBoundsError, RateModel, edge_list,
+                                  interacting_wlan_model, mm1_model,
+                                  single_particle_stationary, wlan_const_model)
 from meanfield_ldp.cost import (EndpointMismatchError, FluxTrajectory,
-                                InfeasibleTrajectoryError, Segment,
+                                InfeasibleTrajectoryError,
                                 concatenate, cost_nonvariational,
                                 cost_variational, evolve, flux_from_path,
                                 load_trajectory, moment_inequality_check,
                                 save_trajectory, tau, tau_star,
                                 testfunction_lower_bound)
 from meanfield_ldp.cost import (_ALPHA_CAP, _DualWorkspace, _dual_maximize,
-                                _edge_cost_vec, _flux_arrays, _freeze_pieces,
-                                _refine_grid, _segment_cost)
+                                _edge_cost_vec, _freeze_pieces, _refine_grid,
+                                _segment_cost)
 
 from conftest import random_feasible
 
@@ -54,28 +55,78 @@ def test_duality_inequality(u, h):
     assert h * u <= tau_star(h) + tau(u) + 1e-12
 
 
+RESETS, BIRTH_DEATH = EdgeKind.CHAIN_WITH_RESETS, EdgeKind.BIRTH_DEATH
+
+
+def _plan(initial, kind, *segments):
+    """Plan from (duration, {edge: flux}) segments, each flux placed in
+    its edge's column."""
+    column = {e: c for c, e in enumerate(edge_list(kind, initial.z_max))}
+    fluxes = np.zeros((len(segments), 2 * initial.z_max))
+    for k, (_, by_edge) in enumerate(segments):
+        for e, f in by_edge.items():
+            fluxes[k, column[e]] = f
+    return FluxTrajectory(initial, kind, [d for d, _ in segments], fluxes)
+
+
 # -- evolve -----------------------------------------------------------------------
 
 def test_evolve_zero_fluxes_constant():
     init = StateDistribution.geometric(0.5, 8)
-    traj = FluxTrajectory(init, (Segment(2.0, {}),), 8)
+    traj = _plan(init, RESETS, (2.0, {}))
     path = evolve(traj)
     assert np.array_equal(path.probs[0], path.probs[-1])
 
 
 def test_evolve_unit_transfer():
-    traj = FluxTrajectory(StateDistribution.delta(0, 5),
-                          (Segment(1.0, {(0, 1): 1.0}),), 5)
+    traj = _plan(StateDistribution.delta(0, 5), RESETS, (1.0, {(0, 1): 1.0}))
     path = evolve(traj)
     assert abs(path.probs[-1][1] - 1.0) < 1e-15
     assert abs(path.probs[-1][0]) < 1e-15
 
 
 def test_evolve_infeasible():
-    traj = FluxTrajectory(StateDistribution.delta(0, 5),
-                          (Segment(2.0, {(0, 1): 1.0}),), 5)
+    traj = _plan(StateDistribution.delta(0, 5), RESETS, (2.0, {(0, 1): 1.0}))
     with pytest.raises(InfeasibleTrajectoryError):
         evolve(traj)
+
+
+def _divergence(fluxes, n):
+    v = np.zeros(n)
+    for (z, zp), f in fluxes.items():
+        v[z] -= f
+        v[zp] += f
+    return v
+
+
+def _evolve_per_edge(traj):
+    """Oracle: the path nodes with the flux balance summed one edge at a
+    time, in edge-column order."""
+    edges = edge_list(traj.kind, traj.z_max)
+    p = traj.initial.probs.copy()
+    probs, times, t = [p], [0.0], 0.0
+    for d, row in zip(traj.durations.tolist(), traj.fluxes.tolist()):
+        p = np.clip(p + d * _divergence(dict(zip(edges, row)), p.size), 0.0, None)
+        t += d
+        probs.append(p)
+        times.append(t)
+    return np.array(times), np.stack(probs)
+
+
+@pytest.mark.parametrize("name", ["mm1", "wlan_const", "interacting"])
+def test_evolve_matches_per_edge_loop(request, name):
+    model = request.getfixturevalue(name)
+    rng = np.random.default_rng(4)
+    plans = [random_feasible(model, rng, 12, 2.0) for _ in range(6)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        plans += [flux_from_path(model, evolve(random_feasible(model, rng, 8, 1.0)),
+                                 refine=r) for r in (1, 2, 3)]
+    for traj in plans:
+        path = evolve(traj)
+        times, probs = _evolve_per_edge(traj)
+        assert np.array_equal(path.times, times)
+        assert np.array_equal(path.probs, probs)
 
 
 # -- control-form cost --------------------------------------------------------------
@@ -87,7 +138,7 @@ def test_cost_of_drift_matched_fluxes_is_zero(wlan_const):
     back = wlan_const.backward_rates(12) * pi.probs
     fluxes = {(z, z + 1): float(fwd[z]) for z in range(12)}
     fluxes.update({(z, 0): float(back[z]) for z in range(1, 13)})
-    traj = FluxTrajectory(pi, (Segment(3.0, fluxes),), 12)
+    traj = _plan(pi, RESETS, (3.0, fluxes))
     assert cost_nonvariational(wlan_const, traj) < 1e-8
 
 
@@ -95,7 +146,7 @@ def test_cost_all_zero_fluxes_idle_suppression(wlan_const):
     """h = -1 everywhere: cost is the integral of sum lambda * phi."""
     xi = StateDistribution.geometric(0.5, 10)
     T = 1.7
-    traj = FluxTrajectory(xi, (Segment(T, {}),), 10)
+    traj = _plan(xi, RESETS, (T, {}))
     fwd = wlan_const.forward_rates(10) * xi.probs
     back = wlan_const.backward_rates(10) * xi.probs
     expected = T * float(fwd.sum() + back.sum())
@@ -118,8 +169,7 @@ def _simpson_adaptive(f, a, b, tol, depth=0):
 def test_unit_transfer_against_quadrature_oracle(wlan_const):
     """Closed-form segment cost versus adaptive quadrature of
     sum_edges tau*(flux/(lambda phi) - 1) lambda phi along the path."""
-    traj = FluxTrajectory(StateDistribution.delta(0, 5),
-                          (Segment(1.0, {(0, 1): 1.0}),), 5)
+    traj = _plan(StateDistribution.delta(0, 5), RESETS, (1.0, {(0, 1): 1.0}))
 
     def integrand(t):
         phi0 = 1.0 - t
@@ -143,11 +193,11 @@ def test_unit_transfer_against_quadrature_oracle(wlan_const):
 
 def test_inf_sentinel_flux_from_empty_state(wlan_const):
     init = StateDistribution.delta(0, 5)
-    traj = FluxTrajectory(init, (Segment(1.0, {(2, 0): 0.0, (0, 1): 0.1}),), 5)
+    traj = _plan(init, RESETS, (1.0, {(2, 0): 0.0, (0, 1): 0.1}))
     assert cost_nonvariational(wlan_const, traj) < math.inf
     # positive flux out of state 2 whose mass is identically zero (small
     # enough that the feasibility tolerance does not trip first)
-    bad = FluxTrajectory(init, (Segment(0.5, {(2, 3): 1e-12}),), 5)
+    bad = _plan(init, RESETS, (0.5, {(2, 3): 1e-12}))
     assert cost_nonvariational(wlan_const, bad) == math.inf
 
 
@@ -159,7 +209,7 @@ def test_cost_nonnegative_random(wlan_const):
         fwd = wlan_const.forward_rates(8) * p
         fluxes = {(z, z + 1): float(fwd[z] * rng.uniform(0, 2))
                   for z in range(8)}
-        traj = FluxTrajectory(init, (Segment(0.05, fluxes),), 8)
+        traj = _plan(init, RESETS, (0.05, fluxes))
         try:
             c = cost_nonvariational(wlan_const, traj)
         except InfeasibleTrajectoryError:
@@ -210,21 +260,21 @@ def test_edge_cost_vectorised_matches_scalar():
             assert vec == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
 
-def _segment_cost_loop(model, fluxes, p0, p1, delta, z_max, pieces):
+def _segment_cost_loop(model, row, p0, p1, delta, pieces):
     """Oracle: the segment cost with one rate-table call per piece."""
-    f_fwd, f_back = _flux_arrays(fluxes, model, z_max)
+    z_max = p0.shape[0] - 1
     lam = np.arange(pieces + 1) / pieces
     P = p0[None, :] + (p1 - p0)[None, :] * lam[:, None]
     mids = 0.5 * (P[:-1] + P[1:])
     fwd = np.stack([model.forward_rates(z_max, mids[j]) for j in range(pieces)])
     back = np.stack([model.backward_rates(z_max, mids[j]) for j in range(pieces)])
     dp = delta / pieces
-    c = _edge_cost_vec(np.broadcast_to(f_fwd[:-1], (pieces, z_max)).ravel(),
+    c = _edge_cost_vec(np.broadcast_to(row[:z_max], (pieces, z_max)).ravel(),
                        fwd[:, :-1].ravel(), P[:-1, :-1].ravel(),
                        P[1:, :-1].ravel(), dp)
     if c == math.inf:
         return math.inf
-    c2 = _edge_cost_vec(np.broadcast_to(f_back[1:], (pieces, z_max)).ravel(),
+    c2 = _edge_cost_vec(np.broadcast_to(row[z_max:], (pieces, z_max)).ravel(),
                         back[:, 1:].ravel(), P[:-1, 1:].ravel(),
                         P[1:, 1:].ravel(), dp)
     if c2 == math.inf:
@@ -239,9 +289,9 @@ def test_segment_cost_matches_per_piece_loop(interacting, pieces):
     for _ in range(5):
         traj = random_feasible(interacting, rng, z_max, 2.0)
         path = evolve(traj)
-        for k, seg in enumerate(traj.segments):
-            args = (interacting, seg.fluxes, path.probs[k], path.probs[k + 1],
-                    seg.duration, z_max, pieces)
+        for k, (d, row) in enumerate(zip(traj.durations, traj.fluxes)):
+            args = (interacting, row, path.probs[k], path.probs[k + 1], d,
+                    pieces)
             assert _segment_cost(*args) == _segment_cost_loop(*args)
 
 
@@ -253,7 +303,25 @@ def test_freeze_pieces_needs_declared_lipschitz_constant(interacting):
     p0 = StateDistribution.geometric(0.5, 8).probs
     p1 = np.roll(p0, 1)
     with pytest.raises(MissingBoundsError):
-        _freeze_pieces(undeclared, {(0, 1): 0.5}, p0, p1, 1.0, 1e-7)
+        _freeze_pieces(undeclared, np.r_[0.5, np.zeros(15)], p0, p1, 1.0, 1e-7)
+
+
+def test_cost_rejects_edges_of_the_other_kind(mm1):
+    traj = _plan(StateDistribution.geometric(0.5, 6), RESETS,
+                 (0.5, {(0, 1): 0.1, (2, 0): 0.05}))
+    with pytest.raises(EdgeNotPresentError):
+        cost_nonvariational(mm1, traj)
+
+
+@pytest.mark.parametrize("kind", [RESETS, BIRTH_DEATH])
+def test_cost_of_shared_edges_agrees_across_kinds(kind):
+    """Forward edges and (1, 0) belong to both kinds: with equal rates
+    a plan on them costs the same under either model."""
+    traj = _plan(StateDistribution.geometric(0.5, 6), kind,
+                 (0.5, {(0, 1): 0.1, (1, 2): 0.05}),
+                 (0.3, {(1, 0): 0.2, (3, 4): 0.01}))
+    assert cost_nonvariational(mm1_model(1.0, 2.0), traj) == \
+        cost_nonvariational(wlan_const_model(1.0, 2.0), traj)
 
 
 # -- variational form and duality ------------------------------------------------------
@@ -420,11 +488,11 @@ def test_flux_recovery_on_flow_matches_drift(wlan_const):
     path = integrate(wlan_const, nu, 1.0, tol=1e-10, dt_max=0.01)
     rec = flux_from_path(wlan_const, path, refine=1)
     times, probs = path.as_grid()
-    k = len(rec.segments) // 2
+    k = rec.durations.size // 2
     mid = 0.5 * (probs[k] + probs[k + 1])
     fwd = wlan_const.forward_rates(12, mid) * mid
-    for z in range(6):
-        assert rec.segments[k].fluxes[(z, z + 1)] == pytest.approx(
+    for z in range(6):  # column z is the forward edge (z, z+1)
+        assert rec.fluxes[k, z] == pytest.approx(
             float(fwd[z]), abs=1e-6)
 
 
@@ -447,7 +515,7 @@ def test_flux_recovery_cheaper_than_two_way_flow(mm1):
     p = StateDistribution.geometric(0.5, 6)
     p = StateDistribution(p.probs / p.probs.sum(), 6)
     fluxes = {(2, 3): 0.05, (3, 2): 0.05}  # net zero, pure churn
-    traj = FluxTrajectory(p, (Segment(1.0, fluxes),), 6)
+    traj = _plan(p, BIRTH_DEATH, (1.0, fluxes))
     path = evolve(traj)
     rec = flux_from_path(mm1, path)
     assert cost_nonvariational(mm1, rec) <= cost_nonvariational(mm1, traj) + 1e-8
@@ -457,16 +525,16 @@ def test_flux_recovery_cheaper_than_two_way_flow(mm1):
 
 def test_concatenate_empty_identity(wlan_const):
     init = StateDistribution.geometric(0.5, 8)
-    a = FluxTrajectory(init, (Segment(1.0, {(0, 1): 0.1}),), 8)
-    empty = FluxTrajectory(evolve(a).final_distribution(), (), 8)
+    a = _plan(init, RESETS, (1.0, {(0, 1): 0.1}))
+    empty = _plan(evolve(a).final_distribution(), RESETS)
     assert concatenate(a, empty) is a
 
 
 def test_concatenate_cost_additive(wlan_const):
     init = StateDistribution.geometric(0.5, 8)
-    a = FluxTrajectory(init, (Segment(0.5, {(0, 1): 0.2}),), 8)
+    a = _plan(init, RESETS, (0.5, {(0, 1): 0.2}))
     end_a = evolve(a).final_distribution()
-    b = FluxTrajectory(end_a, (Segment(0.5, {(1, 0): 0.1}),), 8)
+    b = _plan(end_a, RESETS, (0.5, {(1, 0): 0.1}))
     glued = concatenate(a, b)
     ca = cost_nonvariational(wlan_const, a)
     cb = cost_nonvariational(wlan_const, b)
@@ -476,8 +544,8 @@ def test_concatenate_cost_additive(wlan_const):
 
 def test_concatenate_endpoint_mismatch(wlan_const):
     init = StateDistribution.geometric(0.5, 8)
-    a = FluxTrajectory(init, (Segment(0.5, {(0, 1): 0.2}),), 8)
-    b = FluxTrajectory(init, (Segment(0.5, {}),), 8)  # wrong start
+    a = _plan(init, RESETS, (0.5, {(0, 1): 0.2}))
+    b = _plan(init, RESETS, (0.5, {}))  # wrong start
     with pytest.raises(EndpointMismatchError):
         concatenate(a, b)
 
@@ -553,8 +621,7 @@ def test_moment_inequality_is_informative(wlan_decay):
 
 
 def test_moment_inequality_requires_reset_edges(mm1):
-    traj = FluxTrajectory(StateDistribution.delta(0, 5),
-                          (Segment(1.0, {(0, 1): 0.5}),), 5)
+    traj = _plan(StateDistribution.delta(0, 5), BIRTH_DEATH, (1.0, {(0, 1): 0.5}))
     with pytest.raises(ValueError):
         moment_inequality_check(mm1, traj)
 
@@ -563,15 +630,63 @@ def test_moment_inequality_requires_reset_edges(mm1):
 
 def test_trajectory_roundtrip(tmp_path):
     init = StateDistribution.geometric(0.5, 7)
-    traj = FluxTrajectory(init, (Segment(0.123456789012345, {(0, 1): 0.25}),
-                                 Segment(1.0 / 3.0, {(3, 0): 1e-17})), 7)
+    traj = _plan(init, RESETS, (0.123456789012345, {(0, 1): 0.25}),
+                 (1.0 / 3.0, {(3, 0): 1e-17}))
     f = tmp_path / "traj.txt"
     save_trajectory(traj, f)
     back = load_trajectory(f)
     assert back.z_max == traj.z_max
     assert np.array_equal(back.initial.probs, traj.initial.probs)
     assert back.initial.tail_mass == traj.initial.tail_mass
-    assert len(back.segments) == 2
-    for s1, s2 in zip(back.segments, traj.segments):
-        assert s1.duration == s2.duration
-        assert dict(s1.fluxes) == dict(s2.fluxes)
+    assert back.kind is RESETS
+    assert back.durations.size == 2
+    assert np.array_equal(back.durations, traj.durations)
+    assert np.array_equal(back.fluxes, traj.fluxes)
+
+
+def test_trajectory_roundtrip_birth_death(tmp_path):
+    init = StateDistribution.geometric(0.5, 6)
+    traj = _plan(init, BIRTH_DEATH, (0.25, {(0, 1): 0.1, (3, 2): 0.2}),
+                 (0.5, {(1, 0): 0.05, (6, 5): 1e-3}))
+    f = tmp_path / "traj.txt"
+    save_trajectory(traj, f)
+    back = load_trajectory(f)
+    assert back.kind is BIRTH_DEATH
+    assert np.array_equal(back.durations, traj.durations)
+    assert np.array_equal(back.fluxes, traj.fluxes)
+
+
+def _trajectory_file(tmp_path, body, n_segments=None):
+    if n_segments is None:
+        n_segments = body.count("duration")
+    f = tmp_path / "traj.txt"
+    f.write_text(f"z_max,5\nn_segments,{n_segments}\ninitial\n0,0.5\n1,0.5\n"
+                 f"end_initial\n{body}")
+    return f
+
+
+@pytest.mark.parametrize("body, match", [
+    ("duration,1\n2,5,0.1\n", "no edge"),  # an edge of neither kind
+    ("duration,1\n5,6,0.1\n", "no edge"),  # leaves the window
+    ("duration,1\n2,0,0.1\nduration,1\n3,2,0.1\n", "mixes"),
+    ("duration,1\n0,1,-0.1\n", "finite and >= 0"),
+    ("duration,1\n0,1,nan\n", "finite and >= 0"),
+    ("duration,1\n0,1,inf\n", "finite and >= 0"),
+    ("duration,0\n0,1,0.1\n", "positive"),
+    ("duration,-1\n0,1,0.1\n", "positive"),
+    ("0,1,0.1\nduration,1\n", "before the first duration"),
+])
+def test_load_trajectory_rejects_malformed_input(tmp_path, body, match):
+    with pytest.raises(ValueError, match=match):
+        load_trajectory(_trajectory_file(tmp_path, body))
+
+
+def test_load_trajectory_rejects_segment_count_mismatch(tmp_path):
+    with pytest.raises(ValueError, match="segment count"):
+        load_trajectory(_trajectory_file(tmp_path, "duration,1\nduration,1\n", 1))
+
+
+def test_load_trajectory_without_backward_edges_reads_resets(tmp_path):
+    traj = load_trajectory(_trajectory_file(tmp_path, "duration,1\n0,1,0.2\n1,0,0.1\n"))
+    assert traj.kind is RESETS
+    assert traj.fluxes[0].tolist() == [0.2, 0, 0, 0, 0, 0.1, 0, 0, 0, 0]

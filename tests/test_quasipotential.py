@@ -27,7 +27,7 @@ from meanfield_ldp.quasipotential import (UndecidableTailError,
 def test_delta0_to_delta0_empty(wlan_decay):
     traj = construct_delta0_to_target(wlan_decay,
                                       StateDistribution.delta(0, 10))
-    assert traj.segments == ()
+    assert traj.durations.size == 0
     assert cost_nonvariational(wlan_decay, traj) == 0.0
 
 
@@ -54,7 +54,7 @@ def test_delta0_to_geometric_cost_below_cm(wlan_decay):
 def test_equilibrium_to_delta0_empty(wlan_decay):
     traj = construct_equilibrium_to_delta0(wlan_decay,
                                            StateDistribution.delta(0, 10))
-    assert traj.segments == ()
+    assert traj.durations.size == 0
 
 
 def test_equilibrium_to_delta0_geometric(wlan_decay):
