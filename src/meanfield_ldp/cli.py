@@ -176,6 +176,12 @@ def validate(config_path: str | Path) -> list[str]:
                 problems.append("mve_audit needs m > 0")
             if sec.getfloat("horizon", 0.0) <= 0:
                 problems.append("mve_audit needs horizon > 0")
+            if sec.getint("n_samples", 5) < 1:
+                problems.append("mve_audit needs n_samples >= 1")
+            if sec.getfloat("threshold", 1e-3) <= 0:
+                problems.append("mve_audit needs threshold > 0")
+            if sec.getfloat("delta", 0.05) <= 0:
+                problems.append("mve_audit needs delta > 0")
         elif exp == "quasipotential_bounds":
             if sec.getint("n_targets", 0) < 1:
                 problems.append("quasipotential_bounds needs n_targets >= 1")
@@ -190,6 +196,15 @@ def validate(config_path: str | Path) -> list[str]:
                 problems.append("tightness_audit needs positive m_list")
             if sec.getint("n", 0) < 1:
                 problems.append("tightness_audit needs n >= 1")
+            if model is not None:
+                horizon = sec.getfloat("horizon", 200.0)
+                burn_in = sec.get("burn_in", "").strip()
+                # SimConfig.resolved_burn_in's default when burn_in is unset
+                burn_in = (float(burn_in) if burn_in
+                           else 20.0 / model.lambda_lower)
+                if not burn_in < horizon:
+                    problems.append(f"tightness_audit needs horizon above the "
+                                    f"burn-in {burn_in:g}, got {horizon:g}")
         z_max = parser["model"].getint("z_max", 30)
         if exp in _STATIONARY_EXPERIMENTS and z_max < MIN_Z_MAX:
             problems.append(f"{exp} needs z_max >= {MIN_Z_MAX}, got {z_max}")
@@ -278,7 +293,7 @@ def _run_mve_audit(cfg: ExperimentConfig, out: Path, threads: int) -> None:
     threshold = float(cfg.params.get("threshold", "1e-3"))
     delta = float(cfg.params.get("delta", "0.05"))
     report = check_B2(cfg.model, M, horizon, n_samples, cfg.seed,
-                      z_max=cfg.z_max, threshold=threshold, threads=threads)
+                      z_max=cfg.z_max, threshold=threshold)
     xi_star = find_equilibrium(cfg.model, cfg.z_max)
     t_hit = time_to_KDelta(cfg.model, StateDistribution.delta(0, cfg.z_max),
                            delta)
@@ -498,7 +513,9 @@ def main(argv: list[str] | None = None) -> int:
 
     p_run = sub.add_parser("run", help="run a configured experiment")
     p_run.add_argument("config")
-    p_run.add_argument("--threads", type=int, default=None)
+    p_run.add_argument("--threads", type=int, default=None,
+                       help="threads for rate_curve's i.i.d. sampling "
+                            "(default: the number of cores)")
     p_run.add_argument("--output", default=None,
                        help="override the configured output directory")
 

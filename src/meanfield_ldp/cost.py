@@ -40,12 +40,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .measures import StateDistribution, theta_values, tv_distance
+from .measures import (SampledPath, StateDistribution, theta_values,
+                       tv_distance)
 from .models import (EdgeKind, EdgeNotPresentError, MissingBoundsError,
                      RateModel, edge_list)
 
 _E = math.e
 _ALPHA_CAP = 50.0
+# bound on the midpoint-freezing bias per segment of an interacting model
+_FREEZE_TOL = 1e-7
+# change of the trapezoid value that ends the variational refinement
+_RICHARDSON_TOL = 1e-6
 
 
 class InfeasibleTrajectoryError(RuntimeError):
@@ -77,37 +82,6 @@ def tau_star(u: float) -> float:
 # ---------------------------------------------------------------------------
 # Flux trajectories
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SampledPath:
-    """Piecewise-affine path given by node times and node distributions.
-
-    ``tail_mass`` is the (constant) mass parked beyond the window; node
-    vectors sum to 1 - tail_mass.
-    """
-
-    times: np.ndarray
-    probs: np.ndarray  # shape (n_nodes, z_max+1)
-    tail_mass: float = 0.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
-        object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
-        if self.times.ndim != 1 or self.probs.shape[0] != self.times.shape[0]:
-            raise ValueError("times and probs must align")
-
-    @property
-    def z_max(self) -> int:
-        return self.probs.shape[1] - 1
-
-    @property
-    def duration(self) -> float:
-        return float(self.times[-1] - self.times[0])
-
-    def final_distribution(self) -> StateDistribution:
-        p = np.clip(self.probs[-1], 0.0, None)
-        return StateDistribution(p, self.z_max, tail_mass=self.tail_mass)
-
 
 @dataclass(frozen=True, eq=False)
 class FluxTrajectory:
@@ -290,8 +264,7 @@ def _segment_cost(model: RateModel, row: np.ndarray, p0: np.ndarray,
     return c + c2
 
 
-def cost_nonvariational(model: RateModel, traj: FluxTrajectory,
-                        freeze_tol: float = 1e-7) -> float:
+def cost_nonvariational(model: RateModel, traj: FluxTrajectory) -> float:
     """Cost of a flux plan under the given model.
 
     Idle edges contribute integral of lambda*phi (the tau*(-1) = 1
@@ -299,7 +272,7 @@ def cost_nonvariational(model: RateModel, traj: FluxTrajectory,
     identically zero over a positive-length interval yields the inf
     sentinel.  For interacting models the rate is frozen at the
     midpoint field of each piece and segments are subdivided until the
-    Lipschitz bias estimate falls below ``freeze_tol`` per segment.
+    Lipschitz bias estimate falls below ``_FREEZE_TOL`` per segment.
     """
     # the two edge kinds share every edge but the backward ones out of z >= 2
     if traj.kind is not model.kind and traj.fluxes[:, traj.z_max + 1:].any():
@@ -310,7 +283,7 @@ def cost_nonvariational(model: RateModel, traj: FluxTrajectory,
     for k, (d, row) in enumerate(zip(traj.durations.tolist(), traj.fluxes)):
         p0 = path.probs[k]
         p1 = path.probs[k + 1]
-        pieces = _freeze_pieces(model, row, p0, p1, d, freeze_tol)
+        pieces = _freeze_pieces(model, row, p0, p1, d, _FREEZE_TOL)
         c = _segment_cost(model, row, p0, p1, d, pieces)
         if c == math.inf:
             return math.inf
@@ -473,15 +446,6 @@ def _dual_chunk(ws: _DualWorkspace, P: np.ndarray, Psi: np.ndarray,
     return np.maximum(cur, 0.0), alpha, converged
 
 
-def _as_grid(path) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(path, SampledPath):
-        return path.times, path.probs
-    if hasattr(path, "as_grid"):
-        return path.as_grid()
-    times, probs = path
-    return np.asarray(times, dtype=float), np.asarray(probs, dtype=float)
-
-
 def _refine_grid(times: np.ndarray, probs: np.ndarray,
                  pieces: int) -> tuple[np.ndarray, np.ndarray]:
     """Split every interval into equal pieces (affine interpolation),
@@ -505,39 +469,35 @@ def _intervals(times: np.ndarray, probs: np.ndarray
 
 
 def _variational_on_grid(ws: _DualWorkspace, times: np.ndarray,
-                         probs: np.ndarray, grad_tol: float) -> tuple[float, bool]:
+                         probs: np.ndarray) -> tuple[float, bool]:
     """Trapezoid rule over the grid; every interval contributes its two
     end nodes, each with the interval's slope, and all nodes are solved
     in one batched call."""
     k, dt, psi = _intervals(times, probs)
     vals, _, ok = _dual_maximize(ws, np.concatenate([probs[k], probs[k + 1]]),
-                                 np.concatenate([psi, psi]), grad_tol)
+                                 np.concatenate([psi, psi]))
     total = np.sum(0.5 * dt * (vals[:k.size] + vals[k.size:]))
     return float(total), bool(ok.all())
 
 
-def cost_variational(model: RateModel, path, z_max: int | None = None,
-                     grad_tol: float = 1e-10,
-                     richardson_tol: float = 1e-6) -> float:
+def cost_variational(model: RateModel, path: SampledPath) -> float:
     """Variational cost of a sampled path.
 
     The path must be sampled densely enough that interval slopes are
     meaningful; intervals are subdivided (affine interpolation) and the
     integral recomputed until the Richardson change drops below
-    ``richardson_tol``.  Non-convergent inner ascents are flagged via a
+    ``_RICHARDSON_TOL``.  Non-convergent inner ascents are flagged via a
     warning and the best value is returned.
     """
-    times, probs = _as_grid(path)
-    if z_max is not None and probs.shape[1] != z_max + 1:
-        raise ValueError("path window disagrees with z_max")
-    ws = _DualWorkspace(model, probs.shape[1] - 1)
-    prev, ok = _variational_on_grid(ws, times, probs, grad_tol)
+    times, probs = path.times, path.probs
+    ws = _DualWorkspace(model, path.z_max)
+    prev, ok = _variational_on_grid(ws, times, probs)
     pieces = 2
     extrap = prev
     for level in range(10):
         t2, p2 = _refine_grid(times, probs, pieces)
-        nxt, ok2 = _variational_on_grid(ws, t2, p2, grad_tol)
-        done = abs(nxt - prev) < richardson_tol
+        nxt, ok2 = _variational_on_grid(ws, t2, p2)
+        done = abs(nxt - prev) < _RICHARDSON_TOL
         # trapezoid converges at second order, so the halved-step pair
         # extrapolates one order higher
         extrap = nxt + (nxt - prev) / 3.0
@@ -554,8 +514,8 @@ def cost_variational(model: RateModel, path, z_max: int | None = None,
     return max(extrap, 0.0)
 
 
-def flux_from_path(model: RateModel, path, refine: int | None = None,
-                   grad_tol: float = 1e-10) -> FluxTrajectory:
+def flux_from_path(model: RateModel, path: SampledPath,
+                   refine: int | None = None) -> FluxTrajectory:
     """Minimal-cost flux decomposition consistent with the path slopes.
 
     Flux balance alone underdetermines the per-edge split; the
@@ -565,25 +525,24 @@ def flux_from_path(model: RateModel, path, refine: int | None = None,
     fluxes exp(d alpha) * lambda * phi evaluated at the piece midpoint,
     in the edge order of the plan's flux columns.
     """
-    times, probs = _as_grid(path)
-    z_max = probs.shape[1] - 1
+    times, probs = path.times, path.probs
+    z_max = path.z_max
     ws = _DualWorkspace(model, z_max)
 
     def build(pieces: int) -> FluxTrajectory:
         t2, p2 = _refine_grid(times, probs, pieces)
         k, dt, psi = _intervals(t2, p2)
         mid = np.clip(0.5 * (p2[k] + p2[k + 1]), 0.0, None)
-        _, alpha, ok = _dual_maximize(ws, mid, psi, grad_tol)
+        _, alpha, ok = _dual_maximize(ws, mid, psi)
         if not ok.all():
             warnings.warn(f"flux recovery: inner ascent flagged at "
                           f"{int(np.sum(~ok))} of {ok.size} nodes",
                           RuntimeWarning)
         F = np.exp(alpha[:, ws.dst] - alpha[:, ws.src]) * ws.weights(mid)
         p0 = np.clip(probs[0], 0.0, None)
-        tail = path.tail_mass if isinstance(path, SampledPath) else 0.0
-        if tail <= 0.0:
+        if path.tail_mass <= 0.0:
             p0 = p0 / p0.sum()
-        init = StateDistribution(p0, z_max, tail_mass=tail)
+        init = StateDistribution(p0, z_max, tail_mass=path.tail_mass)
         return FluxTrajectory(init, model.kind, dt, F)
 
     if refine is not None:

@@ -5,29 +5,35 @@ integrator is a classic explicit 4th-order scheme with step doubling
 for local error control; every accepted state is projected back onto
 the simplex (clip-and-renormalise, with violations beyond 1e-12
 aborting the step instead).  On the closed window the drift has zero
-column sums, so total mass is conserved to rounding.
+column sums, so total mass is conserved to rounding.  The solution is
+a :class:`~meanfield_ldp.measures.SampledPath` whose rows are the
+accepted states, the same path type the cost layer reads.
 
 Also here: location of the globally attracting equilibrium by damped
 fixed-point iteration on the frozen-field stationary law, a sampled
-audit of the theta-moment convergence assumption, and the hitting time
-of the equilibrium neighbourhood class.
+audit of the theta-moment convergence assumption (the sampled initial
+conditions are integrated one after another), and the hitting time of
+the equilibrium neighbourhood class.
 """
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .measures import (StateDistribution, in_class_KDelta, theta_moment,
-                       theta_values, tv_distance)
+from .measures import (SampledPath, StateDistribution, in_class_KDelta,
+                       theta_moment, theta_values, tv_distance)
 from .models import RateModel, single_particle_stationary
 
 _MIN_DT = 1e-12
+# check_B2's grid: uniform times 0, horizon/20, ..., horizon
+_B2_GRID = 20
+# monotone_convergence_diagnostic ignores this leading share of the nodes
+_SETTLE_FRACTION = 0.2
 
 
 class StiffnessError(RuntimeError):
@@ -36,41 +42,6 @@ class StiffnessError(RuntimeError):
 
 class EquilibriumNotFoundError(RuntimeError):
     """Fixed-point iteration failed to reach the requested residual."""
-
-
-@dataclass(frozen=True)
-class MvePath:
-    """Solution of the limiting dynamics sampled at accepted steps."""
-
-    times: np.ndarray
-    states: tuple[StateDistribution, ...]
-
-    def __post_init__(self) -> None:
-        t = np.asarray(self.times, dtype=float)
-        object.__setattr__(self, "times", t)
-        if t.ndim != 1 or t.shape[0] != len(self.states):
-            raise ValueError("times and states must align")
-        if t.shape[0] == 0 or t[0] != 0.0 or np.any(np.diff(t) <= 0):
-            raise ValueError("times must strictly increase from 0")
-
-    @property
-    def final(self) -> StateDistribution:
-        return self.states[-1]
-
-    def as_grid(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.times, np.stack([s.probs for s in self.states])
-
-    def state_at(self, t: float) -> StateDistribution:
-        """Linear interpolation between sampled states."""
-        times = self.times
-        if t <= times[0]:
-            return self.states[0]
-        if t >= times[-1]:
-            return self.states[-1]
-        k = int(np.searchsorted(times, t) - 1)
-        w = (t - times[k]) / (times[k + 1] - times[k])
-        p = (1 - w) * self.states[k].probs + w * self.states[k + 1].probs
-        return StateDistribution(p / p.sum(), self.states[0].z_max)
 
 
 def _project_simplex_soft(p: np.ndarray) -> np.ndarray:
@@ -90,7 +61,7 @@ def _rk4_step(drift: Callable[[np.ndarray], np.ndarray], p: np.ndarray,
 
 
 def integrate(model: RateModel, nu: StateDistribution, T: float,
-              tol: float = 1e-9, dt_max: float | None = None) -> MvePath:
+              tol: float = 1e-9, dt_max: float | None = None) -> SampledPath:
     """Integrate the limiting dynamics from nu over [0, T].
 
     Local error is estimated by step doubling (one full step against
@@ -99,7 +70,8 @@ def integrate(model: RateModel, nu: StateDistribution, T: float,
     spacing for consumers that need a dense sampling (the cost
     evaluators see the piecewise-affine interpolant, whose own cost is
     second order in the spacing).  Raises :class:`StiffnessError` if
-    dt underflows.
+    dt underflows.  Mass beyond the window is folded back into the
+    window first, so the path's tail mass is 0.
     """
     if T <= 0 or tol <= 0:
         raise ValueError("T and tol must be positive")
@@ -108,9 +80,8 @@ def integrate(model: RateModel, nu: StateDistribution, T: float,
     if nu.tail_mass > 0.0:
         # the flow lives on the closed window; fold tail mass back in
         p = p / p.sum()
-        nu = StateDistribution(p.copy(), nu.z_max)
     times = [0.0]
-    states = [nu]
+    rows = [p]
     cap = dt_max if dt_max is not None else 0.25
     dt = min(0.1, cap, T)
     eps_T = 1e-12 * max(1.0, T)
@@ -134,11 +105,11 @@ def integrate(model: RateModel, nu: StateDistribution, T: float,
             continue
         t += dt
         times.append(t)
-        states.append(StateDistribution(p, nu.z_max))
+        rows.append(p)
         if err < tol * dt / 32.0:
             dt *= 2.0
     times[-1] = T  # snap the sub-1e-12 terminal slack
-    return MvePath(np.array(times), tuple(states))
+    return SampledPath(np.array(times), np.stack(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -208,16 +179,34 @@ def _sample_in_KM(rng: np.random.Generator, z_max: int, M: float) -> StateDistri
     return StateDistribution.delta(0, z_max)
 
 
+def _interpolate(path: SampledPath, t: float) -> np.ndarray:
+    """The path's row at time t: the end rows as they are at or beyond
+    the ends, otherwise the linear interpolant renormalised to sum 1."""
+    times, probs = path.times, path.probs
+    if t <= times[0]:
+        return probs[0]
+    if t >= times[-1]:
+        return probs[-1]
+    k = int(np.searchsorted(times, t) - 1)
+    w = (t - times[k]) / (times[k + 1] - times[k])
+    p = (1 - w) * probs[k] + w * probs[k + 1]
+    return p / p.sum()
+
+
 def check_B2(model: RateModel, M: float, horizon: float, n_samples: int,
-             seed: int, z_max: int = 40, threshold: float = 1e-3,
-             n_grid: int = 20, threads: int | None = None) -> B2Report:
+             seed: int, z_max: int = 40, threshold: float = 1e-3) -> B2Report:
     """Integrate from sampled initial conditions in K_M and track the
-    theta-moment gap to the equilibrium on a uniform grid."""
+    theta-moment gap to the equilibrium on a uniform grid.
+
+    The initial conditions are integrated one after another.  At each
+    grid time the gap is read off the linear interpolant of the
+    integrated path between its accepted steps (``_interpolate``).
+    """
     if M <= 0:
         raise ValueError("M must be positive")
     xi_star = find_equilibrium(model, z_max)
     target = theta_moment(xi_star)
-    grid = np.linspace(0.0, horizon, n_grid + 1)
+    grid = np.linspace(0.0, horizon, _B2_GRID + 1)
     theta_w = theta_values(z_max)
 
     initials: list[StateDistribution] = []
@@ -227,16 +216,11 @@ def check_B2(model: RateModel, M: float, horizon: float, n_samples: int,
         sub = np.random.default_rng([seed, j])
         initials.append(_sample_in_KM(sub, z_max, M))
 
-    def one(nu: StateDistribution) -> np.ndarray:
+    gaps = []
+    for nu in initials:
         path = integrate(model, nu, horizon, tol=1e-9)
-        return np.array([abs(float(path.state_at(t).probs @ theta_w) - target)
-                         for t in grid])
-
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            gaps = list(ex.map(one, initials))
-    else:
-        gaps = [one(nu) for nu in initials]
+        gaps.append([abs(float(_interpolate(path, t) @ theta_w) - target)
+                     for t in grid])
     sup_gap = np.max(np.stack(gaps), axis=0)
     terminal = float(sup_gap[-1])
     return B2Report(grid, sup_gap, terminal, threshold,
@@ -244,16 +228,16 @@ def check_B2(model: RateModel, M: float, horizon: float, n_samples: int,
 
 
 def monotone_convergence_diagnostic(model: RateModel, nu: StateDistribution,
-                                    horizon: float,
-                                    settle_fraction: float = 0.2) -> bool:
+                                    horizon: float) -> bool:
     """Whether tv(mu_nu(t), xi*) is decreasing after an initial settle
     window.  A diagnostic to report, not a property to assert: the flow
     can approach the equilibrium non-monotonically in TV.
     """
     xi_star = find_equilibrium(model, nu.z_max)
     path = integrate(model, nu, horizon, tol=1e-9)
-    dists = [tv_distance(s, xi_star) for s in path.states]
-    start = int(settle_fraction * len(dists))
+    dists = [tv_distance(StateDistribution(p, nu.z_max), xi_star)
+             for p in path.probs]
+    start = int(_SETTLE_FRACTION * len(dists))
     tail = dists[start:]
     return all(a >= b - 1e-12 for a, b in zip(tail, tail[1:]))
 
@@ -270,8 +254,8 @@ def time_to_KDelta(model: RateModel, nu: StateDistribution, delta: float,
     if horizon is None:
         horizon = 10.0 / model.lambda_lower
     path = integrate(model, nu, horizon, tol=1e-9)
-    for t, state in zip(path.times, path.states):
-        if in_class_KDelta(state, xi_star, delta):
+    for t, p in zip(path.times, path.probs):
+        if in_class_KDelta(StateDistribution(p, z_max), xi_star, delta):
             return float(t)
     return math.inf
 
@@ -280,11 +264,11 @@ def time_to_KDelta(model: RateModel, nu: StateDistribution, delta: float,
 # CSV export: long format t,z,prob
 # ---------------------------------------------------------------------------
 
-def save_path_csv(path: MvePath, out: str | Path) -> None:
+def save_path_csv(path: SampledPath, out: str | Path) -> None:
     with open(out, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "z", "prob"])
-        for t, s in zip(path.times, path.states):
-            for z in range(s.z_max + 1):
+        for t, p in zip(path.times, path.probs):
+            for z in range(path.z_max + 1):
                 w.writerow([format(float(t), ".17g"), z,
-                            format(float(s.probs[z]), ".17g")])
+                            format(float(p[z]), ".17g")])

@@ -6,6 +6,8 @@ nonnegative integers, with explicit bookkeeping of the mass attributed
 beyond the truncation level.  This module provides:
 
   * ``StateDistribution``  -- the validated probability vector type,
+  * ``SampledPath``  -- a piecewise-affine path of such vectors, the
+    one path type of the flow integrator and the cost layer,
   * the total variation metric (half-L1 convention, so distances live
     in [0, 1]),
   * moments against iota(z) = z and theta(z) = z*log(z),
@@ -196,6 +198,33 @@ class StateDistribution:
         p = self.probs[: z_max + 1].copy()
         tail = self.tail_mass + float(self.probs[z_max + 1:].sum())
         return StateDistribution(p, z_max, tail, self.tail_profile)
+
+
+@dataclass(frozen=True)
+class SampledPath:
+    """Piecewise-affine path given by node times and node distributions.
+
+    ``tail_mass`` is the (constant) mass parked beyond the window; node
+    vectors sum to 1 - tail_mass.
+    """
+
+    times: np.ndarray
+    probs: np.ndarray  # shape (n_nodes, z_max+1)
+    tail_mass: float = 0.0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
+        object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
+        if self.times.ndim != 1 or self.probs.shape[0] != self.times.shape[0]:
+            raise ValueError("times and probs must align")
+
+    @property
+    def z_max(self) -> int:
+        return self.probs.shape[1] - 1
+
+    def final_distribution(self) -> StateDistribution:
+        p = np.clip(self.probs[-1], 0.0, None)
+        return StateDistribution(p, self.z_max, tail_mass=self.tail_mass)
 
 
 def _check_same_window(a: StateDistribution, b: StateDistribution) -> None:

@@ -33,12 +33,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .cost import (FluxTrajectory, _freeze_pieces, _segment_cost, concatenate,
-                   cost_nonvariational, evolve, flux_from_path,
+from .cost import (_FREEZE_TOL, FluxTrajectory, _freeze_pieces, _segment_cost,
+                   concatenate, cost_nonvariational, evolve, flux_from_path,
                    save_trajectory, testfunction_lower_bound)
-from .measures import (StateDistribution, TailProfile, UndecidableTailError,
-                       in_class_KDelta, relative_entropy, save_distribution_csv,
-                       theta_moment, theta_values, tv_distance)
+from .measures import (SampledPath, StateDistribution, TailProfile,
+                       UndecidableTailError, in_class_KDelta, relative_entropy,
+                       save_distribution_csv, theta_moment, theta_values,
+                       tv_distance)
 from .mckean_vlasov import find_equilibrium, integrate
 from .models import (EdgeKind, RateModel, is_counterexample,
                      single_particle_stationary)
@@ -210,17 +211,14 @@ def descend_to_equilibrium(model: RateModel, nu: StateDistribution,
         return connector(model, nu, xi_star, choose_z0(xi_star))
     horizon = 10.0 / model.lambda_lower
     path = integrate(model, nu, horizon, tol=1e-10)
-    hit = None
-    for t, s in zip(path.times, path.states):
-        if t > 0 and in_class_KDelta(s, xi_star, delta):
-            hit = t
-            break
-    if hit is None:
+    kt = next((k for k in range(1, path.times.size)
+               if in_class_KDelta(StateDistribution(path.probs[k], z_max),
+                                  xi_star, delta)), None)
+    if kt is None:
         raise PhaseOrderingError(
             f"flow did not reach K({delta}) within horizon {horizon}")
-    kt = int(np.searchsorted(path.times, hit))
-    flow = flux_from_path(model, (path.times[: kt + 1],
-                                  np.stack([s.probs for s in path.states[: kt + 1]])))
+    flow = flux_from_path(model, SampledPath(path.times[:kt + 1],
+                                             path.probs[:kt + 1]))
     entry = evolve(flow).final_distribution()
     tail = connector(model, entry, xi_star, choose_z0(xi_star))
     return concatenate(flow, tail)
@@ -263,7 +261,7 @@ def _refine_witness(model: RateModel, traj: FluxTrajectory) -> FluxTrajectory:
 
     def seg_cost(k: int, d: float, row: np.ndarray) -> float:
         p0, p1 = path.probs[k], path.probs[k + 1]
-        pieces = _freeze_pieces(model, row, p0, p1, d, 1e-7)
+        pieces = _freeze_pieces(model, row, p0, p1, d, _FREEZE_TOL)
         return _segment_cost(model, row, p0, p1, d, pieces)
 
     costs = [seg_cost(k, d, row)

@@ -259,8 +259,11 @@ def _occupation(model: RateModel, config: SimConfig, events: Sequence[Event],
     are then added in jump order, so every sum rounds as it would one
     jump at a time."""
     rng = substream(config.seed, replica)
-    counts = ParticleSystemState.all_at_zero(config.N, config.z_max).counts
     burn = config.resolved_burn_in(model)
+    if not burn < config.horizon:
+        raise ValueError(f"burn-in {burn!r} is not below the horizon "
+                         f"{config.horizon!r}")
+    counts = ParticleSystemState.all_at_zero(config.N, config.z_max).counts
     n_batches = 20
     batch_len = (config.horizon - burn) / n_batches
     occupied = np.zeros((len(events), n_batches))
@@ -436,10 +439,13 @@ def _tilted_estimate(name: str, event: "BallEvent", pi: StateDistribution,
                         (log_ceiling - math.log(mean)) / N, N, seed)
 
 
+# run length of each occupation estimate in an interacting rate curve
+_RATE_CURVE_HORIZON = 200.0
+
+
 def estimate_rate_curve(model: RateModel, event, N_list: Sequence[int],
                         samples_per_N: int, seed: int, z_max: int = 30,
                         threads: int | None = None,
-                        sim_horizon: float = 200.0,
                         importance: bool = True) -> list[RateEstimate]:
     """Monte Carlo decay-rate curve -(1/N) log p_hat over N.
 
@@ -454,7 +460,8 @@ def estimate_rate_curve(model: RateModel, event, N_list: Sequence[int],
     interval from the sample variance of the weights.  Every other
     event, and every event when ``importance`` is false, uses plain
     i.i.d. sampling from pi with a Wilson interval.  Interacting models
-    fall back to long-run occupation estimates.  All-zero hit counts are
+    fall back to occupation estimates over runs of length
+    ``_RATE_CURVE_HORIZON``.  All-zero hit counts are
     reported as lower-bound-only through the rule of three.  Each N
     draws from its own ``substream(seed, i)``, so results do not depend
     on ``threads``.
@@ -463,7 +470,8 @@ def estimate_rate_curve(model: RateModel, event, N_list: Sequence[int],
     name = getattr(event, "describe", lambda: "event")()
     if model.interacting:
         for i, N in enumerate(N_list):
-            cfg = SimConfig(N=N, seed=seed + i, horizon=sim_horizon, z_max=z_max)
+            cfg = SimConfig(N=N, seed=seed + i, horizon=_RATE_CURVE_HORIZON,
+                            z_max=z_max)
             results.append(estimate_invariant(model, cfg, event, name))
         return results
     pi = single_particle_stationary(model, z_max)

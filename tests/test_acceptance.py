@@ -333,7 +333,7 @@ def test_criterion_08_b1_b2_audit():
             q[0] += 1.0 - q.sum()
             dist = StateDistribution(q, z_max)
         initials.append(dist)
-    finals = [integrate(model, nu, horizon, tol=1e-10).final
+    finals = [integrate(model, nu, horizon, tol=1e-10).final_distribution()
               for nu in initials]
     spread = max(tv_distance(a, b) for a in finals for b in finals)
     xi_star = find_equilibrium(model, z_max)

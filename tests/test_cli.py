@@ -98,6 +98,30 @@ def test_validate_flags_small_window_of_equilibrium_experiments(tmp_path, name):
     assert any("z_max >= 10" in p for p in cli.validate(cfg))
 
 
+@pytest.mark.parametrize("name, settings, problem", [
+    ("mve_audit", {"delta": "0"}, "delta > 0"),
+    ("mve_audit", {"n_samples": "0", "m": "0.01"}, "n_samples >= 1"),
+    ("mve_audit", {"threshold": "-1"}, "threshold > 0"),
+    # interacting_wlan's default burn-in is 20 / lambda_lower = 20
+    ("tightness_audit", {"horizon": "15"}, "horizon above the burn-in"),
+    ("tightness_audit", {"horizon": "30", "burn_in": "40"},
+     "horizon above the burn-in"),
+], ids=["zero_delta", "no_samples", "negative_threshold",
+        "default_burn_in_past_horizon", "burn_in_past_horizon"])
+def test_validate_flags_settings_that_cannot_run(tmp_path, name, settings,
+                                                 problem):
+    out = tmp_path / "out"
+    lines = [f"output_dir = {out}" if ln.startswith("output_dir") else ln
+             for ln in (CONFIG_DIR / f"{name}.cfg").read_text().splitlines()
+             if ln.split("=")[0].strip() not in settings]
+    # [experiment] is the last section of the bundled configs
+    lines += [f"{key} = {value}" for key, value in settings.items()]
+    cfg = write_cfg(tmp_path, "\n".join(lines) + "\n")
+    assert any(problem in p for p in cli.validate(cfg))
+    assert cli.run(cfg, threads=1) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("config", sorted(CONFIG_DIR.glob("*.cfg")),
                          ids=lambda p: p.stem)
 def test_bundled_configs_validate(config):

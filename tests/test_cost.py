@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanfield_ldp.measures import StateDistribution, theta_values
+from meanfield_ldp.measures import (SampledPath, StateDistribution,
+                                    theta_values)
 from meanfield_ldp.mckean_vlasov import find_equilibrium, integrate
 from meanfield_ldp.models import (EdgeKind, EdgeNotPresentError,
                                   MissingBoundsError, RateModel, edge_list,
@@ -468,7 +469,7 @@ def test_variational_nonnegative(wlan_const):
     probs = np.stack([a, b, a])
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        assert cost_variational(wlan_const, (times, probs)) >= 0.0
+        assert cost_variational(wlan_const, SampledPath(times, probs)) >= 0.0
 
 
 def test_duality_crosscheck_small(mm1, wlan_const):
@@ -487,7 +488,7 @@ def test_flux_recovery_on_flow_matches_drift(wlan_const):
     nu = StateDistribution.from_weights(np.exp(-0.4 * np.arange(13)), 12)
     path = integrate(wlan_const, nu, 1.0, tol=1e-10, dt_max=0.01)
     rec = flux_from_path(wlan_const, path, refine=1)
-    times, probs = path.as_grid()
+    probs = path.probs
     k = rec.durations.size // 2
     mid = 0.5 * (probs[k] + probs[k + 1])
     fwd = wlan_const.forward_rates(12, mid) * mid
@@ -503,7 +504,7 @@ def test_flux_recovery_balance_residual(wlan_const):
     p = StateDistribution(p.probs / p.probs.sum(), 10)
     times = np.linspace(0.0, 1.0, 21)
     probs = np.tile(p.probs, (21, 1))
-    rec = flux_from_path(wlan_const, (times, probs))
+    rec = flux_from_path(wlan_const, SampledPath(times, probs))
     path2 = evolve(rec)
     assert np.abs(path2.probs[-1] - p.probs).sum() < 1e-8
     assert cost_nonvariational(wlan_const, rec) > 0.01

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from meanfield_ldp.measures import StateDistribution, tv_distance
-from meanfield_ldp.mckean_vlasov import (check_B2, find_equilibrium,
+from meanfield_ldp.measures import (StateDistribution, theta_moment,
+                                    theta_values, tv_distance)
+from meanfield_ldp.mckean_vlasov import (_interpolate, _sample_in_KM,
+                                         check_B2, find_equilibrium,
                                          integrate, save_path_csv,
                                          time_to_KDelta)
 from meanfield_ldp.models import single_particle_stationary
@@ -13,22 +15,22 @@ from meanfield_ldp.models import single_particle_stationary
 def test_equilibrium_is_fixed_point(wlan_const):
     xi_star = single_particle_stationary(wlan_const, 30)
     path = integrate(wlan_const, xi_star, 2.0, tol=1e-10)
-    for s in path.states:
-        assert tv_distance(s, xi_star) < 1e-8
+    for p in path.probs:
+        assert tv_distance(StateDistribution(p, 30), xi_star) < 1e-8
 
 
 def test_convergence_to_geometric(wlan_const):
     path = integrate(wlan_const, StateDistribution.delta(0, 40), 30.0,
                      tol=1e-9)
     target = single_particle_stationary(wlan_const, 40)
-    assert tv_distance(path.final, target) < 1e-6
+    assert tv_distance(path.final_distribution(), target) < 1e-6
 
 
 def test_mass_conservation(interacting):
     path = integrate(interacting, StateDistribution.delta(3, 25), 5.0,
                      tol=1e-9)
-    for s in path.states:
-        assert abs(float(s.probs.sum()) - 1.0) < 1e-10
+    for p in path.probs:
+        assert abs(float(p.sum()) - 1.0) < 1e-10
     assert path.times[-1] == 5.0
 
 
@@ -61,7 +63,7 @@ def test_equilibrium_cross_check_by_integration(interacting):
     xi_star = find_equilibrium(interacting, 25)
     path = integrate(interacting, StateDistribution.delta(0, 25), 60.0,
                      tol=1e-9)
-    assert tv_distance(path.final, xi_star) < 1e-6
+    assert tv_distance(path.final_distribution(), xi_star) < 1e-6
 
 
 def test_one_step_residual(interacting):
@@ -69,7 +71,7 @@ def test_one_step_residual(interacting):
     xi_star = find_equilibrium(interacting, 25, tol=tol)
     dt = 0.01
     path = integrate(interacting, xi_star, dt, tol=1e-12)
-    assert tv_distance(path.final, xi_star) < tol * dt * 10
+    assert tv_distance(path.final_distribution(), xi_star) < tol * dt * 10
 
 
 def test_check_B2_interacting(interacting):
@@ -87,6 +89,54 @@ def test_check_B2_includes_equilibrium_sample(interacting):
                       z_max=25)
     assert report.n_samples == 1
     assert report.sup_gap[0] < 1e-8  # only xi* sampled: zero gap throughout
+
+
+def _state_at(path, t):
+    """Reference interpolation: a distribution per sampled time, the end
+    states as they are and interior points linear between the two
+    bracketing nodes, renormalised."""
+    times, states = path.times, [StateDistribution(p, path.z_max)
+                                 for p in path.probs]
+    if t <= times[0]:
+        return states[0]
+    if t >= times[-1]:
+        return states[-1]
+    k = int(np.searchsorted(times, t) - 1)
+    w = (t - times[k]) / (times[k + 1] - times[k])
+    p = (1 - w) * states[k].probs + w * states[k + 1].probs
+    return StateDistribution(p / p.sum(), states[0].z_max)
+
+
+def test_interpolate_matches_reference(interacting):
+    path = integrate(interacting, StateDistribution.delta(3, 25), 5.0,
+                     tol=1e-9)
+    t = path.times
+    on_nodes = list(t)
+    between = [a + w * (b - a) for a, b in zip(t, t[1:])
+               for w in (0.1, 0.5, 0.77)]
+    beyond = [-1.0, t[-1] + 1.0]
+    for s in on_nodes + between + beyond:
+        assert np.array_equal(_interpolate(path, s), _state_at(path, s).probs)
+
+
+def test_check_B2_gaps_match_reference_interpolation(interacting):
+    M, horizon, seed, z_max = 5.0, 10.0, 3, 25
+    report = check_B2(interacting, M, horizon, n_samples=4, seed=seed,
+                      z_max=z_max)
+    xi_star = find_equilibrium(interacting, z_max)
+    assert theta_moment(xi_star) <= M  # so xi* is the first sample
+    initials = [xi_star] + [_sample_in_KM(np.random.default_rng([seed, j]),
+                                          z_max, M) for j in range(3)]
+    theta, target = theta_values(z_max), theta_moment(xi_star)
+    gaps = []
+    for nu in initials:
+        path = integrate(interacting, nu, horizon, tol=1e-9)
+        # grid times at the first node, between nodes and at the last node
+        assert report.grid[0] == path.times[0]
+        assert report.grid[-1] == path.times[-1]
+        gaps.append([abs(float(_state_at(path, t).probs @ theta) - target)
+                     for t in report.grid])
+    assert np.array_equal(report.sup_gap, np.max(np.stack(gaps), axis=0))
 
 
 def test_monotone_convergence_diagnostic(wlan_const):

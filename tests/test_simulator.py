@@ -111,6 +111,13 @@ def test_zero_occupancy_lower_bound_only(interacting):
     assert est.rate > 0.0
 
 
+def test_occupation_rejects_burn_in_past_horizon(interacting):
+    # the default burn-in, 20 / lambda_lower = 20, lies beyond the horizon
+    cfg = SimConfig(N=10, seed=0, horizon=15.0, z_max=15)
+    with pytest.raises(ValueError, match="burn-in"):
+        _occupation(interacting, cfg, [WholeSpaceEvent()], replica=0)
+
+
 def test_truncation_overflow_aborts(interacting):
     counts = np.zeros(13, dtype=np.int64)
     counts[12] = 1
