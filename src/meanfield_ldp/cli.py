@@ -71,6 +71,12 @@ _EXP_KEYS = {
     "duality_check": {"n_trajectories", "t_max"},
     "tightness_audit": {"m_list", "n", "horizon", "burn_in", "radius"},
 }
+# random duality_check plans: at most this many segments, each at least
+# this long
+_MAX_SEGMENTS = 6
+_MIN_SEGMENT_DURATION = 0.08
+# share of the equilibrium in every quasipotential_bounds target
+_CORPUS_SHARE = 0.6
 
 
 class ConfigError(ValueError):
@@ -157,6 +163,8 @@ def validate(config_path: str | Path) -> list[str]:
             ks = _parse_int_list(sec.get("k_list", ""))
             if not ks or any(k < 10 for k in ks):
                 problems.append("counterexample needs k_list with entries >= 10")
+            if sec.getfloat("t", 1.0) <= 0:
+                problems.append("counterexample needs t > 0")
             if model is not None and not is_counterexample(model):
                 problems.append("counterexample experiment needs a "
                                 "non-interacting counterexample model")
@@ -185,11 +193,18 @@ def validate(config_path: str | Path) -> list[str]:
         elif exp == "quasipotential_bounds":
             if sec.getint("n_targets", 0) < 1:
                 problems.append("quasipotential_bounds needs n_targets >= 1")
+            if sec.getfloat("m", 5.0) <= 0:
+                problems.append("quasipotential_bounds needs m > 0")
             if model is not None and model.kind.value != "chain_with_resets":
                 problems.append("quasipotential_bounds needs a reset-edge model")
         elif exp == "duality_check":
             if sec.getint("n_trajectories", 0) < 1:
                 problems.append("duality_check needs n_trajectories >= 1")
+            # the longest random plan must fit segments of the least duration
+            t_max = sec.getfloat("t_max", 2.0)
+            if t_max / _MAX_SEGMENTS < _MIN_SEGMENT_DURATION:
+                problems.append(f"duality_check needs t_max >= "
+                                f"{_MAX_SEGMENTS * _MIN_SEGMENT_DURATION:g}")
         elif exp == "tightness_audit":
             ms = _parse_float_list(sec.get("m_list", ""))
             if not ms or any(m <= 0 for m in ms):
@@ -248,7 +263,7 @@ def _fmt(x: float) -> str:
 
 
 def _run_counterexample(cfg: ExperimentConfig, out: Path, threads: int) -> None:
-    ks = _parse_int_list(cfg.params.get("k_list", "50,200,800"))
+    ks = _parse_int_list(cfg.params["k_list"])
     T = float(cfg.params.get("t", "1.0"))
     report = counterexample_report(cfg.model, ks, T)
     with open(out / "counterexample.csv", "w", newline="") as fh:
@@ -279,7 +294,7 @@ def _make_event(cfg: ExperimentConfig):
 
 def _run_rate_curve(cfg: ExperimentConfig, out: Path, threads: int) -> None:
     ns = _parse_int_list(cfg.params["n_list"])
-    samples = int(cfg.params.get("samples_per_n", "100000"))
+    samples = int(cfg.params["samples_per_n"])
     event = _make_event(cfg)
     rows = estimate_rate_curve(cfg.model, event, ns, samples, cfg.seed,
                                z_max=cfg.z_max, threads=threads)
@@ -287,8 +302,8 @@ def _run_rate_curve(cfg: ExperimentConfig, out: Path, threads: int) -> None:
 
 
 def _run_mve_audit(cfg: ExperimentConfig, out: Path, threads: int) -> None:
-    M = float(cfg.params.get("m", "5"))
-    horizon = float(cfg.params.get("horizon", "40"))
+    M = float(cfg.params["m"])
+    horizon = float(cfg.params["horizon"])
     n_samples = int(cfg.params.get("n_samples", "5"))
     threshold = float(cfg.params.get("threshold", "1e-3"))
     delta = float(cfg.params.get("delta", "0.05"))
@@ -319,17 +334,25 @@ def _run_mve_audit(cfg: ExperimentConfig, out: Path, threads: int) -> None:
         fh.write("\n")
 
 
-def _corpus_targets(model: RateModel, z_max: int, M: float, n: int,
+def _corpus_targets(xi_star: StateDistribution, M: float, n: int,
                     seed: int) -> list[StateDistribution]:
-    """n random laws in K_M: the equilibrium mixed with a sparse Dirichlet law."""
+    """n random laws in K_M: the equilibrium mixed with a sparse Dirichlet law.
+
+    Each target holds 0.6 of ``xi_star``, so its theta-moment is at least
+    0.6 <xi_star, theta>; M must exceed that floor.  Above it a draw
+    supported on {0, 1} (theta = 0 there) is always accepted."""
+    floor = _CORPUS_SHARE * theta_moment(xi_star)
+    if M <= floor:
+        raise ValueError(f"corpus theta-moment cap {M:g} is not above the "
+                         f"floor {floor:.4g} set by the equilibrium share")
+    z_max = xi_star.z_max
     rng = np.random.default_rng(seed)
-    xi_star = find_equilibrium(model, z_max)
     targets = []
     while len(targets) < n:
         k = int(rng.integers(2, 7))
         support = rng.choice(z_max + 1, size=k, replace=False)
         w = rng.dirichlet(np.ones(k))
-        p = 0.6 * xi_star.probs + 0.4 * np.bincount(
+        p = _CORPUS_SHARE * xi_star.probs + 0.4 * np.bincount(
             support, weights=w, minlength=z_max + 1)
         dist = StateDistribution(p / p.sum(), z_max)
         if theta_moment(dist) <= M:
@@ -339,14 +362,15 @@ def _corpus_targets(model: RateModel, z_max: int, M: float, n: int,
 
 def _run_quasipotential_bounds(cfg: ExperimentConfig, out: Path,
                                threads: int) -> None:
-    n_targets = int(cfg.params.get("n_targets", "20"))
+    n_targets = int(cfg.params["n_targets"])
     M = float(cfg.params.get("m", "5"))
     refine = cfg.params.get("refine", "true").lower() in ("1", "true", "yes")
-    targets = _corpus_targets(cfg.model, cfg.z_max, M, n_targets, cfg.seed)
+    xi_star = find_equilibrium(cfg.model, cfg.z_max)
+    targets = _corpus_targets(xi_star, M, n_targets, cfg.seed)
     rows = []
     for i, xi in enumerate(targets):
-        bound = v_upper_bound(cfg.model, xi, refine=refine)
-        cm = cm_bound(cfg.model, xi)
+        bound = v_upper_bound(cfg.model, xi_star, xi, refine=refine)
+        cm = cm_bound(cfg.model, xi_star, xi)
         tfile = f"target_{i:03d}.csv"
         wfile = f"witness_{i:03d}.txt"
         save_trajectory_and_bound(bound, out, tfile, wfile,
@@ -364,8 +388,8 @@ def _random_feasible_trajectory(model: RateModel, rng: np.random.Generator,
     p = rng.dirichlet(np.full(z_max + 1, 2.0))
     p = 0.7 * p + 0.3 / (z_max + 1)
     init = StateDistribution(p / p.sum(), z_max)
-    n_seg = int(rng.integers(3, 7))
-    durations = rng.uniform(0.08, T_max / n_seg, size=n_seg)
+    n_seg = int(rng.integers(3, _MAX_SEGMENTS + 1))
+    durations = rng.uniform(_MIN_SEGMENT_DURATION, T_max / n_seg, size=n_seg)
     rows = []
     cur = init.probs.copy()
     for d in durations:
@@ -385,7 +409,7 @@ def _random_feasible_trajectory(model: RateModel, rng: np.random.Generator,
 
 
 def _run_duality_check(cfg: ExperimentConfig, out: Path, threads: int) -> None:
-    n_traj = int(cfg.params.get("n_trajectories", "10"))
+    n_traj = int(cfg.params["n_trajectories"])
     t_max = float(cfg.params.get("t_max", "2.0"))
     rng = np.random.default_rng(cfg.seed)
     rows = []

@@ -219,8 +219,9 @@ def _edge_cost_vec(f: np.ndarray, lam: np.ndarray, phi0: np.ndarray,
 
 
 def _freeze_pieces(model: RateModel, row: np.ndarray, p0: np.ndarray,
-                   p1: np.ndarray, delta: float, freeze_tol: float) -> int:
-    """Subdivision count holding the midpoint-freezing bias below tol.
+                   p1: np.ndarray, delta: float) -> int:
+    """Subdivision count holding the midpoint-freezing bias below
+    ``_FREEZE_TOL``.
 
     Freezing the rate at the piece-midpoint field cancels the bias at
     first order, so the residual is quadratic in the within-piece TV
@@ -234,9 +235,9 @@ def _freeze_pieces(model: RateModel, row: np.ndarray, p0: np.ndarray,
     dtv = 0.5 * float(np.abs(p1 - p0).sum())
     lam_scale = 2.0 * model.lambda_upper + sum(row.tolist())  # in edge order
     est = model.lipschitz * dtv * dtv * lam_scale * delta
-    if est <= freeze_tol:
+    if est <= _FREEZE_TOL:
         return 1
-    return min(4096, math.ceil(math.sqrt(est / freeze_tol)))
+    return min(4096, math.ceil(math.sqrt(est / _FREEZE_TOL)))
 
 
 def _segment_cost(model: RateModel, row: np.ndarray, p0: np.ndarray,
@@ -283,7 +284,7 @@ def cost_nonvariational(model: RateModel, traj: FluxTrajectory) -> float:
     for k, (d, row) in enumerate(zip(traj.durations.tolist(), traj.fluxes)):
         p0 = path.probs[k]
         p1 = path.probs[k + 1]
-        pieces = _freeze_pieces(model, row, p0, p1, d, _FREEZE_TOL)
+        pieces = _freeze_pieces(model, row, p0, p1, d)
         c = _segment_cost(model, row, p0, p1, d, pieces)
         if c == math.inf:
             return math.inf

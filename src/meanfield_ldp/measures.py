@@ -305,18 +305,6 @@ def relative_entropy(zeta: StateDistribution, nu: StateDistribution) -> float:
 # Compact classes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassParams:
-    """Parameters of the compact classes: theta-moment cap M and radius delta."""
-
-    M: float
-    delta: float
-
-    def __post_init__(self) -> None:
-        if self.M <= 0 or self.delta <= 0:
-            raise ValueError("M and delta must be positive")
-
-
 def in_class_KM(a: StateDistribution, M: float) -> bool:
     """Membership in the bounded-theta-moment class {<xi, theta> <= M}."""
     if M <= 0:

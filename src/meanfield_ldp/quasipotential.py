@@ -3,7 +3,7 @@
 The quasipotential V(xi) is the cheapest cost of reaching xi from the
 equilibrium over any finite horizon.  Nothing here computes V exactly:
 upper bounds come from explicit piecewise unit-velocity mass-transfer
-plans (optionally polished by a local mass-preserving refinement), and
+plans (optionally with every segment run at its cost-optimal speed), and
 lower bounds come solely from the test-function inequalities in
 :mod:`meanfield_ldp.cost`.
 
@@ -33,8 +33,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .cost import (_FREEZE_TOL, FluxTrajectory, _freeze_pieces, _segment_cost,
-                   concatenate, cost_nonvariational, evolve, flux_from_path,
+from .cost import (FluxTrajectory, _freeze_pieces, _segment_cost, concatenate,
+                   cost_nonvariational, evolve, flux_from_path,
                    save_trajectory, testfunction_lower_bound)
 from .measures import (SampledPath, StateDistribution, TailProfile,
                        UndecidableTailError, in_class_KDelta, relative_entropy,
@@ -46,9 +46,6 @@ from .models import (EdgeKind, RateModel, is_counterexample,
 
 _E = math.e
 _MASS_FLOOR = 1e-15
-# witness refinement: coordinate-descent moves and their random stream
-_REFINE_ROUNDS = 200
-_REFINE_SEED = 7
 
 
 class PhaseOrderingError(RuntimeError):
@@ -245,51 +242,49 @@ class VBound:
 
 
 def _refine_witness(model: RateModel, traj: FluxTrajectory) -> FluxTrajectory:
-    """Mass-preserving coordinate descent on (duration, flux) pairs.
+    """Run every segment at its cost-optimal speed.
 
-    Each move rescales one segment's duration by (1+eta) and every flux
-    in it by 1/(1+eta): the transferred mass and hence all endpoint
-    states are unchanged, so feasibility is preserved and only that
-    segment's cost moves.  Accept on decrease.
+    Scaling a segment's duration d by s and its flux row by 1/s moves
+    the same mass, so every endpoint state is unchanged, and its cost
+    becomes exactly
+
+        c(s) = A - F log s + B s,   minimised at s* = F / B,
+
+    where F = d * sum(row) is the mass the segment moves and B is the
+    cost of the same states with every edge idle, the integral of
+    sum_e lambda_e phi_e.  Witness segments carry one unit flux and
+    every state of a reset model has a positive total jump rate, so F
+    and B are positive.  For interacting models B is frozen on the
+    segment's own pieces, which holds the formula to within the
+    freezing tolerance.
     """
-    if not traj.durations.size:
-        return traj
-    rng = np.random.default_rng(_REFINE_SEED)
-    durations = traj.durations.copy()
-    fluxes = traj.fluxes.copy()
     path = evolve(traj)
-
-    def seg_cost(k: int, d: float, row: np.ndarray) -> float:
+    idle = np.zeros(traj.fluxes.shape[1])
+    s = np.empty(traj.durations.size)
+    for k, (d, row) in enumerate(zip(traj.durations.tolist(), traj.fluxes)):
         p0, p1 = path.probs[k], path.probs[k + 1]
-        pieces = _freeze_pieces(model, row, p0, p1, d, _FREEZE_TOL)
-        return _segment_cost(model, row, p0, p1, d, pieces)
-
-    costs = [seg_cost(k, d, row)
-             for k, (d, row) in enumerate(zip(durations.tolist(), fluxes))]
-    for _ in range(_REFINE_ROUNDS):
-        k = int(rng.integers(durations.size))
-        eta = float(rng.choice([0.25, 0.1, -0.2, -0.0909090909090909]))
-        scale = 1.0 + eta
-        d, row = float(durations[k]) * scale, fluxes[k] / scale
-        c = seg_cost(k, d, row)
-        if c < costs[k] - 1e-15:
-            durations[k], fluxes[k], costs[k] = d, row, c
-    return FluxTrajectory(traj.initial, traj.kind, durations, fluxes)
+        pieces = _freeze_pieces(model, row, p0, p1, d)
+        s[k] = d * row.sum() / _segment_cost(model, idle, p0, p1, d, pieces)
+    return FluxTrajectory(traj.initial, traj.kind, traj.durations * s,
+                          traj.fluxes / s[:, None])
 
 
-def v_upper_bound(model: RateModel, xi: StateDistribution,
-                  refine: bool = False) -> VBound:
+def v_upper_bound(model: RateModel, xi_star: StateDistribution,
+                  xi: StateDistribution, refine: bool = False) -> VBound:
     """Constructive upper bound on V(xi) with a witness trajectory.
 
-    Candidates: the glued sweep-down ++ staircase-up plan through
-    delta_0, and the direct connector from the equilibrium (cheap for
-    targets near the equilibrium).  The cheaper feasible witness wins;
-    optional refinement never increases the bound.  The lower field is
-    the best test-function bound at the witness horizon.
+    ``xi_star`` is the equilibrium on xi's window, the start of every
+    witness.  Candidates: the glued sweep-down ++ staircase-up plan
+    through delta_0, and the direct connector from the equilibrium
+    (cheap for targets near the equilibrium).  The cheaper feasible
+    witness wins.  ``refine`` runs each segment of the winner at its
+    cost-optimal speed (:func:`_refine_witness`) and keeps the result
+    only if its cost is lower, so the bound never rises; ``upper`` is
+    always the cost of ``witness``.  The lower field is the best
+    test-function bound at the witness horizon.
     """
     _require_reset_model(model)
     z_max = xi.z_max
-    xi_star = find_equilibrium(model, z_max)
 
     candidates = [concatenate(construct_equilibrium_to_delta0(model, xi_star),
                               construct_delta0_to_target(model, xi))]
@@ -319,8 +314,10 @@ def v_upper_bound(model: RateModel, xi: StateDistribution,
     return VBound(xi, upper, lower, best, params)
 
 
-def cm_bound(model: RateModel, xi: StateDistribution) -> float:
-    """Explicit per-target bound dominating the glued-plan cost.
+def cm_bound(model: RateModel, xi_star: StateDistribution,
+             xi: StateDistribution) -> float:
+    """Explicit per-target bound dominating the glued-plan cost from the
+    equilibrium ``xi_star`` to ``xi`` (both on the same window).
 
     Staircase-up leg:
         1/e + 3 sum_z (log z / z^2 + theta(z) xi(z))
@@ -343,7 +340,6 @@ def cm_bound(model: RateModel, xi: StateDistribution) -> float:
               + float((th + z) @ p)
               + float((z * p).sum()) * (math.log(1.0 / lam_lo) + 2.0 * lam_up)
               + 2.0 * lam_up * float((z * p).sum()))
-    xi_star = find_equilibrium(model, xi.z_max)
     q = xi_star.probs[1:]
     pos = q > 0
     leg_down = float(np.sum(q[pos] * (-np.log(q[pos])

@@ -63,34 +63,8 @@ def substream(seed: int, replica: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# State types
+# Run settings and estimates
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ParticleSystemState:
-    """Occupancy counts of N particles on {0..z_max}."""
-
-    counts: np.ndarray
-    N: int
-
-    def __post_init__(self) -> None:
-        c = np.asarray(self.counts, dtype=np.int64)
-        object.__setattr__(self, "counts", c)
-        if np.any(c < 0):
-            raise ValueError("negative occupancy count")
-        if int(c.sum()) != self.N:
-            raise ValueError("counts must sum to N")
-
-    @property
-    def z_max(self) -> int:
-        return self.counts.shape[0] - 1
-
-    @staticmethod
-    def all_at_zero(N: int, z_max: int) -> "ParticleSystemState":
-        c = np.zeros(z_max + 1, dtype=np.int64)
-        c[0] = N
-        return ParticleSystemState(c, N)
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -223,14 +197,14 @@ def gillespie_step(model: RateModel, counts: np.ndarray,
     return z, model.backward_target(z), dt
 
 
-def simulate_path(model: RateModel, config: SimConfig,
-                  initial: ParticleSystemState | None = None
+def simulate_path(model: RateModel, config: SimConfig
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Jump-chain realisation sampled every ``thinning`` time units by
-    holding the last jump state.  Deterministic in (model, config)."""
+    """Jump-chain realisation from all N particles at 0, sampled every
+    ``thinning`` time units by holding the last jump state.
+    Deterministic in (model, config)."""
     rng = substream(config.seed, 0)
-    state = initial or ParticleSystemState.all_at_zero(config.N, config.z_max)
-    counts = state.counts.copy()
+    counts = np.zeros(config.z_max + 1, dtype=np.int64)
+    counts[0] = config.N
     t = 0.0
     sample_times = np.arange(0.0, config.horizon + 1e-12, config.thinning)
     out = np.zeros((sample_times.shape[0], config.z_max + 1), dtype=np.int64)
@@ -263,7 +237,8 @@ def _occupation(model: RateModel, config: SimConfig, events: Sequence[Event],
     if not burn < config.horizon:
         raise ValueError(f"burn-in {burn!r} is not below the horizon "
                          f"{config.horizon!r}")
-    counts = ParticleSystemState.all_at_zero(config.N, config.z_max).counts
+    counts = np.zeros(config.z_max + 1, dtype=np.int64)
+    counts[0] = config.N
     n_batches = 20
     batch_len = (config.horizon - burn) / n_batches
     occupied = np.zeros((len(events), n_batches))
@@ -372,14 +347,13 @@ def burn_in_diagnostic(model: RateModel, config: SimConfig,
 # ---------------------------------------------------------------------------
 
 def sample_iid_stationary(model: RateModel, N: int, rng: np.random.Generator,
-                          z_max: int = 30) -> ParticleSystemState:
+                          z_max: int = 30) -> np.ndarray:
     """Exact draw from the stationary empirical-measure law: N i.i.d.
-    single-particle stationary states, binned."""
+    single-particle stationary states, binned into int64 counts."""
     if model.interacting:
         raise ValueError("exact i.i.d. sampling needs a non-interacting model")
     pi = single_particle_stationary(model, z_max)
-    counts = rng.multinomial(N, pi.probs)
-    return ParticleSystemState(counts.astype(np.int64), N)
+    return rng.multinomial(N, pi.probs).astype(np.int64)
 
 
 def _wilson(hits: int, n: int) -> tuple[float, float]:

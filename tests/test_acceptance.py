@@ -225,15 +225,15 @@ def test_criterion_05_constructive_bound():
     worst_margin = -math.inf
     vstar_worst = 0.0
     for model in (wlan_decay_model(1.0, 1.0), interacting_wlan_model(0.5)):
-        for xi in _corpus_targets(model, 30, 5.0, 10, seed=17):
-            bound = v_upper_bound(model, xi, refine=True)
-            cm = cm_bound(model, xi)
+        xi_star = find_equilibrium(model, 30)
+        for xi in _corpus_targets(xi_star, 5.0, 10, seed=17):
+            bound = v_upper_bound(model, xi_star, xi, refine=True)
+            cm = cm_bound(model, xi_star, xi)
             assert bound.upper <= cm, \
                 f"witness cost {bound.upper} exceeds cm bound {cm}"
             worst_margin = max(worst_margin, bound.upper - cm)
             checked += 1
-        xi_star = find_equilibrium(model, 30)
-        vstar = v_upper_bound(model, xi_star).upper
+        vstar = v_upper_bound(model, xi_star, xi_star).upper
         vstar_worst = max(vstar_worst, vstar)
         assert vstar < 1e-6
     elapsed = time.monotonic() - t0

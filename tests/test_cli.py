@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -98,6 +99,17 @@ def test_validate_flags_small_window_of_equilibrium_experiments(tmp_path, name):
     assert any("z_max >= 10" in p for p in cli.validate(cfg))
 
 
+def _bundled_with(tmp_path: Path, name: str, settings: dict,
+                  out: Path) -> Path:
+    """The bundled config ``name`` writing to ``out``, with ``settings``."""
+    lines = [f"output_dir = {out}" if ln.startswith("output_dir") else ln
+             for ln in (CONFIG_DIR / f"{name}.cfg").read_text().splitlines()
+             if ln.split("=")[0].strip() not in settings]
+    # [experiment] is the last section of the bundled configs
+    lines += [f"{key} = {value}" for key, value in settings.items()]
+    return write_cfg(tmp_path, "\n".join(lines) + "\n")
+
+
 @pytest.mark.parametrize("name, settings, problem", [
     ("mve_audit", {"delta": "0"}, "delta > 0"),
     ("mve_audit", {"n_samples": "0", "m": "0.01"}, "n_samples >= 1"),
@@ -106,19 +118,33 @@ def test_validate_flags_small_window_of_equilibrium_experiments(tmp_path, name):
     ("tightness_audit", {"horizon": "15"}, "horizon above the burn-in"),
     ("tightness_audit", {"horizon": "30", "burn_in": "40"},
      "horizon above the burn-in"),
+    ("quasipotential_bounds", {"m": "0"}, "m > 0"),
+    # up to 6 random segments of at least 0.08 each
+    ("duality_check", {"t_max": "0.47"}, "t_max >= 0.48"),
+    ("counterexample", {"t": "0"}, "t > 0"),
 ], ids=["zero_delta", "no_samples", "negative_threshold",
-        "default_burn_in_past_horizon", "burn_in_past_horizon"])
+        "default_burn_in_past_horizon", "burn_in_past_horizon",
+        "zero_corpus_cap", "short_duality_horizon", "zero_horizon"])
 def test_validate_flags_settings_that_cannot_run(tmp_path, name, settings,
                                                  problem):
     out = tmp_path / "out"
-    lines = [f"output_dir = {out}" if ln.startswith("output_dir") else ln
-             for ln in (CONFIG_DIR / f"{name}.cfg").read_text().splitlines()
-             if ln.split("=")[0].strip() not in settings]
-    # [experiment] is the last section of the bundled configs
-    lines += [f"{key} = {value}" for key, value in settings.items()]
-    cfg = write_cfg(tmp_path, "\n".join(lines) + "\n")
+    cfg = _bundled_with(tmp_path, name, settings, out)
     assert any(problem in p for p in cli.validate(cfg))
     assert cli.run(cfg, threads=1) == 2
+    assert not out.exists()
+
+
+def test_run_corpus_cap_below_equilibrium_floor_exit3(tmp_path, capsys):
+    """Every corpus target holds 0.6 of the equilibrium, whose theta-moment
+    on interacting_wlan(0.5) is 0.3334: a cap of 0.1 admits no target, so
+    the run stops at once instead of drawing forever."""
+    out = tmp_path / "out"
+    cfg = _bundled_with(tmp_path, "quasipotential_bounds", {"m": "0.1"}, out)
+    assert cli.validate(cfg) == []
+    t0 = time.monotonic()
+    assert cli.run(cfg, threads=1) == 3
+    assert time.monotonic() - t0 < 10.0
+    assert "floor 0.2001" in capsys.readouterr().err
     assert not out.exists()
 
 

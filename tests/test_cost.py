@@ -304,7 +304,7 @@ def test_freeze_pieces_needs_declared_lipschitz_constant(interacting):
     p0 = StateDistribution.geometric(0.5, 8).probs
     p1 = np.roll(p0, 1)
     with pytest.raises(MissingBoundsError):
-        _freeze_pieces(undeclared, np.r_[0.5, np.zeros(15)], p0, p1, 1.0, 1e-7)
+        _freeze_pieces(undeclared, np.r_[0.5, np.zeros(15)], p0, p1, 1.0)
 
 
 def test_cost_rejects_edges_of_the_other_kind(mm1):
@@ -577,10 +577,10 @@ def test_lower_bound_grows_with_truncation(mm1):
 def test_lower_bound_validity_against_witnesses(wlan_decay):
     from meanfield_ldp.quasipotential import v_upper_bound
     xi = StateDistribution.from_weights(np.exp(-0.8 * np.arange(13)), 12)
-    bound = v_upper_bound(wlan_decay, xi)
+    xi_star = find_equilibrium(wlan_decay, 12)
+    bound = v_upper_bound(wlan_decay, xi_star, xi)
     T = bound.witness.duration
     cost = cost_nonvariational(wlan_decay, bound.witness)
-    xi_star = find_equilibrium(wlan_decay, 12)
     for kind in ("linear_fn", "theta_n"):
         for n in (1, 3, 6, 12):
             lb = testfunction_lower_bound(wlan_decay, xi_star, xi, T, n, kind)

@@ -8,9 +8,12 @@ from meanfield_ldp.measures import (StateDistribution, TailProfile,
                                     theta_moment, theta_values, tv_distance)
 from meanfield_ldp.mckean_vlasov import find_equilibrium
 from meanfield_ldp.models import single_particle_stationary
-from meanfield_ldp.cost import (cost_nonvariational, evolve,
+from meanfield_ldp.cli import _corpus_targets
+from meanfield_ldp.cost import (_freeze_pieces, _segment_cost,
+                                cost_nonvariational, evolve,
                                 moment_inequality_check)
 from meanfield_ldp.quasipotential import (UndecidableTailError,
+                                          _refine_witness,
                                           choose_z0, cm_bound, connector,
                                           construct_delta0_to_target,
                                           construct_equilibrium_to_delta0,
@@ -46,7 +49,8 @@ def test_delta0_to_geometric_cost_below_cm(wlan_decay):
     assert tv_distance(end, xi) < 1e-12
     assert traj.duration == pytest.approx(
         float(np.arange(41) @ xi.probs), abs=1e-12)
-    assert cost_nonvariational(wlan_decay, traj) <= cm_bound(wlan_decay, xi)
+    assert cost_nonvariational(wlan_decay, traj) <= cm_bound(
+        wlan_decay, find_equilibrium(wlan_decay, 40), xi)
 
 
 # -- sweep-down construction ----------------------------------------------------
@@ -156,33 +160,72 @@ def test_descend_delta_sweep_bounded(interacting):
 
 def test_v_upper_at_equilibrium(wlan_decay):
     xi_star = find_equilibrium(wlan_decay, 30)
-    bound = v_upper_bound(wlan_decay, xi_star)
+    bound = v_upper_bound(wlan_decay, xi_star, xi_star)
     assert bound.upper < 1e-6
     assert bound.lower <= bound.upper + 1e-8
 
 
 def test_v_upper_below_cm_on_geometric(wlan_decay):
     xi = StateDistribution.from_weights(0.5 ** np.arange(41), 40)
-    bound = v_upper_bound(wlan_decay, xi)
-    assert bound.upper <= cm_bound(wlan_decay, xi)
+    xi_star = find_equilibrium(wlan_decay, 40)
+    bound = v_upper_bound(wlan_decay, xi_star, xi)
+    assert bound.upper <= cm_bound(wlan_decay, xi_star, xi)
     end = evolve(bound.witness).final_distribution()
     assert tv_distance(end, xi) < 1e-10
 
 
 def test_refine_never_increases(wlan_decay):
     xi = StateDistribution.from_weights(np.exp(-0.7 * np.arange(31)), 30)
-    plain = v_upper_bound(wlan_decay, xi, refine=False)
-    refined = v_upper_bound(wlan_decay, xi, refine=True)
+    xi_star = find_equilibrium(wlan_decay, 30)
+    plain = v_upper_bound(wlan_decay, xi_star, xi, refine=False)
+    refined = v_upper_bound(wlan_decay, xi_star, xi, refine=True)
     assert refined.upper <= plain.upper + 1e-12
+
+
+def _cost_at_speed(model, d, row, p0, p1, t):
+    """Cost of one segment run over t times its duration at flux row / t."""
+    return _segment_cost(model, row / t, p0, p1, d * t,
+                         _freeze_pieces(model, row / t, p0, p1, d * t))
+
+
+@pytest.mark.parametrize("which, slack", [("wlan_decay", 0.0),
+                                          ("wlan_const", 0.0),
+                                          ("interacting", 1e-9)])
+def test_refined_segments_run_at_their_optimal_speed(request, which, slack):
+    """Every refined segment sits at the minimum of its cost over speeds:
+    running it 0.1% faster or slower costs no less.  On the interacting
+    model the freezing pieces change with the speed, which moves the
+    cost by up to the freezing bias."""
+    model = request.getfixturevalue(which)
+    xi_star = find_equilibrium(model, 20)
+    for xi in _corpus_targets(xi_star, 5.0, 3, seed=5):
+        refined = _refine_witness(model, v_upper_bound(model, xi_star,
+                                                       xi).witness)
+        path = evolve(refined)
+        for k, (d, row) in enumerate(zip(refined.durations, refined.fluxes)):
+            seg = (model, d, row, path.probs[k], path.probs[k + 1])
+            at_optimum = _cost_at_speed(*seg, 1.0)
+            for t in (1.0 - 1e-3, 1.0 + 1e-3):
+                assert _cost_at_speed(*seg, t) >= at_optimum - slack
+
+
+@pytest.mark.parametrize("refine", [False, True])
+def test_upper_is_the_witness_cost(wlan_decay, interacting, refine):
+    for model in (wlan_decay, interacting):
+        xi_star = find_equilibrium(model, 20)
+        for xi in _corpus_targets(xi_star, 5.0, 3, seed=5):
+            bound = v_upper_bound(model, xi_star, xi, refine=refine)
+            assert bound.upper == cost_nonvariational(model, bound.witness)
 
 
 def test_witnesses_satisfy_moment_inequality(wlan_decay, interacting):
     rng = np.random.default_rng(3)
     for model in (wlan_decay, interacting):
+        xi_star = find_equilibrium(model, 25)
         for _ in range(3):
             w = rng.dirichlet(np.ones(26) * 0.7)
             xi = StateDistribution(w, 25)
-            bound = v_upper_bound(model, xi)
+            bound = v_upper_bound(model, xi_star, xi)
             assert moment_inequality_check(model, bound.witness)
 
 
@@ -195,7 +238,7 @@ def test_level_set_inclusion_audit(wlan_decay):
     for _ in range(8):
         w = rng.dirichlet(np.ones(26) * 0.6)
         xi = StateDistribution(w, 25)
-        bound = v_upper_bound(wlan_decay, xi)
+        bound = v_upper_bound(wlan_decay, xi_star, xi)
         s = bound.upper
     # &
         T = bound.witness.duration
@@ -206,7 +249,8 @@ def test_level_set_inclusion_audit(wlan_decay):
 # -- cm bound ----------------------------------------------------------------------------------
 
 def test_cm_bound_at_delta0(wlan_decay):
-    val = cm_bound(wlan_decay, StateDistribution.delta(0, 30))
+    val = cm_bound(wlan_decay, find_equilibrium(wlan_decay, 30),
+                   StateDistribution.delta(0, 30))
     assert val >= 0.0
 
 
@@ -226,18 +270,19 @@ def test_cm_bound_delta2_hand_evaluation():
     q = xi_star.probs[1:]
     q = q[q > 0]
     expect_down = float(np.sum(q * (-np.log(q) + 0.0 + 2.0)))
-    assert cm_bound(model, xi) == pytest.approx(expect_up + expect_down,
-                                                rel=1e-12)
+    assert cm_bound(model, find_equilibrium(model, z_max), xi) == \
+        pytest.approx(expect_up + expect_down, rel=1e-12)
 
 
 def test_cm_dominates_constructions_on_corpus(wlan_decay, interacting):
     rng = np.random.default_rng(9)
     for model in (wlan_decay, interacting):
+        xi_star = find_equilibrium(model, 20)
         for _ in range(5):
             w = rng.dirichlet(np.ones(21) * 0.8)
             xi = StateDistribution(w, 20)
-            bound = v_upper_bound(model, xi)
-            assert bound.upper <= cm_bound(model, xi) + 1e-10
+            bound = v_upper_bound(model, xi_star, xi)
+            assert bound.upper <= cm_bound(model, xi_star, xi) + 1e-10
 
 
 # -- finiteness predicate -----------------------------------------------------------------------
@@ -290,7 +335,7 @@ def test_counterexample_rejects_interacting(interacting):
 
 def test_vbound_export(tmp_path, wlan_decay):
     xi = StateDistribution.from_weights(np.exp(-0.9 * np.arange(21)), 20)
-    bound = v_upper_bound(wlan_decay, xi)
+    bound = v_upper_bound(wlan_decay, find_equilibrium(wlan_decay, 20), xi)
     save_trajectory_and_bound(bound, tmp_path, "target.csv", "witness.txt",
                               "vbound.json")
     payload = json.loads((tmp_path / "vbound.json").read_text())

@@ -8,18 +8,23 @@ from meanfield_ldp.measures import (StateDistribution, entropy_projection,
 from meanfield_ldp.mckean_vlasov import find_equilibrium
 from meanfield_ldp.models import dominating_chain, single_particle_stationary
 from meanfield_ldp.simulator import (_BLOCK, BallEvent, NotInKMEvent,
-                                     ParticleSystemState, SimConfig,
-                                     TruncationOverflowError, WholeSpaceEvent,
-                                     _occupation, _tilted_estimate,
-                                     burn_in_diagnostic, estimate_invariant,
-                                     estimate_rate_curve, gillespie_step,
-                                     sample_iid_stationary, save_counts_path,
-                                     save_rate_estimates, simulate_path,
-                                     substream)
+                                     SimConfig, TruncationOverflowError,
+                                     WholeSpaceEvent, _occupation,
+                                     _tilted_estimate, burn_in_diagnostic,
+                                     estimate_invariant, estimate_rate_curve,
+                                     gillespie_step, sample_iid_stationary,
+                                     save_counts_path, save_rate_estimates,
+                                     simulate_path, substream)
+
+
+def _all_at_zero(N, z_max):
+    counts = np.zeros(z_max + 1, dtype=np.int64)
+    counts[0] = N
+    return counts
 
 
 def test_single_enabled_transition(mm1):
-    counts = ParticleSystemState.all_at_zero(1, 10).counts
+    counts = _all_at_zero(1, 10)
     before = counts.copy()
     rng = substream(0, 0)
     z, zp, dt = gillespie_step(mm1, counts, rng)
@@ -31,7 +36,7 @@ def test_single_enabled_transition(mm1):
 
 
 def test_two_particles_at_zero(wlan_const):
-    counts = ParticleSystemState.all_at_zero(2, 10).counts
+    counts = _all_at_zero(2, 10)
     rng = substream(0, 1)
     z, zp, _ = gillespie_step(wlan_const, counts, rng)
     counts[z] -= 1
@@ -40,7 +45,7 @@ def test_two_particles_at_zero(wlan_const):
 
 
 def test_counts_invariant_preserved(interacting):
-    counts = ParticleSystemState.all_at_zero(20, 15).counts
+    counts = _all_at_zero(20, 15)
     rng = substream(3, 0)
     for _ in range(2000):
         z, zp, _ = gillespie_step(interacting, counts, rng)
@@ -128,10 +133,9 @@ def test_truncation_overflow_aborts(interacting):
 
 # -- the per-jump loops, kept as the reference for the count-vector loops ----------
 
-def _step_reference(model, state, rng):
-    """One jump from a validated state to a new validated state."""
-    counts = state.counts
-    z_max = state.z_max
+def _step_reference(model, counts, rng):
+    """One jump from a valid count vector to a new valid count vector."""
+    z_max = counts.shape[0] - 1
     xi = counts / counts.sum()
     fwd = model.forward_rates(z_max, xi) * counts
     back = model.backward_rates(z_max, xi) * counts
@@ -149,7 +153,8 @@ def _step_reference(model, state, rng):
         zp = model.backward_target(z)
     new[z] -= 1
     new[zp] += 1
-    return ParticleSystemState(new, state.N), dt
+    assert new.min() >= 0 and new.sum() == counts.sum()
+    return new, dt
 
 
 def _hit_reference(event, dist):
@@ -165,7 +170,7 @@ def _occupation_reference(model, config, events):
     """The per-jump occupation loop; also returns the number of held
     states it evaluated and the most batches one holding interval met."""
     rng = substream(config.seed, 0)
-    state = ParticleSystemState.all_at_zero(config.N, config.z_max)
+    counts = _all_at_zero(config.N, config.z_max)
     burn = config.resolved_burn_in(model)
     n_batches = 20
     batch_len = (config.horizon - burn) / n_batches
@@ -174,11 +179,11 @@ def _occupation_reference(model, config, events):
     held = widest = 0
     t = 0.0
     while t < config.horizon:
-        nxt, dt = _step_reference(model, state, rng)
+        nxt, dt = _step_reference(model, counts, rng)
         a, b = t, min(t + dt, config.horizon)
         if b > burn:
             lo = max(a, burn)
-            emp = StateDistribution(state.counts / state.N, state.z_max)
+            emp = StateDistribution(counts / config.N, config.z_max)
             hits = np.array([1.0 if _hit_reference(ev, emp) else 0.0
                              for ev in events])
             held += 1
@@ -192,25 +197,25 @@ def _occupation_reference(model, config, events):
                 occupied[:, j] += w * hits
                 lengths[j] += w
         t += dt
-        state = nxt
+        counts = nxt
     fractions = occupied / np.maximum(lengths, 1e-300)[None, :]
     return occupied.sum(axis=1), lengths, fractions, held, widest
 
 
 def _simulate_path_reference(model, config):
     rng = substream(config.seed, 0)
-    state = ParticleSystemState.all_at_zero(config.N, config.z_max)
+    counts = _all_at_zero(config.N, config.z_max)
     t = 0.0
     sample_times = np.arange(0.0, config.horizon + 1e-12, config.thinning)
     out = np.zeros((sample_times.shape[0], config.z_max + 1), dtype=np.int64)
     k = 0
     while k < sample_times.shape[0]:
-        next_state, dt = _step_reference(model, state, rng)
+        nxt, dt = _step_reference(model, counts, rng)
         while k < sample_times.shape[0] and sample_times[k] <= t + dt:
-            out[k] = state.counts
+            out[k] = counts
             k += 1
         t += dt
-        state = next_state
+        counts = nxt
     return sample_times, out
 
 
@@ -259,8 +264,8 @@ def test_simulate_path_matches_per_jump_reference(request, which):
 # -- exact i.i.d. stationary sampling ----------------------------------------------
 
 def test_iid_counts_sum(mm1):
-    state = sample_iid_stationary(mm1, 64, substream(0, 0), z_max=30)
-    assert int(state.counts.sum()) == 64
+    counts = sample_iid_stationary(mm1, 64, substream(0, 0), z_max=30)
+    assert int(counts.sum()) == 64
 
 
 def test_iid_rejects_interacting(interacting):
@@ -275,7 +280,7 @@ def test_iid_single_particle_marginal(mm1):
     n = 100_000
     hits = np.zeros(31)
     for _ in range(n):
-        hits += sample_iid_stationary(mm1, 1, rng, 30).counts
+        hits += sample_iid_stationary(mm1, 1, rng, 30)
     keep = pi.probs * n >= 10
     chi2 = float(np.sum((hits[keep] - n * pi.probs[keep]) ** 2
                         / (n * pi.probs[keep])))
@@ -289,7 +294,7 @@ def test_iid_mean_matches_stationary(mm1):
     acc = np.zeros(31)
     m = 4000
     for _ in range(m):
-        acc += sample_iid_stationary(mm1, 50, rng, 30).counts / 50
+        acc += sample_iid_stationary(mm1, 50, rng, 30) / 50
     assert tv_distance(StateDistribution(acc / m, 30), pi) < 0.01
 
 
@@ -403,7 +408,7 @@ def test_dominating_chain_theta_domination(interacting):
     n_dom = 2000
     theta = theta_values(20)
     dom_samples = np.array([
-        sample_iid_stationary(dom, 40, rng, 20).counts @ theta / 40
+        sample_iid_stationary(dom, 40, rng, 20) @ theta / 40
         for _ in range(n_dom)])
     cfg = SimConfig(N=40, seed=22, horizon=420.0, burn_in=20.0, z_max=20,
                     thinning=1.0)
@@ -432,7 +437,7 @@ def test_gillespie_occupation_matches_iid_sampling(mm1):
     m = 2000
     acc = np.zeros(z_max + 1)
     for _ in range(m):
-        acc += sample_iid_stationary(mm1, N, rng, z_max).counts / N
+        acc += sample_iid_stationary(mm1, N, rng, z_max) / N
     iid = acc / m
     for z in range(6):  # states carrying the bulk of the mass
         band = 3.0 * math.sqrt(iid[z] * (1 - iid[z]) / m) + 0.02
