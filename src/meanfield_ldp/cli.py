@@ -71,6 +71,16 @@ _EXP_KEYS = {
     "duality_check": {"n_trajectories", "t_max"},
     "tightness_audit": {"m_list", "n", "horizon", "burn_in", "radius"},
 }
+# the default of every optional key that has one; validate and the
+# runners both read it through _option
+_DEFAULTS = {
+    "counterexample": {"t": 1.0},
+    "rate_curve": {"event": "ball_delta0", "radius": 0.1, "m": 4.0},
+    "mve_audit": {"n_samples": 5, "threshold": 1e-3, "delta": 0.05},
+    "quasipotential_bounds": {"m": 5.0, "refine": "true"},
+    "duality_check": {"t_max": 2.0},
+    "tightness_audit": {"horizon": 200.0, "radius": 0.1},
+}
 # random duality_check plans: at most this many segments, each at least
 # this long
 _MAX_SEGMENTS = 6
@@ -100,6 +110,14 @@ def _parse_int_list(text: str) -> list[int]:
 
 def _parse_float_list(text: str) -> list[float]:
     return [float(x) for x in text.replace(";", ",").split(",") if x.strip()]
+
+
+def _option(params, experiment: str, key: str):
+    """An optional experiment key's value, typed like its default in
+    ``_DEFAULTS``, or that default when the key is absent."""
+    default = _DEFAULTS[experiment][key]
+    raw = params.get(key)
+    return default if raw is None else type(default)(raw)
 
 
 def _build_model(section: configparser.SectionProxy,
@@ -163,7 +181,7 @@ def validate(config_path: str | Path) -> list[str]:
             ks = _parse_int_list(sec.get("k_list", ""))
             if not ks or any(k < 10 for k in ks):
                 problems.append("counterexample needs k_list with entries >= 10")
-            if sec.getfloat("t", 1.0) <= 0:
+            if _option(sec, exp, "t") <= 0:
                 problems.append("counterexample needs t > 0")
             if model is not None and not is_counterexample(model):
                 problems.append("counterexample experiment needs a "
@@ -174,26 +192,29 @@ def validate(config_path: str | Path) -> list[str]:
                 problems.append("rate_curve needs n_list with positive entries")
             if sec.getint("samples_per_n", 0) < 1:
                 problems.append("rate_curve needs samples_per_n >= 1")
-            if sec.get("event", "ball_delta0") not in ("ball_delta0",
-                                                       "ball_equilibrium",
-                                                       "not_in_km"):
+            event = _option(sec, exp, "event")
+            if event not in ("ball_delta0", "ball_equilibrium", "not_in_km"):
                 problems.append("rate_curve event must be ball_delta0, "
                                 "ball_equilibrium, or not_in_km")
+            if _option(sec, exp, "radius") <= 0:
+                problems.append("rate_curve needs radius > 0")
+            if event == "not_in_km" and _option(sec, exp, "m") <= 0:
+                problems.append("rate_curve with event not_in_km needs m > 0")
         elif exp == "mve_audit":
             if sec.getfloat("m", 0.0) <= 0:
                 problems.append("mve_audit needs m > 0")
             if sec.getfloat("horizon", 0.0) <= 0:
                 problems.append("mve_audit needs horizon > 0")
-            if sec.getint("n_samples", 5) < 1:
+            if _option(sec, exp, "n_samples") < 1:
                 problems.append("mve_audit needs n_samples >= 1")
-            if sec.getfloat("threshold", 1e-3) <= 0:
+            if _option(sec, exp, "threshold") <= 0:
                 problems.append("mve_audit needs threshold > 0")
-            if sec.getfloat("delta", 0.05) <= 0:
+            if _option(sec, exp, "delta") <= 0:
                 problems.append("mve_audit needs delta > 0")
         elif exp == "quasipotential_bounds":
             if sec.getint("n_targets", 0) < 1:
                 problems.append("quasipotential_bounds needs n_targets >= 1")
-            if sec.getfloat("m", 5.0) <= 0:
+            if _option(sec, exp, "m") <= 0:
                 problems.append("quasipotential_bounds needs m > 0")
             if model is not None and model.kind.value != "chain_with_resets":
                 problems.append("quasipotential_bounds needs a reset-edge model")
@@ -201,7 +222,7 @@ def validate(config_path: str | Path) -> list[str]:
             if sec.getint("n_trajectories", 0) < 1:
                 problems.append("duality_check needs n_trajectories >= 1")
             # the longest random plan must fit segments of the least duration
-            t_max = sec.getfloat("t_max", 2.0)
+            t_max = _option(sec, exp, "t_max")
             if t_max / _MAX_SEGMENTS < _MIN_SEGMENT_DURATION:
                 problems.append(f"duality_check needs t_max >= "
                                 f"{_MAX_SEGMENTS * _MIN_SEGMENT_DURATION:g}")
@@ -211,8 +232,10 @@ def validate(config_path: str | Path) -> list[str]:
                 problems.append("tightness_audit needs positive m_list")
             if sec.getint("n", 0) < 1:
                 problems.append("tightness_audit needs n >= 1")
+            if _option(sec, exp, "radius") <= 0:
+                problems.append("tightness_audit needs radius > 0")
             if model is not None:
-                horizon = sec.getfloat("horizon", 200.0)
+                horizon = _option(sec, exp, "horizon")
                 burn_in = sec.get("burn_in", "").strip()
                 # SimConfig.resolved_burn_in's default when burn_in is unset
                 burn_in = (float(burn_in) if burn_in
@@ -264,7 +287,7 @@ def _fmt(x: float) -> str:
 
 def _run_counterexample(cfg: ExperimentConfig, out: Path, threads: int) -> None:
     ks = _parse_int_list(cfg.params["k_list"])
-    T = float(cfg.params.get("t", "1.0"))
+    T = _option(cfg.params, cfg.experiment, "t")
     report = counterexample_report(cfg.model, ks, T)
     with open(out / "counterexample.csv", "w", newline="") as fh:
         w = csv.writer(fh)
@@ -281,15 +304,14 @@ def _run_counterexample(cfg: ExperimentConfig, out: Path, threads: int) -> None:
 
 
 def _make_event(cfg: ExperimentConfig):
-    kind = cfg.params.get("event", "ball_delta0")
+    kind = _option(cfg.params, cfg.experiment, "event")
+    if kind == "not_in_km":
+        return NotInKMEvent(_option(cfg.params, cfg.experiment, "m"),
+                            cfg.z_max)
+    radius = _option(cfg.params, cfg.experiment, "radius")
     if kind == "ball_delta0":
-        radius = float(cfg.params.get("radius", "0.1"))
         return BallEvent(StateDistribution.delta(0, cfg.z_max), radius)
-    if kind == "ball_equilibrium":
-        radius = float(cfg.params.get("radius", "0.1"))
-        centre = find_equilibrium(cfg.model, cfg.z_max)
-        return BallEvent(centre, radius)
-    return NotInKMEvent(float(cfg.params.get("m", "4")), cfg.z_max)
+    return BallEvent(find_equilibrium(cfg.model, cfg.z_max), radius)
 
 
 def _run_rate_curve(cfg: ExperimentConfig, out: Path, threads: int) -> None:
@@ -304,16 +326,16 @@ def _run_rate_curve(cfg: ExperimentConfig, out: Path, threads: int) -> None:
 def _run_mve_audit(cfg: ExperimentConfig, out: Path, threads: int) -> None:
     M = float(cfg.params["m"])
     horizon = float(cfg.params["horizon"])
-    n_samples = int(cfg.params.get("n_samples", "5"))
-    threshold = float(cfg.params.get("threshold", "1e-3"))
-    delta = float(cfg.params.get("delta", "0.05"))
-    report = check_B2(cfg.model, M, horizon, n_samples, cfg.seed,
-                      z_max=cfg.z_max, threshold=threshold)
+    n_samples = _option(cfg.params, cfg.experiment, "n_samples")
+    threshold = _option(cfg.params, cfg.experiment, "threshold")
+    delta = _option(cfg.params, cfg.experiment, "delta")
     xi_star = find_equilibrium(cfg.model, cfg.z_max)
-    t_hit = time_to_KDelta(cfg.model, StateDistribution.delta(0, cfg.z_max),
-                           delta)
-    monotone = monotone_convergence_diagnostic(
-        cfg.model, StateDistribution.delta(0, cfg.z_max), horizon)
+    report = check_B2(cfg.model, xi_star, M, horizon, n_samples, cfg.seed,
+                      threshold=threshold)
+    delta0 = StateDistribution.delta(0, cfg.z_max)
+    t_hit = time_to_KDelta(cfg.model, xi_star, delta0, delta)
+    monotone = monotone_convergence_diagnostic(cfg.model, xi_star, delta0,
+                                               horizon)
     with open(out / "b2_gaps.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "sup_theta_gap"])
@@ -363,8 +385,9 @@ def _corpus_targets(xi_star: StateDistribution, M: float, n: int,
 def _run_quasipotential_bounds(cfg: ExperimentConfig, out: Path,
                                threads: int) -> None:
     n_targets = int(cfg.params["n_targets"])
-    M = float(cfg.params.get("m", "5"))
-    refine = cfg.params.get("refine", "true").lower() in ("1", "true", "yes")
+    M = _option(cfg.params, cfg.experiment, "m")
+    refine = _option(cfg.params, cfg.experiment, "refine").lower() in (
+        "1", "true", "yes")
     xi_star = find_equilibrium(cfg.model, cfg.z_max)
     targets = _corpus_targets(xi_star, M, n_targets, cfg.seed)
     rows = []
@@ -410,7 +433,7 @@ def _random_feasible_trajectory(model: RateModel, rng: np.random.Generator,
 
 def _run_duality_check(cfg: ExperimentConfig, out: Path, threads: int) -> None:
     n_traj = int(cfg.params["n_trajectories"])
-    t_max = float(cfg.params.get("t_max", "2.0"))
+    t_max = _option(cfg.params, cfg.experiment, "t_max")
     rng = np.random.default_rng(cfg.seed)
     rows = []
     for i in range(n_traj):
@@ -430,10 +453,10 @@ def _run_duality_check(cfg: ExperimentConfig, out: Path, threads: int) -> None:
 
 def _run_tightness_audit(cfg: ExperimentConfig, out: Path, threads: int) -> None:
     ms = _parse_float_list(cfg.params["m_list"])
-    N = int(cfg.params.get("n", "50"))
-    horizon = float(cfg.params.get("horizon", "200"))
+    N = int(cfg.params["n"])
+    horizon = _option(cfg.params, cfg.experiment, "horizon")
     burn_in = cfg.params.get("burn_in")
-    radius = float(cfg.params.get("radius", "0.1"))
+    radius = _option(cfg.params, cfg.experiment, "radius")
     sim = SimConfig(N=N, seed=cfg.seed, horizon=horizon,
                     burn_in=float(burn_in) if burn_in else None,
                     z_max=cfg.z_max)

@@ -10,7 +10,13 @@ each other:
     at the segment-midpoint field, so each edge integrates in closed
     form through the x*log(x) antiderivative -- this is what keeps the
     vanishing-mass endpoints (mass draining exactly to zero) finite
-    and exact, where raw quadrature would blow up.
+    and exact, where raw quadrature would blow up.  All segments of a
+    plan are costed in one batched pass: segments of one piece count
+    share stacked rate-table calls in blocks of at most ``_CHUNK``
+    piece rows, each edge family's idle terms are row sums, and the
+    active terms are summed per segment over rows of equal length, so
+    every segment's cost is bitwise the one it has when costed alone.
+    The plan cost adds the segment costs in order.
 
   * the variational form: at each grid time the integrand is the
     supremum over test vectors alpha of
@@ -51,6 +57,9 @@ _ALPHA_CAP = 50.0
 _FREEZE_TOL = 1e-7
 # change of the trapezoid value that ends the variational refinement
 _RICHARDSON_TOL = 1e-6
+# nodes per batched dual solve, piece rows per batched control-cost
+# block: bounds the (nodes, n, n) Hessian stack and the piece arrays
+_CHUNK = 256
 
 
 class InfeasibleTrajectoryError(RuntimeError):
@@ -182,87 +191,128 @@ def concatenate(a: FluxTrajectory, b: FluxTrajectory) -> FluxTrajectory:
 
 
 # ---------------------------------------------------------------------------
-# Control-form (non-variational) cost, closed form per segment
+# Control-form (non-variational) cost, closed form, all segments at once
 # ---------------------------------------------------------------------------
 
-def _edge_cost_vec(f: np.ndarray, lam: np.ndarray, phi0: np.ndarray,
-                   phi1: np.ndarray, delta: float) -> float:
-    """Sum over an edge family of the closed-form integral of
-    tau*(f/(lam*phi) - 1) * lam * phi over a segment where phi is affine
-    and lam is frozen."""
-    phi0 = np.clip(phi0, 0.0, None)
-    phi1 = np.clip(phi1, 0.0, None)
-    active = f > 0.0
-    # idle edges: integral of lam*phi, the tau*(-1) suppression cost
-    total = float(np.sum(np.where(active, 0.0,
-                                  lam * delta * 0.5 * (phi0 + phi1))))
-    if not np.any(active):
-        return total
-    if np.any(active & (phi0 <= 0.0) & (phi1 <= 0.0)):
-        return math.inf
-    fa = f[active]
-    la = lam[active]
-    a0 = phi0[active]
-    a1 = phi1[active]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        F0 = np.where(a0 > 0.0, a0 * np.log(a0) - a0, 0.0)
-        F1 = np.where(a1 > 0.0, a1 * np.log(a1) - a1, 0.0)
-        v = (a1 - a0) / delta
-        flat = np.abs(a1 - a0) <= 1e-14 * np.maximum(a0, a1)
-        mid = 0.5 * (a0 + a1)
-        int_log = np.where(flat, delta * np.log(np.where(mid > 0, mid, 1.0)),
-                           (F1 - F0) / np.where(v != 0.0, v, 1.0))
-        total += float(np.sum(fa * delta * (np.log(fa) - np.log(la) - 1.0)
-                              - fa * int_log
-                              + la * delta * 0.5 * (a0 + a1)))
-    return total
-
-
-def _freeze_pieces(model: RateModel, row: np.ndarray, p0: np.ndarray,
-                   p1: np.ndarray, delta: float) -> int:
-    """Subdivision count holding the midpoint-freezing bias below
-    ``_FREEZE_TOL``.
+def _freeze_pieces(model: RateModel, fluxes: np.ndarray, P0: np.ndarray,
+                   P1: np.ndarray, durations: np.ndarray) -> np.ndarray:
+    """Per-segment subdivision counts, shape (S,), holding the
+    midpoint-freezing bias below ``_FREEZE_TOL``.
 
     Freezing the rate at the piece-midpoint field cancels the bias at
     first order, so the residual is quadratic in the within-piece TV
     variation and the count scales as a square root.
     """
     if not model.interacting:
-        return 1
+        return np.ones(durations.shape[0], dtype=int)
     if model.lipschitz is None:
         raise MissingBoundsError(f"{model.name}: interacting model declares "
                                  "no Lipschitz constant")
-    dtv = 0.5 * float(np.abs(p1 - p0).sum())
-    lam_scale = 2.0 * model.lambda_upper + sum(row.tolist())  # in edge order
-    est = model.lipschitz * dtv * dtv * lam_scale * delta
-    if est <= _FREEZE_TOL:
-        return 1
-    return min(4096, math.ceil(math.sqrt(est / _FREEZE_TOL)))
+    dtv = 0.5 * np.abs(P1 - P0).sum(axis=1)
+    # each row's flux summed in edge order
+    lam_scale = 2.0 * model.lambda_upper + np.array(
+        [sum(row) for row in fluxes.tolist()])
+    est = model.lipschitz * dtv * dtv * lam_scale * durations
+    pieces = np.minimum(4096, np.ceil(np.sqrt(est / _FREEZE_TOL)))
+    return np.where(est <= _FREEZE_TOL, 1, pieces).astype(int)
 
 
-def _segment_cost(model: RateModel, row: np.ndarray, p0: np.ndarray,
-                  p1: np.ndarray, delta: float, pieces: int = 1) -> float:
-    """Cost of one constant-flux segment, optionally subdivided into
-    equal pieces with the rate re-frozen at each piece midpoint (one
-    stacked rate-table call covers all pieces)."""
-    z_max = p0.shape[0] - 1
-    lam = np.arange(pieces + 1) / pieces
-    P = p0[None, :] + (p1 - p0)[None, :] * lam[:, None]
-    mids = 0.5 * (P[:-1] + P[1:])
-    fwd = model.forward_rates(z_max, mids)
-    back = model.backward_rates(z_max, mids)
-    dp = delta / pieces
-    c = _edge_cost_vec(np.tile(row[:z_max], pieces),
-                       fwd[:, :-1].ravel(), P[:-1, :-1].ravel(),
-                       P[1:, :-1].ravel(), dp)
-    if c == math.inf:
-        return math.inf
-    c2 = _edge_cost_vec(np.tile(row[z_max:], pieces),
-                        back[:, 1:].ravel(), P[:-1, 1:].ravel(),
-                        P[1:, 1:].ravel(), dp)
-    if c2 == math.inf:
-        return math.inf
-    return c + c2
+def _row_sums(terms: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sum of each row's run of a compressed 1-D array, runs of length
+    ``counts`` in row order; rows of one length are summed together as
+    a matrix, so each sum equals that of the run alone."""
+    out = np.zeros(counts.size)
+    starts = np.cumsum(counts) - counts
+    for k in sorted(set(counts.tolist()) - {0}):
+        rows = np.flatnonzero(counts == k)
+        out[rows] = terms[starts[rows, None] + np.arange(k)].sum(axis=1)
+    return out
+
+
+def _family_costs(f: np.ndarray, lam: np.ndarray, phi0: np.ndarray,
+                  phi1: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Per-segment sum over one edge family of the closed-form integral
+    of tau*(f/(lam*phi) - 1) * lam * phi over pieces where phi is affine
+    and lam is frozen.
+
+    A block of c segments of n pieces each: f (c, E) flux rows, lam,
+    phi0 and phi1 (c, n, E) piece rates and end masses, delta (c,) piece
+    lengths; returns (c,) costs, inf where an active edge leaves a state
+    that is empty over a whole piece.
+    """
+    c, n, e = phi0.shape
+    phi0 = np.clip(phi0, 0.0, None).reshape(c, n * e)
+    phi1 = np.clip(phi1, 0.0, None).reshape(c, n * e)
+    lam = np.broadcast_to(lam, (c, n, e)).reshape(c, n * e)
+    f = np.broadcast_to(f[:, None, :], (c, n, e)).reshape(c, n * e)
+    d = delta[:, None]
+    active = f > 0.0
+    # idle edges: integral of lam*phi, the tau*(-1) suppression cost
+    total = np.where(active, 0.0, lam * d * 0.5 * (phi0 + phi1)).sum(axis=1)
+    counts = active.sum(axis=1)
+    fa = f[active]
+    la = lam[active]
+    a0 = phi0[active]
+    a1 = phi1[active]
+    da = np.repeat(delta, counts)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        F0 = np.where(a0 > 0.0, a0 * np.log(a0) - a0, 0.0)
+        F1 = np.where(a1 > 0.0, a1 * np.log(a1) - a1, 0.0)
+        v = (a1 - a0) / da
+        flat = np.abs(a1 - a0) <= 1e-14 * np.maximum(a0, a1)
+        mid = 0.5 * (a0 + a1)
+        int_log = np.where(flat, da * np.log(np.where(mid > 0, mid, 1.0)),
+                           (F1 - F0) / np.where(v != 0.0, v, 1.0))
+        terms = (fa * da * (np.log(fa) - np.log(la) - 1.0) - fa * int_log
+                 + la * da * 0.5 * (a0 + a1))
+    total += _row_sums(terms, counts)
+    stranded = (active & (phi0 <= 0.0) & (phi1 <= 0.0)).any(axis=1)
+    total[stranded] = math.inf
+    return total
+
+
+def _rate_rows(model: RateModel, z_max: int, fields: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Forward and backward rate tables at a (..., z_max+1) stack of mean
+    fields, in one stacked call each; a non-interacting model's single
+    row pair broadcasts over the stack."""
+    if not model.interacting:
+        return model.forward_rates(z_max), model.backward_rates(z_max)
+    flat = fields.reshape(-1, z_max + 1)
+    return (model.forward_rates(z_max, flat).reshape(fields.shape),
+            model.backward_rates(z_max, flat).reshape(fields.shape))
+
+
+def _segment_costs(model: RateModel, fluxes: np.ndarray, P0: np.ndarray,
+                   P1: np.ndarray, durations: np.ndarray,
+                   pieces: np.ndarray) -> np.ndarray:
+    """Cost of every constant-flux segment, shape (S,).
+
+    Segment k runs flux row k for ``durations[k]`` from P0[k] to P1[k],
+    split into ``pieces[k]`` equal pieces with the rate frozen at each
+    piece-midpoint field.  Segments of one piece count are costed
+    together, at most ``_CHUNK`` piece rows per stacked rate-table call
+    (a segment of more pieces alone); every sum runs over the same
+    elements in the same order as a segment costed alone would.
+    """
+    z_max = P0.shape[1] - 1
+    out = np.empty(durations.shape[0])
+    for n in sorted(set(pieces.tolist())):
+        lam = np.arange(n + 1) / n
+        same = np.flatnonzero(pieces == n)
+        step = max(1, _CHUNK // n)
+        for s in range(0, same.size, step):
+            idx = same[s:s + step]
+            # piece end states, (segments, n+1, z_max+1)
+            P = P0[idx, None] + (P1[idx] - P0[idx])[:, None] * lam[:, None]
+            fwd, back = _rate_rows(model, z_max, 0.5 * (P[:, :-1] + P[:, 1:]))
+            dp = durations[idx] / n
+            c_fwd = _family_costs(fluxes[idx, :z_max], fwd[..., :-1],
+                                  P[:, :-1, :-1], P[:, 1:, :-1], dp)
+            c_back = _family_costs(fluxes[idx, z_max:], back[..., 1:],
+                                   P[:, :-1, 1:], P[:, 1:, 1:], dp)
+            out[idx] = np.where(c_fwd == math.inf, math.inf, c_fwd + c_back)
+    return out
 
 
 def cost_nonvariational(model: RateModel, traj: FluxTrajectory) -> float:
@@ -274,20 +324,21 @@ def cost_nonvariational(model: RateModel, traj: FluxTrajectory) -> float:
     sentinel.  For interacting models the rate is frozen at the
     midpoint field of each piece and segments are subdivided until the
     Lipschitz bias estimate falls below ``_FREEZE_TOL`` per segment.
+    All segments are costed in one batched pass (:func:`_segment_costs`)
+    and their costs added in segment order.
     """
     # the two edge kinds share every edge but the backward ones out of z >= 2
     if traj.kind is not model.kind and traj.fluxes[:, traj.z_max + 1:].any():
         raise EdgeNotPresentError(f"plan has flux on {traj.kind.value} edges "
                                   f"not in {model.kind.value}")
     path = evolve(traj)
+    P0, P1 = path.probs[:-1], path.probs[1:]
+    pieces = _freeze_pieces(model, traj.fluxes, P0, P1, traj.durations)
+    costs = _segment_costs(model, traj.fluxes, P0, P1, traj.durations, pieces)
+    if np.isinf(costs).any():
+        return math.inf
     total = 0.0
-    for k, (d, row) in enumerate(zip(traj.durations.tolist(), traj.fluxes)):
-        p0 = path.probs[k]
-        p1 = path.probs[k + 1]
-        pieces = _freeze_pieces(model, row, p0, p1, d)
-        c = _segment_cost(model, row, p0, p1, d, pieces)
-        if c == math.inf:
-            return math.inf
+    for c in costs.tolist():
         total += c
     return total
 
@@ -298,8 +349,6 @@ def cost_nonvariational(model: RateModel, traj: FluxTrajectory) -> float:
 
 _NEWTON_DAMPS = (1.0, 0.5, 0.25, 0.1, 0.03, 0.01)
 _GRADIENT_DAMPS = (1.0, 0.1, 0.01, 1e-3, 1e-4)
-# nodes per batched solve: bounds the (nodes, n, n) Hessian stack
-_CHUNK = 256
 
 
 class _DualWorkspace:
@@ -309,18 +358,10 @@ class _DualWorkspace:
         self.model = model
         self.z_max = z_max
         self.src, self.dst = np.array(model.edges(z_max)).T.copy()
-        self._static_rates: tuple[np.ndarray, np.ndarray] | None = None
-        if not model.interacting:
-            self._static_rates = (model.forward_rates(z_max),
-                                  model.backward_rates(z_max))
 
     def weights(self, P: np.ndarray) -> np.ndarray:
         """Edge weights lambda * phi for a (nodes, z_max+1) stack of fields."""
-        if self._static_rates is not None:
-            fwd_r, back_r = self._static_rates
-        else:
-            fwd_r = self.model.forward_rates(self.z_max, P)
-            back_r = self.model.backward_rates(self.z_max, P)
+        fwd_r, back_r = _rate_rows(self.model, self.z_max, P)
         return np.concatenate([(fwd_r * P)[:, :-1], (back_r * P)[:, 1:]],
                               axis=1)
 

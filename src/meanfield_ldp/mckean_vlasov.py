@@ -193,10 +193,12 @@ def _interpolate(path: SampledPath, t: float) -> np.ndarray:
     return p / p.sum()
 
 
-def check_B2(model: RateModel, M: float, horizon: float, n_samples: int,
-             seed: int, z_max: int = 40, threshold: float = 1e-3) -> B2Report:
+def check_B2(model: RateModel, xi_star: StateDistribution, M: float,
+             horizon: float, n_samples: int, seed: int,
+             threshold: float = 1e-3) -> B2Report:
     """Integrate from sampled initial conditions in K_M and track the
-    theta-moment gap to the equilibrium on a uniform grid.
+    theta-moment gap to the equilibrium ``xi_star`` on a uniform grid;
+    the initial conditions live on xi_star's window.
 
     The initial conditions are integrated one after another.  At each
     grid time the gap is read off the linear interpolant of the
@@ -204,7 +206,7 @@ def check_B2(model: RateModel, M: float, horizon: float, n_samples: int,
     """
     if M <= 0:
         raise ValueError("M must be positive")
-    xi_star = find_equilibrium(model, z_max)
+    z_max = xi_star.z_max
     target = theta_moment(xi_star)
     grid = np.linspace(0.0, horizon, _B2_GRID + 1)
     theta_w = theta_values(z_max)
@@ -227,13 +229,14 @@ def check_B2(model: RateModel, M: float, horizon: float, n_samples: int,
                     terminal < threshold, len(initials))
 
 
-def monotone_convergence_diagnostic(model: RateModel, nu: StateDistribution,
+def monotone_convergence_diagnostic(model: RateModel,
+                                    xi_star: StateDistribution,
+                                    nu: StateDistribution,
                                     horizon: float) -> bool:
-    """Whether tv(mu_nu(t), xi*) is decreasing after an initial settle
-    window.  A diagnostic to report, not a property to assert: the flow
-    can approach the equilibrium non-monotonically in TV.
+    """Whether tv(mu_nu(t), xi_star) is decreasing after an initial
+    settle window.  A diagnostic to report, not a property to assert:
+    the flow can approach the equilibrium non-monotonically in TV.
     """
-    xi_star = find_equilibrium(model, nu.z_max)
     path = integrate(model, nu, horizon, tol=1e-9)
     dists = [tv_distance(StateDistribution(p, nu.z_max), xi_star)
              for p in path.probs]
@@ -242,13 +245,14 @@ def monotone_convergence_diagnostic(model: RateModel, nu: StateDistribution,
     return all(a >= b - 1e-12 for a, b in zip(tail, tail[1:]))
 
 
-def time_to_KDelta(model: RateModel, nu: StateDistribution, delta: float,
+def time_to_KDelta(model: RateModel, xi_star: StateDistribution,
+                   nu: StateDistribution, delta: float,
                    horizon: float | None = None) -> float:
-    """First sampled time at which the flow enters K(delta); inf if missed."""
+    """First sampled time at which the flow from nu enters K(delta)
+    about the equilibrium ``xi_star``; inf if missed."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     z_max = nu.z_max
-    xi_star = find_equilibrium(model, z_max)
     if in_class_KDelta(nu, xi_star, delta):
         return 0.0
     if horizon is None:

@@ -33,8 +33,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .cost import (FluxTrajectory, _freeze_pieces, _segment_cost, concatenate,
-                   cost_nonvariational, evolve, flux_from_path,
+from .cost import (FluxTrajectory, _freeze_pieces, _segment_costs,
+                   concatenate, cost_nonvariational, evolve, flux_from_path,
                    save_trajectory, testfunction_lower_bound)
 from .measures import (SampledPath, StateDistribution, TailProfile,
                        UndecidableTailError, in_class_KDelta, relative_entropy,
@@ -258,15 +258,12 @@ def _refine_witness(model: RateModel, traj: FluxTrajectory) -> FluxTrajectory:
     segment's own pieces, which holds the formula to within the
     freezing tolerance.
     """
-    path = evolve(traj)
-    idle = np.zeros(traj.fluxes.shape[1])
-    s = np.empty(traj.durations.size)
-    for k, (d, row) in enumerate(zip(traj.durations.tolist(), traj.fluxes)):
-        p0, p1 = path.probs[k], path.probs[k + 1]
-        pieces = _freeze_pieces(model, row, p0, p1, d)
-        s[k] = d * row.sum() / _segment_cost(model, idle, p0, p1, d, pieces)
-    return FluxTrajectory(traj.initial, traj.kind, traj.durations * s,
-                          traj.fluxes / s[:, None])
+    P = evolve(traj).probs
+    d, rows = traj.durations, traj.fluxes
+    pieces = _freeze_pieces(model, rows, P[:-1], P[1:], d)
+    B = _segment_costs(model, np.zeros_like(rows), P[:-1], P[1:], d, pieces)
+    s = d * rows.sum(axis=1) / B
+    return FluxTrajectory(traj.initial, traj.kind, d * s, rows / s[:, None])
 
 
 def v_upper_bound(model: RateModel, xi_star: StateDistribution,

@@ -122,9 +122,13 @@ def _bundled_with(tmp_path: Path, name: str, settings: dict,
     # up to 6 random segments of at least 0.08 each
     ("duality_check", {"t_max": "0.47"}, "t_max >= 0.48"),
     ("counterexample", {"t": "0"}, "t > 0"),
+    ("rate_curve", {"radius": "-0.1"}, "rate_curve needs radius > 0"),
+    ("rate_curve", {"event": "not_in_km", "m": "-1"}, "not_in_km needs m > 0"),
+    ("tightness_audit", {"radius": "0"}, "tightness_audit needs radius > 0"),
 ], ids=["zero_delta", "no_samples", "negative_threshold",
         "default_burn_in_past_horizon", "burn_in_past_horizon",
-        "zero_corpus_cap", "short_duality_horizon", "zero_horizon"])
+        "zero_corpus_cap", "short_duality_horizon", "zero_horizon",
+        "negative_ball_radius", "negative_km_cap", "zero_tightness_radius"])
 def test_validate_flags_settings_that_cannot_run(tmp_path, name, settings,
                                                  problem):
     out = tmp_path / "out"
@@ -132,6 +136,11 @@ def test_validate_flags_settings_that_cannot_run(tmp_path, name, settings,
     assert any(problem in p for p in cli.validate(cfg))
     assert cli.run(cfg, threads=1) == 2
     assert not out.exists()
+
+
+def test_defaults_are_keys_of_their_experiment():
+    for exp, defaults in cli._DEFAULTS.items():
+        assert set(defaults) <= cli._EXP_KEYS[exp]
 
 
 def test_run_corpus_cap_below_equilibrium_floor_exit3(tmp_path, capsys):

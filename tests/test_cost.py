@@ -21,8 +21,8 @@ from meanfield_ldp.cost import (EndpointMismatchError, FluxTrajectory,
                                 save_trajectory, tau, tau_star,
                                 testfunction_lower_bound)
 from meanfield_ldp.cost import (_ALPHA_CAP, _DualWorkspace, _dual_maximize,
-                                _edge_cost_vec, _freeze_pieces, _refine_grid,
-                                _segment_cost)
+                                _freeze_pieces, _mass_balance, _refine_grid,
+                                _segment_costs)
 
 from conftest import random_feasible
 
@@ -253,12 +253,42 @@ def test_edge_cost_vectorised_matches_scalar():
         phi1 = float(rng.choice([0.0, rng.uniform(0, 1)]))
         delta = float(rng.uniform(0.01, 1))
         ref = _edge_cost(f, lam, phi0, phi1, delta)
-        vec = _edge_cost_vec(np.array([f]), np.array([lam]),
-                             np.array([phi0]), np.array([phi1]), delta)
+        # the edge (0, 1) of the z_max = 1 window; (1, 0) idles at zero mass
+        vec = _segment_costs(wlan_const_model(lam, 1.0), np.array([[f, 0.0]]),
+                             np.array([[phi0, 0.0]]), np.array([[phi1, 0.0]]),
+                             np.array([delta]), np.ones(1, dtype=int))[0]
         if math.isinf(ref):
             assert math.isinf(vec)
         else:
             assert vec == pytest.approx(ref, rel=1e-12, abs=1e-15)
+
+
+def _edge_cost_ref(f, lam, phi0, phi1, delta):
+    """Oracle: sum over an edge family of the closed-form integral of
+    tau*(f/(lam*phi) - 1) * lam * phi over a segment where phi is affine
+    and lam is frozen, one segment at a time."""
+    phi0 = np.clip(phi0, 0.0, None)
+    phi1 = np.clip(phi1, 0.0, None)
+    active = f > 0.0
+    total = float(np.sum(np.where(active, 0.0,
+                                  lam * delta * 0.5 * (phi0 + phi1))))
+    if not np.any(active):
+        return total
+    if np.any(active & (phi0 <= 0.0) & (phi1 <= 0.0)):
+        return math.inf
+    fa, la, a0, a1 = f[active], lam[active], phi0[active], phi1[active]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        F0 = np.where(a0 > 0.0, a0 * np.log(a0) - a0, 0.0)
+        F1 = np.where(a1 > 0.0, a1 * np.log(a1) - a1, 0.0)
+        v = (a1 - a0) / delta
+        flat = np.abs(a1 - a0) <= 1e-14 * np.maximum(a0, a1)
+        mid = 0.5 * (a0 + a1)
+        int_log = np.where(flat, delta * np.log(np.where(mid > 0, mid, 1.0)),
+                           (F1 - F0) / np.where(v != 0.0, v, 1.0))
+        total += float(np.sum(fa * delta * (np.log(fa) - np.log(la) - 1.0)
+                              - fa * int_log
+                              + la * delta * 0.5 * (a0 + a1)))
+    return total
 
 
 def _segment_cost_loop(model, row, p0, p1, delta, pieces):
@@ -270,17 +300,22 @@ def _segment_cost_loop(model, row, p0, p1, delta, pieces):
     fwd = np.stack([model.forward_rates(z_max, mids[j]) for j in range(pieces)])
     back = np.stack([model.backward_rates(z_max, mids[j]) for j in range(pieces)])
     dp = delta / pieces
-    c = _edge_cost_vec(np.broadcast_to(row[:z_max], (pieces, z_max)).ravel(),
+    c = _edge_cost_ref(np.broadcast_to(row[:z_max], (pieces, z_max)).ravel(),
                        fwd[:, :-1].ravel(), P[:-1, :-1].ravel(),
                        P[1:, :-1].ravel(), dp)
     if c == math.inf:
         return math.inf
-    c2 = _edge_cost_vec(np.broadcast_to(row[z_max:], (pieces, z_max)).ravel(),
+    c2 = _edge_cost_ref(np.broadcast_to(row[z_max:], (pieces, z_max)).ravel(),
                         back[:, 1:].ravel(), P[:-1, 1:].ravel(),
                         P[1:, 1:].ravel(), dp)
     if c2 == math.inf:
         return math.inf
     return c + c2
+
+
+def _one_segment(model, row, p0, p1, delta, pieces):
+    return _segment_costs(model, row[None], p0[None], p1[None],
+                          np.array([delta]), np.array([pieces]))[0]
 
 
 @pytest.mark.parametrize("pieces", [1, 2, 3, 17, 256])
@@ -293,7 +328,82 @@ def test_segment_cost_matches_per_piece_loop(interacting, pieces):
         for k, (d, row) in enumerate(zip(traj.durations, traj.fluxes)):
             args = (interacting, row, path.probs[k], path.probs[k + 1], d,
                     pieces)
-            assert _segment_cost(*args) == _segment_cost_loop(*args)
+            assert _one_segment(*args) == _segment_cost_loop(*args)
+
+
+def _freeze_pieces_ref(model, row, p0, p1, delta):
+    """Oracle: the subdivision count of one segment."""
+    if not model.interacting:
+        return 1
+    dtv = 0.5 * float(np.abs(p1 - p0).sum())
+    lam_scale = 2.0 * model.lambda_upper + sum(row.tolist())
+    est = model.lipschitz * dtv * dtv * lam_scale * delta
+    if est <= 1e-7:
+        return 1
+    return min(4096, math.ceil(math.sqrt(est / 1e-7)))
+
+
+def _thinned_plan(model, rng, z_max):
+    """A random_feasible plan with a random share of every row's edges
+    idle, each row halved until it keeps every mass positive."""
+    base = random_feasible(model, rng, z_max, 2.0)
+    cur = base.initial.probs
+    rows = []
+    for d, row in zip(base.durations, base.fluxes):
+        row = row * (rng.random(row.size) < rng.uniform(0.2, 1.0))
+        while (cur + d * _mass_balance(row[None], model.kind)[0]).min() <= 0.0:
+            row = 0.5 * row
+        cur = cur + d * _mass_balance(row[None], model.kind)[0]
+        rows.append(row)
+    return FluxTrajectory(base.initial, model.kind, base.durations,
+                          np.array(rows))
+
+
+@pytest.mark.parametrize("which", ["mm1", "wlan_const", "wlan_decay",
+                                   "interacting"])
+def test_batched_cost_matches_per_segment_reference(request, which):
+    """All segments costed in one batched pass equal, bit for bit, each
+    segment costed alone; so do the subdivision counts and the plan
+    total.  The plans mix active-edge counts, the interacting ones mix
+    piece counts up to the 4096 cap, and flux out of a state that stays
+    empty makes its segment, and the plan, cost inf."""
+    model = request.getfixturevalue(which)
+    z_max = 12
+    rng = np.random.default_rng(9)
+    start = StateDistribution.delta(0, z_max)
+    stranded = _plan(start, model.kind, (0.2, {(0, 1): 1.0}),
+                     (0.2, {(1, 2): 0.5, (2, 3): 0.5}))
+    plans = [_thinned_plan(model, rng, z_max) for _ in range(6)] + [stranded]
+    if model.interacting:
+        # 0.9 of the mass moved in one segment needs more than 4096 pieces
+        p = np.full(z_max + 1, 0.01 / z_max)
+        p[0] = 0.99
+        plans.append(_plan(StateDistribution(p, z_max), model.kind,
+                           (0.9, {(0, 1): 1.0}), (0.5, {(1, 2): 0.1}),
+                           (0.3, {(1, 0): 0.2, (0, 1): 0.05})))
+    active_counts, piece_counts = set(), set()
+    for traj in plans:
+        P = evolve(traj).probs
+        segs = list(zip(traj.fluxes, P[:-1], P[1:], traj.durations))
+        ref_pieces = [_freeze_pieces_ref(model, *seg) for seg in segs]
+        pieces = _freeze_pieces(model, traj.fluxes, P[:-1], P[1:],
+                                traj.durations)
+        assert pieces.tolist() == ref_pieces
+        ref = [_segment_cost_loop(model, *seg, n)
+               for seg, n in zip(segs, ref_pieces)]
+        got = _segment_costs(model, traj.fluxes, P[:-1], P[1:],
+                             traj.durations, pieces)
+        assert got.tolist() == ref
+        total = 0.0
+        for c in ref:
+            total += c
+        assert cost_nonvariational(model, traj) == total
+        active_counts.update((traj.fluxes > 0.0).sum(axis=1).tolist())
+        piece_counts.update(ref_pieces)
+    assert len(active_counts) >= 4
+    if model.interacting:
+        assert 4096 in piece_counts and len(piece_counts) >= 4
+    assert cost_nonvariational(model, stranded) == math.inf
 
 
 def test_freeze_pieces_needs_declared_lipschitz_constant(interacting):
@@ -304,7 +414,8 @@ def test_freeze_pieces_needs_declared_lipschitz_constant(interacting):
     p0 = StateDistribution.geometric(0.5, 8).probs
     p1 = np.roll(p0, 1)
     with pytest.raises(MissingBoundsError):
-        _freeze_pieces(undeclared, np.r_[0.5, np.zeros(15)], p0, p1, 1.0)
+        _freeze_pieces(undeclared, np.r_[0.5, np.zeros(15)][None], p0[None],
+                       p1[None], np.ones(1))
 
 
 def test_cost_rejects_edges_of_the_other_kind(mm1):

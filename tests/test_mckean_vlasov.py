@@ -75,8 +75,8 @@ def test_one_step_residual(interacting):
 
 
 def test_check_B2_interacting(interacting):
-    report = check_B2(interacting, M=5.0, horizon=40.0, n_samples=4, seed=1,
-                      z_max=30)
+    report = check_B2(interacting, find_equilibrium(interacting, 30), M=5.0,
+                      horizon=40.0, n_samples=4, seed=1)
     assert report.n_samples >= 4
     assert report.sup_gap[0] >= report.terminal_gap
     assert report.terminal_gap < 1e-3
@@ -85,8 +85,8 @@ def test_check_B2_interacting(interacting):
 
 def test_check_B2_includes_equilibrium_sample(interacting):
     # with the equilibrium among the samples the gap at t=0 is not the sup
-    report = check_B2(interacting, M=5.0, horizon=10.0, n_samples=1, seed=1,
-                      z_max=25)
+    report = check_B2(interacting, find_equilibrium(interacting, 25), M=5.0,
+                      horizon=10.0, n_samples=1, seed=1)
     assert report.n_samples == 1
     assert report.sup_gap[0] < 1e-8  # only xi* sampled: zero gap throughout
 
@@ -121,9 +121,9 @@ def test_interpolate_matches_reference(interacting):
 
 def test_check_B2_gaps_match_reference_interpolation(interacting):
     M, horizon, seed, z_max = 5.0, 10.0, 3, 25
-    report = check_B2(interacting, M, horizon, n_samples=4, seed=seed,
-                      z_max=z_max)
     xi_star = find_equilibrium(interacting, z_max)
+    report = check_B2(interacting, xi_star, M, horizon, n_samples=4,
+                      seed=seed)
     assert theta_moment(xi_star) <= M  # so xi* is the first sample
     initials = [xi_star] + [_sample_in_KM(np.random.default_rng([seed, j]),
                                           z_max, M) for j in range(3)]
@@ -142,22 +142,26 @@ def test_check_B2_gaps_match_reference_interpolation(interacting):
 def test_monotone_convergence_diagnostic(wlan_const):
     from meanfield_ldp.mckean_vlasov import monotone_convergence_diagnostic
     out = monotone_convergence_diagnostic(
-        wlan_const, StateDistribution.delta(0, 25), horizon=15.0)
+        wlan_const, find_equilibrium(wlan_const, 25),
+        StateDistribution.delta(0, 25), horizon=15.0)
     assert isinstance(out, bool)  # reported, never asserted as a property
 
 
 def test_time_to_KDelta(wlan_const):
+    # the flow's computed equilibrium lies in K(0.05) of the closed form
+    xi_eq = find_equilibrium(wlan_const, 30)
     xi_star = single_particle_stationary(wlan_const, 30)
-    assert time_to_KDelta(wlan_const, xi_star, 0.05) == 0.0
-    t1 = time_to_KDelta(wlan_const, StateDistribution.delta(0, 30), 0.05)
+    assert time_to_KDelta(wlan_const, xi_eq, xi_star, 0.05) == 0.0
+    delta0 = StateDistribution.delta(0, 30)
+    t1 = time_to_KDelta(wlan_const, xi_eq, delta0, 0.05)
     assert 0.0 < t1 < math.inf
-    t2 = time_to_KDelta(wlan_const, StateDistribution.delta(0, 30), 0.02)
+    t2 = time_to_KDelta(wlan_const, xi_eq, delta0, 0.02)
     assert t2 >= t1
 
 
 def test_time_to_KDelta_unreached(wlan_const):
-    out = time_to_KDelta(wlan_const, StateDistribution.delta(0, 30), 1e-9,
-                         horizon=0.5)
+    out = time_to_KDelta(wlan_const, find_equilibrium(wlan_const, 30),
+                         StateDistribution.delta(0, 30), 1e-9, horizon=0.5)
     assert out == math.inf
 
 

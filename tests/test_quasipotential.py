@@ -9,7 +9,7 @@ from meanfield_ldp.measures import (StateDistribution, TailProfile,
 from meanfield_ldp.mckean_vlasov import find_equilibrium
 from meanfield_ldp.models import single_particle_stationary
 from meanfield_ldp.cli import _corpus_targets
-from meanfield_ldp.cost import (_freeze_pieces, _segment_cost,
+from meanfield_ldp.cost import (_freeze_pieces, _segment_costs,
                                 cost_nonvariational, evolve,
                                 moment_inequality_check)
 from meanfield_ldp.quasipotential import (UndecidableTailError,
@@ -184,8 +184,8 @@ def test_refine_never_increases(wlan_decay):
 
 def _cost_at_speed(model, d, row, p0, p1, t):
     """Cost of one segment run over t times its duration at flux row / t."""
-    return _segment_cost(model, row / t, p0, p1, d * t,
-                         _freeze_pieces(model, row / t, p0, p1, d * t))
+    seg = (row[None] / t, p0[None], p1[None], np.array([d * t]))
+    return _segment_costs(model, *seg, _freeze_pieces(model, *seg))[0]
 
 
 @pytest.mark.parametrize("which, slack", [("wlan_decay", 0.0),
