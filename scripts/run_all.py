@@ -3,12 +3,11 @@
 
 Outputs land under ./out/<experiment>/ next to the working directory;
 pass --output-root to relocate them.  Exit code is the first nonzero
-experiment exit code, if any.
+experiment exit code, if any; an unknown `--only` stem exits 2.
 """
 from __future__ import annotations
 
 import argparse
-import sys
 from pathlib import Path
 
 from meanfield_ldp.cli import run
@@ -21,12 +20,14 @@ def main() -> int:
     parser.add_argument("--threads", type=int, default=None)
     parser.add_argument("--output-root", default=None,
                         help="directory to collect all experiment outputs")
+    configs = sorted(CONFIG_DIR.glob("*.cfg"))
     parser.add_argument("--only", default=None,
+                        choices=[cfg.stem for cfg in configs],
                         help="run a single experiment by config stem")
     args = parser.parse_args()
 
     worst = 0
-    for cfg in sorted(CONFIG_DIR.glob("*.cfg")):
+    for cfg in configs:
         if args.only and cfg.stem != args.only:
             continue
         override = None

@@ -3,23 +3,26 @@
 Configs are flat ``key = value`` text with two sections::
 
     [model]
-    model = interacting_wlan     ; mm1 | wlan_const | wlan_decay | interacting_wlan
-    kappa = 0.5                  ; lambda_f / lambda_b for the others
+    model = interacting_wlan     ; a model of _MODELS
+    kappa = 0.5                  ; its parameters, all optional
     z_max = 30
 
     [experiment]
-    experiment = rate_curve      ; counterexample | rate_curve | mve_audit |
-                                 ; quasipotential_bounds | duality_check |
-                                 ; tightness_audit
+    experiment = rate_curve      ; an experiment of _EXPERIMENTS
     output_dir = out/rate_curve
-    ...                          ; per-experiment numeric parameters
+    seed = 7                     ; an int >= 0, default 0
+    ...                          ; its keys, with their parsers and defaults
 
-Unknown keys are rejected.  ``run`` executes the experiment and writes
-its CSV/JSON outputs plus a ``manifest.json`` (config echo, seed,
-versions, wall time, RNG algorithm) into the output directory, which
-is created atomically: everything is staged in a scratch directory and
-renamed into place, so failures leave no partial outputs.  Exit codes:
-0 success, 2 validation failure, 3 numeric failure.  No environment
+Each section is read through one key table.  ``_read`` parses the file
+once into typed values, or into the list of problems (unknown,
+missing or unparsable keys, then the cross-field checks); ``validate``,
+``load_config`` and ``run`` each call it once, so what validates is
+what runs.  ``run`` executes the experiment and writes its CSV/JSON
+outputs plus a ``manifest.json`` (config echo, seed, versions, wall
+time, RNG algorithm) into the output directory, which is created
+atomically: everything is written to a staging directory and renamed
+into place, so failures leave no partial outputs.  Exit codes: 0
+success, 2 validation failure, 3 numeric failure.  No environment
 variables are consulted; everything lives in the config or flags.
 """
 from __future__ import annotations
@@ -55,32 +58,67 @@ from .simulator import (RNG_ALGORITHM, BallEvent, NotInKMEvent, SimConfig,
                         estimate_invariant_multi, estimate_rate_curve,
                         save_rate_estimates)
 
-EXPERIMENTS = ("counterexample", "rate_curve", "mve_audit",
-               "quasipotential_bounds", "duality_check", "tightness_audit")
+# a key whose default is _REQUIRED must be set
+_REQUIRED = object()
 
-_MODEL_KEYS = {"model", "lambda_f", "lambda_b", "kappa", "z_max"}
-_COMMON_EXP_KEYS = {"experiment", "output_dir", "seed"}
+
+def _list(item):
+    """Parser of a list of ``item``s separated by commas or semicolons."""
+    return lambda text: [item(x) for x in text.replace(";", ",").split(",")
+                         if x.strip()]
+
+
+def _real(text: str) -> float:
+    x = float(text)
+    if not np.isfinite(x):
+        raise ValueError("not a finite number")
+    return x
+
+
+def _boolean(text: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if text.lower() not in states:
+        raise ValueError(f"not one of {', '.join(states)}")
+    return states[text.lower()]
+
+
+def _path(text: str) -> Path:
+    if not text:
+        raise ValueError("empty path")
+    return Path(text)
+
+
+# model -> (factory, its real parameters with their defaults)
+_MODELS = {
+    "mm1": (mm1_model, {"lambda_f": 1.0, "lambda_b": 2.0}),
+    "wlan_const": (wlan_const_model, {"lambda_f": 1.0, "lambda_b": 1.0}),
+    "wlan_decay": (wlan_decay_model, {"lambda_f": 1.0, "lambda_b": 1.0}),
+    "interacting_wlan": (interacting_wlan_model, {"kappa": 0.5}),
+}
+_MODEL_COMMON = {"model": (str, _REQUIRED), "z_max": (int, 30)}
+# experiment -> {key: (parser, default or _REQUIRED)}, past the common keys
+_EXPERIMENT_COMMON = {"experiment": (str, _REQUIRED),
+                      "output_dir": (_path, _REQUIRED), "seed": (int, 0)}
+_EXPERIMENTS = {
+    "counterexample": {"k_list": (_list(int), _REQUIRED), "t": (_real, 1.0)},
+    "rate_curve": {"n_list": (_list(int), _REQUIRED),
+                   "samples_per_n": (int, _REQUIRED),
+                   "event": (str, "ball_delta0"), "radius": (_real, 0.1),
+                   "m": (_real, 4.0)},
+    "mve_audit": {"m": (_real, _REQUIRED), "horizon": (_real, _REQUIRED),
+                  "n_samples": (int, 5), "threshold": (_real, 1e-3),
+                  "delta": (_real, 0.05)},
+    "quasipotential_bounds": {"n_targets": (int, _REQUIRED),
+                              "m": (_real, 5.0), "refine": (_boolean, True)},
+    "duality_check": {"n_trajectories": (int, _REQUIRED),
+                      "t_max": (_real, 2.0)},
+    "tightness_audit": {"m_list": (_list(_real), _REQUIRED),
+                        "n": (int, _REQUIRED), "horizon": (_real, 200.0),
+                        "burn_in": (_real, None), "radius": (_real, 0.1)},
+}
 # experiments that compute a stationary law or an equilibrium on {0..z_max}
 _STATIONARY_EXPERIMENTS = ("rate_curve", "mve_audit", "quasipotential_bounds",
                            "tightness_audit")
-_EXP_KEYS = {
-    "counterexample": {"k_list", "t"},
-    "rate_curve": {"n_list", "samples_per_n", "event", "radius", "m"},
-    "mve_audit": {"m", "horizon", "n_samples", "threshold", "delta"},
-    "quasipotential_bounds": {"n_targets", "m", "refine"},
-    "duality_check": {"n_trajectories", "t_max"},
-    "tightness_audit": {"m_list", "n", "horizon", "burn_in", "radius"},
-}
-# the default of every optional key that has one; validate and the
-# runners both read it through _option
-_DEFAULTS = {
-    "counterexample": {"t": 1.0},
-    "rate_curve": {"event": "ball_delta0", "radius": 0.1, "m": 4.0},
-    "mve_audit": {"n_samples": 5, "threshold": 1e-3, "delta": 0.05},
-    "quasipotential_bounds": {"m": 5.0, "refine": "true"},
-    "duality_check": {"t_max": 2.0},
-    "tightness_audit": {"horizon": 200.0, "radius": 0.1},
-}
 # random duality_check plans: at most this many segments, each at least
 # this long
 _MAX_SEGMENTS = 6
@@ -95,186 +133,156 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    model_name: str
     model: RateModel
     z_max: int
     experiment: str
     seed: int
     output_dir: Path
-    params: dict
+    params: dict    # the [experiment] section's raw strings
+    values: dict    # every [experiment] key, parsed, defaults filled in
+    echo: dict      # both sections' raw strings, for the manifest
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(x) for x in text.replace(";", ",").split(",") if x.strip()]
+def _typed(section: configparser.SectionProxy, table: dict, where: str,
+           problems: list[str]) -> dict:
+    """``table``'s keys read from ``section`` and parsed; every unknown,
+    missing or unparsable key is added to ``problems``."""
+    problems += [f"unknown key {key!r} for {where}" for key in section
+                 if key not in table]
+    values = {}
+    for key, (parse, default) in table.items():
+        text = section.get(key)
+        if text is None:
+            if default is _REQUIRED:
+                problems.append(f"{where} needs {key}")
+            values[key] = default
+            continue
+        try:
+            values[key] = parse(text)
+        except ValueError as exc:
+            problems.append(f"bad {key} value {text!r}: {exc}")
+    return values
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(x) for x in text.replace(";", ",").split(",") if x.strip()]
+def _cross_checks(exp: str, v: dict, model: RateModel,
+                  z_max: int) -> list[str]:
+    """The problems of a config whose every key parsed."""
+    problems = []
+
+    def need(ok: bool, what: str) -> None:
+        if not ok:
+            problems.append(f"{exp} needs {what}")
+
+    need(v["seed"] >= 0, f"seed >= 0, got {v['seed']}")
+    if exp == "counterexample":
+        need(v["k_list"] and min(v["k_list"]) >= 10,
+             "k_list with entries >= 10")
+        need(v["t"] > 0, "t > 0")
+        need(is_counterexample(model),
+             "a non-interacting counterexample model")
+    elif exp == "rate_curve":
+        need(v["n_list"] and min(v["n_list"]) >= 1,
+             "n_list with positive entries")
+        need(v["samples_per_n"] >= 1, "samples_per_n >= 1")
+        need(v["event"] in ("ball_delta0", "ball_equilibrium", "not_in_km"),
+             "event ball_delta0, ball_equilibrium or not_in_km")
+        need(v["radius"] > 0, "radius > 0")
+        if v["event"] == "not_in_km" and v["m"] <= 0:
+            problems.append("rate_curve with event not_in_km needs m > 0")
+    elif exp == "mve_audit":
+        for key in ("m", "horizon", "threshold", "delta"):
+            need(v[key] > 0, f"{key} > 0")
+        need(v["n_samples"] >= 1, "n_samples >= 1")
+    elif exp == "quasipotential_bounds":
+        need(v["n_targets"] >= 1, "n_targets >= 1")
+        need(v["m"] > 0, "m > 0")
+        need(model.kind.value == "chain_with_resets", "a reset-edge model")
+    elif exp == "duality_check":
+        need(v["n_trajectories"] >= 1, "n_trajectories >= 1")
+        # the longest random plan must fit segments of the least duration
+        need(v["t_max"] / _MAX_SEGMENTS >= _MIN_SEGMENT_DURATION,
+             f"t_max >= {_MAX_SEGMENTS * _MIN_SEGMENT_DURATION:g}")
+    elif exp == "tightness_audit":
+        need(v["m_list"] and min(v["m_list"]) > 0, "positive m_list")
+        need(v["n"] >= 1, "n >= 1")
+        need(v["radius"] > 0, "radius > 0")
+        # SimConfig.resolved_burn_in's default when burn_in is unset
+        burn_in = v["burn_in"]
+        if burn_in is None:
+            burn_in = 20.0 / model.lambda_lower
+        need(burn_in >= 0, f"burn_in >= 0, got {burn_in:g}")
+        need(burn_in < v["horizon"], f"horizon above the burn-in "
+             f"{burn_in:g}, got {v['horizon']:g}")
+    least = MIN_Z_MAX if exp in _STATIONARY_EXPERIMENTS else 1
+    need(z_max >= least, f"z_max >= {least}, got {z_max}")
+    if (z_max >= least and exp != "duality_check"
+            and not has_stationary_law(model, z_max)):
+        problems.append("model has no stationary law (forward rate >= "
+                        "backward rate); only duality_check runs without one")
+    return problems
 
 
-def _option(params, experiment: str, key: str):
-    """An optional experiment key's value, typed like its default in
-    ``_DEFAULTS``, or that default when the key is absent."""
-    default = _DEFAULTS[experiment][key]
-    raw = params.get(key)
-    return default if raw is None else type(default)(raw)
-
-
-def _build_model(section: configparser.SectionProxy,
-                 problems: list[str]) -> RateModel | None:
-    name = section.get("model", "").strip()
+def _read(config_path: str | Path) -> tuple[ExperimentConfig | None,
+                                            list[str]]:
+    """The config parsed into typed values, or None and its problems."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"),
+                                       interpolation=None)
     try:
-        if name == "mm1":
-            return mm1_model(section.getfloat("lambda_f", 1.0),
-                             section.getfloat("lambda_b", 2.0))
-        if name == "wlan_const":
-            return wlan_const_model(section.getfloat("lambda_f", 1.0),
-                                    section.getfloat("lambda_b", 1.0))
-        if name == "wlan_decay":
-            return wlan_decay_model(section.getfloat("lambda_f", 1.0),
-                                    section.getfloat("lambda_b", 1.0))
-        if name == "interacting_wlan":
-            return interacting_wlan_model(section.getfloat("kappa", 0.5))
-    except ValueError as exc:
-        problems.append(f"model parameters invalid: {exc}")
-        return None
-    problems.append(f"unknown model {name!r}")
-    return None
+        read = parser.read(config_path)
+    except configparser.Error as exc:
+        return None, [f"config does not parse: {exc}"]
+    if not read:
+        return None, [f"config file {config_path!r} not found"]
+    problems = [f"unknown section [{s}]" for s in parser.sections()
+                if s not in ("model", "experiment")]
+    if not parser.has_section("model") or not parser.has_section("experiment"):
+        return None, problems + ["config needs [model] and [experiment] "
+                                 "sections"]
+
+    name = parser["model"].get("model", "")
+    if name in _MODELS:
+        factory, defaults = _MODELS[name]
+        model_values = _typed(parser["model"], {
+            **_MODEL_COMMON, **{k: (_real, d) for k, d in defaults.items()}},
+            f"model {name}", problems)
+        if not problems:
+            try:
+                model = factory(**{k: model_values[k] for k in defaults})
+            except ValueError as exc:
+                problems.append(f"model parameters invalid: {exc}")
+    else:
+        problems.append(f"unknown model {name!r}")
+
+    exp = parser["experiment"].get("experiment", "")
+    if exp not in _EXPERIMENTS:
+        return None, problems + [f"unknown experiment {exp!r}"]
+    values = _typed(parser["experiment"],
+                    {**_EXPERIMENT_COMMON, **_EXPERIMENTS[exp]},
+                    f"experiment {exp}", problems)
+    if problems:
+        return None, problems
+    z_max = model_values["z_max"]
+    problems = _cross_checks(exp, values, model, z_max)
+    if problems:
+        return None, problems
+    echo = {s: dict(parser[s]) for s in parser.sections()}
+    return ExperimentConfig(model=model, z_max=z_max, experiment=exp,
+                            seed=values["seed"],
+                            output_dir=values["output_dir"],
+                            params=echo["experiment"], values=values,
+                            echo=echo), []
 
 
 def validate(config_path: str | Path) -> list[str]:
     """Schema and cross-field validation; returns a list of problems."""
-    problems: list[str] = []
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    try:
-        read = parser.read(config_path)
-    except configparser.Error as exc:
-        return [f"config does not parse: {exc}"]
-    if not read:
-        return [f"config file {config_path!r} not found"]
-    for section in parser.sections():
-        if section not in ("model", "experiment"):
-            problems.append(f"unknown section [{section}]")
-    if not parser.has_section("model") or not parser.has_section("experiment"):
-        problems.append("config needs [model] and [experiment] sections")
-        return problems
-
-    for key in parser["model"]:
-        if key not in _MODEL_KEYS:
-            problems.append(f"unknown key {key!r} in [model]")
-    model = _build_model(parser["model"], problems)
-
-    exp = parser["experiment"].get("experiment", "").strip()
-    if exp not in EXPERIMENTS:
-        problems.append(f"unknown experiment {exp!r}")
-        return problems
-    allowed = _COMMON_EXP_KEYS | _EXP_KEYS[exp]
-    for key in parser["experiment"]:
-        if key not in allowed:
-            problems.append(f"unknown key {key!r} for experiment {exp}")
-    if not parser["experiment"].get("output_dir", "").strip():
-        problems.append("experiment needs output_dir")
-
-    sec = parser["experiment"]
-    try:
-        if exp == "counterexample":
-            ks = _parse_int_list(sec.get("k_list", ""))
-            if not ks or any(k < 10 for k in ks):
-                problems.append("counterexample needs k_list with entries >= 10")
-            if _option(sec, exp, "t") <= 0:
-                problems.append("counterexample needs t > 0")
-            if model is not None and not is_counterexample(model):
-                problems.append("counterexample experiment needs a "
-                                "non-interacting counterexample model")
-        elif exp == "rate_curve":
-            ns = _parse_int_list(sec.get("n_list", ""))
-            if not ns or any(n < 1 for n in ns):
-                problems.append("rate_curve needs n_list with positive entries")
-            if sec.getint("samples_per_n", 0) < 1:
-                problems.append("rate_curve needs samples_per_n >= 1")
-            event = _option(sec, exp, "event")
-            if event not in ("ball_delta0", "ball_equilibrium", "not_in_km"):
-                problems.append("rate_curve event must be ball_delta0, "
-                                "ball_equilibrium, or not_in_km")
-            if _option(sec, exp, "radius") <= 0:
-                problems.append("rate_curve needs radius > 0")
-            if event == "not_in_km" and _option(sec, exp, "m") <= 0:
-                problems.append("rate_curve with event not_in_km needs m > 0")
-        elif exp == "mve_audit":
-            if sec.getfloat("m", 0.0) <= 0:
-                problems.append("mve_audit needs m > 0")
-            if sec.getfloat("horizon", 0.0) <= 0:
-                problems.append("mve_audit needs horizon > 0")
-            if _option(sec, exp, "n_samples") < 1:
-                problems.append("mve_audit needs n_samples >= 1")
-            if _option(sec, exp, "threshold") <= 0:
-                problems.append("mve_audit needs threshold > 0")
-            if _option(sec, exp, "delta") <= 0:
-                problems.append("mve_audit needs delta > 0")
-        elif exp == "quasipotential_bounds":
-            if sec.getint("n_targets", 0) < 1:
-                problems.append("quasipotential_bounds needs n_targets >= 1")
-            if _option(sec, exp, "m") <= 0:
-                problems.append("quasipotential_bounds needs m > 0")
-            if model is not None and model.kind.value != "chain_with_resets":
-                problems.append("quasipotential_bounds needs a reset-edge model")
-        elif exp == "duality_check":
-            if sec.getint("n_trajectories", 0) < 1:
-                problems.append("duality_check needs n_trajectories >= 1")
-            # the longest random plan must fit segments of the least duration
-            t_max = _option(sec, exp, "t_max")
-            if t_max / _MAX_SEGMENTS < _MIN_SEGMENT_DURATION:
-                problems.append(f"duality_check needs t_max >= "
-                                f"{_MAX_SEGMENTS * _MIN_SEGMENT_DURATION:g}")
-        elif exp == "tightness_audit":
-            ms = _parse_float_list(sec.get("m_list", ""))
-            if not ms or any(m <= 0 for m in ms):
-                problems.append("tightness_audit needs positive m_list")
-            if sec.getint("n", 0) < 1:
-                problems.append("tightness_audit needs n >= 1")
-            if _option(sec, exp, "radius") <= 0:
-                problems.append("tightness_audit needs radius > 0")
-            if model is not None:
-                horizon = _option(sec, exp, "horizon")
-                burn_in = sec.get("burn_in", "").strip()
-                # SimConfig.resolved_burn_in's default when burn_in is unset
-                burn_in = (float(burn_in) if burn_in
-                           else 20.0 / model.lambda_lower)
-                if not burn_in < horizon:
-                    problems.append(f"tightness_audit needs horizon above the "
-                                    f"burn-in {burn_in:g}, got {horizon:g}")
-        z_max = parser["model"].getint("z_max", 30)
-        if exp in _STATIONARY_EXPERIMENTS and z_max < MIN_Z_MAX:
-            problems.append(f"{exp} needs z_max >= {MIN_Z_MAX}, got {z_max}")
-        if (exp != "duality_check" and model is not None and not
-                has_stationary_law(model, z_max)):
-            problems.append("model has no stationary law (forward rate >= "
-                            "backward rate); only duality_check runs without one")
-    except ValueError as exc:
-        problems.append(f"bad numeric value: {exc}")
-    return problems
+    return _read(config_path)[1]
 
 
 def load_config(config_path: str | Path) -> ExperimentConfig:
-    problems = validate(config_path)
+    cfg, problems = _read(config_path)
     if problems:
         raise ConfigError("; ".join(problems))
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    parser.read(config_path)
-    model = _build_model(parser["model"], [])
-    assert model is not None
-    z_max = parser["model"].getint("z_max", 30)
-    sec = parser["experiment"]
-    params = {k: sec.get(k) for k in sec}
-    return ExperimentConfig(
-        model_name=model.name,
-        model=model,
-        z_max=z_max,
-        experiment=sec.get("experiment"),
-        seed=sec.getint("seed", 0),
-        output_dir=Path(sec.get("output_dir")),
-        params=params,
-    )
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +294,8 @@ def _fmt(x: float) -> str:
 
 
 def _run_counterexample(cfg: ExperimentConfig, out: Path, threads: int) -> None:
-    ks = _parse_int_list(cfg.params["k_list"])
-    T = _option(cfg.params, cfg.experiment, "t")
-    report = counterexample_report(cfg.model, ks, T)
+    report = counterexample_report(cfg.model, cfg.values["k_list"],
+                                   cfg.values["t"])
     with open(out / "counterexample.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["K", "entropy", "theta_moment", "lb_linear", "lb_theta",
@@ -304,38 +311,31 @@ def _run_counterexample(cfg: ExperimentConfig, out: Path, threads: int) -> None:
 
 
 def _make_event(cfg: ExperimentConfig):
-    kind = _option(cfg.params, cfg.experiment, "event")
+    kind, radius = cfg.values["event"], cfg.values["radius"]
     if kind == "not_in_km":
-        return NotInKMEvent(_option(cfg.params, cfg.experiment, "m"),
-                            cfg.z_max)
-    radius = _option(cfg.params, cfg.experiment, "radius")
+        return NotInKMEvent(cfg.values["m"], cfg.z_max)
     if kind == "ball_delta0":
         return BallEvent(StateDistribution.delta(0, cfg.z_max), radius)
     return BallEvent(find_equilibrium(cfg.model, cfg.z_max), radius)
 
 
 def _run_rate_curve(cfg: ExperimentConfig, out: Path, threads: int) -> None:
-    ns = _parse_int_list(cfg.params["n_list"])
-    samples = int(cfg.params["samples_per_n"])
-    event = _make_event(cfg)
-    rows = estimate_rate_curve(cfg.model, event, ns, samples, cfg.seed,
+    rows = estimate_rate_curve(cfg.model, _make_event(cfg),
+                               cfg.values["n_list"],
+                               cfg.values["samples_per_n"], cfg.seed,
                                z_max=cfg.z_max, threads=threads)
     save_rate_estimates(rows, out / "rate_curve.csv")
 
 
 def _run_mve_audit(cfg: ExperimentConfig, out: Path, threads: int) -> None:
-    M = float(cfg.params["m"])
-    horizon = float(cfg.params["horizon"])
-    n_samples = _option(cfg.params, cfg.experiment, "n_samples")
-    threshold = _option(cfg.params, cfg.experiment, "threshold")
-    delta = _option(cfg.params, cfg.experiment, "delta")
+    v = cfg.values
     xi_star = find_equilibrium(cfg.model, cfg.z_max)
-    report = check_B2(cfg.model, xi_star, M, horizon, n_samples, cfg.seed,
-                      threshold=threshold)
+    report = check_B2(cfg.model, xi_star, v["m"], v["horizon"], v["n_samples"],
+                      cfg.seed, threshold=v["threshold"])
     delta0 = StateDistribution.delta(0, cfg.z_max)
-    t_hit = time_to_KDelta(cfg.model, xi_star, delta0, delta)
+    t_hit = time_to_KDelta(cfg.model, xi_star, delta0, v["delta"])
     monotone = monotone_convergence_diagnostic(cfg.model, xi_star, delta0,
-                                               horizon)
+                                               v["horizon"])
     with open(out / "b2_gaps.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "sup_theta_gap"])
@@ -384,15 +384,13 @@ def _corpus_targets(xi_star: StateDistribution, M: float, n: int,
 
 def _run_quasipotential_bounds(cfg: ExperimentConfig, out: Path,
                                threads: int) -> None:
-    n_targets = int(cfg.params["n_targets"])
-    M = _option(cfg.params, cfg.experiment, "m")
-    refine = _option(cfg.params, cfg.experiment, "refine").lower() in (
-        "1", "true", "yes")
     xi_star = find_equilibrium(cfg.model, cfg.z_max)
-    targets = _corpus_targets(xi_star, M, n_targets, cfg.seed)
+    targets = _corpus_targets(xi_star, cfg.values["m"],
+                              cfg.values["n_targets"], cfg.seed)
     rows = []
     for i, xi in enumerate(targets):
-        bound = v_upper_bound(cfg.model, xi_star, xi, refine=refine)
+        bound = v_upper_bound(cfg.model, xi_star, xi,
+                              refine=cfg.values["refine"])
         cm = cm_bound(cfg.model, xi_star, xi)
         tfile = f"target_{i:03d}.csv"
         wfile = f"witness_{i:03d}.txt"
@@ -432,12 +430,11 @@ def _random_feasible_trajectory(model: RateModel, rng: np.random.Generator,
 
 
 def _run_duality_check(cfg: ExperimentConfig, out: Path, threads: int) -> None:
-    n_traj = int(cfg.params["n_trajectories"])
-    t_max = _option(cfg.params, cfg.experiment, "t_max")
     rng = np.random.default_rng(cfg.seed)
     rows = []
-    for i in range(n_traj):
-        traj = _random_feasible_trajectory(cfg.model, rng, cfg.z_max, t_max)
+    for i in range(cfg.values["n_trajectories"]):
+        traj = _random_feasible_trajectory(cfg.model, rng, cfg.z_max,
+                                           cfg.values["t_max"])
         path = evolve(traj)
         var = cost_variational(cfg.model, path)
         rec = flux_from_path(cfg.model, path)
@@ -452,17 +449,12 @@ def _run_duality_check(cfg: ExperimentConfig, out: Path, threads: int) -> None:
 
 
 def _run_tightness_audit(cfg: ExperimentConfig, out: Path, threads: int) -> None:
-    ms = _parse_float_list(cfg.params["m_list"])
-    N = int(cfg.params["n"])
-    horizon = _option(cfg.params, cfg.experiment, "horizon")
-    burn_in = cfg.params.get("burn_in")
-    radius = _option(cfg.params, cfg.experiment, "radius")
-    sim = SimConfig(N=N, seed=cfg.seed, horizon=horizon,
-                    burn_in=float(burn_in) if burn_in else None,
-                    z_max=cfg.z_max)
+    v = cfg.values
+    sim = SimConfig(N=v["n"], seed=cfg.seed, horizon=v["horizon"],
+                    burn_in=v["burn_in"], z_max=cfg.z_max)
     xi_star = find_equilibrium(cfg.model, cfg.z_max)
-    events = [BallEvent(xi_star, radius)]
-    events += [NotInKMEvent(m, cfg.z_max) for m in ms]
+    events = [BallEvent(xi_star, v["radius"])]
+    events += [NotInKMEvent(m, cfg.z_max) for m in v["m_list"]]
     rows = estimate_invariant_multi(cfg.model, sim, events)
     save_rate_estimates(rows, out / "tightness.csv")
 
@@ -484,12 +476,11 @@ _RUNNERS = {
 def run(config_path: str | Path, threads: int | None = None,
         output_override: str | None = None) -> int:
     """Execute the configured experiment; returns the process exit code."""
-    problems = validate(config_path)
+    cfg, problems = _read(config_path)
     if problems:
         for p in problems:
             print(f"validation: {p}", file=sys.stderr)
         return 2
-    cfg = load_config(config_path)
     if output_override:
         cfg.output_dir = Path(output_override)
     threads = threads or os.cpu_count() or 1
@@ -518,11 +509,8 @@ def run(config_path: str | Path, threads: int | None = None,
         return 3
     wall = time.monotonic() - t0
 
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    parser.read(config_path)
-    echo = {s: dict(parser[s]) for s in parser.sections()}
     manifest = {
-        "config": echo,
+        "config": cfg.echo,
         "seed": cfg.seed,
         "experiment": cfg.experiment,
         "threads": threads,

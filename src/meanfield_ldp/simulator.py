@@ -78,8 +78,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.N < 1:
             raise ValueError("N must be >= 1")
-        if self.burn_in is not None and not self.burn_in < self.horizon:
-            raise ValueError("burn_in must be below horizon")
+        if self.burn_in is not None and not 0 <= self.burn_in < self.horizon:
+            raise ValueError("burn_in must be in [0, horizon)")
 
     def resolved_burn_in(self, model: RateModel) -> float:
         if self.burn_in is not None:

@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from meanfield_ldp.cli import _corpus_targets
+from meanfield_ldp.cli import _corpus_targets, _random_feasible_trajectory
 from meanfield_ldp.measures import (StateDistribution, sanov_inf_over_ball,
                                     theta_moment, theta_values, tv_distance)
 from meanfield_ldp.mckean_vlasov import find_equilibrium, integrate
@@ -36,8 +36,6 @@ from meanfield_ldp.quasipotential import (choose_z0, cm_bound, connector,
 from meanfield_ldp.simulator import (BallEvent, NotInKMEvent, SimConfig,
                                      estimate_invariant_multi,
                                      estimate_rate_curve)
-
-from conftest import random_feasible
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -200,7 +198,7 @@ def test_criterion_04_duality():
         for model in (mm1_model(1.0, 2.0), wlan_const_model(1.0, 1.0)):
             rng = np.random.default_rng(2026)
             for _ in range(10):
-                traj = random_feasible(model, rng, 10, 2.0)
+                traj = _random_feasible_trajectory(model, rng, 10, 2.0)
                 path = evolve(traj)
                 var = cost_variational(model, path)
                 rec = flux_from_path(model, path)
@@ -270,7 +268,7 @@ def test_criterion_06_moment_inequality():
             start = StateDistribution(w, z_max)
             trajs.append(construct_equilibrium_to_delta0(model, start))
         for _ in range(10):
-            trajs.append(random_feasible(model, rng, 12, 1.5))
+            trajs.append(_random_feasible_trajectory(model, rng, 12, 1.5))
         trajs.append(descend_to_equilibrium(
             model, StateDistribution.delta(0, z_max), 0.05))
         for traj in trajs:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -7,7 +10,8 @@ import pytest
 from meanfield_ldp import cli
 from meanfield_ldp.cost import InfeasibleTrajectoryError
 
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG_DIR = ROOT / "scripts" / "configs"
 
 
 def write_cfg(tmp_path: Path, body: str, name: str = "exp.cfg") -> Path:
@@ -99,14 +103,23 @@ def test_validate_flags_small_window_of_equilibrium_experiments(tmp_path, name):
     assert any("z_max >= 10" in p for p in cli.validate(cfg))
 
 
+# the keys that _bundled_with writes into [model]
+MODEL_SECTION_KEYS = {"model", "lambda_f", "lambda_b", "kappa", "z_max"}
+
+
 def _bundled_with(tmp_path: Path, name: str, settings: dict,
                   out: Path) -> Path:
     """The bundled config ``name`` writing to ``out``, with ``settings``."""
     lines = [f"output_dir = {out}" if ln.startswith("output_dir") else ln
              for ln in (CONFIG_DIR / f"{name}.cfg").read_text().splitlines()
              if ln.split("=")[0].strip() not in settings]
+    set_lines = {key: f"{key} = {value}" for key, value in settings.items()}
+    at = lines.index("[model]") + 1
+    lines[at:at] = [ln for key, ln in set_lines.items()
+                    if key in MODEL_SECTION_KEYS]
     # [experiment] is the last section of the bundled configs
-    lines += [f"{key} = {value}" for key, value in settings.items()]
+    lines += [ln for key, ln in set_lines.items()
+              if key not in MODEL_SECTION_KEYS]
     return write_cfg(tmp_path, "\n".join(lines) + "\n")
 
 
@@ -125,10 +138,23 @@ def _bundled_with(tmp_path: Path, name: str, settings: dict,
     ("rate_curve", {"radius": "-0.1"}, "rate_curve needs radius > 0"),
     ("rate_curve", {"event": "not_in_km", "m": "-1"}, "not_in_km needs m > 0"),
     ("tightness_audit", {"radius": "0"}, "tightness_audit needs radius > 0"),
+    ("duality_check", {"seed": "abc"}, "bad seed value 'abc'"),
+    ("rate_curve", {"seed": "2.5"}, "bad seed value '2.5'"),
+    ("duality_check", {"seed": "-1"}, "duality_check needs seed >= 0, got -1"),
+    ("quasipotential_bounds", {"refine": "banana"},
+     "bad refine value 'banana'"),
+    ("tightness_audit", {"burn_in": "-3"},
+     "tightness_audit needs burn_in >= 0, got -3"),
+    ("rate_curve", {"kappa": "0.9"}, "unknown key 'kappa' for model mm1"),
+    ("duality_check", {"z_max": "0"}, "duality_check needs z_max >= 1, got 0"),
+    ("duality_check", {"t_max": "inf"}, "bad t_max value 'inf'"),
 ], ids=["zero_delta", "no_samples", "negative_threshold",
         "default_burn_in_past_horizon", "burn_in_past_horizon",
         "zero_corpus_cap", "short_duality_horizon", "zero_horizon",
-        "negative_ball_radius", "negative_km_cap", "zero_tightness_radius"])
+        "negative_ball_radius", "negative_km_cap", "zero_tightness_radius",
+        "word_seed", "fractional_seed", "negative_seed", "word_refine",
+        "negative_burn_in", "kappa_on_mm1", "empty_duality_window",
+        "infinite_duality_horizon"])
 def test_validate_flags_settings_that_cannot_run(tmp_path, name, settings,
                                                  problem):
     out = tmp_path / "out"
@@ -136,11 +162,6 @@ def test_validate_flags_settings_that_cannot_run(tmp_path, name, settings,
     assert any(problem in p for p in cli.validate(cfg))
     assert cli.run(cfg, threads=1) == 2
     assert not out.exists()
-
-
-def test_defaults_are_keys_of_their_experiment():
-    for exp, defaults in cli._DEFAULTS.items():
-        assert set(defaults) <= cli._EXP_KEYS[exp]
 
 
 def test_run_corpus_cap_below_equilibrium_floor_exit3(tmp_path, capsys):
@@ -161,6 +182,12 @@ def test_run_corpus_cap_below_equilibrium_floor_exit3(tmp_path, capsys):
                          ids=lambda p: p.stem)
 def test_bundled_configs_validate(config):
     assert cli.validate(config) == []
+
+
+def test_percent_sign_is_literal(tmp_path):
+    out = tmp_path / "100%"
+    cfg = write_cfg(tmp_path, RATE_CURVE.format(out=out))
+    assert cli.load_config(cfg).output_dir == out
 
 
 def test_validate_missing_file(tmp_path):
@@ -292,3 +319,14 @@ def test_version_and_validate_cli(tmp_path, capsys):
     cfg = write_cfg(tmp_path, RATE_CURVE.format(out=tmp_path / "out"))
     assert cli.main(["validate", str(cfg)]) == 0
     assert "ok" in capsys.readouterr().out
+
+
+def test_run_all_refuses_unknown_only(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_all.py"), "--only",
+         "banana", "--output-root", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2
+    assert "invalid choice: 'banana'" in done.stderr
+    assert not (tmp_path / "out").exists()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meanfield_ldp.cli import _random_feasible_trajectory
 from meanfield_ldp.measures import (SampledPath, StateDistribution,
                                     theta_values)
 from meanfield_ldp.mckean_vlasov import find_equilibrium, integrate
@@ -23,8 +24,6 @@ from meanfield_ldp.cost import (EndpointMismatchError, FluxTrajectory,
 from meanfield_ldp.cost import (_ALPHA_CAP, _DualWorkspace, _dual_maximize,
                                 _freeze_pieces, _mass_balance, _refine_grid,
                                 _segment_costs)
-
-from conftest import random_feasible
 
 
 # -- Poisson conjugate pair ------------------------------------------------------
@@ -118,11 +117,13 @@ def _evolve_per_edge(traj):
 def test_evolve_matches_per_edge_loop(request, name):
     model = request.getfixturevalue(name)
     rng = np.random.default_rng(4)
-    plans = [random_feasible(model, rng, 12, 2.0) for _ in range(6)]
+    plans = [_random_feasible_trajectory(model, rng, 12, 2.0)
+             for _ in range(6)]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        plans += [flux_from_path(model, evolve(random_feasible(model, rng, 8, 1.0)),
-                                 refine=r) for r in (1, 2, 3)]
+        plans += [flux_from_path(
+            model, evolve(_random_feasible_trajectory(model, rng, 8, 1.0)),
+            refine=r) for r in (1, 2, 3)]
     for traj in plans:
         path = evolve(traj)
         times, probs = _evolve_per_edge(traj)
@@ -323,7 +324,7 @@ def test_segment_cost_matches_per_piece_loop(interacting, pieces):
     rng = np.random.default_rng(pieces)
     z_max = 12
     for _ in range(5):
-        traj = random_feasible(interacting, rng, z_max, 2.0)
+        traj = _random_feasible_trajectory(interacting, rng, z_max, 2.0)
         path = evolve(traj)
         for k, (d, row) in enumerate(zip(traj.durations, traj.fluxes)):
             args = (interacting, row, path.probs[k], path.probs[k + 1], d,
@@ -344,9 +345,10 @@ def _freeze_pieces_ref(model, row, p0, p1, delta):
 
 
 def _thinned_plan(model, rng, z_max):
-    """A random_feasible plan with a random share of every row's edges
-    idle, each row halved until it keeps every mass positive."""
-    base = random_feasible(model, rng, z_max, 2.0)
+    """A _random_feasible_trajectory plan with a random share of every
+    row's edges idle, each row halved until it keeps every mass
+    positive."""
+    base = _random_feasible_trajectory(model, rng, z_max, 2.0)
     cur = base.initial.probs
     rows = []
     for d, row in zip(base.durations, base.fluxes):
@@ -520,7 +522,7 @@ def _dual_nodes(model, z_max, rng):
     +50 box)."""
     P, Psi = [], []
     for _ in range(2):
-        path = evolve(random_feasible(model, rng, z_max, 1.5))
+        path = evolve(_random_feasible_trajectory(model, rng, z_max, 1.5))
         t2, p2 = _refine_grid(path.times, path.probs, 16)
         P.append(0.5 * (p2[:-1] + p2[1:]))
         Psi.append(np.diff(p2, axis=0) / np.diff(t2)[:, None])
@@ -586,7 +588,7 @@ def test_variational_nonnegative(wlan_const):
 def test_duality_crosscheck_small(mm1, wlan_const):
     rng = np.random.default_rng(11)
     for model in (mm1, wlan_const):
-        traj = random_feasible(model, rng, 6, 1.5)
+        traj = _random_feasible_trajectory(model, rng, 6, 1.5)
         path = evolve(traj)
         var = cost_variational(model, path)
         rec = flux_from_path(model, path)

@@ -12,8 +12,7 @@ from meanfield_ldp.measures import (StateDistribution, TailProfile,
                                     load_distribution_csv, relative_entropy,
                                     sanov_inf_over_ball, save_distribution_csv,
                                     theta_moment, tv_distance)
-
-from conftest import random_dist
+from meanfield_ldp.models import random_distribution
 
 
 def delta(z, z_max=10):
@@ -197,7 +196,7 @@ def test_entropy_projection_optimal_on_dirichlet_centres(seed):
     own."""
     g = StateDistribution.geometric(0.5, 30)
     rng = np.random.default_rng(seed)
-    c = random_dist(rng, 30)
+    c = random_distribution(rng, 30)
     zeta = entropy_projection(g, c, 0.1, 30)
     assert abs(float(zeta.probs.sum()) - 1.0) <= 1e-12
     assert tv_distance(zeta, c) <= 0.1 + 1e-12
@@ -235,7 +234,7 @@ def test_distribution_csv_rejects_bad_sum(tmp_path):
 # -- property tests -----------------------------------------------------------------
 
 dists = st.integers(0, 2 ** 31 - 1).map(
-    lambda s: random_dist(np.random.default_rng(s), 12))
+    lambda s: random_distribution(np.random.default_rng(s), 12))
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,8 +12,6 @@ from meanfield_ldp.models import (A2Report, EdgeKind, EdgeNotPresentError,
                                   stationarity_residual, verify_A2,
                                   wlan_const_model, wlan_decay_model)
 
-from conftest import random_dist
-
 BUILTINS = [mm1_model(1.0, 2.0), wlan_const_model(1.0, 1.0),
             wlan_decay_model(2.0, 1.0), interacting_wlan_model(0.5),
             dominating_chain(interacting_wlan_model(0.5))]
@@ -108,7 +106,7 @@ def test_dominating_chain_dominates(interacting):
     dom = dominating_chain(interacting)
     rng = np.random.default_rng(1)
     for _ in range(20):
-        xi = random_dist(rng, 20)
+        xi = random_distribution(rng, 20)
         fwd_m = interacting.forward_rates(20, xi)
         fwd_d = dom.forward_rates(20, xi)
         back_m = interacting.backward_rates(20, xi)
@@ -157,7 +155,7 @@ def test_interacting_needs_frozen_field(interacting):
 
 def test_verify_A2_interacting(interacting):
     rng = np.random.default_rng(7)
-    samples = [random_dist(rng, 30) for _ in range(100)]
+    samples = [random_distribution(rng, 30) for _ in range(100)]
     assert verify_A2(interacting, samples).passed
 
 
@@ -190,7 +188,7 @@ def test_edges_enumeration(mm1, wlan_const):
 def test_rate_matches_rate_tables():
     rng = np.random.default_rng(3)
     for model in BUILTINS:
-        xi = random_dist(rng, 15)
+        xi = random_distribution(rng, 15)
         fwd = model.forward_rates(15, xi)
         back = model.backward_rates(15, xi)
         for z in range(15):
@@ -258,7 +256,7 @@ def test_verify_A2_matches_per_state_loop(model):
     rng = np.random.default_rng(8)
     both = StateDistribution.from_weights(np.r_[0.4, 0.4, np.full(29, 0.01)], 30)
     singles = [StateDistribution.delta(z, 30) for z in (5, 1, 0)]
-    fields = [random_dist(rng, 30, 0.5) for _ in range(20)]
+    fields = [random_distribution(rng, 30, 0.5) for _ in range(20)]
     for samples in (singles, [both] + singles, fields, singles[:1]):
         for z_max in (60, 10):
             assert verify_A2(model, samples, z_max) \

@@ -123,6 +123,12 @@ def test_occupation_rejects_burn_in_past_horizon(interacting):
         _occupation(interacting, cfg, [WholeSpaceEvent()], replica=0)
 
 
+@pytest.mark.parametrize("burn_in", [-3.0, 15.0])
+def test_sim_config_rejects_burn_in_outside_run(burn_in):
+    with pytest.raises(ValueError, match="burn_in"):
+        SimConfig(N=10, seed=0, horizon=15.0, burn_in=burn_in)
+
+
 def test_truncation_overflow_aborts(interacting):
     counts = np.zeros(13, dtype=np.int64)
     counts[12] = 1
