@@ -164,9 +164,10 @@ def _typed(section: configparser.SectionProxy, table: dict, where: str,
     return values
 
 
-def _cross_checks(exp: str, v: dict, model: RateModel,
+def _cross_checks(exp: str, v: dict, given: set[str], model: RateModel,
                   z_max: int) -> list[str]:
-    """The problems of a config whose every key parsed."""
+    """The problems of a config whose every key parsed; ``given`` holds
+    the keys its [experiment] section sets."""
     problems = []
 
     def need(ok: bool, what: str) -> None:
@@ -189,6 +190,11 @@ def _cross_checks(exp: str, v: dict, model: RateModel,
         need(v["radius"] > 0, "radius > 0")
         if v["event"] == "not_in_km" and v["m"] <= 0:
             problems.append("rate_curve with event not_in_km needs m > 0")
+        # the ball events read radius, not_in_km reads m
+        unused = "radius" if v["event"] == "not_in_km" else "m"
+        if unused in given:
+            problems.append(f"rate_curve with event {v['event']} takes no "
+                            f"{unused}")
     elif exp == "mve_audit":
         for key in ("m", "horizon", "threshold", "delta"):
             need(v[key] > 0, f"{key} > 0")
@@ -262,7 +268,8 @@ def _read(config_path: str | Path) -> tuple[ExperimentConfig | None,
     if problems:
         return None, problems
     z_max = model_values["z_max"]
-    problems = _cross_checks(exp, values, model, z_max)
+    problems = _cross_checks(exp, values, set(parser["experiment"]), model,
+                             z_max)
     if problems:
         return None, problems
     echo = {s: dict(parser[s]) for s in parser.sections()}

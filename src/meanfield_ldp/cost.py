@@ -5,10 +5,12 @@ each other:
 
   * the control form ("non-variational"): a trajectory is described by
     per-edge mass fluxes; with h = flux/(lambda*phi) - 1 the cost is
-    the time integral of sum_edges tau*(h) * lambda * phi.  Within a
-    segment the source mass is affine in time and the rate is frozen
-    at the segment-midpoint field, so each edge integrates in closed
-    form through the x*log(x) antiderivative -- this is what keeps the
+    the time integral of sum_edges tau*(h) * lambda * phi, where
+    tau*(h) = (1+h) log(1+h) - h is the convex dual of the centred
+    Poisson log-MGF tau(u) = e^u - u - 1.  Within a segment the source
+    mass is affine in time and the rate is frozen at the
+    segment-midpoint field, so each edge integrates in closed form
+    through the x*log(x) antiderivative -- this is what keeps the
     vanishing-mass endpoints (mass draining exactly to zero) finite
     and exact, where raw quadrature would blow up.  All segments of a
     plan are costed in one batched pass: segments of one piece count
@@ -31,10 +33,9 @@ Convex duality makes the two agree once fluxes are recovered from the
 optimal alpha via h = exp(alpha(z') - alpha(z)) - 1; that recovery is
 :func:`flux_from_path`.
 
-Also here: the centred-Poisson conjugate pair tau / tau*, explicit
-test-function lower bounds on the cost of reaching a target, and the
-theta-moment growth inequality asserted on every constructed
-trajectory.
+Also here: explicit test-function lower bounds on the cost of reaching
+a target, and the theta-moment growth inequality asserted on every
+constructed trajectory.
 """
 from __future__ import annotations
 
@@ -68,24 +69,6 @@ class InfeasibleTrajectoryError(RuntimeError):
 
 class EndpointMismatchError(ValueError):
     """Concatenation endpoints disagree beyond tolerance."""
-
-
-# ---------------------------------------------------------------------------
-# Centred unit-rate Poisson log-MGF and its convex dual
-# ---------------------------------------------------------------------------
-
-def tau(u: float) -> float:
-    """tau(u) = e^u - u - 1."""
-    return math.expm1(u) - u
-
-
-def tau_star(u: float) -> float:
-    """Convex dual of tau: (u+1)log(u+1) - u on (-1, inf), 1 at -1, inf below."""
-    if u < -1.0:
-        return math.inf
-    if u == -1.0:
-        return 1.0
-    return (1.0 + u) * math.log1p(u) - u
 
 
 # ---------------------------------------------------------------------------

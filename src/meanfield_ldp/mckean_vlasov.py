@@ -17,10 +17,8 @@ the equilibrium neighbourhood class.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -262,17 +260,3 @@ def time_to_KDelta(model: RateModel, xi_star: StateDistribution,
         if in_class_KDelta(StateDistribution(p, z_max), xi_star, delta):
             return float(t)
     return math.inf
-
-
-# ---------------------------------------------------------------------------
-# CSV export: long format t,z,prob
-# ---------------------------------------------------------------------------
-
-def save_path_csv(path: SampledPath, out: str | Path) -> None:
-    with open(out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "z", "prob"])
-        for t, p in zip(path.times, path.probs):
-            for z in range(path.z_max + 1):
-                w.writerow([format(float(t), ".17g"), z,
-                            format(float(p[z]), ".17g")])

@@ -10,11 +10,10 @@ beyond the truncation level.  This module provides:
     one path type of the flow integrator and the cost layer,
   * the total variation metric (half-L1 convention, so distances live
     in [0, 1]),
-  * moments against iota(z) = z and theta(z) = z*log(z),
+  * the theta-moment against theta(z) = z*log(z),
   * relative entropy with a genuine ``inf`` sentinel on absolute
     continuity failure,
-  * membership predicates for the bounded-theta-moment class and the
-    equilibrium neighbourhood class,
+  * the membership predicate of the equilibrium neighbourhood class,
   * the entropy (I-)projection onto a TV ball, in closed form.
 
 Mass beyond the truncation is either ignored by moment operations
@@ -28,7 +27,7 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,10 +37,6 @@ _IO_MASS_TOL = 1e-9
 
 class TruncationMismatchError(ValueError):
     """Two distributions with different z_max fed to a binary operation."""
-
-
-class UndecidableTailError(ValueError):
-    """Tail-dependent quantity requested without a declared tail profile."""
 
 
 # ---------------------------------------------------------------------------
@@ -75,12 +70,6 @@ class TailProfile:
             return True
         # sum z^{1-a} log^{1-b} z: converges iff a > 2 or (a == 2 and b > 2)
         return self.a > 2.0 or (self.a == 2.0 and self.b > 2.0)
-
-    def first_moment_finite(self) -> bool:
-        if self.kind == "geometric":
-            return True
-        # sum z^{1-a} log^{-b} z: converges iff a > 2 or (a == 2 and b > 1)
-        return self.a > 2.0 or (self.a == 2.0 and self.b > 1.0)
 
     def weighted_tail(self, weight: Callable[[int], float], z_max: int,
                       tail_mass: float) -> float:
@@ -273,15 +262,6 @@ def theta_moment(a: StateDistribution) -> float:
     return _weighted_moment(a, w, lambda z: z * math.log(z) if z >= 2 else 0.0)
 
 
-def first_moment(a: StateDistribution) -> float:
-    """<a, iota> with iota(z) = z; ``inf`` for declared heavy tails."""
-    if a.tail_mass > MASS_TOL and a.tail_profile is not None \
-            and not a.tail_profile.first_moment_finite():
-        return math.inf
-    w = np.arange(a.z_max + 1, dtype=float)
-    return _weighted_moment(a, w, lambda z: float(z))
-
-
 def relative_entropy(zeta: StateDistribution, nu: StateDistribution) -> float:
     """Relative entropy sum zeta log(zeta/nu), with 0 log 0 = 0.
 
@@ -304,13 +284,6 @@ def relative_entropy(zeta: StateDistribution, nu: StateDistribution) -> float:
 # ---------------------------------------------------------------------------
 # Compact classes
 # ---------------------------------------------------------------------------
-
-def in_class_KM(a: StateDistribution, M: float) -> bool:
-    """Membership in the bounded-theta-moment class {<xi, theta> <= M}."""
-    if M <= 0:
-        raise ValueError("M must be positive")
-    return theta_moment(a) <= M
-
 
 def in_class_KDelta(a: StateDistribution, xi_star: StateDistribution,
                     delta: float) -> bool:

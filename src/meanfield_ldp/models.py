@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .measures import StateDistribution, tv_distance
+from .measures import StateDistribution
 
 
 class EdgeKind(Enum):
@@ -278,25 +278,6 @@ def interacting_wlan_model(kappa: float) -> RateModel:
     )
 
 
-def dominating_chain(model: RateModel) -> RateModel:
-    """Non-interacting chain with maximal forward and minimal reset rates."""
-    if model.kind is not EdgeKind.CHAIN_WITH_RESETS:
-        raise EdgeNotPresentError("dominating chain needs the reset edge set")
-    if not (model.lambda_upper > 0 and model.lambda_lower > 0):
-        raise MissingBoundsError("model lacks declared rate bounds")
-    ub, lb = model.lambda_upper, model.lambda_lower
-    return RateModel(
-        kind=EdgeKind.CHAIN_WITH_RESETS,
-        forward=lambda z, xi: ub / (z + 1.0),
-        backward=_constant(lb),
-        lambda_upper=ub,
-        lambda_lower=lb,
-        interacting=False,
-        name=f"dominating({model.name})",
-        params={"lambda_upper": ub, "lambda_lower": lb},
-    )
-
-
 def is_counterexample(model: RateModel) -> bool:
     """Whether the model is one of the paper's counterexamples.
 
@@ -396,14 +377,6 @@ def single_particle_stationary(model: RateModel, z_max: int,
     return StateDistribution(pi, z_max)
 
 
-def stationarity_residual(model: RateModel, pi: StateDistribution,
-                          frozen_field: StateDistribution | None = None) -> float:
-    """L1 norm of Lambda* pi on the closed window."""
-    field = (frozen_field or pi).probs if model.interacting else None
-    Q = model.generator(pi.z_max, field)
-    return float(np.abs(Q.T @ pi.probs).sum())
-
-
 # ---------------------------------------------------------------------------
 # Assumption audits
 # ---------------------------------------------------------------------------
@@ -442,41 +415,6 @@ def verify_A2(model: RateModel, sample_measures: Sequence[StateDistribution],
                                         float(low[k]), float(high[k]), i))
             return A2Report(False, (k, "reset", float(back[k]), lo, hi, i))
     return A2Report(True, None)
-
-
-def random_distribution(rng: np.random.Generator, z_max: int,
-                        concentration: float = 1.0) -> StateDistribution:
-    """Dirichlet-distributed point of the simplex on {0..z_max}."""
-    w = rng.dirichlet(np.full(z_max + 1, concentration))
-    return StateDistribution(w, z_max)
-
-
-def lipschitz_estimate(model: RateModel, trials: int, rng_seed: int,
-                       z_max: int = 30) -> float:
-    """Empirical lower estimate of the uniform Lipschitz constant.
-
-    Samples random pairs (xi, zeta) and maximises
-    |(z+1)(fwd(z,xi) - fwd(z,zeta))| / d(xi,zeta) over forward edges,
-    together with the reset-edge analogue.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    z = np.arange(min(z_max, 20) + 1)
-    best = 0.0
-    for _ in range(trials):
-        a = random_distribution(rng, z_max)
-        b = random_distribution(rng, z_max)
-        d = tv_distance(a, b)
-        if d < 1e-9:
-            continue
-        fwd_gap = np.abs((z + 1) * (model.forward(z, a.probs)
-                                    - model.forward(z, b.probs)))
-        back_gap = np.abs(model.backward(z[1:], a.probs)
-                          - model.backward(z[1:], b.probs))
-        best = max(best, float(np.max(fwd_gap / d)),
-                   float(np.max(back_gap / d, initial=0.0)))
-    return best
 
 
 def factorial_decay_bound(model: RateModel, pi: StateDistribution) -> bool:

@@ -36,11 +36,10 @@ import numpy as np
 from .cost import (FluxTrajectory, _freeze_pieces, _segment_costs,
                    concatenate, cost_nonvariational, evolve, flux_from_path,
                    save_trajectory, testfunction_lower_bound)
-from .measures import (SampledPath, StateDistribution, TailProfile,
-                       UndecidableTailError, in_class_KDelta, relative_entropy,
-                       save_distribution_csv, theta_moment, theta_values,
-                       tv_distance)
-from .mckean_vlasov import find_equilibrium, integrate
+from .measures import (SampledPath, StateDistribution, in_class_KDelta,
+                       relative_entropy, save_distribution_csv, theta_moment,
+                       theta_values, tv_distance)
+from .mckean_vlasov import integrate
 from .models import (EdgeKind, RateModel, is_counterexample,
                      single_particle_stationary)
 
@@ -192,9 +191,11 @@ def connector(model: RateModel, from_: StateDistribution,
     return traj
 
 
-def descend_to_equilibrium(model: RateModel, nu: StateDistribution,
+def descend_to_equilibrium(model: RateModel, xi_star: StateDistribution,
+                           nu: StateDistribution,
                            delta: float) -> FluxTrajectory:
-    """Ride the limiting flow into K(delta), then connect into xi_star.
+    """Ride the limiting flow from nu into K(delta), then connect into
+    the equilibrium ``xi_star`` (on nu's window).
 
     The flow leg is realised as a flux plan recovered from the sampled
     flow (near-zero cost, integration bias below 1e-6); the final leg
@@ -203,7 +204,6 @@ def descend_to_equilibrium(model: RateModel, nu: StateDistribution,
     """
     _require_reset_model(model)
     z_max = nu.z_max
-    xi_star = find_equilibrium(model, z_max)
     if in_class_KDelta(nu, xi_star, delta):
         return connector(model, nu, xi_star, choose_z0(xi_star))
     horizon = 10.0 / model.lambda_lower
@@ -342,28 +342,6 @@ def cm_bound(model: RateModel, xi_star: StateDistribution,
     leg_down = float(np.sum(q[pos] * (-np.log(q[pos])
                                       + math.log(1.0 / lam_lo) + 2.0 * lam_up)))
     return leg_up + leg_down
-
-
-# ---------------------------------------------------------------------------
-# Finiteness
-# ---------------------------------------------------------------------------
-
-def v_finiteness_predicate(model: RateModel,
-                           xi: StateDistribution | TailProfile) -> str:
-    """'finite' iff the declared tail keeps the theta-moment finite.
-
-    Distributions must either have no tail mass (point/window support)
-    or carry a declared analytic tail profile; otherwise the question
-    is undecidable from the data and an error is raised.
-    """
-    _require_reset_model(model)
-    if isinstance(xi, TailProfile):
-        return "finite" if xi.theta_moment_finite() else "infinite"
-    if xi.tail_mass <= 1e-15:
-        return "finite"
-    if xi.tail_profile is None:
-        raise UndecidableTailError("tail mass without a declared profile")
-    return "finite" if xi.tail_profile.theta_moment_finite() else "infinite"
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,7 @@ Randomness comes from counter-based Philox streams keyed by
 (seed, replica_index): replicas are reproducible bitwise regardless of
 how they are scheduled, and aggregation is a commutative sum by
 replica index.  Occupation-measure estimators weight events by holding
-times at jump epochs, which is exact; thinning only affects path
-exports.
+times at jump epochs, which is exact.
 
 For non-interacting models the stationary law of the empirical measure
 is the law of N i.i.d. draws from the single-particle stationary law,
@@ -73,7 +72,6 @@ class SimConfig:
     horizon: float
     burn_in: float | None = None
     z_max: int = 30
-    thinning: float = 0.5
 
     def __post_init__(self) -> None:
         if self.N < 1:
@@ -157,15 +155,6 @@ class NotInKMEvent:
         return f"not_in_KM(M={self.M:g})"
 
 
-@dataclass(frozen=True)
-class WholeSpaceEvent:
-    def batch(self, probs: np.ndarray) -> np.ndarray:
-        return np.ones(probs.shape[0], dtype=bool)
-
-    def describe(self) -> str:
-        return "whole_space"
-
-
 # ---------------------------------------------------------------------------
 # Gillespie core
 # ---------------------------------------------------------------------------
@@ -195,29 +184,6 @@ def gillespie_step(model: RateModel, counts: np.ndarray,
         return idx, idx + 1, dt
     z = idx - z_max - 1
     return z, model.backward_target(z), dt
-
-
-def simulate_path(model: RateModel, config: SimConfig
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Jump-chain realisation from all N particles at 0, sampled every
-    ``thinning`` time units by holding the last jump state.
-    Deterministic in (model, config)."""
-    rng = substream(config.seed, 0)
-    counts = np.zeros(config.z_max + 1, dtype=np.int64)
-    counts[0] = config.N
-    t = 0.0
-    sample_times = np.arange(0.0, config.horizon + 1e-12, config.thinning)
-    out = np.zeros((sample_times.shape[0], config.z_max + 1), dtype=np.int64)
-    k = 0
-    while k < sample_times.shape[0]:
-        z, zp, dt = gillespie_step(model, counts, rng)
-        while k < sample_times.shape[0] and sample_times[k] <= t + dt:
-            out[k] = counts
-            k += 1
-        t += dt
-        counts[z] -= 1
-        counts[zp] += 1
-    return sample_times, out
 
 
 _BLOCK = 512  # held states per batched event evaluation
@@ -305,10 +271,16 @@ def estimate_invariant_multi(model: RateModel, config: SimConfig,
                              events: Sequence[Event],
                              names: Sequence[str] | None = None
                              ) -> list[RateEstimate]:
-    """Occupation estimates for several events sharing one long run.
+    """Occupation estimates of the stationary probabilities of several
+    events, sharing one long run.
 
-    Each event is tested through ``batch`` on stacks of the empirical
-    measures the run holds (see ``estimate_invariant``)."""
+    Each event is evaluated through ``batch`` on stacks of the empirical
+    measures held between jumps, weighted by holding times (exact for
+    occupation measures).  The confidence interval is a batch-means
+    interval over 20 post-burn-in batches; zero observed occupancy
+    falls back to a one-sided rule-of-three bound over the batch count,
+    and the rate is then reported as a lower bound.
+    """
     names = names or [getattr(ev, "describe", lambda: "event")()
                       for ev in events]
     occ, lengths, fractions = _occupation(model, config, events, replica=0)
@@ -316,44 +288,6 @@ def estimate_invariant_multi(model: RateModel, config: SimConfig,
     return [_estimate_from_batches(nm, float(o), fr, total, config.N,
                                    config.seed)
             for nm, o, fr in zip(names, occ, fractions)]
-
-
-def estimate_invariant(model: RateModel, config: SimConfig, event: Event,
-                       event_name: str | None = None) -> RateEstimate:
-    """Occupation estimate of the stationary probability of an event.
-
-    The event is evaluated through ``event.batch`` on the empirical
-    measures held between jumps, weighted by holding times (exact for
-    occupation measures).  The confidence interval is a
-    batch-means interval over 20 post-burn-in batches; zero observed
-    occupancy falls back to a one-sided rule-of-three bound over the
-    batch count, and the rate is then reported as a lower bound.
-    """
-    name = event_name or getattr(event, "describe", lambda: "event")()
-    return estimate_invariant_multi(model, config, [event], [name])[0]
-
-
-def burn_in_diagnostic(model: RateModel, config: SimConfig,
-                       event: Event) -> float:
-    """|first-half - second-half| occupation gap (post burn-in) of an
-    event tested through ``event.batch``."""
-    _, _, fractions = _occupation(model, config, [event], replica=0)
-    h = fractions.shape[1] // 2
-    return abs(float(fractions[0, :h].mean()) - float(fractions[0, h:].mean()))
-
-
-# ---------------------------------------------------------------------------
-# Exact i.i.d. stationary sampling (non-interacting models)
-# ---------------------------------------------------------------------------
-
-def sample_iid_stationary(model: RateModel, N: int, rng: np.random.Generator,
-                          z_max: int = 30) -> np.ndarray:
-    """Exact draw from the stationary empirical-measure law: N i.i.d.
-    single-particle stationary states, binned into int64 counts."""
-    if model.interacting:
-        raise ValueError("exact i.i.d. sampling needs a non-interacting model")
-    pi = single_particle_stationary(model, z_max)
-    return rng.multinomial(N, pi.probs).astype(np.int64)
 
 
 def _wilson(hits: int, n: int) -> tuple[float, float]:
@@ -446,7 +380,8 @@ def estimate_rate_curve(model: RateModel, event, N_list: Sequence[int],
         for i, N in enumerate(N_list):
             cfg = SimConfig(N=N, seed=seed + i, horizon=_RATE_CURVE_HORIZON,
                             z_max=z_max)
-            results.append(estimate_invariant(model, cfg, event, name))
+            results.append(
+                estimate_invariant_multi(model, cfg, [event], [name])[0])
         return results
     pi = single_particle_stationary(model, z_max)
     zeta = None
@@ -500,15 +435,3 @@ def save_rate_estimates(rows: Iterable[RateEstimate], path: str | Path) -> None:
             w.writerow([r.N, r.event, format(r.p_hat, ".17g"),
                         format(r.ci_low, ".17g"), format(r.ci_high, ".17g"),
                         format(r.rate, ".17g"), r.seed, r.algorithm])
-
-
-def save_counts_path(times: np.ndarray, counts: np.ndarray, N: int,
-                     path: str | Path, replica: int = 0) -> None:
-    """Path dump in the long t,z,prob format with a replica column."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "z", "prob", "replica"])
-        for t, row in zip(times, counts):
-            for z, c in enumerate(row):
-                w.writerow([format(float(t), ".17g"), z,
-                            format(c / N, ".17g"), replica])

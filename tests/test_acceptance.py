@@ -270,7 +270,7 @@ def test_criterion_06_moment_inequality():
         for _ in range(10):
             trajs.append(_random_feasible_trajectory(model, rng, 12, 1.5))
         trajs.append(descend_to_equilibrium(
-            model, StateDistribution.delta(0, z_max), 0.05))
+            model, xi_star, StateDistribution.delta(0, z_max), 0.05))
         for traj in trajs:
             assert moment_inequality_check(model, traj, slack=1e-9)
             count += 1

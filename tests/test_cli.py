@@ -148,13 +148,17 @@ def _bundled_with(tmp_path: Path, name: str, settings: dict,
     ("rate_curve", {"kappa": "0.9"}, "unknown key 'kappa' for model mm1"),
     ("duality_check", {"z_max": "0"}, "duality_check needs z_max >= 1, got 0"),
     ("duality_check", {"t_max": "inf"}, "bad t_max value 'inf'"),
+    # each rate_curve event reads one of radius and m
+    ("rate_curve", {"event": "not_in_km", "radius": "0.3"},
+     "rate_curve with event not_in_km takes no radius"),
+    ("rate_curve", {"m": "4"}, "rate_curve with event ball_delta0 takes no m"),
 ], ids=["zero_delta", "no_samples", "negative_threshold",
         "default_burn_in_past_horizon", "burn_in_past_horizon",
         "zero_corpus_cap", "short_duality_horizon", "zero_horizon",
         "negative_ball_radius", "negative_km_cap", "zero_tightness_radius",
         "word_seed", "fractional_seed", "negative_seed", "word_refine",
         "negative_burn_in", "kappa_on_mm1", "empty_duality_window",
-        "infinite_duality_horizon"])
+        "infinite_duality_horizon", "radius_on_not_in_km", "m_on_ball_event"])
 def test_validate_flags_settings_that_cannot_run(tmp_path, name, settings,
                                                  problem):
     out = tmp_path / "out"

@@ -3,8 +3,6 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from meanfield_ldp.cli import _random_feasible_trajectory
 from meanfield_ldp.measures import (SampledPath, StateDistribution,
@@ -12,47 +10,17 @@ from meanfield_ldp.measures import (SampledPath, StateDistribution,
 from meanfield_ldp.mckean_vlasov import find_equilibrium, integrate
 from meanfield_ldp.models import (EdgeKind, EdgeNotPresentError,
                                   MissingBoundsError, RateModel, edge_list,
-                                  interacting_wlan_model, mm1_model,
+                                  mm1_model,
                                   single_particle_stationary, wlan_const_model)
 from meanfield_ldp.cost import (EndpointMismatchError, FluxTrajectory,
                                 InfeasibleTrajectoryError,
                                 concatenate, cost_nonvariational,
                                 cost_variational, evolve, flux_from_path,
                                 load_trajectory, moment_inequality_check,
-                                save_trajectory, tau, tau_star,
-                                testfunction_lower_bound)
+                                save_trajectory, testfunction_lower_bound)
 from meanfield_ldp.cost import (_ALPHA_CAP, _DualWorkspace, _dual_maximize,
                                 _freeze_pieces, _mass_balance, _refine_grid,
                                 _segment_costs)
-
-
-# -- Poisson conjugate pair ------------------------------------------------------
-
-def test_tau_and_dual_at_origin():
-    assert tau(0.0) == 0.0
-    assert tau_star(0.0) == 0.0
-
-
-def test_tau_star_special_values():
-    assert tau_star(-1.0) == 1.0
-    assert tau_star(-1.5) == math.inf
-    # symbolic evaluation: (e) * 1 - (e - 1) = 1
-    assert tau_star(math.e - 1.0) == pytest.approx(1.0, abs=1e-14)
-
-
-def test_tau_star_convex_nonnegative():
-    us = np.linspace(-1.0, 4.0, 101)
-    vals = [tau_star(float(u)) for u in us]
-    assert all(v >= 0.0 for v in vals)
-    mid = [0.5 * (a + c) >= tau_star(float(0.5 * (u1 + u2))) - 1e-12
-           for (a, u1), (c, u2) in zip(zip(vals, us), zip(vals[2:], us[2:]))]
-    assert all(mid)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.floats(-3, 3), st.floats(-0.999, 5))
-def test_duality_inequality(u, h):
-    assert h * u <= tau_star(h) + tau(u) + 1e-12
 
 
 RESETS, BIRTH_DEATH = EdgeKind.CHAIN_WITH_RESETS, EdgeKind.BIRTH_DEATH
@@ -173,12 +141,16 @@ def test_unit_transfer_against_quadrature_oracle(wlan_const):
     sum_edges tau*(flux/(lambda phi) - 1) lambda phi along the path."""
     traj = _plan(StateDistribution.delta(0, 5), RESETS, (1.0, {(0, 1): 1.0}))
 
+    def _tau_star(h):
+        """(1+h) log(1+h) - h, the convex dual of tau(u) = e^u - u - 1."""
+        return (1.0 + h) * math.log1p(h) - h
+
     def integrand(t):
         phi0 = 1.0 - t
         phi1 = t
         total = 0.0
         if phi0 > 0:
-            total += tau_star(1.0 / phi0 - 1.0) * phi0  # edge (0,1), flux 1
+            total += _tau_star(1.0 / phi0 - 1.0) * phi0  # edge (0,1), flux 1
         total += phi1  # idle forward edge (1,2): tau*(-1) * lambda * phi1
         total += phi1  # idle reset edge (1,0)
         return total

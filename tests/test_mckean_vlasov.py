@@ -7,8 +7,7 @@ from meanfield_ldp.measures import (StateDistribution, theta_moment,
                                     theta_values, tv_distance)
 from meanfield_ldp.mckean_vlasov import (_interpolate, _sample_in_KM,
                                          check_B2, find_equilibrium,
-                                         integrate, save_path_csv,
-                                         time_to_KDelta)
+                                         integrate, time_to_KDelta)
 from meanfield_ldp.models import single_particle_stationary
 
 
@@ -163,15 +162,6 @@ def test_time_to_KDelta_unreached(wlan_const):
     out = time_to_KDelta(wlan_const, find_equilibrium(wlan_const, 30),
                          StateDistribution.delta(0, 30), 1e-9, horizon=0.5)
     assert out == math.inf
-
-
-def test_path_csv_export(tmp_path, wlan_const):
-    path = integrate(wlan_const, StateDistribution.delta(0, 5), 1.0, tol=1e-8)
-    out = tmp_path / "path.csv"
-    save_path_csv(path, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "t,z,prob"
-    assert len(lines) == 1 + 6 * len(path.times)
 
 
 def test_integrate_argument_validation(wlan_const):

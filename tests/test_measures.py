@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from meanfield_ldp.measures import (StateDistribution, TailProfile,
                                     TruncationMismatchError,
-                                    entropy_projection, first_moment,
-                                    in_class_KDelta, in_class_KM,
+                                    entropy_projection, in_class_KDelta,
                                     load_distribution_csv, relative_entropy,
                                     sanov_inf_over_ball, save_distribution_csv,
                                     theta_moment, tv_distance)
-from meanfield_ldp.models import random_distribution
+from meanfield_ldp.simulator import NotInKMEvent
 
 
 def delta(z, z_max=10):
@@ -67,22 +66,12 @@ def test_theta_geometric_partial_sum_oracle():
     assert abs(theta_moment(g) - expected) < 1e-10
 
 
-def test_first_moment_examples():
-    assert first_moment(delta(0)) == 0.0
-    assert first_moment(delta(3)) == 3.0
-    expected = geometric_series_moment(0.5, lambda z: float(z))
-    assert abs(expected - 1.0) < 1e-11  # rho/(1-rho) at rho = 1/2
-    g = StateDistribution.geometric(0.5, 60)
-    assert abs(first_moment(g) - 1.0) < 1e-10
-
-
 def test_heavy_tail_profile_reports_inf():
     profile = TailProfile("polylog", a=2.0, b=2.0)
     p = np.zeros(11)
     p[0] = 0.9
     d = StateDistribution(p, 10, tail_mass=0.1, tail_profile=profile)
     assert theta_moment(d) == math.inf
-    assert first_moment(d) < math.inf  # b > 1 keeps the first moment finite
 
 
 # -- relative entropy ----------------------------------------------------------
@@ -104,9 +93,11 @@ def test_entropy_absolute_continuity_failure():
 # -- compact classes ------------------------------------------------------------
 
 def test_km_membership():
-    assert in_class_KM(delta(0), 1.0)
-    assert not in_class_KM(delta(2), 1.0)  # 2 log 2 > 1
-    assert in_class_KM(StateDistribution.geometric(0.5, 60), 5.0)
+    def in_KM(a, M):
+        return not NotInKMEvent(M, a.z_max).batch(a.probs[None, :])[0]
+    assert in_KM(delta(0), 1.0)
+    assert not in_KM(delta(2), 1.0)  # 2 log 2 > 1
+    assert in_KM(StateDistribution.geometric(0.5, 60), 5.0)
 
 
 def test_kdelta_membership():
@@ -196,7 +187,7 @@ def test_entropy_projection_optimal_on_dirichlet_centres(seed):
     own."""
     g = StateDistribution.geometric(0.5, 30)
     rng = np.random.default_rng(seed)
-    c = random_distribution(rng, 30)
+    c = StateDistribution(rng.dirichlet(np.ones(31)), 30)
     zeta = entropy_projection(g, c, 0.1, 30)
     assert abs(float(zeta.probs.sum()) - 1.0) <= 1e-12
     assert tv_distance(zeta, c) <= 0.1 + 1e-12
@@ -233,8 +224,8 @@ def test_distribution_csv_rejects_bad_sum(tmp_path):
 
 # -- property tests -----------------------------------------------------------------
 
-dists = st.integers(0, 2 ** 31 - 1).map(
-    lambda s: random_distribution(np.random.default_rng(s), 12))
+dists = st.integers(0, 2 ** 31 - 1).map(lambda s: StateDistribution(
+    np.random.default_rng(s).dirichlet(np.ones(13)), 12))
 
 
 @settings(max_examples=60, deadline=None)
@@ -264,5 +255,3 @@ def test_moments_linear_in_mixtures(a, b, w):
     mix = StateDistribution(w * a.probs + (1 - w) * b.probs, a.z_max)
     assert theta_moment(mix) == pytest.approx(
         w * theta_moment(a) + (1 - w) * theta_moment(b), abs=1e-12)
-    assert first_moment(mix) == pytest.approx(
-        w * first_moment(a) + (1 - w) * first_moment(b), abs=1e-12)

@@ -4,16 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from meanfield_ldp.measures import (StateDistribution, TailProfile,
-                                    theta_moment, theta_values, tv_distance)
+from meanfield_ldp.measures import (StateDistribution, theta_moment,
+                                    theta_values, tv_distance)
 from meanfield_ldp.mckean_vlasov import find_equilibrium
 from meanfield_ldp.models import single_particle_stationary
 from meanfield_ldp.cli import _corpus_targets
 from meanfield_ldp.cost import (_freeze_pieces, _segment_costs,
                                 cost_nonvariational, evolve,
                                 moment_inequality_check)
-from meanfield_ldp.quasipotential import (UndecidableTailError,
-                                          _refine_witness,
+from meanfield_ldp.quasipotential import (_refine_witness,
                                           choose_z0, cm_bound, connector,
                                           construct_delta0_to_target,
                                           construct_equilibrium_to_delta0,
@@ -21,7 +20,6 @@ from meanfield_ldp.quasipotential import (UndecidableTailError,
                                           descend_to_equilibrium,
                                           heavy_tail_target,
                                           save_trajectory_and_bound,
-                                          v_finiteness_predicate,
                                           v_upper_bound)
 
 
@@ -131,14 +129,14 @@ def test_connector_interacting(interacting):
 
 def test_descend_from_equilibrium_is_cheap(interacting):
     xi_star = find_equilibrium(interacting, 25)
-    traj = descend_to_equilibrium(interacting, xi_star, 0.05)
+    traj = descend_to_equilibrium(interacting, xi_star, xi_star, 0.05)
     assert cost_nonvariational(interacting, traj) < 1e-8
 
 
 def test_descend_from_delta0(interacting):
-    traj = descend_to_equilibrium(interacting,
-                                  StateDistribution.delta(0, 25), 0.05)
     xi_star = find_equilibrium(interacting, 25)
+    traj = descend_to_equilibrium(interacting, xi_star,
+                                  StateDistribution.delta(0, 25), 0.05)
     end = evolve(traj).final_distribution()
     assert tv_distance(end, xi_star) < 1e-8
     # total cost is dominated by the connector term at radius 0.05; the
@@ -147,9 +145,10 @@ def test_descend_from_delta0(interacting):
 
 
 def test_descend_delta_sweep_bounded(interacting):
+    xi_star = find_equilibrium(interacting, 25)
     costs = [cost_nonvariational(
-        interacting,
-        descend_to_equilibrium(interacting, StateDistribution.delta(0, 25), d))
+        interacting, descend_to_equilibrium(
+            interacting, xi_star, StateDistribution.delta(0, 25), d))
         for d in (0.1, 0.05, 0.02)]
     # entering a smaller neighbourhood costs less on the flow leg but
     # more on the connector; the total stays bounded across the sweep
@@ -283,22 +282,6 @@ def test_cm_dominates_constructions_on_corpus(wlan_decay, interacting):
             xi = StateDistribution(w, 20)
             bound = v_upper_bound(model, xi_star, xi)
             assert bound.upper <= cm_bound(model, xi_star, xi) + 1e-10
-
-
-# -- finiteness predicate -----------------------------------------------------------------------
-
-def test_finiteness_predicate(wlan_decay):
-    geom = StateDistribution.geometric(0.5, 20)
-    assert v_finiteness_predicate(wlan_decay, geom) == "finite"
-    heavy = TailProfile("polylog", a=2.0, b=2.0)
-    assert v_finiteness_predicate(wlan_decay, heavy) == "infinite"
-    point = StateDistribution.delta(3, 20)
-    assert v_finiteness_predicate(wlan_decay, point) == "finite"
-    p = np.zeros(21)
-    p[0] = 0.9
-    undeclared = StateDistribution(p, 20, tail_mass=0.1)
-    with pytest.raises(UndecidableTailError):
-        v_finiteness_predicate(wlan_decay, undeclared)
 
 
 # -- counterexample report -------------------------------------------------------------------------

@@ -4,23 +4,26 @@ import numpy as np
 import pytest
 
 from meanfield_ldp.measures import (StateDistribution, entropy_projection,
-                                    theta_values, tv_distance)
-from meanfield_ldp.mckean_vlasov import find_equilibrium
-from meanfield_ldp.models import dominating_chain, single_particle_stationary
+                                    theta_values)
+from meanfield_ldp.models import single_particle_stationary, wlan_decay_model
 from meanfield_ldp.simulator import (_BLOCK, BallEvent, NotInKMEvent,
                                      SimConfig, TruncationOverflowError,
-                                     WholeSpaceEvent, _occupation,
-                                     _tilted_estimate, burn_in_diagnostic,
-                                     estimate_invariant, estimate_rate_curve,
-                                     gillespie_step, sample_iid_stationary,
-                                     save_counts_path, save_rate_estimates,
-                                     simulate_path, substream)
+                                     _occupation, _tilted_estimate,
+                                     estimate_invariant_multi,
+                                     estimate_rate_curve, gillespie_step,
+                                     save_rate_estimates, substream)
 
 
 def _all_at_zero(N, z_max):
     counts = np.zeros(z_max + 1, dtype=np.int64)
     counts[0] = N
     return counts
+
+
+def _whole_space(z_max):
+    """Every measure lies within TV distance 1 of the point mass at 0;
+    radius 2 keeps those at distance 1 inside after rounding."""
+    return BallEvent(StateDistribution.delta(0, z_max), 2.0)
 
 
 def test_single_enabled_transition(mm1):
@@ -77,25 +80,24 @@ def test_edge_selection_frequencies(mm1):
 
 def test_seed_reproducibility(interacting):
     cfg = SimConfig(N=20, seed=5, horizon=10.0, burn_in=1.0, z_max=15)
-    t1, c1 = simulate_path(interacting, cfg)
-    t2, c2 = simulate_path(interacting, cfg)
-    assert np.array_equal(t1, t2)
-    assert np.array_equal(c1, c2)
+    events = [BallEvent(StateDistribution.geometric(0.5, 15), 0.3)]
+    for a, b in zip(_occupation(interacting, cfg, events, replica=0),
+                    _occupation(interacting, cfg, events, replica=0)):
+        assert np.array_equal(a, b)
 
 
 def test_total_mass_at_every_sample(mm1):
     cfg = SimConfig(N=50, seed=1, horizon=20.0, burn_in=0.5, z_max=25)
-    _, counts = simulate_path(mm1, cfg)
+    _, counts = _simulate_path_reference(mm1, cfg, 0.5)
     assert np.all(counts.sum(axis=1) == 50)
 
 
 def test_mean_state0_occupancy_mm1(mm1):
     """Long-run average occupancy of state 0 versus the closed form."""
     cfg = SimConfig(N=50, seed=11, horizon=400.0, burn_in=20.0, z_max=25)
-    est = estimate_invariant(mm1, cfg, BallEvent(
-        StateDistribution.delta(0, 25), 2.0), "whole")  # radius 2: everything
+    est, = estimate_invariant_multi(mm1, cfg, [_whole_space(25)], ["whole"])
     assert est.p_hat == 1.0
-    times, counts = simulate_path(mm1, cfg)
+    times, counts = _simulate_path_reference(mm1, cfg, 0.5)
     keep = times >= 20.0
     frac0 = counts[keep, 0].mean() / 50
     assert abs(frac0 - 0.5) < 0.03
@@ -103,14 +105,14 @@ def test_mean_state0_occupancy_mm1(mm1):
 
 def test_whole_space_event(interacting):
     cfg = SimConfig(N=10, seed=2, horizon=30.0, burn_in=1.0, z_max=15)
-    est = estimate_invariant(interacting, cfg, WholeSpaceEvent())
+    est, = estimate_invariant_multi(interacting, cfg, [_whole_space(15)])
     assert est.p_hat == 1.0
     assert est.rate == 0.0
 
 
 def test_zero_occupancy_lower_bound_only(interacting):
     cfg = SimConfig(N=30, seed=2, horizon=30.0, burn_in=1.0, z_max=15)
-    est = estimate_invariant(interacting, cfg, NotInKMEvent(6.0, 15))
+    est, = estimate_invariant_multi(interacting, cfg, [NotInKMEvent(6.0, 15)])
     assert est.lower_bound_only
     assert est.p_hat == 0.0
     assert est.rate > 0.0
@@ -120,7 +122,7 @@ def test_occupation_rejects_burn_in_past_horizon(interacting):
     # the default burn-in, 20 / lambda_lower = 20, lies beyond the horizon
     cfg = SimConfig(N=10, seed=0, horizon=15.0, z_max=15)
     with pytest.raises(ValueError, match="burn-in"):
-        _occupation(interacting, cfg, [WholeSpaceEvent()], replica=0)
+        _occupation(interacting, cfg, [_whole_space(15)], replica=0)
 
 
 @pytest.mark.parametrize("burn_in", [-3.0, 15.0])
@@ -167,9 +169,7 @@ def _hit_reference(event, dist):
     """One event tested on one measure, without ``batch``."""
     if isinstance(event, BallEvent):
         return event(dist)
-    if isinstance(event, NotInKMEvent):
-        return float(dist.probs @ event.theta) > event.M
-    return True
+    return float(dist.probs @ event.theta) > event.M
 
 
 def _occupation_reference(model, config, events):
@@ -208,11 +208,13 @@ def _occupation_reference(model, config, events):
     return occupied.sum(axis=1), lengths, fractions, held, widest
 
 
-def _simulate_path_reference(model, config):
+def _simulate_path_reference(model, config, thinning):
+    """The per-jump chain from all particles at 0, sampled every
+    ``thinning`` time units by holding the last jump state."""
     rng = substream(config.seed, 0)
     counts = _all_at_zero(config.N, config.z_max)
     t = 0.0
-    sample_times = np.arange(0.0, config.horizon + 1e-12, config.thinning)
+    sample_times = np.arange(0.0, config.horizon + 1e-12, thinning)
     out = np.zeros((sample_times.shape[0], config.z_max + 1), dtype=np.int64)
     k = 0
     while k < sample_times.shape[0]:
@@ -246,7 +248,7 @@ def test_occupation_matches_per_jump_reference(request, which, run):
     cfg = SimConfig(N=N, seed=17, horizon=horizon, burn_in=burn_in,
                     z_max=z_max)
     events = [BallEvent(StateDistribution.geometric(0.5, z_max), 0.3),
-              NotInKMEvent(0.8, z_max), WholeSpaceEvent()]
+              NotInKMEvent(0.8, z_max), _whole_space(z_max)]
     occ, lengths, fractions, held, widest = \
         _occupation_reference(model, cfg, events)
     got = _occupation(model, cfg, events, replica=0)
@@ -257,57 +259,10 @@ def test_occupation_matches_per_jump_reference(request, which, run):
     assert held >= least_held and widest >= least_widest
 
 
-@pytest.mark.parametrize("which", ["interacting", "mm1", "wlan_const"])
-def test_simulate_path_matches_per_jump_reference(request, which):
-    model = request.getfixturevalue(which)
-    cfg = SimConfig(N=20, seed=4, horizon=40.0, z_max=15, thinning=0.25)
-    times, counts = simulate_path(model, cfg)
-    ref_times, ref_counts = _simulate_path_reference(model, cfg)
-    assert np.array_equal(times, ref_times)
-    assert np.array_equal(counts, ref_counts)
-
-
-# -- exact i.i.d. stationary sampling ----------------------------------------------
-
-def test_iid_counts_sum(mm1):
-    counts = sample_iid_stationary(mm1, 64, substream(0, 0), z_max=30)
-    assert int(counts.sum()) == 64
-
-
-def test_iid_rejects_interacting(interacting):
-    with pytest.raises(ValueError):
-        sample_iid_stationary(interacting, 10, substream(0, 0))
-
-
-def test_iid_single_particle_marginal(mm1):
-    """Chi-square of N=1 draws against the stationary law."""
-    pi = single_particle_stationary(mm1, 30)
-    rng = substream(9, 0)
-    n = 100_000
-    hits = np.zeros(31)
-    for _ in range(n):
-        hits += sample_iid_stationary(mm1, 1, rng, 30)
-    keep = pi.probs * n >= 10
-    chi2 = float(np.sum((hits[keep] - n * pi.probs[keep]) ** 2
-                        / (n * pi.probs[keep])))
-    # dof ~ 12; 99.9% quantile ~ 32
-    assert chi2 < 40.0
-
-
-def test_iid_mean_matches_stationary(mm1):
-    pi = single_particle_stationary(mm1, 30)
-    rng = substream(4, 0)
-    acc = np.zeros(31)
-    m = 4000
-    for _ in range(m):
-        acc += sample_iid_stationary(mm1, 50, rng, 30) / 50
-    assert tv_distance(StateDistribution(acc / m, 30), pi) < 0.01
-
-
 # -- rate curves -----------------------------------------------------------------------
 
 def test_rate_curve_probability_one_event(mm1):
-    rows = estimate_rate_curve(mm1, WholeSpaceEvent(), [10, 20], 2000, seed=0)
+    rows = estimate_rate_curve(mm1, _whole_space(30), [10, 20], 2000, seed=0)
     for r in rows:
         assert r.p_hat == 1.0
         assert r.rate == 0.0
@@ -407,18 +362,17 @@ def test_rate_curve_threaded_deterministic(mm1):
 
 def test_dominating_chain_theta_domination(interacting):
     """Empirical theta-moments under the model are stochastically
-    dominated by those under the dominating chain (one-sided CDF
-    comparison with a 99% DKW band)."""
-    dom = dominating_chain(interacting)
+    dominated by those under the dominating chain, the non-interacting
+    chain with the model's largest forward and least reset rates
+    (one-sided CDF comparison with a 99% DKW band)."""
+    dom_pi = single_particle_stationary(wlan_decay_model(1.5, 1.0), 20).probs
     rng = substream(21, 0)
     n_dom = 2000
     theta = theta_values(20)
-    dom_samples = np.array([
-        sample_iid_stationary(dom, 40, rng, 20) @ theta / 40
-        for _ in range(n_dom)])
-    cfg = SimConfig(N=40, seed=22, horizon=420.0, burn_in=20.0, z_max=20,
-                    thinning=1.0)
-    times, counts = simulate_path(interacting, cfg)
+    dom_samples = np.array([rng.multinomial(40, dom_pi) @ theta / 40
+                            for _ in range(n_dom)])
+    cfg = SimConfig(N=40, seed=22, horizon=420.0, burn_in=20.0, z_max=20)
+    times, counts = _simulate_path_reference(interacting, cfg, 1.0)
     keep = times >= cfg.burn_in
     model_samples = (counts[keep] @ theta) / 40
     eps = 1.63 / math.sqrt(n_dom) + 1.63 / math.sqrt(model_samples.size)
@@ -434,48 +388,29 @@ def test_gillespie_occupation_matches_iid_sampling(mm1):
     i.i.d. stationary sampling within merged confidence bands."""
     z_max = 25
     N = 40
-    cfg = SimConfig(N=N, seed=13, horizon=600.0, burn_in=30.0, z_max=z_max,
-                    thinning=1.0)
-    times, counts = simulate_path(mm1, cfg)
+    cfg = SimConfig(N=N, seed=13, horizon=600.0, burn_in=30.0, z_max=z_max)
+    times, counts = _simulate_path_reference(mm1, cfg, 1.0)
     keep = times >= cfg.burn_in
     occ = counts[keep].mean(axis=0) / N
+    pi = single_particle_stationary(mm1, z_max).probs
     rng = substream(14, 0)
     m = 2000
     acc = np.zeros(z_max + 1)
     for _ in range(m):
-        acc += sample_iid_stationary(mm1, N, rng, z_max) / N
+        acc += rng.multinomial(N, pi) / N
     iid = acc / m
     for z in range(6):  # states carrying the bulk of the mass
         band = 3.0 * math.sqrt(iid[z] * (1 - iid[z]) / m) + 0.02
         assert abs(occ[z] - iid[z]) < band
 
 
-def test_burn_in_diagnostic_small_at_stationarity(interacting):
-    cfg = SimConfig(N=30, seed=8, horizon=300.0, burn_in=20.0, z_max=20)
-    xi_star = find_equilibrium(interacting, 20)
-    gap = burn_in_diagnostic(interacting, cfg, BallEvent(xi_star, 0.12))
-    assert gap < 0.15  # first/second half occupation agreement
-
-
 # -- output format ----------------------------------------------------------------------------
 
 def test_rate_estimate_csv(tmp_path, mm1):
-    rows = estimate_rate_curve(mm1, WholeSpaceEvent(), [10], 100, seed=0)
+    rows = estimate_rate_curve(mm1, _whole_space(30), [10], 100, seed=0)
     f = tmp_path / "rates.csv"
     save_rate_estimates(rows, f)
     lines = f.read_text().splitlines()
     assert lines[0] == "N,event,p_hat,ci_low,ci_high,rate,seed,algorithm"
-    assert lines[1].startswith("10,whole_space,1,")
+    assert lines[1].startswith("10,ball(radius=2),1,")
     assert lines[1].endswith("philox4x64")
-
-
-def test_counts_path_csv(tmp_path, mm1):
-    cfg = SimConfig(N=10, seed=0, horizon=2.0, burn_in=0.5, z_max=5,
-                    thinning=1.0)
-    times, counts = simulate_path(mm1, cfg)
-    f = tmp_path / "path.csv"
-    save_counts_path(times, counts, 10, f, replica=3)
-    lines = f.read_text().splitlines()
-    assert lines[0] == "t,z,prob,replica"
-    assert lines[1].endswith(",3")
-    assert len(lines) == 1 + 6 * len(times)
