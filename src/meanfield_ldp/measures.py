@@ -227,10 +227,11 @@ def _check_same_window(a: StateDistribution, b: StateDistribution) -> None:
 # ---------------------------------------------------------------------------
 
 def tv_distance(a: StateDistribution, b: StateDistribution) -> float:
-    """Total variation distance, half-L1 convention; values in [0, 1]."""
+    """Total variation distance, half-L1 convention; clamped to [0, 1],
+    since the sum can round above 1 for disjoint supports."""
     _check_same_window(a, b)
-    return 0.5 * float(np.abs(a.probs - b.probs).sum()) \
-        + 0.5 * abs(a.tail_mass - b.tail_mass)
+    return min(1.0, 0.5 * float(np.abs(a.probs - b.probs).sum())
+               + 0.5 * abs(a.tail_mass - b.tail_mass))
 
 
 def _weighted_moment(a: StateDistribution, weights: np.ndarray,

@@ -131,7 +131,8 @@ class BallEvent:
         gap = probs - self.center.probs[None, :]
         np.abs(gap, out=gap)  # in place: one array the size of probs, not two
         d = 0.5 * gap.sum(axis=1) + 0.5 * self.center.tail_mass
-        return d <= self.radius
+        # clamped like tv_distance: disjoint supports can round above 1
+        return np.minimum(d, 1.0) <= self.radius
 
     def describe(self) -> str:
         return f"ball(radius={self.radius:g})"

@@ -334,3 +334,29 @@ def test_run_all_refuses_unknown_only(tmp_path):
     assert done.returncode == 2
     assert "invalid choice: 'banana'" in done.stderr
     assert not (tmp_path / "out").exists()
+
+
+_IMPORT_PROBE = """
+import sys
+import numpy as np
+from meanfield_ldp.cli import _random_feasible_trajectory
+from meanfield_ldp.cost import cost_variational, evolve, flux_from_path
+from meanfield_ldp.models import mm1_model
+model = mm1_model(1.0, 2.0)
+traj = _random_feasible_trajectory(model, np.random.default_rng(0), 4, 0.5)
+path = evolve(traj)
+cost_variational(model, path)
+flux_from_path(model, path)
+print(sorted(m for m in sys.modules
+             if m.split(".")[:2] in (["numpy", "polynomial"], ["numpy", "ma"])))
+"""
+
+
+def test_cost_layer_imports_no_numpy_polynomial_or_ma():
+    """Each of these numpy subpackages has added to the benchmark's peak
+    RSS when something in the CLI's import chain pulled it in."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-W", "ignore", "-c", _IMPORT_PROBE],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

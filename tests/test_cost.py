@@ -18,9 +18,10 @@ from meanfield_ldp.cost import (EndpointMismatchError, FluxTrajectory,
                                 cost_variational, evolve, flux_from_path,
                                 load_trajectory, moment_inequality_check,
                                 save_trajectory, testfunction_lower_bound)
-from meanfield_ldp.cost import (_ALPHA_CAP, _DualWorkspace, _dual_maximize,
-                                _freeze_pieces, _mass_balance, _refine_grid,
-                                _segment_costs)
+from meanfield_ldp.cost import (_ALPHA_CAP, _GL_LADDER, _DualWorkspace,
+                                _dual_maximize, _freeze_pieces,
+                                _gauss_legendre, _intervals, _mass_balance,
+                                _refine_grid, _segment_costs)
 
 
 RESETS, BIRTH_DEATH = EdgeKind.CHAIN_WITH_RESETS, EdgeKind.BIRTH_DEATH
@@ -537,6 +538,63 @@ def test_batched_dual_matches_single_node_oracle(request, name):
     assert np.abs(alphas - np.array([a for _, a, _ in ref])).max() <= 1e-9
     assert ok.tolist() == [c for _, _, c in ref]
     assert not ok.any()
+
+
+@pytest.mark.parametrize("m", _GL_LADDER)
+def test_gauss_legendre_nodes_match_numpy(m):
+    """Golub-Welsch nodes and weights, mapped to [0, 1], against numpy's
+    Legendre module, which the library does not import."""
+    from numpy.polynomial.legendre import leggauss
+    x, w = _gauss_legendre(m)
+    t, v = leggauss(m)
+    assert np.abs(x - 0.5 * (t + 1.0)).max() <= 1e-14
+    assert np.abs(w - 0.5 * v).max() <= 1e-14
+
+
+@pytest.mark.parametrize("m", _GL_LADDER)
+def test_gauss_legendre_exact_to_degree_2m_minus_1(m):
+    x, w = _gauss_legendre(m)
+    for j in range(2 * m):
+        assert x ** j @ w == pytest.approx(1.0 / (j + 1), abs=1e-14)
+
+
+def _cost_variational_ref(model, path, tol=1e-6):
+    """Oracle: the trapezoid rule on the path's intervals, each interval
+    halved (affinely) until the value changes by less than ``tol``, then
+    one Richardson step."""
+    ws = _DualWorkspace(model, path.z_max)
+
+    def trapezoid(times, probs):
+        k, dt, psi = _intervals(times, probs)
+        vals, _, _ = _dual_maximize(
+            ws, np.concatenate([probs[k], probs[k + 1]]),
+            np.concatenate([psi, psi]))
+        return float(np.sum(0.5 * dt * (vals[:k.size] + vals[k.size:])))
+
+    prev = trapezoid(path.times, path.probs)
+    pieces = 2
+    for _ in range(10):
+        nxt = trapezoid(*_refine_grid(path.times, path.probs, pieces))
+        extrap = nxt + (nxt - prev) / 3.0
+        if abs(nxt - prev) < tol:
+            break
+        prev = nxt
+        pieces *= 2
+    return max(extrap, 0.0)
+
+
+@pytest.mark.parametrize("name", ["mm1", "wlan_const", "wlan_decay",
+                                  "interacting"])
+def test_variational_matches_trapezoid_richardson(request, name):
+    model = request.getfixturevalue(name)
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        path = evolve(_random_feasible_trajectory(model, rng, 6, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            var = cost_variational(model, path)
+        assert abs(var - _cost_variational_ref(model, path)) < 1e-8
+
 
 def test_variational_zero_on_flow(wlan_const):
     nu = StateDistribution.from_weights(np.exp(-0.4 * np.arange(21)), 20)

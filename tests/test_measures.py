@@ -41,6 +41,20 @@ def test_tv_disjoint_points():
     assert tv_distance(delta(0), delta(1)) == 1.0
 
 
+def test_tv_disjoint_supports_is_one():
+    """Measures with no mass at 0 lie at distance 1 from the point mass
+    there; the half-L1 sum of counts / N rounds above 1 for most of
+    them, and the distance must not."""
+    d0 = delta(0, 12)
+    counts = np.array([3, 4, 8, 6, 5, 3, 3, 4, 1, 5, 5, 3])
+    assert tv_distance(StateDistribution(np.r_[0.0, counts / 50], 12),
+                       d0) == 1.0
+    rng = np.random.default_rng(5)
+    for counts in rng.multinomial(50, np.full(12, 1 / 12), size=3000):
+        d = tv_distance(StateDistribution(np.r_[0.0, counts / 50], 12), d0)
+        assert 1.0 - 1e-15 <= d <= 1.0
+
+
 def test_tv_geometric_vs_delta0():
     # direct summation: (1/2)(|1/2 - 1| + sum_{z>=1} (1/2)^{z+1} + tail)
     g = StateDistribution.geometric(0.5, 40)

@@ -21,9 +21,21 @@ def _all_at_zero(N, z_max):
 
 
 def _whole_space(z_max):
-    """Every measure lies within TV distance 1 of the point mass at 0;
-    radius 2 keeps those at distance 1 inside after rounding."""
-    return BallEvent(StateDistribution.delta(0, z_max), 2.0)
+    """Every measure lies within TV distance 1 of the point mass at 0."""
+    return BallEvent(StateDistribution.delta(0, z_max), 1.0)
+
+
+def test_unit_ball_holds_every_count_vector():
+    """The radius-1 ball holds every measure, also those at distance
+    exactly 1 from its centre (no mass at 0), where the batched sum of
+    counts / N can round above 1."""
+    rng = np.random.default_rng(5)
+    p = np.r_[0.02, np.full(12, 0.98 / 12)]
+    counts = rng.multinomial(50, p, size=4000)
+    assert (counts[:, 0] == 0).sum() > 1000
+    ball = _whole_space(12)
+    assert ball.batch(counts / 50).all()
+    assert all(ball(StateDistribution(c / 50, 12)) for c in counts[:200])
 
 
 def test_single_enabled_transition(mm1):
@@ -412,5 +424,5 @@ def test_rate_estimate_csv(tmp_path, mm1):
     save_rate_estimates(rows, f)
     lines = f.read_text().splitlines()
     assert lines[0] == "N,event,p_hat,ci_low,ci_high,rate,seed,algorithm"
-    assert lines[1].startswith("10,ball(radius=2),1,")
+    assert lines[1].startswith("10,ball(radius=1),1,")
     assert lines[1].endswith("philox4x64")
