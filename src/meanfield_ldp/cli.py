@@ -56,7 +56,7 @@ from .quasipotential import (PhaseOrderingError, cm_bound,
                              v_upper_bound)
 from .simulator import (RNG_ALGORITHM, BallEvent, NotInKMEvent, SimConfig,
                         estimate_invariant_multi, estimate_rate_curve,
-                        save_rate_estimates)
+                        resolve_burn_in, save_rate_estimates)
 
 # a key whose default is _REQUIRED must be set
 _REQUIRED = object()
@@ -212,10 +212,7 @@ def _cross_checks(exp: str, v: dict, given: set[str], model: RateModel,
         need(v["m_list"] and min(v["m_list"]) > 0, "positive m_list")
         need(v["n"] >= 1, "n >= 1")
         need(v["radius"] > 0, "radius > 0")
-        # SimConfig.resolved_burn_in's default when burn_in is unset
-        burn_in = v["burn_in"]
-        if burn_in is None:
-            burn_in = 20.0 / model.lambda_lower
+        burn_in = resolve_burn_in(v["burn_in"], model)
         need(burn_in >= 0, f"burn_in >= 0, got {burn_in:g}")
         need(burn_in < v["horizon"], f"horizon above the burn-in "
              f"{burn_in:g}, got {v['horizon']:g}")

@@ -159,7 +159,7 @@ def evolve(traj: FluxTrajectory) -> SampledPath:
         p = np.maximum(p, 0.0)
         probs.append(p)
     times = np.concatenate([[0.0], np.cumsum(traj.durations)])
-    return SampledPath(times, np.stack(probs), tail_mass=traj.initial.tail_mass)
+    return SampledPath(times, np.stack(probs))
 
 
 def concatenate(a: FluxTrajectory, b: FluxTrajectory) -> FluxTrajectory:
@@ -562,9 +562,7 @@ def flux_from_path(model: RateModel, path: SampledPath,
                           RuntimeWarning)
         F = np.exp(alpha[:, ws.dst] - alpha[:, ws.src]) * ws.weights(mid)
         p0 = np.clip(probs[0], 0.0, None)
-        if path.tail_mass <= 0.0:
-            p0 = p0 / p0.sum()
-        init = StateDistribution(p0, z_max, tail_mass=path.tail_mass)
+        init = StateDistribution(p0 / p0.sum(), z_max)
         return FluxTrajectory(init, model.kind, dt, F)
 
     if refine is not None:
@@ -690,8 +688,6 @@ def save_trajectory(traj: FluxTrajectory, path: str | Path) -> None:
         fh.write("initial\n")
         for z in range(traj.z_max + 1):
             fh.write(f"{z},{format(float(traj.initial.probs[z]), '.17g')}\n")
-        if traj.initial.tail_mass > 0.0:
-            fh.write(f"tail,{format(traj.initial.tail_mass, '.17g')}\n")
         fh.write("end_initial\n")
         for d, row in zip(traj.durations.tolist(), traj.fluxes.tolist()):
             fh.write(f"duration,{format(d, '.17g')}\n")
@@ -712,16 +708,15 @@ def load_trajectory(path: str | Path) -> FluxTrajectory:
     if next(it) != "initial":
         raise ValueError("missing initial block")
     probs = np.zeros(z_max + 1)
-    tail = 0.0
     for ln in it:
         if ln == "end_initial":
             break
         key, val = ln.split(",")
         if key == "tail":
-            tail = float(val)
-        else:
-            probs[int(key)] = float(val)
-    initial = StateDistribution(probs, z_max, tail)
+            raise ValueError(f"initial row {ln!r}: a distribution has no "
+                             "mass beyond its window")
+        probs[int(key)] = float(val)
+    initial = StateDistribution(probs, z_max)
     durations, entries = [], []  # entries: (segment, edge, flux)
     for ln in it:
         parts = ln.split(",")

@@ -68,16 +68,12 @@ def integrate(model: RateModel, nu: StateDistribution, T: float,
     spacing for consumers that need a dense sampling (the cost
     evaluators see the piecewise-affine interpolant, whose own cost is
     second order in the spacing).  Raises :class:`StiffnessError` if
-    dt underflows.  Mass beyond the window is folded back into the
-    window first, so the path's tail mass is 0.
+    dt underflows.
     """
     if T <= 0 or tol <= 0:
         raise ValueError("T and tol must be positive")
     drift = model.drift
     t, p = 0.0, nu.probs.copy()
-    if nu.tail_mass > 0.0:
-        # the flow lives on the closed window; fold tail mass back in
-        p = p / p.sum()
     times = [0.0]
     rows = [p]
     cap = dt_max if dt_max is not None else 0.25

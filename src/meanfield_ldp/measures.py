@@ -2,8 +2,10 @@
 
 Everything downstream (rate models, flux trajectories, Monte Carlo
 estimators) manipulates probability vectors on a finite window of the
-nonnegative integers, with explicit bookkeeping of the mass attributed
-beyond the truncation level.  This module provides:
+nonnegative integers.  The window is closed: every model reflects at
+z_max, so no dynamics, cost or sampler moves mass past it, and a
+distribution is exactly a probability vector on {0..z_max}.  Binary
+operations require a common window.  This module provides:
 
   * ``StateDistribution``  -- the validated probability vector type,
   * ``SampledPath``  -- a piecewise-affine path of such vectors, the
@@ -15,19 +17,14 @@ beyond the truncation level.  This module provides:
     continuity failure,
   * the membership predicate of the equilibrium neighbourhood class,
   * the entropy (I-)projection onto a TV ball, in closed form.
-
-Mass beyond the truncation is either ignored by moment operations
-(plain finite truncations) or weighted through a declared analytic
-tail profile, so that heavy tails are flagged as ``inf`` deliberately
-rather than by floating overflow.
 """
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,81 +37,20 @@ class TruncationMismatchError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Tail profiles
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TailProfile:
-    """Analytic description of the mass beyond the truncation window.
-
-    kind:
-      ``geometric``  -- tail(z) proportional to rho**z, param ``rho`` in (0,1)
-      ``polylog``    -- tail(z) proportional to z**(-a) * log(z)**(-b),
-                        params ``a`` and ``b``
-    """
-
-    kind: str
-    rho: float = 0.0
-    a: float = 0.0
-    b: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("geometric", "polylog"):
-            raise ValueError(f"unknown tail profile kind {self.kind!r}")
-        if self.kind == "geometric" and not (0.0 < self.rho < 1.0):
-            raise ValueError("geometric tail needs rho in (0,1)")
-
-    def theta_moment_finite(self) -> bool:
-        """Whether sum_z theta(z) * tail(z) converges."""
-        if self.kind == "geometric":
-            return True
-        # sum z^{1-a} log^{1-b} z: converges iff a > 2 or (a == 2 and b > 2)
-        return self.a > 2.0 or (self.a == 2.0 and self.b > 2.0)
-
-    def weighted_tail(self, weight: Callable[[int], float], z_max: int,
-                      tail_mass: float) -> float:
-        """Sum of weight(z) over the tail, with tail_mass distributed
-        proportionally to the profile beyond z_max.  Callers must have
-        checked convergence of the weighted series first."""
-        if tail_mass <= 0.0:
-            return 0.0
-        if self.kind == "geometric":
-            shape = lambda z: self.rho ** z
-        else:
-            shape = lambda z: z ** (-self.a) * math.log(z) ** (-self.b)
-        # normalise the shape over the tail by partial summation
-        z, norm, acc = z_max + 1, 0.0, 0.0
-        while True:
-            s = shape(z)
-            norm += s
-            acc += weight(z) * s
-            if s * max(1.0, weight(z)) < 1e-16 * max(norm, 1e-300) and z > z_max + 10:
-                break
-            z += 1
-            if z > z_max + 100000:
-                break
-        if norm == 0.0:
-            return 0.0
-        return tail_mass * acc / norm
-
-
-# ---------------------------------------------------------------------------
 # StateDistribution
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class StateDistribution:
-    """Probability vector on {0..z_max} with explicit tail mass.
+    """Probability vector on {0..z_max}.
 
     Invariants (checked at construction): all entries nonnegative, and
-    sum(probs) + tail_mass = 1 within 1e-12.  Instances are immutable
-    and safe to share across threads.
+    sum(probs) = 1 within ``MASS_TOL``.  Instances are immutable and
+    safe to share across threads.
     """
 
     probs: np.ndarray
     z_max: int
-    tail_mass: float = 0.0
-    tail_profile: TailProfile | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         # private copy: the stored vector is frozen below and must not
@@ -123,14 +59,12 @@ class StateDistribution:
         object.__setattr__(self, "probs", p)
         if p.ndim != 1 or p.shape[0] != self.z_max + 1:
             raise ValueError(f"probs must have length z_max+1 = {self.z_max + 1}")
-        if np.any(p < -MASS_TOL) or self.tail_mass < -MASS_TOL:
+        if np.any(p < -MASS_TOL):
             raise ValueError("negative probability entry")
         if np.any(p < 0.0):
             p = np.clip(p, 0.0, None)
             object.__setattr__(self, "probs", p)
-        if self.tail_mass < 0.0:
-            object.__setattr__(self, "tail_mass", 0.0)
-        total = float(p.sum()) + self.tail_mass
+        total = float(p.sum())
         if abs(total - 1.0) > MASS_TOL:
             raise ValueError(f"total mass {total!r} outside [1-1e-12, 1+1e-12]")
         p.flags.writeable = False
@@ -147,20 +81,9 @@ class StateDistribution:
         return StateDistribution(p, z_max)
 
     @staticmethod
-    def geometric(rho: float, z_max: int) -> "StateDistribution":
-        """Geometric law (1-rho) rho^z truncated at z_max, remainder in tail_mass."""
-        if not 0.0 < rho < 1.0:
-            raise ValueError("rho must lie in (0,1)")
-        z = np.arange(z_max + 1)
-        p = (1.0 - rho) * rho ** z
-        tail = rho ** (z_max + 1)
-        return StateDistribution(p, z_max, tail_mass=tail,
-                                 tail_profile=TailProfile("geometric", rho=rho))
-
-    @staticmethod
-    def from_weights(weights: Sequence[float], z_max: int | None = None,
-                     tail_profile: TailProfile | None = None) -> "StateDistribution":
-        """Normalise nonnegative weights into a distribution with zero tail."""
+    def from_weights(weights: Sequence[float],
+                     z_max: int | None = None) -> "StateDistribution":
+        """Normalise nonnegative weights into a distribution."""
         w = np.asarray(weights, dtype=float)
         if z_max is None:
             z_max = w.shape[0] - 1
@@ -169,37 +92,20 @@ class StateDistribution:
         s = w.sum()
         if s <= 0:
             raise ValueError("weights sum to zero")
-        return StateDistribution(w / s, z_max, tail_profile=tail_profile)
+        return StateDistribution(w / s, z_max)
 
     # -- basics ------------------------------------------------------------
 
     def __getitem__(self, z: int) -> float:
         return float(self.probs[z])
 
-    def retruncate(self, z_max: int) -> "StateDistribution":
-        """Re-express on a different window; excess mass moves to the tail."""
-        if z_max == self.z_max:
-            return self
-        if z_max > self.z_max:
-            p = np.zeros(z_max + 1)
-            p[: self.z_max + 1] = self.probs
-            return StateDistribution(p, z_max, self.tail_mass, self.tail_profile)
-        p = self.probs[: z_max + 1].copy()
-        tail = self.tail_mass + float(self.probs[z_max + 1:].sum())
-        return StateDistribution(p, z_max, tail, self.tail_profile)
-
 
 @dataclass(frozen=True)
 class SampledPath:
-    """Piecewise-affine path given by node times and node distributions.
-
-    ``tail_mass`` is the (constant) mass parked beyond the window; node
-    vectors sum to 1 - tail_mass.
-    """
+    """Piecewise-affine path given by node times and node distributions."""
 
     times: np.ndarray
     probs: np.ndarray  # shape (n_nodes, z_max+1)
-    tail_mass: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
@@ -213,13 +119,13 @@ class SampledPath:
 
     def final_distribution(self) -> StateDistribution:
         p = np.clip(self.probs[-1], 0.0, None)
-        return StateDistribution(p, self.z_max, tail_mass=self.tail_mass)
+        return StateDistribution(p, self.z_max)
 
 
 def _check_same_window(a: StateDistribution, b: StateDistribution) -> None:
     if a.z_max != b.z_max:
         raise TruncationMismatchError(
-            f"z_max mismatch: {a.z_max} vs {b.z_max} (re-truncate first)")
+            f"z_max mismatch: {a.z_max} vs {b.z_max}")
 
 
 # ---------------------------------------------------------------------------
@@ -230,20 +136,7 @@ def tv_distance(a: StateDistribution, b: StateDistribution) -> float:
     """Total variation distance, half-L1 convention; clamped to [0, 1],
     since the sum can round above 1 for disjoint supports."""
     _check_same_window(a, b)
-    return min(1.0, 0.5 * float(np.abs(a.probs - b.probs).sum())
-               + 0.5 * abs(a.tail_mass - b.tail_mass))
-
-
-def _weighted_moment(a: StateDistribution, weights: np.ndarray,
-                     weight_fn: Callable[[int], float]) -> float:
-    head = float(np.dot(a.probs, weights))
-    if a.tail_mass <= MASS_TOL:
-        return head
-    if a.tail_profile is None:
-        # plain finite truncation: moments are truncation moments
-        return head
-    tail = a.tail_profile.weighted_tail(weight_fn, a.z_max, a.tail_mass)
-    return head + tail
+    return min(1.0, 0.5 * float(np.abs(a.probs - b.probs).sum()))
 
 
 def theta_values(z_max: int) -> np.ndarray:
@@ -255,12 +148,8 @@ def theta_values(z_max: int) -> np.ndarray:
 
 
 def theta_moment(a: StateDistribution) -> float:
-    """<a, theta> with theta(z) = z log z; ``inf`` for declared heavy tails."""
-    if a.tail_mass > MASS_TOL and a.tail_profile is not None \
-            and not a.tail_profile.theta_moment_finite():
-        return math.inf
-    w = theta_values(a.z_max)
-    return _weighted_moment(a, w, lambda z: z * math.log(z) if z >= 2 else 0.0)
+    """<a, theta> with theta(z) = z log z."""
+    return float(np.dot(a.probs, theta_values(a.z_max)))
 
 
 def relative_entropy(zeta: StateDistribution, nu: StateDistribution) -> float:
@@ -274,12 +163,7 @@ def relative_entropy(zeta: StateDistribution, nu: StateDistribution) -> float:
     pos = zp > 0.0
     if np.any(np_[pos] == 0.0):
         return math.inf
-    acc = float(np.sum(zp[pos] * (np.log(zp[pos]) - np.log(np_[pos]))))
-    if zeta.tail_mass > MASS_TOL:
-        if nu.tail_mass <= 0.0:
-            return math.inf
-        acc += zeta.tail_mass * math.log(zeta.tail_mass / nu.tail_mass)
-    return acc
+    return float(np.sum(zp[pos] * (np.log(zp[pos]) - np.log(np_[pos]))))
 
 
 # ---------------------------------------------------------------------------
@@ -326,35 +210,33 @@ def _level_from_above(w: np.ndarray, v: np.ndarray, target: float) -> float:
 
 
 def entropy_projection(nu: StateDistribution, center: StateDistribution,
-                       delta: float, z_max: int) -> StateDistribution | None:
-    """argmin { I(zeta || nu) : tv(zeta, center) <= delta, zeta on {0..z_max} }.
+                       delta: float) -> StateDistribution | None:
+    """argmin { I(zeta || nu) : tv(zeta, center) <= delta }.
 
-    The I-projection of ``nu`` onto the TV ball, in closed form.  A
-    window distribution zeta has tv(zeta, center) = 1/2 |zeta - c|_1 +
-    1/2 tail with c = center.probs and tail = center.tail_mass, and the
-    KKT conditions give zeta = clip(c, A pi, B pi) componentwise, where
-    pi is nu normalised on the window and the levels A <= B solve
+    The I-projection of ``nu`` onto the TV ball, in closed form; both
+    inputs share one window.  With c = center.probs the KKT conditions
+    give zeta = clip(c, A pi, B pi) componentwise, where pi is nu
+    normalised on the window and the levels A <= B solve
 
-        sum (A pi - c)_+ = delta,     sum (c - B pi)_+ = delta - tail
+        sum (A pi - c)_+ = delta,     sum (c - B pi)_+ = delta
 
     (mass delta is raised onto states that are light relative to pi and
-    delta - tail is lowered off heavy ones, so the total stays 1).  Both
-    sums are monotone and piecewise linear in the level and are solved
-    exactly.  When pi itself lies in the ball it is the minimiser.
-    Returns ``None`` when no window distribution in the ball has finite
-    entropy: the center's tail, plus its mass where nu vanishes, already
-    exceeds delta.
+    lowered off heavy ones, so the total stays 1).  Both sums are
+    monotone and piecewise linear in the level and are solved exactly.
+    When pi itself lies in the ball it is the minimiser.  Returns
+    ``None`` when no distribution in the ball has finite entropy: the
+    center's mass where nu vanishes already exceeds delta.
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    nu_p = nu.retruncate(z_max).probs
-    c_t = center.retruncate(z_max)
-    c, tail = c_t.probs, c_t.tail_mass
+    _check_same_window(nu, center)
+    z_max = nu.z_max
+    nu_p, c = nu.probs, center.probs
     pi = nu_p / nu_p.sum()
-    if 0.5 * float(np.abs(pi - c).sum()) + 0.5 * tail <= delta:
+    if 0.5 * float(np.abs(pi - c).sum()) <= delta:
         return StateDistribution(pi, z_max)
     support = pi > 0.0
-    lowered = delta - tail - float(c[~support].sum())
+    lowered = delta - float(c[~support].sum())
     if lowered < 0.0:
         return None
     A = _level_from_below(pi[support], c[support], delta)
@@ -365,26 +247,26 @@ def entropy_projection(nu: StateDistribution, center: StateDistribution,
 
 
 def sanov_inf_over_ball(nu: StateDistribution, center: StateDistribution,
-                        delta: float, z_max: int) -> float:
-    """inf { I(zeta || nu) : tv(zeta, center) <= delta, zeta on {0..z_max} }.
+                        delta: float) -> float:
+    """inf { I(zeta || nu) : tv(zeta, center) <= delta }, on the common
+    window of nu and center.
 
-    Exactly ``0.0`` when nu lies in the ball, ``inf`` when no window
+    Exactly ``0.0`` when nu lies in the ball, ``inf`` when no
     distribution in the ball is absolutely continuous with respect to
     nu, and otherwise the relative entropy of ``entropy_projection``.
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    nu_t = nu.retruncate(z_max)
-    if tv_distance(nu_t, center.retruncate(z_max)) <= delta:
+    if tv_distance(nu, center) <= delta:
         return 0.0
-    zeta = entropy_projection(nu_t, center, delta, z_max)
+    zeta = entropy_projection(nu, center, delta)
     if zeta is None:
         return math.inf
-    return relative_entropy(zeta, nu_t)
+    return relative_entropy(zeta, nu)
 
 
 # ---------------------------------------------------------------------------
-# CSV interface:  header "z,prob", one row per state, optional "tail,<mass>"
+# CSV interface:  header "z,prob", one row per state
 # ---------------------------------------------------------------------------
 
 def save_distribution_csv(a: StateDistribution, path: str | Path) -> None:
@@ -393,8 +275,6 @@ def save_distribution_csv(a: StateDistribution, path: str | Path) -> None:
         w.writerow(["z", "prob"])
         for z in range(a.z_max + 1):
             w.writerow([z, format(float(a.probs[z]), ".17g")])
-        if a.tail_mass > 0.0:
-            w.writerow(["tail", format(a.tail_mass, ".17g")])
 
 
 def load_distribution_csv(path: str | Path) -> StateDistribution:
@@ -408,23 +288,21 @@ def load_distribution_csv(path: str | Path) -> StateDistribution:
             if not row:
                 continue
             rows.append((row[0].strip(), row[1].strip()))
-    tail = 0.0
     probs: dict[int, float] = {}
     for key, val in rows:
         if key == "tail":
-            tail = float(val)
-        else:
-            probs[int(key)] = float(val)
+            raise ValueError(f"row 'tail,{val}': a distribution has no mass "
+                             "beyond its window")
+        probs[int(key)] = float(val)
     if not probs:
         raise ValueError("no state rows in distribution file")
     z_max = max(probs)
     p = np.zeros(z_max + 1)
     for z, v in probs.items():
         p[z] = v
-    total = p.sum() + tail
+    total = p.sum()
     if not (1.0 - _IO_MASS_TOL <= total <= 1.0 + _IO_MASS_TOL):
         raise ValueError(f"distribution file sums to {total!r}")
     # renormalise the sub-1e-9 slack so the constructor invariant holds exactly
     p /= total
-    tail /= total
-    return StateDistribution(p, z_max, tail)
+    return StateDistribution(p, z_max)

@@ -11,7 +11,7 @@ A ``RateModel`` bundles the edge shape with one vectorised rate table:
 ``forward(z, xi)`` and ``backward(z, xi)`` map an array of states z to
 the rates lambda(z, z+1, xi) and lambda(z, backward_target(z), xi),
 where xi is the current empirical measure.  Everything else -- the
-single-edge ``rate``, the window tables, the generator, the drift, the
+single-edge ``rate``, the window tables, the drift, the
 stability and counterexample predicates and the assumption audits --
 is derived from these two functions.  The declared envelope constants
 lambda_lower / lambda_upper enter the decay condition checked by
@@ -23,8 +23,8 @@ lambda_lower / lambda_upper enter the decay condition checked by
 Rate functions must be pure; RateModel values are immutable and
 shareable across threads.  The forward rate out of the truncation
 level z_max is taken to be zero in every module (reflecting closure),
-which conserves probability; the induced error is controlled by
-tail-mass diagnostics.
+which conserves probability on the window: no mass ever leaves
+{0..z_max}, so a distribution is a probability vector on it.
 """
 from __future__ import annotations
 
@@ -170,15 +170,6 @@ class RateModel:
         out[0] = 0.0
         return out
 
-    def generator(self, z_max: int, xi=None) -> np.ndarray:
-        """Dense single-particle generator Lambda_xi on the closed window."""
-        z = np.arange(1, z_max + 1)
-        Q = np.zeros((z_max + 1, z_max + 1))
-        Q[z - 1, z] = self.forward_rates(z_max, xi)[:-1]
-        Q[z, self.backward_target(z)] = self.backward_rates(z_max, xi)[1:]
-        np.fill_diagonal(Q, Q.diagonal() - Q.sum(axis=1))
-        return Q
-
     def drift(self, probs: np.ndarray) -> np.ndarray:
         """Mean-field drift Lambda*_xi xi on the closed window."""
         z_max = probs.shape[0] - 1
@@ -296,38 +287,6 @@ def is_counterexample(model: RateModel) -> bool:
 # Stationary laws
 # ---------------------------------------------------------------------------
 
-def _stationary_product_form(model: RateModel, z_max: int,
-                             xi: np.ndarray | None) -> np.ndarray | None:
-    """Log-domain product-form solution of the balance equations.
-
-    Exact on the closed window for both edge shapes when the backward
-    rates are state-independent: birth-death chains satisfy detailed
-    balance pi(z+1) b = pi(z) f(z); reset chains satisfy the cut
-    balance T(z+1)/T(z) = f(z)/(r + f(z)) for the upper-tail sums T.
-    Returns None when the structure does not apply.
-    """
-    fwd = model.forward_rates(z_max, xi)
-    back = model.backward_rates(z_max, xi)
-    if np.ptp(back[1:]) > 1e-15 * max(back[1:].max(), 1.0):
-        return None
-    if model.kind is EdgeKind.BIRTH_DEATH:
-        log_pi = np.cumsum(np.concatenate(
-            [[0.0], np.log(fwd[:-1]) - np.log(back[1:])]))
-        log_pi -= log_pi.max()
-        pi = np.exp(log_pi)
-        return pi / pi.sum()
-    r = float(back[1])
-    log_ratio = np.log(fwd[:-1]) - np.log(r + fwd[:-1])
-    log_T = np.concatenate([[0.0], np.cumsum(log_ratio)])  # T_0 .. T_zmax
-    # pi(z) = T_z - T_{z+1} = T_z * (1 - ratio_z); pi(z_max) = T_{z_max}
-    pi = np.empty(z_max + 1)
-    with np.errstate(under="ignore"):
-        T = np.exp(log_T)
-    pi[:-1] = T[:-1] - T[1:]
-    pi[-1] = T[-1]
-    return pi / pi.sum()
-
-
 def has_stationary_law(model: RateModel, z_max: int, xi=None) -> bool:
     """Whether the chain keeps a stationary law as the window grows.
 
@@ -351,10 +310,14 @@ def single_particle_stationary(model: RateModel, z_max: int,
     """Stationary law of one particle on the closed window {0..z_max}.
 
     Solves the balance equations of the (frozen-field) single-particle
-    generator: through the exact product form when the backward rates
-    are state-independent (stable in the deep tail), otherwise by a
-    direct linear solve with the normalisation row replacing one
-    balance row.  Interacting models must supply ``frozen_field``.
+    generator in product form, in the log domain, which is exact on the
+    closed window for both edge shapes and stable in the deep tail.  It
+    needs backward rates that do not depend on the state, as every
+    builtin model has: birth-death chains satisfy detailed balance
+    pi(z+1) b = pi(z) f(z); reset chains satisfy the cut balance
+    T(z+1)/T(z) = f(z)/(r + f(z)) for the upper-tail sums T.  Other
+    models raise ``ValueError``.  Interacting models must supply
+    ``frozen_field``.
     """
     if z_max < MIN_Z_MAX:
         raise ValueError(f"truncation too small: z_max >= {MIN_Z_MAX} required")
@@ -364,17 +327,27 @@ def single_particle_stationary(model: RateModel, z_max: int,
     if not has_stationary_law(model, z_max, xi):
         raise InstabilityError(f"{model.name}: forward rate >= backward rate "
                                "at the window edge, no stationary law")
-    pi = _stationary_product_form(model, z_max, xi)
-    if pi is None:
-        Q = model.generator(z_max, xi)
-        A = Q.T.copy()
-        A[-1, :] = 1.0
-        b = np.zeros(z_max + 1)
-        b[-1] = 1.0
-        pi = np.linalg.solve(A, b)
-        pi = np.clip(pi, 0.0, None)
-        pi /= pi.sum()
-    return StateDistribution(pi, z_max)
+    fwd = model.forward_rates(z_max, xi)
+    back = model.backward_rates(z_max, xi)
+    if np.ptp(back[1:]) > 1e-15 * max(back[1:].max(), 1.0):
+        raise ValueError(f"{model.name}: backward rates depend on the state, "
+                         "so the stationary law has no product form")
+    if model.kind is EdgeKind.BIRTH_DEATH:
+        log_pi = np.cumsum(np.concatenate(
+            [[0.0], np.log(fwd[:-1]) - np.log(back[1:])]))
+        log_pi -= log_pi.max()
+        pi = np.exp(log_pi)
+    else:
+        r = float(back[1])
+        log_ratio = np.log(fwd[:-1]) - np.log(r + fwd[:-1])
+        log_T = np.concatenate([[0.0], np.cumsum(log_ratio)])  # T_0 .. T_zmax
+        # pi(z) = T_z - T_{z+1} = T_z * (1 - ratio_z); pi(z_max) = T_{z_max}
+        pi = np.empty(z_max + 1)
+        with np.errstate(under="ignore"):
+            T = np.exp(log_T)
+        pi[:-1] = T[:-1] - T[1:]
+        pi[-1] = T[-1]
+    return StateDistribution(pi / pi.sum(), z_max)
 
 
 # ---------------------------------------------------------------------------

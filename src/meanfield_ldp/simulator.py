@@ -35,17 +35,8 @@ RNG_ALGORITHM = "philox4x64"
 
 _Z975 = 1.959963984540054  # two-sided 95% normal quantile
 
-# two-sided 97.5% t quantiles for small batch counts (df 10..30)
-_T975 = {10: 2.228, 12: 2.179, 15: 2.131, 19: 2.093, 20: 2.086,
-         24: 2.064, 29: 2.045, 30: 2.042}
-
-
-def _t975(df: int) -> float:
-    keys = sorted(_T975)
-    for k in keys:
-        if df <= k:
-            return _T975[k]
-    return 1.96
+_N_BATCHES = 20  # post-burn-in batches of an occupation estimate
+_T975 = 2.093  # two-sided 95% t quantile at _N_BATCHES - 1 = 19 df
 
 
 class AbsorbingStateError(RuntimeError):
@@ -79,10 +70,10 @@ class SimConfig:
         if self.burn_in is not None and not 0 <= self.burn_in < self.horizon:
             raise ValueError("burn_in must be in [0, horizon)")
 
-    def resolved_burn_in(self, model: RateModel) -> float:
-        if self.burn_in is not None:
-            return self.burn_in
-        return 20.0 / model.lambda_lower
+
+def resolve_burn_in(burn_in: float | None, model: RateModel) -> float:
+    """The burn-in a run uses: ``burn_in`` when set, else 20 / lambda_lower."""
+    return 20.0 / model.lambda_lower if burn_in is None else burn_in
 
 
 @dataclass(frozen=True)
@@ -112,9 +103,12 @@ class RateEstimate:
 
 class Event(Protocol):
     """A set of empirical measures, tested a stack at a time: ``batch``
-    maps a (B, z_max+1) array of probability rows to a bool[B] mask."""
+    maps a (B, z_max+1) array of probability rows to a bool[B] mask;
+    ``describe`` is the event's name in estimate outputs."""
 
     def batch(self, probs: np.ndarray) -> np.ndarray: ...
+
+    def describe(self) -> str: ...
 
 
 @dataclass(frozen=True)
@@ -124,13 +118,10 @@ class BallEvent:
     center: StateDistribution
     radius: float
 
-    def __call__(self, dist: StateDistribution) -> bool:
-        return tv_distance(dist, self.center.retruncate(dist.z_max)) <= self.radius
-
     def batch(self, probs: np.ndarray) -> np.ndarray:
         gap = probs - self.center.probs[None, :]
         np.abs(gap, out=gap)  # in place: one array the size of probs, not two
-        d = 0.5 * gap.sum(axis=1) + 0.5 * self.center.tail_mass
+        d = 0.5 * gap.sum(axis=1)
         # clamped like tv_distance: disjoint supports can round above 1
         return np.minimum(d, 1.0) <= self.radius
 
@@ -195,18 +186,18 @@ def _occupation(model: RateModel, config: SimConfig, events: Sequence[Event],
     """Time-weighted occupation of several events along one run.
 
     Returns (occupied_time[e], batch_lengths[b], batch_fractions[e, b])
-    over 20 equal post-burn-in batches.  Held states are evaluated
-    ``_BLOCK`` at a time through ``Event.batch``; their holding pieces
-    are then added in jump order, so every sum rounds as it would one
-    jump at a time."""
+    over ``_N_BATCHES`` equal post-burn-in batches.  Held states are
+    evaluated ``_BLOCK`` at a time through ``Event.batch``; their holding
+    pieces are then added in jump order, so every sum rounds as it would
+    one jump at a time."""
     rng = substream(config.seed, replica)
-    burn = config.resolved_burn_in(model)
+    burn = resolve_burn_in(config.burn_in, model)
     if not burn < config.horizon:
         raise ValueError(f"burn-in {burn!r} is not below the horizon "
                          f"{config.horizon!r}")
     counts = np.zeros(config.z_max + 1, dtype=np.int64)
     counts[0] = config.N
-    n_batches = 20
+    n_batches = _N_BATCHES
     batch_len = (config.horizon - burn) / n_batches
     occupied = np.zeros((len(events), n_batches))
     lengths = np.zeros(n_batches)
@@ -253,42 +244,46 @@ def _occupation(model: RateModel, config: SimConfig, events: Sequence[Event],
     return occupied.sum(axis=1), lengths, fractions
 
 
+def _rule_of_three(name: str, n: int, N: int, seed: int,
+                   log_scale: float = 0.0) -> RateEstimate:
+    """The one-sided bound p <= 3/n after n trials without a hit, as a
+    lower-bound-only estimate; a hit weight carried scaled by
+    exp(log_scale) scales the bound by exp(-log_scale)."""
+    p_ub = min(1.0, 3.0 / n)
+    return RateEstimate(name, 0.0, 0.0, p_ub * math.exp(-log_scale),
+                        -(math.log(p_ub) - log_scale) / N, N, seed,
+                        lower_bound_only=True)
+
+
 def _estimate_from_batches(name: str, occ: float, fractions: np.ndarray,
                            total: float, N: int, seed: int) -> RateEstimate:
     n_b = fractions.shape[0]
     if occ <= 0.0:
-        p_ub = min(1.0, 3.0 / n_b)
-        rate = -math.log(p_ub) / N
-        return RateEstimate(name, 0.0, 0.0, p_ub, rate, N, seed,
-                            lower_bound_only=True)
+        return _rule_of_three(name, n_b, N, seed)
     p_hat = occ / total
-    half = _t975(n_b - 1) * float(fractions.std(ddof=1)) / math.sqrt(n_b)
+    half = _T975 * float(fractions.std(ddof=1)) / math.sqrt(n_b)
     lo = max(0.0, p_hat - half)
     hi = min(1.0, p_hat + half)
     return RateEstimate(name, p_hat, lo, hi, -math.log(p_hat) / N, N, seed)
 
 
 def estimate_invariant_multi(model: RateModel, config: SimConfig,
-                             events: Sequence[Event],
-                             names: Sequence[str] | None = None
-                             ) -> list[RateEstimate]:
+                             events: Sequence[Event]) -> list[RateEstimate]:
     """Occupation estimates of the stationary probabilities of several
     events, sharing one long run.
 
     Each event is evaluated through ``batch`` on stacks of the empirical
     measures held between jumps, weighted by holding times (exact for
     occupation measures).  The confidence interval is a batch-means
-    interval over 20 post-burn-in batches; zero observed occupancy
-    falls back to a one-sided rule-of-three bound over the batch count,
-    and the rate is then reported as a lower bound.
+    interval over ``_N_BATCHES`` post-burn-in batches; zero observed
+    occupancy falls back to a one-sided rule-of-three bound over the
+    batch count, and the rate is then reported as a lower bound.
     """
-    names = names or [getattr(ev, "describe", lambda: "event")()
-                      for ev in events]
     occ, lengths, fractions = _occupation(model, config, events, replica=0)
     total = float(lengths.sum())
-    return [_estimate_from_batches(nm, float(o), fr, total, config.N,
-                                   config.seed)
-            for nm, o, fr in zip(names, occ, fractions)]
+    return [_estimate_from_batches(ev.describe(), float(o), fr, total,
+                                   config.N, config.seed)
+            for ev, o, fr in zip(events, occ, fractions)]
 
 
 def _wilson(hits: int, n: int) -> tuple[float, float]:
@@ -331,13 +326,10 @@ def _tilted_estimate(name: str, event: "BallEvent", pi: StateDistribution,
         hit_weights.append(np.exp(log_w))
         remaining -= m
     w = np.concatenate(hit_weights)
-    scale = math.exp(-log_ceiling)
     if w.size == 0:
         # rule of three under zeta, carried through the weight ceiling
-        p_ub = min(1.0, 3.0 / n)
-        return RateEstimate(name, 0.0, 0.0, p_ub * scale,
-                            (log_ceiling - math.log(p_ub)) / N, N, seed,
-                            lower_bound_only=True)
+        return _rule_of_three(name, n, N, seed, log_ceiling)
+    scale = math.exp(-log_ceiling)
     mean = float(w.sum()) / n
     var = (float(((w - mean) ** 2).sum()) + (n - w.size) * mean * mean) \
         / max(n - 1, 1)
@@ -352,7 +344,7 @@ def _tilted_estimate(name: str, event: "BallEvent", pi: StateDistribution,
 _RATE_CURVE_HORIZON = 200.0
 
 
-def estimate_rate_curve(model: RateModel, event, N_list: Sequence[int],
+def estimate_rate_curve(model: RateModel, event: Event, N_list: Sequence[int],
                         samples_per_N: int, seed: int, z_max: int = 30,
                         threads: int | None = None,
                         importance: bool = True) -> list[RateEstimate]:
@@ -376,18 +368,18 @@ def estimate_rate_curve(model: RateModel, event, N_list: Sequence[int],
     on ``threads``.
     """
     results: list[RateEstimate] = []
-    name = getattr(event, "describe", lambda: "event")()
     if model.interacting:
         for i, N in enumerate(N_list):
             cfg = SimConfig(N=N, seed=seed + i, horizon=_RATE_CURVE_HORIZON,
                             z_max=z_max)
-            results.append(
-                estimate_invariant_multi(model, cfg, [event], [name])[0])
+            results.append(estimate_invariant_multi(model, cfg, [event])[0])
         return results
+    name = event.describe()
     pi = single_particle_stationary(model, z_max)
     zeta = None
-    if importance and isinstance(event, BallEvent) and not event(pi):
-        zeta = entropy_projection(pi, event.center, event.radius, z_max)
+    if (importance and isinstance(event, BallEvent)
+            and tv_distance(pi, event.center) > event.radius):
+        zeta = entropy_projection(pi, event.center, event.radius)
     # 25,000 rows per chunk: each thread holds a few chunk-sized arrays at
     # once, and the draws do not depend on the chunk size
     chunk = max(1, min(25_000, samples_per_N))
@@ -406,10 +398,7 @@ def estimate_rate_curve(model: RateModel, event, N_list: Sequence[int],
             hits += int(event.batch(draws).sum())
             remaining -= m
         if hits == 0:
-            p_ub = min(1.0, 3.0 / samples_per_N)
-            rate = -math.log(p_ub) / N
-            return RateEstimate(name, 0.0, 0.0, p_ub, rate, N, seed,
-                                lower_bound_only=True)
+            return _rule_of_three(name, samples_per_N, N, seed)
         p_hat = hits / samples_per_N
         lo, hi = _wilson(hits, samples_per_N)
         return RateEstimate(name, p_hat, lo, hi, -math.log(p_hat) / N, N, seed)

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from meanfield_ldp.measures import StateDistribution
 from meanfield_ldp.models import (interacting_wlan_model, mm1_model,
                                   wlan_const_model, wlan_decay_model)
 
@@ -22,3 +24,8 @@ def wlan_decay():
 @pytest.fixture(scope="session")
 def interacting():
     return interacting_wlan_model(0.5)
+
+
+def geometric(rho: float, z_max: int) -> StateDistribution:
+    """The geometric law (1 - rho) rho^z conditioned on {0..z_max}."""
+    return StateDistribution.from_weights(rho ** np.arange(z_max + 1), z_max)

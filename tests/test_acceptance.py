@@ -99,7 +99,7 @@ def test_criterion_02_sanov_rate_recovery():
     rows = estimate_rate_curve(model, event, [100, 200, 400], 1_000_000,
                                seed=2026, z_max=30)
     target = sanov_inf_over_ball(single_particle_stationary(model, 30),
-                                 StateDistribution.delta(0, 30), 0.1, 30)
+                                 StateDistribution.delta(0, 30), 0.1)
     r400 = rows[-1]
     elapsed = time.monotonic() - t0
     within = (not r400.lower_bound_only
@@ -134,7 +134,7 @@ def test_supplementary_sanov_exact_tail():
     N=400 is within 20 percent of the entropy projection."""
     model = mm1_model(1.0, 2.0)
     pi = single_particle_stationary(model, 30)
-    target = sanov_inf_over_ball(pi, StateDistribution.delta(0, 30), 0.1, 30)
+    target = sanov_inf_over_ball(pi, StateDistribution.delta(0, 30), 0.1)
     rate400 = -_log_binom_tail(400, float(pi.probs[0]), 360) / 400
     assert abs(rate400 - target) / target < 0.2
     print(f"[supplementary 2] exact-tail rate {rate400:.5f} vs sanov "
@@ -149,7 +149,7 @@ def test_supplementary_sanov_monte_carlo_feasible_N():
     rows = estimate_rate_curve(model, event, [20], 400_000, seed=7, z_max=30,
                                importance=False)
     target = sanov_inf_over_ball(single_particle_stationary(model, 30),
-                                 StateDistribution.delta(0, 30), 0.1, 30)
+                                 StateDistribution.delta(0, 30), 0.1)
     r = rows[0]
     assert not r.lower_bound_only
     assert abs(r.rate - target) / target < 0.25

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import geometric
 from meanfield_ldp.cli import _random_feasible_trajectory
 from meanfield_ldp.measures import (SampledPath, StateDistribution,
                                     theta_values)
@@ -41,7 +42,7 @@ def _plan(initial, kind, *segments):
 # -- evolve -----------------------------------------------------------------------
 
 def test_evolve_zero_fluxes_constant():
-    init = StateDistribution.geometric(0.5, 8)
+    init = geometric(0.5, 8)
     traj = _plan(init, RESETS, (2.0, {}))
     path = evolve(traj)
     assert np.array_equal(path.probs[0], path.probs[-1])
@@ -115,7 +116,7 @@ def test_cost_of_drift_matched_fluxes_is_zero(wlan_const):
 
 def test_cost_all_zero_fluxes_idle_suppression(wlan_const):
     """h = -1 everywhere: cost is the integral of sum lambda * phi."""
-    xi = StateDistribution.geometric(0.5, 10)
+    xi = geometric(0.5, 10)
     T = 1.7
     traj = _plan(xi, RESETS, (T, {}))
     fwd = wlan_const.forward_rates(10) * xi.probs
@@ -386,7 +387,7 @@ def test_freeze_pieces_needs_declared_lipschitz_constant(interacting):
     undeclared = RateModel(EdgeKind.CHAIN_WITH_RESETS, interacting.forward,
                            interacting.backward, lambda_upper=1.5,
                            lambda_lower=1.0, interacting=True, name="undeclared")
-    p0 = StateDistribution.geometric(0.5, 8).probs
+    p0 = geometric(0.5, 8).probs
     p1 = np.roll(p0, 1)
     with pytest.raises(MissingBoundsError):
         _freeze_pieces(undeclared, np.r_[0.5, np.zeros(15)][None], p0[None],
@@ -394,7 +395,7 @@ def test_freeze_pieces_needs_declared_lipschitz_constant(interacting):
 
 
 def test_cost_rejects_edges_of_the_other_kind(mm1):
-    traj = _plan(StateDistribution.geometric(0.5, 6), RESETS,
+    traj = _plan(geometric(0.5, 6), RESETS,
                  (0.5, {(0, 1): 0.1, (2, 0): 0.05}))
     with pytest.raises(EdgeNotPresentError):
         cost_nonvariational(mm1, traj)
@@ -404,7 +405,7 @@ def test_cost_rejects_edges_of_the_other_kind(mm1):
 def test_cost_of_shared_edges_agrees_across_kinds(kind):
     """Forward edges and (1, 0) belong to both kinds: with equal rates
     a plan on them costs the same under either model."""
-    traj = _plan(StateDistribution.geometric(0.5, 6), kind,
+    traj = _plan(geometric(0.5, 6), kind,
                  (0.5, {(0, 1): 0.1, (1, 2): 0.05}),
                  (0.3, {(1, 0): 0.2, (3, 4): 0.01}))
     assert cost_nonvariational(mm1_model(1.0, 2.0), traj) == \
@@ -604,8 +605,7 @@ def test_variational_zero_on_flow(wlan_const):
 
 def test_variational_nonnegative(wlan_const):
     times = np.array([0.0, 0.5, 1.0])
-    a = StateDistribution.geometric(0.5, 8).probs.copy()
-    a /= a.sum()
+    a = geometric(0.5, 8).probs
     b = np.roll(a, 1)
     b[0] = a[0]
     b /= b.sum()
@@ -643,8 +643,7 @@ def test_flux_recovery_on_flow_matches_drift(wlan_const):
 def test_flux_recovery_balance_residual(wlan_const):
     """Constant non-equilibrium path: strictly positive cost and exact
     balance between recovered fluxes and the (zero) slope."""
-    p = StateDistribution.geometric(0.7, 10)
-    p = StateDistribution(p.probs / p.probs.sum(), 10)
+    p = geometric(0.7, 10)
     times = np.linspace(0.0, 1.0, 21)
     probs = np.tile(p.probs, (21, 1))
     rec = flux_from_path(wlan_const, SampledPath(times, probs))
@@ -656,8 +655,7 @@ def test_flux_recovery_balance_residual(wlan_const):
 def test_flux_recovery_cheaper_than_two_way_flow(mm1):
     """Simultaneous forward/backward flux on birth-death edges is
     wasteful; the dual-optimal split can only cost less."""
-    p = StateDistribution.geometric(0.5, 6)
-    p = StateDistribution(p.probs / p.probs.sum(), 6)
+    p = geometric(0.5, 6)
     fluxes = {(2, 3): 0.05, (3, 2): 0.05}  # net zero, pure churn
     traj = _plan(p, BIRTH_DEATH, (1.0, fluxes))
     path = evolve(traj)
@@ -668,14 +666,14 @@ def test_flux_recovery_cheaper_than_two_way_flow(mm1):
 # -- concatenation ---------------------------------------------------------------------
 
 def test_concatenate_empty_identity(wlan_const):
-    init = StateDistribution.geometric(0.5, 8)
+    init = geometric(0.5, 8)
     a = _plan(init, RESETS, (1.0, {(0, 1): 0.1}))
     empty = _plan(evolve(a).final_distribution(), RESETS)
     assert concatenate(a, empty) is a
 
 
 def test_concatenate_cost_additive(wlan_const):
-    init = StateDistribution.geometric(0.5, 8)
+    init = geometric(0.5, 8)
     a = _plan(init, RESETS, (0.5, {(0, 1): 0.2}))
     end_a = evolve(a).final_distribution()
     b = _plan(end_a, RESETS, (0.5, {(1, 0): 0.1}))
@@ -687,7 +685,7 @@ def test_concatenate_cost_additive(wlan_const):
 
 
 def test_concatenate_endpoint_mismatch(wlan_const):
-    init = StateDistribution.geometric(0.5, 8)
+    init = geometric(0.5, 8)
     a = _plan(init, RESETS, (0.5, {(0, 1): 0.2}))
     b = _plan(init, RESETS, (0.5, {}))  # wrong start
     with pytest.raises(EndpointMismatchError):
@@ -773,7 +771,7 @@ def test_moment_inequality_requires_reset_edges(mm1):
 # -- file format -------------------------------------------------------------------------------
 
 def test_trajectory_roundtrip(tmp_path):
-    init = StateDistribution.geometric(0.5, 7)
+    init = geometric(0.5, 7)
     traj = _plan(init, RESETS, (0.123456789012345, {(0, 1): 0.25}),
                  (1.0 / 3.0, {(3, 0): 1e-17}))
     f = tmp_path / "traj.txt"
@@ -781,7 +779,6 @@ def test_trajectory_roundtrip(tmp_path):
     back = load_trajectory(f)
     assert back.z_max == traj.z_max
     assert np.array_equal(back.initial.probs, traj.initial.probs)
-    assert back.initial.tail_mass == traj.initial.tail_mass
     assert back.kind is RESETS
     assert back.durations.size == 2
     assert np.array_equal(back.durations, traj.durations)
@@ -789,7 +786,7 @@ def test_trajectory_roundtrip(tmp_path):
 
 
 def test_trajectory_roundtrip_birth_death(tmp_path):
-    init = StateDistribution.geometric(0.5, 6)
+    init = geometric(0.5, 6)
     traj = _plan(init, BIRTH_DEATH, (0.25, {(0, 1): 0.1, (3, 2): 0.2}),
                  (0.5, {(1, 0): 0.05, (6, 5): 1e-3}))
     f = tmp_path / "traj.txt"
@@ -823,6 +820,16 @@ def _trajectory_file(tmp_path, body, n_segments=None):
 def test_load_trajectory_rejects_malformed_input(tmp_path, body, match):
     with pytest.raises(ValueError, match=match):
         load_trajectory(_trajectory_file(tmp_path, body))
+
+
+def test_load_trajectory_rejects_tail_row(tmp_path):
+    """The initial distribution lives on the window: a ``tail`` row of
+    mass beyond z_max is an error that names the row."""
+    f = tmp_path / "traj.txt"
+    f.write_text("z_max,5\nn_segments,1\ninitial\n0,0.5\n1,0.4\ntail,0.1\n"
+                 "end_initial\nduration,1\n0,1,0.1\n")
+    with pytest.raises(ValueError, match="'tail,0.1'"):
+        load_trajectory(f)
 
 
 def test_load_trajectory_rejects_segment_count_mismatch(tmp_path):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meanfield_ldp.measures import (StateDistribution, TailProfile,
+from conftest import geometric
+from meanfield_ldp.measures import (StateDistribution,
                                     TruncationMismatchError,
                                     entropy_projection, in_class_KDelta,
                                     load_distribution_csv, relative_entropy,
@@ -56,14 +57,17 @@ def test_tv_disjoint_supports_is_one():
 
 
 def test_tv_geometric_vs_delta0():
-    # direct summation: (1/2)(|1/2 - 1| + sum_{z>=1} (1/2)^{z+1} + tail)
-    g = StateDistribution.geometric(0.5, 40)
+    # direct summation: (1/2)(|g(0) - 1| + sum_{z>=1} g(z)) = 1 - g(0),
+    # with g(0) = 1/2 up to the 2^-41 of the law beyond the window
+    g = geometric(0.5, 40)
     assert abs(tv_distance(g, delta(0, 40)) - 0.5) < 1e-12
 
 
 def test_tv_truncation_mismatch():
     with pytest.raises(TruncationMismatchError):
         tv_distance(delta(0, 5), delta(0, 6))
+    with pytest.raises(TruncationMismatchError):
+        entropy_projection(geometric(0.5, 5), delta(0, 6), 0.1)
 
 
 # -- moments -------------------------------------------------------------------
@@ -76,28 +80,22 @@ def test_theta_point_masses():
 def test_theta_geometric_partial_sum_oracle():
     expected = geometric_series_moment(
         0.5, lambda z: z * math.log(z) if z >= 2 else 0.0)
-    g = StateDistribution.geometric(0.5, 60)
+    g = geometric(0.5, 60)
     assert abs(theta_moment(g) - expected) < 1e-10
-
-
-def test_heavy_tail_profile_reports_inf():
-    profile = TailProfile("polylog", a=2.0, b=2.0)
-    p = np.zeros(11)
-    p[0] = 0.9
-    d = StateDistribution(p, 10, tail_mass=0.1, tail_profile=profile)
-    assert theta_moment(d) == math.inf
 
 
 # -- relative entropy ----------------------------------------------------------
 
 def test_entropy_identity():
-    g = StateDistribution.geometric(0.5, 30)
+    g = geometric(0.5, 30)
     assert relative_entropy(g, g) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_entropy_delta0_vs_geometric():
-    g = StateDistribution.geometric(0.5, 30)
-    assert abs(relative_entropy(delta(0, 30), g) - math.log(2)) < 1e-12
+    # -log g(0), with g(0) = (1/2) / (1 - 2^-31) on the window {0..30}
+    g = geometric(0.5, 30)
+    expected = math.log(2) + math.log1p(-0.5 ** 31)
+    assert abs(relative_entropy(delta(0, 30), g) - expected) < 1e-12
 
 
 def test_entropy_absolute_continuity_failure():
@@ -111,39 +109,39 @@ def test_km_membership():
         return not NotInKMEvent(M, a.z_max).batch(a.probs[None, :])[0]
     assert in_KM(delta(0), 1.0)
     assert not in_KM(delta(2), 1.0)  # 2 log 2 > 1
-    assert in_KM(StateDistribution.geometric(0.5, 60), 5.0)
+    assert in_KM(geometric(0.5, 60), 5.0)
 
 
 def test_kdelta_membership():
-    g = StateDistribution.geometric(0.5, 30)
+    g = geometric(0.5, 30)
     assert in_class_KDelta(g, g, 1e-9)
     assert not in_class_KDelta(delta(0, 30), g, 0.01)  # tv = 1/2
     # small tv gap but a large theta gap violates the second clause
     cand = g.probs.copy()
     cand[0] -= 0.05
     cand[14] += 0.05
-    a = StateDistribution(cand, 30, tail_mass=g.tail_mass)
+    a = StateDistribution(cand, 30)
     assert tv_distance(a, g) == pytest.approx(0.05, abs=1e-12)
-    assert abs(theta_moment(g.retruncate(30)) - theta_moment(a)) > 0.2
+    assert abs(theta_moment(g) - theta_moment(a)) > 0.2
     assert not in_class_KDelta(a, g, 0.1)
 
 
 # -- Sanov projection -----------------------------------------------------------
 
 def test_sanov_center_equals_nu():
-    g = StateDistribution.geometric(0.5, 30)
-    assert sanov_inf_over_ball(g, g, 0.05, 30) == 0.0
+    g = geometric(0.5, 30)
+    assert sanov_inf_over_ball(g, g, 0.05) == 0.0
 
 
 def test_sanov_ball_contains_nu():
-    g = StateDistribution.geometric(0.5, 30)
-    assert sanov_inf_over_ball(g, delta(0, 30), 0.6, 30) == 0.0
+    g = geometric(0.5, 30)
+    assert sanov_inf_over_ball(g, delta(0, 30), 0.6) == 0.0
 
 
 def test_sanov_mm1_ball_around_delta0():
     """Closed-form projection against the two-point-mixture grid oracle."""
-    g = StateDistribution.geometric(0.5, 30)
-    val = sanov_inf_over_ball(g, delta(0, 30), 0.1, 30)
+    g = geometric(0.5, 30)
+    val = sanov_inf_over_ball(g, delta(0, 30), 0.1)
     assert 0.0 < val < math.log(2)
     # mixtures zeta = (1-eps) delta_0 + eps nu stay in the ball iff
     # eps (1 - nu(0)) <= 0.1; grid-search the entropy over the family
@@ -157,8 +155,8 @@ def test_sanov_mm1_ball_around_delta0():
 
 
 def test_sanov_monotone_in_delta():
-    g = StateDistribution.geometric(0.5, 30)
-    vals = [sanov_inf_over_ball(g, delta(0, 30), d, 30)
+    g = geometric(0.5, 30)
+    vals = [sanov_inf_over_ball(g, delta(0, 30), d)
             for d in (0.05, 0.1, 0.2, 0.4)]
     assert all(a >= b - 1e-9 for a, b in zip(vals, vals[1:]))
 
@@ -166,14 +164,14 @@ def test_sanov_monotone_in_delta():
 def test_sanov_delta0_ball_closed_form():
     """Around the point mass at 0 the projection keeps 0.9 at state 0
     and spreads 0.1 in proportion to nu elsewhere."""
-    g = StateDistribution.geometric(0.5, 30)
-    zeta = entropy_projection(g, delta(0, 30), 0.1, 30)
+    g = geometric(0.5, 30)
+    zeta = entropy_projection(g, delta(0, 30), 0.1)
     pi = g.probs / g.probs.sum()
     assert np.allclose(zeta.probs, np.r_[0.9, 0.1 * pi[1:] / pi[1:].sum()],
                        rtol=0, atol=1e-15)
     value = 0.9 * math.log(0.9 / pi[0]) + 0.1 * math.log(0.1 / (1 - pi[0]))
-    val = sanov_inf_over_ball(g, delta(0, 30), 0.1, 30)
-    assert val == pytest.approx(value - math.log(g.probs.sum()), abs=1e-12)
+    val = sanov_inf_over_ball(g, delta(0, 30), 0.1)
+    assert val == pytest.approx(value, abs=1e-12)
 
 
 def _move_mass(c: np.ndarray, donors, receiver: int, amount: float) -> np.ndarray:
@@ -199,10 +197,10 @@ def test_entropy_projection_optimal_on_dirichlet_centres(seed):
     ball.  They are random mass moves plus the move that minimises the
     linearised entropy over the ball, which certifies optimality on its
     own."""
-    g = StateDistribution.geometric(0.5, 30)
+    g = geometric(0.5, 30)
     rng = np.random.default_rng(seed)
     c = StateDistribution(rng.dirichlet(np.ones(31)), 30)
-    zeta = entropy_projection(g, c, 0.1, 30)
+    zeta = entropy_projection(g, c, 0.1)
     assert abs(float(zeta.probs.sum()) - 1.0) <= 1e-12
     assert tv_distance(zeta, c) <= 0.1 + 1e-12
     assert np.all(zeta.probs[g.probs > 0] > 0)
@@ -214,25 +212,33 @@ def test_entropy_projection_optimal_on_dirichlet_centres(seed):
     for eta in points:
         assert tv_distance(StateDistribution(eta, 30), c) <= 0.1 + 1e-12
         assert float((eta - zeta.probs) @ slope) >= -1e-9
-    assert sanov_inf_over_ball(g, c, 0.1, 30) == relative_entropy(zeta, g)
+    assert sanov_inf_over_ball(g, c, 0.1) == relative_entropy(zeta, g)
 
 
 # -- file format ------------------------------------------------------------------
 
 def test_distribution_csv_roundtrip(tmp_path):
-    g = StateDistribution.geometric(0.5, 20)
+    g = geometric(0.5, 20)
     f = tmp_path / "dist.csv"
     save_distribution_csv(g, f)
     back = load_distribution_csv(f)
     assert back.z_max == 20
     assert np.array_equal(back.probs, g.probs)
-    assert back.tail_mass == g.tail_mass
 
 
 def test_distribution_csv_rejects_bad_sum(tmp_path):
     f = tmp_path / "bad.csv"
     f.write_text("z,prob\n0,0.5\n1,0.4\n")
     with pytest.raises(ValueError):
+        load_distribution_csv(f)
+
+
+def test_distribution_csv_rejects_tail_row(tmp_path):
+    """A distribution lives on its window: a ``tail`` row of mass beyond
+    z_max is an error that names the row, even when the rows sum to 1."""
+    f = tmp_path / "tail.csv"
+    f.write_text("z,prob\n0,0.5\n1,0.4\ntail,0.1\n")
+    with pytest.raises(ValueError, match="'tail,0.1'"):
         load_distribution_csv(f)
 
 

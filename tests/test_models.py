@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import geometric
 from meanfield_ldp.measures import StateDistribution, tv_distance
 from meanfield_ldp.models import (A2Report, EdgeKind, EdgeNotPresentError,
                                   InstabilityError, RateModel,
@@ -73,7 +74,7 @@ def test_wlan_decay_rates():
 def test_interacting_rates():
     m0 = interacting_wlan_model(0.0)
     ref = wlan_decay_model(1.0, 1.0)
-    xi = StateDistribution.geometric(0.5, 15)
+    xi = geometric(0.5, 15)
     for z in range(10):
         assert m0.rate(z, z + 1, xi) == ref.rate(z, z + 1, xi)
         if z >= 1:
@@ -104,11 +105,22 @@ def test_dominating_chain_dominates(interacting):
 
 # -- stationary laws -----------------------------------------------------------
 
+def _generator(model, z_max):
+    """Dense single-particle generator on the closed window: the oracle
+    of the stationarity residual pi Q = 0."""
+    z = np.arange(1, z_max + 1)
+    Q = np.zeros((z_max + 1, z_max + 1))
+    Q[z - 1, z] = model.forward_rates(z_max)[:-1]
+    Q[z, model.backward_target(z)] = model.backward_rates(z_max)[1:]
+    np.fill_diagonal(Q, Q.diagonal() - Q.sum(axis=1))
+    return Q
+
+
 def test_mm1_stationary_closed_form(mm1):
     pi = single_particle_stationary(mm1, 60)
     z = np.arange(61)
     assert np.abs(pi.probs - 0.5 ** (z + 1)).max() < 1e-12
-    assert np.abs(mm1.generator(60).T @ pi.probs).sum() < 1e-10
+    assert np.abs(_generator(mm1, 60).T @ pi.probs).sum() < 1e-10
 
 
 def test_wlan_const_stationary_closed_form(wlan_const):
@@ -116,13 +128,25 @@ def test_wlan_const_stationary_closed_form(wlan_const):
     z = np.arange(61)
     # lambda_b/(lambda_f+lambda_b) * (lambda_f/(lambda_f+lambda_b))^z
     assert np.abs(pi.probs - 0.5 ** (z + 1)).max() < 1e-12
-    assert np.abs(wlan_const.generator(60).T @ pi.probs).sum() < 1e-10
+    assert np.abs(_generator(wlan_const, 60).T @ pi.probs).sum() < 1e-10
 
 
 def test_wlan_decay_factorial_bound(wlan_decay):
     pi = single_particle_stationary(wlan_decay, 40)
     assert factorial_decay_bound(wlan_decay, pi)
-    assert np.abs(wlan_decay.generator(40).T @ pi.probs).sum() < 1e-10
+    assert np.abs(_generator(wlan_decay, 40).T @ pi.probs).sum() < 1e-10
+
+
+def test_stationary_law_needs_state_independent_backward_rates():
+    """The product form is the only solver: a model whose reset rate
+    grows with the state is rejected by name, not solved."""
+    growing = RateModel(EdgeKind.CHAIN_WITH_RESETS,
+                        forward=lambda z, xi: np.full(z.shape, 1.0),
+                        backward=lambda z, xi: 1.0 + z,
+                        lambda_upper=2.0, lambda_lower=1.0,
+                        interacting=False, name="growing_resets")
+    with pytest.raises(ValueError, match="growing_resets"):
+        single_particle_stationary(growing, 20)
 
 
 def test_mm1_instability():

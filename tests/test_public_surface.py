@@ -1,9 +1,11 @@
-"""Every public top-level function and class of the package has a user
-outside the unit tests: some module of ``src/``, a script or the
-benchmark harness names it.  References are read from the syntax tree
-(names, attribute accesses and imported names), so a mention in a
-docstring or comment does not count, and neither does a name's use
-inside its own definition."""
+"""Every public name of the package has a user outside the unit tests:
+some module of ``src/``, a script or the benchmark harness names it.
+Public names are the top-level functions and classes, and the methods
+and properties of the public classes, dunders excluded.  References are
+read from the syntax tree (names, attribute accesses and imported
+names), so a mention in a docstring, a comment or a ``getattr`` string
+does not count, and neither does a name's use inside its own
+definition."""
 import ast
 from pathlib import Path
 
@@ -25,20 +27,31 @@ ALLOWED = {
 }
 
 
-def _public_definitions() -> dict[str, tuple[Path, int, int]]:
-    """Public top-level function and class name -> (file, first line,
-    last line) of its definition."""
-    defs = {}
+def _public_definitions() -> dict[str, list[tuple[Path, int, int]]]:
+    """Public name -> (file, first line, last line) of each of its
+    definitions; methods of different classes may share a name."""
+    defs: dict[str, list[tuple[Path, int, int]]] = {}
+
+    def add(node, path):
+        defs.setdefault(node.name, []).append(
+            (path, node.lineno, node.end_lineno))
+
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                defs[node.name] = (path, node.lineno, node.end_lineno)
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_")):
+                continue
+            add(node, path)
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if (isinstance(member, ast.FunctionDef)
+                            and not member.name.startswith("_")):
+                        add(member, path)
     return defs
 
 
 def _references(defs) -> dict[str, int]:
-    """References to each defined name outside its own definition."""
+    """References to each defined name outside its own definitions."""
     counts = dict.fromkeys(defs, 0)
     for root in USERS:
         for path in sorted(root.rglob("*.py")):
@@ -52,12 +65,10 @@ def _references(defs) -> dict[str, int]:
                 else:
                     continue
                 for name in names:
-                    if name not in defs:
-                        continue
-                    home, first, last = defs[name]
-                    if path == home and first <= node.lineno <= last:
-                        continue
-                    counts[name] += 1
+                    if name in defs and not any(
+                            path == home and first <= node.lineno <= last
+                            for home, first, last in defs[name]):
+                        counts[name] += 1
     return counts
 
 

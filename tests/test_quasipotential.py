@@ -64,7 +64,6 @@ def test_equilibrium_to_delta0_geometric(wlan_decay):
     traj = construct_equilibrium_to_delta0(wlan_decay, xi)
     end = evolve(traj).final_distribution()
     assert tv_distance(end, StateDistribution.delta(0, 30)) < 1e-12
-    assert end.tail_mass == 0.0
     # proof-style bound: sum xi(z) [log(1/xi(z)) + log(1/lब) + 2 ub]
     lam_lo, lam_up = wlan_decay.lambda_lower, wlan_decay.lambda_upper
     q = xi.probs[1:]

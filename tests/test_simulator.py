@@ -3,15 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from conftest import geometric
 from meanfield_ldp.measures import (StateDistribution, entropy_projection,
-                                    theta_values)
+                                    theta_values, tv_distance)
 from meanfield_ldp.models import single_particle_stationary, wlan_decay_model
 from meanfield_ldp.simulator import (_BLOCK, BallEvent, NotInKMEvent,
                                      SimConfig, TruncationOverflowError,
                                      _occupation, _tilted_estimate,
                                      estimate_invariant_multi,
                                      estimate_rate_curve, gillespie_step,
-                                     save_rate_estimates, substream)
+                                     resolve_burn_in, save_rate_estimates,
+                                     substream)
 
 
 def _all_at_zero(N, z_max):
@@ -35,7 +37,8 @@ def test_unit_ball_holds_every_count_vector():
     assert (counts[:, 0] == 0).sum() > 1000
     ball = _whole_space(12)
     assert ball.batch(counts / 50).all()
-    assert all(ball(StateDistribution(c / 50, 12)) for c in counts[:200])
+    assert all(tv_distance(StateDistribution(c / 50, 12), ball.center)
+               <= ball.radius for c in counts[:200])
 
 
 def test_single_enabled_transition(mm1):
@@ -92,7 +95,7 @@ def test_edge_selection_frequencies(mm1):
 
 def test_seed_reproducibility(interacting):
     cfg = SimConfig(N=20, seed=5, horizon=10.0, burn_in=1.0, z_max=15)
-    events = [BallEvent(StateDistribution.geometric(0.5, 15), 0.3)]
+    events = [BallEvent(geometric(0.5, 15), 0.3)]
     for a, b in zip(_occupation(interacting, cfg, events, replica=0),
                     _occupation(interacting, cfg, events, replica=0)):
         assert np.array_equal(a, b)
@@ -107,7 +110,7 @@ def test_total_mass_at_every_sample(mm1):
 def test_mean_state0_occupancy_mm1(mm1):
     """Long-run average occupancy of state 0 versus the closed form."""
     cfg = SimConfig(N=50, seed=11, horizon=400.0, burn_in=20.0, z_max=25)
-    est, = estimate_invariant_multi(mm1, cfg, [_whole_space(25)], ["whole"])
+    est, = estimate_invariant_multi(mm1, cfg, [_whole_space(25)])
     assert est.p_hat == 1.0
     times, counts = _simulate_path_reference(mm1, cfg, 0.5)
     keep = times >= 20.0
@@ -180,7 +183,7 @@ def _step_reference(model, counts, rng):
 def _hit_reference(event, dist):
     """One event tested on one measure, without ``batch``."""
     if isinstance(event, BallEvent):
-        return event(dist)
+        return tv_distance(dist, event.center) <= event.radius
     return float(dist.probs @ event.theta) > event.M
 
 
@@ -189,7 +192,7 @@ def _occupation_reference(model, config, events):
     states it evaluated and the most batches one holding interval met."""
     rng = substream(config.seed, 0)
     counts = _all_at_zero(config.N, config.z_max)
-    burn = config.resolved_burn_in(model)
+    burn = resolve_burn_in(config.burn_in, model)
     n_batches = 20
     batch_len = (config.horizon - burn) / n_batches
     occupied = np.zeros((len(events), n_batches))
@@ -259,7 +262,7 @@ def test_occupation_matches_per_jump_reference(request, which, run):
     z_max = 15
     cfg = SimConfig(N=N, seed=17, horizon=horizon, burn_in=burn_in,
                     z_max=z_max)
-    events = [BallEvent(StateDistribution.geometric(0.5, z_max), 0.3),
+    events = [BallEvent(geometric(0.5, z_max), 0.3),
               NotInKMEvent(0.8, z_max), _whole_space(z_max)]
     occ, lengths, fractions, held, widest = \
         _occupation_reference(model, cfg, events)
@@ -290,7 +293,7 @@ def test_rate_curve_matches_sanov_at_small_N(mm1):
     r = rows[0]
     assert not r.lower_bound_only
     target = sanov_inf_over_ball(single_particle_stationary(mm1, 30),
-                                 StateDistribution.delta(0, 30), 0.1, 30)
+                                 StateDistribution.delta(0, 30), 0.1)
     assert abs(r.rate - target) / target < 0.25
 
 
@@ -352,7 +355,7 @@ def test_tilted_estimate_does_not_depend_on_chunk(mm1):
     size bounds memory without changing the estimate."""
     pi = single_particle_stationary(mm1, 30)
     event = BallEvent(StateDistribution.delta(0, 30), 0.1)
-    zeta = entropy_projection(pi, event.center, event.radius, 30)
+    zeta = entropy_projection(pi, event.center, event.radius)
     n = 2000
     small, whole = (_tilted_estimate("ball", event, pi, zeta, 20, n, 3,
                                      substream(3, 0), chunk)
