@@ -41,9 +41,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cost import (FluxTrajectory, InfeasibleTrajectoryError, _mass_balance,
-                   cost_nonvariational, cost_variational, evolve,
-                   flux_from_path)
+from .cost import (FluxTrajectory, InfeasibleTrajectoryError, _edge_weights,
+                   _mass_balance, cost_nonvariational, cost_variational,
+                   evolve, flux_from_path)
 from .measures import StateDistribution, save_distribution_csv, theta_moment
 from .mckean_vlasov import (EquilibriumNotFoundError, StiffnessError, check_B2,
                             find_equilibrium, monotone_convergence_diagnostic,
@@ -418,11 +418,9 @@ def _random_feasible_trajectory(model: RateModel, rng: np.random.Generator,
     rows = []
     cur = init.probs.copy()
     for d in durations:
-        fwd = model.forward_rates(z_max, cur) * cur
-        back = model.backward_rates(z_max, cur) * cur
+        # a factor per edge, and an unused one for the edge out of z_max
         scale = np.exp(rng.uniform(-0.7, 0.7, size=2 * z_max + 1))
-        row = np.concatenate([fwd[:-1] * scale[:z_max],
-                              back[1:] * scale[z_max + 1:]])
+        row = _edge_weights(model, cur[None])[0] * np.delete(scale, z_max)
         for _ in range(40):
             trial = cur + d * _mass_balance(row[None], model.kind)[0]
             if trial.min() > 1e-4:
@@ -544,6 +542,13 @@ def run(config_path: str | Path, threads: int | None = None,
     return 0
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, "
+                                         f"got {text!r}")
+    return int(text)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="meanfield-ldp",
@@ -552,7 +557,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_run = sub.add_parser("run", help="run a configured experiment")
     p_run.add_argument("config")
-    p_run.add_argument("--threads", type=int, default=None,
+    p_run.add_argument("--threads", type=_positive_int, default=None,
                        help="threads for rate_curve's i.i.d. sampling "
                             "(default: the number of cores)")
     p_run.add_argument("--output", default=None,

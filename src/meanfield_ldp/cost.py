@@ -121,11 +121,6 @@ class FluxTrajectory:
         return tuple(zip(self.durations.tolist(), self.fluxes))
 
 
-@functools.lru_cache(maxsize=None)
-def _backward_targets(kind: EdgeKind, z_max: int) -> np.ndarray:
-    return np.array([zp for _, zp in edge_list(kind, z_max)[z_max:]], dtype=int)
-
-
 def _mass_balance(fluxes: np.ndarray, kind: EdgeKind) -> np.ndarray:
     """Net inflow into each state for every flux row, shape (S, z_max+1);
     each state's terms are added in edge-column order, as a per-edge loop would."""
@@ -135,7 +130,7 @@ def _mass_balance(fluxes: np.ndarray, kind: EdgeKind) -> np.ndarray:
     v[:, 1:] += fwd
     v[:, :-1] -= fwd
     v[:, 1:] -= back
-    np.add.at(v, (slice(None), _backward_targets(kind, z_max)), back)
+    np.add.at(v, (slice(None), edge_list(kind, z_max)[1][z_max:]), back)
     return v
 
 
@@ -336,21 +331,15 @@ def cost_nonvariational(model: RateModel, traj: FluxTrajectory) -> float:
 
 _NEWTON_DAMPS = (1.0, 0.5, 0.25, 0.1, 0.03, 0.01)
 _GRADIENT_DAMPS = (1.0, 0.1, 0.01, 1e-3, 1e-4)
+# a node whose projected gradient falls below this is converged
+_GRAD_TOL = 1e-10
 
 
-class _DualWorkspace:
-    """Edge tables for the inner maximisation over a stack of grid nodes."""
-
-    def __init__(self, model: RateModel, z_max: int):
-        self.model = model
-        self.z_max = z_max
-        self.src, self.dst = np.array(model.edges(z_max)).T.copy()
-
-    def weights(self, P: np.ndarray) -> np.ndarray:
-        """Edge weights lambda * phi for a (nodes, z_max+1) stack of fields."""
-        fwd_r, back_r = _rate_rows(self.model, self.z_max, P)
-        return np.concatenate([(fwd_r * P)[:, :-1], (back_r * P)[:, 1:]],
-                              axis=1)
+def _edge_weights(model: RateModel, P: np.ndarray) -> np.ndarray:
+    """Edge weights lambda * phi for a (nodes, z_max+1) stack of fields,
+    in flux-column order."""
+    fwd_r, back_r = _rate_rows(model, P.shape[1] - 1, P)
+    return np.concatenate([(fwd_r * P)[:, :-1], (back_r * P)[:, 1:]], axis=1)
 
 
 # The stacked kernels below repeat the single-node float operations in
@@ -360,15 +349,17 @@ class _DualWorkspace:
 # single-node oracle test (a stacked matmul or batched solve need not
 # round like the 1-D call under every BLAS).
 
-def _dual_value(ws: _DualWorkspace, A: np.ndarray, Psi: np.ndarray,
-                W: np.ndarray) -> np.ndarray:
+def _dual_value(edges: tuple[np.ndarray, np.ndarray], A: np.ndarray,
+                Psi: np.ndarray, W: np.ndarray) -> np.ndarray:
+    src, dst = edges
     dots = (A[:, None, :] @ Psi[:, :, None])[:, 0, 0]
-    return dots - ((np.exp(A[:, ws.dst] - A[:, ws.src]) - 1.0) * W).sum(axis=1)
+    return dots - ((np.exp(A[:, dst] - A[:, src]) - 1.0) * W).sum(axis=1)
 
 
-def _line_search(ws: _DualWorkspace, A: np.ndarray, cur: np.ndarray,
-                 todo: np.ndarray, direction: np.ndarray, scale: np.ndarray,
-                 damps: tuple, Psi: np.ndarray, W: np.ndarray) -> np.ndarray:
+def _line_search(edges: tuple[np.ndarray, np.ndarray], A: np.ndarray,
+                 cur: np.ndarray, todo: np.ndarray, direction: np.ndarray,
+                 scale: np.ndarray, damps: tuple, Psi: np.ndarray,
+                 W: np.ndarray) -> np.ndarray:
     """Move each node of ``todo`` by the first damped step
     damp * direction / scale that raises its value (A and cur are
     updated in place); returns the nodes no damping improved."""
@@ -377,7 +368,7 @@ def _line_search(ws: _DualWorkspace, A: np.ndarray, cur: np.ndarray,
             break
         cand = np.clip(A[todo] + damp * direction[todo] / scale[todo, None],
                        -_ALPHA_CAP, _ALPHA_CAP)
-        v = _dual_value(ws, cand, Psi[todo], W[todo])
+        v = _dual_value(edges, cand, Psi[todo], W[todo])
         up = v > cur[todo] + 1e-18
         A[todo[up]] = cand[up]
         cur[todo[up]] = v[up]
@@ -385,8 +376,8 @@ def _line_search(ws: _DualWorkspace, A: np.ndarray, cur: np.ndarray,
     return todo
 
 
-def _dual_maximize(ws: _DualWorkspace, P: np.ndarray, Psi: np.ndarray,
-                   grad_tol: float = 1e-10, max_iter: int = 300
+def _dual_maximize(model: RateModel, P: np.ndarray, Psi: np.ndarray,
+                   max_iter: int = 300
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For each node b: max over alpha of
     <alpha, Psi[b]> - sum_e (exp(d alpha)-1) w_e(P[b]).
@@ -400,8 +391,8 @@ def _dual_maximize(ws: _DualWorkspace, P: np.ndarray, Psi: np.ndarray,
     steps; when those fail too it stops, converged if its projected
     gradient is below 1e-8.  Returns (values, alphas, converged).
     """
-    out = [_dual_chunk(ws, P[s:s + _CHUNK], Psi[s:s + _CHUNK], grad_tol,
-                       max_iter) for s in range(0, P.shape[0], _CHUNK)]
+    out = [_dual_chunk(model, P[s:s + _CHUNK], Psi[s:s + _CHUNK], max_iter)
+           for s in range(0, P.shape[0], _CHUNK)]
     if not out:
         return np.zeros(0), np.zeros((0, P.shape[1])), np.zeros(0, dtype=bool)
     values, alphas, converged = zip(*out)
@@ -409,14 +400,13 @@ def _dual_maximize(ws: _DualWorkspace, P: np.ndarray, Psi: np.ndarray,
             np.concatenate(converged))
 
 
-def _dual_chunk(ws: _DualWorkspace, P: np.ndarray, Psi: np.ndarray,
-                grad_tol: float, max_iter: int
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _dual_chunk(model: RateModel, P: np.ndarray, Psi: np.ndarray,
+                max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     B, n = P.shape
-    src, dst = ws.src, ws.dst
-    W = ws.weights(np.clip(P, 0.0, None))
+    src, dst = edges = edge_list(model.kind, n - 1)
+    W = _edge_weights(model, np.clip(P, 0.0, None))
     alpha = np.zeros((B, n))
-    cur = _dual_value(ws, alpha, Psi, W)
+    cur = _dual_value(edges, alpha, Psi, W)
     converged = np.zeros(B, dtype=bool)
     live = np.arange(B)
     rows = slice(None)
@@ -430,7 +420,7 @@ def _dual_chunk(ws: _DualWorkspace, P: np.ndarray, Psi: np.ndarray,
                          np.where(A >= _ALPHA_CAP - 1e-12,
                                   np.minimum(g, 0.0), g))
         rmax = np.abs(resid).max(axis=1)
-        done = rmax < grad_tol
+        done = rmax < _GRAD_TOL
         converged[live[done]] = True
         live, A, psi, w, c, ew, g, rmax = (
             x[~done] for x in (live, A, psi, w, c, ew, g, rmax))
@@ -454,14 +444,14 @@ def _dual_chunk(ws: _DualWorkspace, P: np.ndarray, Psi: np.ndarray,
                 except np.linalg.LinAlgError:
                     pass
         ones = np.ones(live.size)
-        stuck = _line_search(ws, A, c, np.arange(live.size), step, ones,
+        stuck = _line_search(edges, A, c, np.arange(live.size), step, ones,
                              _NEWTON_DAMPS, psi, w)
-        # |g| >= |resid| >= grad_tol here, so every stuck node goes on
+        # |g| >= |resid| >= _GRAD_TOL here, so every stuck node goes on
         # to plain gradient steps
         dead = stuck
         if stuck.size:
             gnorm = np.maximum(np.abs(g).max(axis=1), 1.0)
-            dead = _line_search(ws, A, c, stuck, g, gnorm, _GRADIENT_DAMPS,
+            dead = _line_search(edges, A, c, stuck, g, gnorm, _GRADIENT_DAMPS,
                                 psi, w)
             converged[live[dead]] = rmax[dead] < 1e-8
         alpha[live] = A
@@ -516,14 +506,13 @@ def cost_variational(model: RateModel, path: SampledPath) -> float:
     value changes by less than ``_QUADRATURE_TOL``.  A warning names the
     last m and change (the error estimate) if the ladder ends unsettled
     or a node unconverged."""
-    ws = _DualWorkspace(model, path.z_max)
     k, dt, psi = _intervals(path.times, path.probs)
     start, step = path.probs[k], path.probs[k + 1] - path.probs[k]
     total = change = math.inf
     for m in _GL_LADDER:
         x, w = _gauss_legendre(m)
         P = start[:, None] + x[:, None] * step[:, None]  # (intervals, m, n)
-        vals, _, ok = _dual_maximize(ws, P.reshape(-1, ws.z_max + 1),
+        vals, _, ok = _dual_maximize(model, P.reshape(-1, path.z_max + 1),
                                      np.repeat(psi, m, axis=0))
         prev, total = total, float(dt @ (vals.reshape(-1, m) @ w))
         change = abs(total - prev)
@@ -549,18 +538,18 @@ def flux_from_path(model: RateModel, path: SampledPath,
     """
     times, probs = path.times, path.probs
     z_max = path.z_max
-    ws = _DualWorkspace(model, z_max)
+    src, dst = edge_list(model.kind, z_max)
 
     def build(pieces: int) -> FluxTrajectory:
         t2, p2 = _refine_grid(times, probs, pieces)
         k, dt, psi = _intervals(t2, p2)
         mid = np.clip(0.5 * (p2[k] + p2[k + 1]), 0.0, None)
-        _, alpha, ok = _dual_maximize(ws, mid, psi)
+        _, alpha, ok = _dual_maximize(model, mid, psi)
         if not ok.all():
             warnings.warn(f"flux recovery: inner ascent flagged at "
                           f"{int(np.sum(~ok))} of {ok.size} nodes",
                           RuntimeWarning)
-        F = np.exp(alpha[:, ws.dst] - alpha[:, ws.src]) * ws.weights(mid)
+        F = np.exp(alpha[:, dst] - alpha[:, src]) * _edge_weights(model, mid)
         p0 = np.clip(probs[0], 0.0, None)
         init = StateDistribution(p0 / p0.sum(), z_max)
         return FluxTrajectory(init, model.kind, dt, F)
@@ -680,8 +669,8 @@ def save_trajectory(traj: FluxTrajectory, path: str | Path) -> None:
     distribution, then per segment a duration line followed by
     z,z_prime,flux lines for the positive fluxes in sorted edge order.
     Floats round-trip exactly at 17 digits."""
-    by_edge = sorted((e, c) for c, e in
-                     enumerate(edge_list(traj.kind, traj.z_max)))
+    src, dst = edge_list(traj.kind, traj.z_max)
+    by_edge = sorted(zip(src.tolist(), dst.tolist(), range(src.size)))
     with open(path, "w") as fh:
         fh.write(f"z_max,{traj.z_max}\n")
         fh.write(f"n_segments,{traj.durations.size}\n")
@@ -691,7 +680,7 @@ def save_trajectory(traj: FluxTrajectory, path: str | Path) -> None:
         fh.write("end_initial\n")
         for d, row in zip(traj.durations.tolist(), traj.fluxes.tolist()):
             fh.write(f"duration,{format(d, '.17g')}\n")
-            for (z, zp), c in by_edge:
+            for z, zp, c in by_edge:
                 if row[c] > 0.0:
                     fh.write(f"{z},{zp},{format(row[c], '.17g')}\n")
 
@@ -708,6 +697,7 @@ def load_trajectory(path: str | Path) -> FluxTrajectory:
     if next(it) != "initial":
         raise ValueError("missing initial block")
     probs = np.zeros(z_max + 1)
+    seen = set()
     for ln in it:
         if ln == "end_initial":
             break
@@ -715,7 +705,12 @@ def load_trajectory(path: str | Path) -> FluxTrajectory:
         if key == "tail":
             raise ValueError(f"initial row {ln!r}: a distribution has no "
                              "mass beyond its window")
-        probs[int(key)] = float(val)
+        z = int(key)
+        if not 0 <= z <= z_max or z in seen:
+            raise ValueError(f"initial row {ln!r}: state outside "
+                             f"0..{z_max} or repeated")
+        seen.add(z)
+        probs[z] = float(val)
     initial = StateDistribution(probs, z_max)
     durations, entries = [], []  # entries: (segment, edge, flux)
     for ln in it:
@@ -734,7 +729,8 @@ def load_trajectory(path: str | Path) -> FluxTrajectory:
     if len(kinds) > 1:
         raise ValueError("file mixes reset and birth-death edges")
     kind = kinds.pop() if kinds else EdgeKind.CHAIN_WITH_RESETS
-    column = {e: c for c, e in enumerate(edge_list(kind, z_max))}
+    src, dst = edge_list(kind, z_max)
+    column = {e: c for c, e in enumerate(zip(src.tolist(), dst.tolist()))}
     fluxes = np.zeros((n_segments, 2 * z_max))
     for k, e, f in entries:
         if e not in column:

@@ -293,7 +293,10 @@ def load_distribution_csv(path: str | Path) -> StateDistribution:
         if key == "tail":
             raise ValueError(f"row 'tail,{val}': a distribution has no mass "
                              "beyond its window")
-        probs[int(key)] = float(val)
+        z = int(key)
+        if z < 0 or z in probs:
+            raise ValueError(f"row '{key},{val}': state negative or repeated")
+        probs[z] = float(val)
     if not probs:
         raise ValueError("no state rows in distribution file")
     z_max = max(probs)

@@ -9,16 +9,16 @@ Two edge-set shapes cover everything built here:
 
 A ``RateModel`` bundles the edge shape with one vectorised rate table:
 ``forward(z, xi)`` and ``backward(z, xi)`` map an array of states z to
-the rates lambda(z, z+1, xi) and lambda(z, backward_target(z), xi),
+the rates lambda(z, z+1, xi) and lambda(z, backward_target(kind, z), xi),
 where xi is the current empirical measure.  Everything else -- the
-single-edge ``rate``, the window tables, the drift, the
-stability and counterexample predicates and the assumption audits --
-is derived from these two functions.  The declared envelope constants
-lambda_lower / lambda_upper enter the decay condition checked by
-:func:`verify_A2`:
+window tables, the drift, the stability and counterexample predicates
+and the assumption audits -- is derived from these two functions, and
+:func:`edge_list` is the one place that orders the edges into flux
+columns.  The declared envelope constants lambda_lower / lambda_upper
+enter the decay condition checked by :func:`verify_A2`:
 
-    lambda_lower/(z+1) <= rate(z, z+1, xi) <= lambda_upper/(z+1)
-    lambda_lower       <= rate(z, 0,   xi) <= lambda_upper
+    lambda_lower/(z+1) <= forward(z, xi)  <= lambda_upper/(z+1)
+    lambda_lower       <= backward(z, xi) <= lambda_upper
 
 Rate functions must be pure; RateModel values are immutable and
 shareable across threads.  The forward rate out of the truncation
@@ -28,7 +28,8 @@ which conserves probability on the window: no mass ever leaves
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -43,7 +44,7 @@ class EdgeKind(Enum):
 
 
 class EdgeNotPresentError(ValueError):
-    """Rate requested along an edge that is not in the edge set."""
+    """A flux plan uses an edge that is not in the model's edge set."""
 
 
 class InstabilityError(ValueError):
@@ -56,27 +57,28 @@ class MissingBoundsError(ValueError):
 
 RateFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
+# the field a non-interacting model's rate function is given
+_NO_FIELD = np.zeros(1)
+_NO_FIELD.flags.writeable = False
 
-def _backward_target(kind: EdgeKind, z):
+
+def backward_target(kind: EdgeKind, z):
+    """Where the backward edge out of state z >= 1 ends."""
     return 0 if kind is EdgeKind.CHAIN_WITH_RESETS else z - 1
 
 
-def edge_list(kind: EdgeKind, z_max: int) -> list[tuple[int, int]]:
-    """All edges inside the window, in flux-column order: the forward
-    edges (z, z+1) for z < z_max, then the backward edge out of each
-    z = 1..z_max.  The forward edge out of z_max is dropped."""
-    return ([(z, z + 1) for z in range(z_max)]
-            + [(z, _backward_target(kind, z)) for z in range(1, z_max + 1)])
-
-
-def _stacked_table(fn: RateFn, z_max: int, probs: np.ndarray) -> np.ndarray:
-    """One rate row per field of a (B, z_max+1) stack.
-
-    The stack goes in state-axis first, so ``xi[0]`` is the mass at
-    state 0 of every field, and z is repeated to the same 2-D shape.
-    """
-    z = np.arange(z_max + 1)[:, None].repeat(probs.shape[0], axis=1)
-    return np.array(fn(z, probs.T), dtype=float).T
+@functools.lru_cache(maxsize=None)
+def edge_list(kind: EdgeKind, z_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Source and target states of every edge inside the window, in
+    flux-column order: the forward edges (z, z+1) for z < z_max, then
+    the backward edge out of each z = 1..z_max.  The forward edge out of
+    z_max is dropped.  The arrays are shared and read-only."""
+    z = np.arange(1, z_max + 1)
+    src = np.concatenate([z - 1, z])
+    dst = np.concatenate([z, np.broadcast_to(backward_target(kind, z),
+                                             z.shape)])
+    src.flags.writeable = dst.flags.writeable = False
+    return src, dst
 
 
 @dataclass(frozen=True)
@@ -86,18 +88,18 @@ class RateModel:
     ``forward``/``backward`` take an integer state array z and the field
     probabilities xi and return the rate array of the same shape (the
     backward entry at z = 0 is ignored).  They are the only rate
-    representation; hot loops call them through :meth:`forward_rates` and
-    :meth:`backward_rates`.
+    representation; hot loops call them through the window tables
+    :meth:`forward_rates` and :meth:`backward_rates`, which take the
+    field as ``None`` (non-interacting models only) or an array.
 
-    Stacked fields: :meth:`forward_rates` and :meth:`backward_rates` also
-    take a stack of B fields, shape (B, z_max+1), and return one rate row
-    per field, shape (B, z_max+1), each row equal to the call with that
-    field alone.  The rate function then sees the stack state-axis
-    first: xi has shape (z_max+1, B) and z is repeated to the same
-    shape, so ``xi[0]`` is the mass at state 0 of every field and
-    ``np.full(z.shape, value)`` gives one column per field.  A rate
-    function written elementwise in z and in the rows of xi serves both
-    calls unchanged.
+    Stacked fields: the tables also take a stack of B fields, shape
+    (B, z_max+1), and return one rate row per field, shape (B, z_max+1),
+    each row equal to the call with that field alone.  The rate function
+    then sees the stack state-axis first: xi has shape (z_max+1, B) and
+    z is repeated to the same shape, so ``xi[0]`` is the mass at state 0
+    of every field and ``np.full(z.shape, value)`` gives one column per
+    field.  A rate function written elementwise in z and in the rows of
+    xi serves both calls unchanged.
 
     ``lipschitz`` is the declared constant L of the rates in the field:
     (z+1)|forward(z, xi) - forward(z, zeta)| <= L d(xi, zeta) and
@@ -114,61 +116,34 @@ class RateModel:
     lambda_lower: float
     interacting: bool
     name: str
-    params: dict = field(default_factory=dict)
     lipschitz: float | None = None
 
-    # -- edge bookkeeping ----------------------------------------------------
-
-    def backward_target(self, z):
-        return _backward_target(self.kind, z)
-
-    def has_edge(self, z: int, z_prime: int) -> bool:
-        if z_prime == z + 1 and z >= 0:
-            return True
-        return z >= 1 and z_prime == self.backward_target(z)
-
-    def edges(self, z_max: int) -> list[tuple[int, int]]:
-        return edge_list(self.kind, z_max)
-
-    def rate(self, z: int, z_prime: int, xi: StateDistribution | np.ndarray | None = None) -> float:
-        probs = self._probs(xi)
-        if not self.has_edge(z, z_prime):
-            raise EdgeNotPresentError(f"no edge ({z},{z_prime}) in {self.kind.value}")
-        fn = self.forward if z_prime == z + 1 else self.backward
-        return float(fn(np.array(z), probs))
-
-    def _probs(self, xi) -> np.ndarray:
+    def _table(self, fn: RateFn, z_max: int, xi: np.ndarray | None,
+               zeroed: int) -> np.ndarray:
+        """``fn`` on z = 0..z_max, one row per field, with entry ``zeroed``
+        set to zero."""
         if xi is None:
             if self.interacting:
                 raise ValueError("interacting model needs the mean field xi")
-            return np.zeros(1)
-        if isinstance(xi, StateDistribution):
-            return xi.probs
-        return np.asarray(xi, dtype=float)
+            xi = _NO_FIELD
+        if xi.ndim == 2:
+            z = np.arange(z_max + 1)[:, None].repeat(xi.shape[0], axis=1)
+            out = np.array(fn(z, xi.T), dtype=float).T
+            out[:, zeroed] = 0.0
+        else:
+            out = np.array(fn(np.arange(z_max + 1), xi), dtype=float)
+            out[zeroed] = 0.0
+        return out
 
-    # -- vectorised rate tables ----------------------------------------------
-
-    def forward_rates(self, z_max: int, xi=None) -> np.ndarray:
+    def forward_rates(self, z_max: int, xi: np.ndarray | None = None
+                      ) -> np.ndarray:
         """Forward rates for z = 0..z_max with the boundary rate zeroed."""
-        probs = self._probs(xi)
-        if probs.ndim == 2:
-            out = _stacked_table(self.forward, z_max, probs)
-            out[:, z_max] = 0.0
-            return out
-        out = np.array(self.forward(np.arange(z_max + 1), probs), dtype=float)
-        out[z_max] = 0.0
-        return out
+        return self._table(self.forward, z_max, xi, z_max)
 
-    def backward_rates(self, z_max: int, xi=None) -> np.ndarray:
+    def backward_rates(self, z_max: int, xi: np.ndarray | None = None
+                       ) -> np.ndarray:
         """Backward/reset rates for z = 0..z_max (entry 0 is zero)."""
-        probs = self._probs(xi)
-        if probs.ndim == 2:
-            out = _stacked_table(self.backward, z_max, probs)
-            out[:, 0] = 0.0
-            return out
-        out = np.array(self.backward(np.arange(z_max + 1), probs), dtype=float)
-        out[0] = 0.0
-        return out
+        return self._table(self.backward, z_max, xi, 0)
 
     def drift(self, probs: np.ndarray) -> np.ndarray:
         """Mean-field drift Lambda*_xi xi on the closed window."""
@@ -210,7 +185,6 @@ def mm1_model(lambda_f: float, lambda_b: float) -> RateModel:
         lambda_lower=min(lambda_f, lambda_b),
         interacting=False,
         name="mm1",
-        params={"lambda_f": lambda_f, "lambda_b": lambda_b},
     )
 
 
@@ -225,7 +199,6 @@ def wlan_const_model(lambda_f: float, lambda_b: float) -> RateModel:
         lambda_lower=min(lambda_f, lambda_b),
         interacting=False,
         name="wlan_const",
-        params={"lambda_f": lambda_f, "lambda_b": lambda_b},
     )
 
 
@@ -240,7 +213,6 @@ def wlan_decay_model(lambda_f: float, lambda_b: float) -> RateModel:
         lambda_lower=min(lambda_f, lambda_b),
         interacting=False,
         name="wlan_decay",
-        params={"lambda_f": lambda_f, "lambda_b": lambda_b},
     )
 
 
@@ -264,7 +236,6 @@ def interacting_wlan_model(kappa: float) -> RateModel:
         lambda_lower=1.0,
         interacting=kappa > 0.0,
         name="interacting_wlan",
-        params={"kappa": kappa},
         lipschitz=2.0 * kappa,
     )
 
@@ -279,7 +250,7 @@ def is_counterexample(model: RateModel) -> bool:
     """
     if model.interacting:
         return False
-    fwd = model.forward(np.arange(61), np.zeros(1))
+    fwd = model.forward(np.arange(61), _NO_FIELD)
     return bool(np.all(fwd == fwd[0]))
 
 
@@ -295,9 +266,9 @@ def has_stationary_law(model: RateModel, z_max: int, xi=None) -> bool:
     drifting back from the window edge; for mm1 that is
     lambda_f >= lambda_b.
     """
-    if model.kind is not EdgeKind.BIRTH_DEATH:
-        return True
-    return model.rate(z_max - 1, z_max, xi) < model.rate(z_max, z_max - 1, xi)
+    return (model.kind is not EdgeKind.BIRTH_DEATH
+            or model.forward_rates(z_max, xi)[-2]
+            < model.backward_rates(z_max, xi)[-1])
 
 
 # smallest window on which stationary laws are computed
@@ -324,11 +295,12 @@ def single_particle_stationary(model: RateModel, z_max: int,
     if model.interacting and frozen_field is None:
         raise ValueError("interacting model needs a frozen mean field")
     xi = frozen_field.probs if frozen_field is not None else None
-    if not has_stationary_law(model, z_max, xi):
-        raise InstabilityError(f"{model.name}: forward rate >= backward rate "
-                               "at the window edge, no stationary law")
     fwd = model.forward_rates(z_max, xi)
     back = model.backward_rates(z_max, xi)
+    # the test of has_stationary_law, on the tables at hand
+    if model.kind is EdgeKind.BIRTH_DEATH and not fwd[-2] < back[-1]:
+        raise InstabilityError(f"{model.name}: forward rate >= backward rate "
+                               "at the window edge, no stationary law")
     if np.ptp(back[1:]) > 1e-15 * max(back[1:].max(), 1.0):
         raise ValueError(f"{model.name}: backward rates depend on the state, "
                          "so the stationary law has no product form")

@@ -99,13 +99,13 @@ def construct_equilibrium_to_delta0(model: RateModel,
                                 if xi_star.probs[z] > _MASS_FLOOR])
 
 
-def choose_z0(to: StateDistribution, tol: float = 1e-6) -> int:
-    """Smallest z0 whose tail theta-mass above z0 is below 0.1 * tol."""
+def choose_z0(to: StateDistribution) -> int:
+    """Smallest z0 whose tail theta-mass above z0 is below 1e-7."""
     th = theta_values(to.z_max)
     tail = np.cumsum((th * to.probs)[::-1])[::-1]
     for z0 in range(to.z_max + 1):
         above = tail[z0 + 1] if z0 + 1 <= to.z_max else 0.0
-        if above < 0.1 * tol:
+        if above < 1e-7:
             return z0
     return to.z_max
 

@@ -23,13 +23,13 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
 from .measures import (StateDistribution, entropy_projection,
                        relative_entropy, theta_values, tv_distance)
-from .models import RateModel, single_particle_stationary
+from .models import RateModel, backward_target, single_particle_stationary
 
 RNG_ALGORITHM = "philox4x64"
 
@@ -175,7 +175,7 @@ def gillespie_step(model: RateModel, counts: np.ndarray,
     if idx <= z_max:
         return idx, idx + 1, dt
     z = idx - z_max - 1
-    return z, model.backward_target(z), dt
+    return z, backward_target(model.kind, z), dt
 
 
 _BLOCK = 512  # held states per batched event evaluation
@@ -299,6 +299,14 @@ def _wilson(hits: int, n: int) -> tuple[float, float]:
     return lo, hi
 
 
+def _draws(rng: np.random.Generator, N: int, probs: np.ndarray, n: int,
+           chunk: int) -> Iterator[np.ndarray]:
+    """n i.i.d. empirical measures of N draws from ``probs``, as stacks of
+    at most ``chunk`` rows."""
+    for start in range(0, n, chunk):
+        yield rng.multinomial(N, probs, size=min(chunk, n - start)) / N
+
+
 def _tilted_estimate(name: str, event: "BallEvent", pi: StateDistribution,
                      zeta: StateDistribution, N: int, n: int, seed: int,
                      rng: np.random.Generator, chunk: int) -> RateEstimate:
@@ -317,14 +325,10 @@ def _tilted_estimate(name: str, event: "BallEvent", pi: StateDistribution,
     log_ratio[support] = np.log(pi.probs[support] / zeta.probs[support])
     log_ceiling = N * relative_entropy(zeta, pi)
     hit_weights = []
-    remaining = n
-    while remaining > 0:
-        m = min(chunk, remaining)
-        draws = rng.multinomial(N, zeta.probs, size=m) / N
+    for draws in _draws(rng, N, zeta.probs, n, chunk):
         hit = event.batch(draws)
         log_w = N * (draws @ log_ratio)[hit] + log_ceiling
         hit_weights.append(np.exp(log_w))
-        remaining -= m
     w = np.concatenate(hit_weights)
     if w.size == 0:
         # rule of three under zeta, carried through the weight ceiling
@@ -390,13 +394,8 @@ def estimate_rate_curve(model: RateModel, event: Event, N_list: Sequence[int],
         if zeta is not None:
             return _tilted_estimate(name, event, pi, zeta, N, samples_per_N,
                                     seed, rng, chunk)
-        hits = 0
-        remaining = samples_per_N
-        while remaining > 0:
-            m = min(chunk, remaining)
-            draws = rng.multinomial(N, pi.probs, size=m) / N
-            hits += int(event.batch(draws).sum())
-            remaining -= m
+        hits = sum(int(event.batch(draws).sum()) for draws
+                   in _draws(rng, N, pi.probs, samples_per_N, chunk))
         if hits == 0:
             return _rule_of_three(name, samples_per_N, N, seed)
         p_hat = hits / samples_per_N

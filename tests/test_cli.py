@@ -325,6 +325,16 @@ def test_version_and_validate_cli(tmp_path, capsys):
     assert "ok" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("threads", ["0", "-3", "two"])
+def test_run_rejects_threads_below_one(tmp_path, capsys, threads):
+    cfg = write_cfg(tmp_path, RATE_CURVE.format(out=tmp_path / "out"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", str(cfg), "--threads", threads])
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_all_refuses_unknown_only(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run(

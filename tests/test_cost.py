@@ -19,8 +19,8 @@ from meanfield_ldp.cost import (EndpointMismatchError, FluxTrajectory,
                                 cost_variational, evolve, flux_from_path,
                                 load_trajectory, moment_inequality_check,
                                 save_trajectory, testfunction_lower_bound)
-from meanfield_ldp.cost import (_ALPHA_CAP, _GL_LADDER, _DualWorkspace,
-                                _dual_maximize, _freeze_pieces,
+from meanfield_ldp.cost import (_ALPHA_CAP, _GL_LADDER, _dual_maximize,
+                                _edge_weights, _freeze_pieces,
                                 _gauss_legendre, _intervals, _mass_balance,
                                 _refine_grid, _segment_costs)
 
@@ -28,10 +28,16 @@ from meanfield_ldp.cost import (_ALPHA_CAP, _GL_LADDER, _DualWorkspace,
 RESETS, BIRTH_DEATH = EdgeKind.CHAIN_WITH_RESETS, EdgeKind.BIRTH_DEATH
 
 
+def _edges(kind, z_max):
+    """The (z, z') pairs of the flux columns, in column order."""
+    src, dst = edge_list(kind, z_max)
+    return list(zip(src.tolist(), dst.tolist()))
+
+
 def _plan(initial, kind, *segments):
     """Plan from (duration, {edge: flux}) segments, each flux placed in
     its edge's column."""
-    column = {e: c for c, e in enumerate(edge_list(kind, initial.z_max))}
+    column = {e: c for c, e in enumerate(_edges(kind, initial.z_max))}
     fluxes = np.zeros((len(segments), 2 * initial.z_max))
     for k, (_, by_edge) in enumerate(segments):
         for e, f in by_edge.items():
@@ -72,7 +78,7 @@ def _divergence(fluxes, n):
 def _evolve_per_edge(traj):
     """Oracle: the path nodes with the flux balance summed one edge at a
     time, in edge-column order."""
-    edges = edge_list(traj.kind, traj.z_max)
+    edges = _edges(traj.kind, traj.z_max)
     p = traj.initial.probs.copy()
     probs, times, t = [p], [0.0], 0.0
     for d, row in zip(traj.durations.tolist(), traj.fluxes.tolist()):
@@ -383,7 +389,7 @@ def test_batched_cost_matches_per_segment_reference(request, which):
 
 
 def test_freeze_pieces_needs_declared_lipschitz_constant(interacting):
-    assert interacting.lipschitz == 2.0 * interacting.params["kappa"]
+    assert interacting.lipschitz == 2.0 * 0.5  # 2 * kappa
     undeclared = RateModel(EdgeKind.CHAIN_WITH_RESETS, interacting.forward,
                            interacting.backward, lambda_upper=1.5,
                            lambda_lower=1.0, interacting=True, name="undeclared")
@@ -414,12 +420,12 @@ def test_cost_of_shared_edges_agrees_across_kinds(kind):
 
 # -- variational form and duality ------------------------------------------------------
 
-def _dual_maximize_scalar(ws, p, psi, rungs, grad_tol=1e-10, max_iter=300):
+def _dual_maximize_scalar(model, p, psi, rungs, grad_tol=1e-10, max_iter=300):
     """Oracle: the single-node damped Newton ascent from alpha = 0 with
     its gradient and stop rungs; records the rungs reached in ``rungs``."""
     n = p.shape[0]
-    w = ws.weights(np.clip(p, 0.0, None)[None])[0]
-    src, dst = ws.src, ws.dst
+    w = _edge_weights(model, np.clip(p, 0.0, None)[None])[0]
+    src, dst = edge_list(model.kind, n - 1)
     alpha = np.zeros(n)
 
     def value(a):
@@ -518,11 +524,10 @@ def _dual_nodes(model, z_max, rng):
 def test_batched_dual_matches_single_node_oracle(request, name):
     model = request.getfixturevalue(name)
     z_max = 8
-    ws = _DualWorkspace(model, z_max)
     P, Psi = _dual_nodes(model, z_max, np.random.default_rng(3))
-    vals, alphas, ok = _dual_maximize(ws, P, Psi)
+    vals, alphas, ok = _dual_maximize(model, P, Psi)
     rungs = [set() for _ in P]
-    ref = [_dual_maximize_scalar(ws, p, s, r)
+    ref = [_dual_maximize_scalar(model, p, s, r)
            for p, s, r in zip(P, Psi, rungs)]
     assert np.abs(vals - [v for v, _, _ in ref]).max() <= 1e-12
     assert np.abs(alphas - np.array([a for _, a, _ in ref])).max() <= 1e-9
@@ -532,8 +537,8 @@ def test_batched_dual_matches_single_node_oracle(request, name):
     assert sum("stop" in r for r in rungs) >= 10
     assert np.sum(np.abs(alphas).max(axis=1) >= _ALPHA_CAP - 1e-12) >= 10
     # one Newton step cannot reach the tolerance: nodes end unconverged
-    vals, alphas, ok = _dual_maximize(ws, P, Psi, max_iter=1)
-    ref = [_dual_maximize_scalar(ws, p, s, set(), max_iter=1)
+    vals, alphas, ok = _dual_maximize(model, P, Psi, max_iter=1)
+    ref = [_dual_maximize_scalar(model, p, s, set(), max_iter=1)
            for p, s in zip(P, Psi)]
     assert np.abs(vals - [v for v, _, _ in ref]).max() <= 1e-12
     assert np.abs(alphas - np.array([a for _, a, _ in ref])).max() <= 1e-9
@@ -563,12 +568,10 @@ def _cost_variational_ref(model, path, tol=1e-6):
     """Oracle: the trapezoid rule on the path's intervals, each interval
     halved (affinely) until the value changes by less than ``tol``, then
     one Richardson step."""
-    ws = _DualWorkspace(model, path.z_max)
-
     def trapezoid(times, probs):
         k, dt, psi = _intervals(times, probs)
         vals, _, _ = _dual_maximize(
-            ws, np.concatenate([probs[k], probs[k + 1]]),
+            model, np.concatenate([probs[k], probs[k + 1]]),
             np.concatenate([psi, psi]))
         return float(np.sum(0.5 * dt * (vals[:k.size] + vals[k.size:])))
 
@@ -829,6 +832,20 @@ def test_load_trajectory_rejects_tail_row(tmp_path):
     f.write_text("z_max,5\nn_segments,1\ninitial\n0,0.5\n1,0.4\ntail,0.1\n"
                  "end_initial\nduration,1\n0,1,0.1\n")
     with pytest.raises(ValueError, match="'tail,0.1'"):
+        load_trajectory(f)
+
+
+@pytest.mark.parametrize("initial, row", [
+    ("0,0.5\n-1,0.5\n", "'-1,0.5'"),  # would wrap around to z_max
+    ("0,0.5\n6,0.5\n", "'6,0.5'"),  # past z_max
+    ("0,0.5\n1,0.25\n1,0.5\n", "'1,0.5'"),  # would overwrite state 1
+])
+def test_load_trajectory_rejects_unplaceable_initial_state(tmp_path, initial,
+                                                           row):
+    f = tmp_path / "traj.txt"
+    f.write_text(f"z_max,5\nn_segments,1\ninitial\n{initial}end_initial\n"
+                 "duration,1\n0,1,0.1\n")
+    with pytest.raises(ValueError, match=row):
         load_trajectory(f)
 
 

@@ -242,6 +242,17 @@ def test_distribution_csv_rejects_tail_row(tmp_path):
         load_distribution_csv(f)
 
 
+@pytest.mark.parametrize("rows, row", [
+    ("0,0.5\n1,0.2\n2,0\n-1,0.3\n", "'-1,0.3'"),  # would wrap to z_max
+    ("0,0.5\n1,0.25\n1,0.5\n", "'1,0.5'"),  # would overwrite state 1
+])
+def test_distribution_csv_rejects_unplaceable_state(tmp_path, rows, row):
+    f = tmp_path / "bad.csv"
+    f.write_text("z,prob\n" + rows)
+    with pytest.raises(ValueError, match=row):
+        load_distribution_csv(f)
+
+
 # -- property tests -----------------------------------------------------------------
 
 dists = st.integers(0, 2 ** 31 - 1).map(lambda s: StateDistribution(

@@ -3,8 +3,8 @@ import pytest
 
 from conftest import geometric
 from meanfield_ldp.measures import StateDistribution, tv_distance
-from meanfield_ldp.models import (A2Report, EdgeKind, EdgeNotPresentError,
-                                  InstabilityError, RateModel,
+from meanfield_ldp.models import (A2Report, EdgeKind, InstabilityError,
+                                  RateModel, edge_list,
                                   factorial_decay_bound, has_stationary_law,
                                   interacting_wlan_model, is_counterexample,
                                   mm1_model, single_particle_stationary,
@@ -48,25 +48,37 @@ def test_stacked_rate_tables_match_rows(model):
         assert np.array_equal(back, [model.backward_rates(20, p) for p in P])
 
 
+def _rate(model, z, z_prime, xi):
+    """One edge's rate straight from the raw rate functions: the oracle
+    of the window tables."""
+    fn = model.forward if z_prime == z + 1 else model.backward
+    return float(fn(np.array(z), xi))
+
+
+def _target(kind, z):
+    """Where the backward edge out of z ends, written out per edge shape."""
+    return z - 1 if kind is EdgeKind.BIRTH_DEATH else 0
+
+
 def test_mm1_rates(mm1):
-    assert mm1.rate(0, 1) == 1.0
-    assert mm1.rate(3, 2) == 2.0
-    with pytest.raises(EdgeNotPresentError):
-        mm1.rate(0, -1)
+    fwd, back = mm1.forward_rates(5), mm1.backward_rates(5)
+    assert fwd[0] == 1.0
+    assert back[3] == 2.0
+    assert back[0] == 0.0  # no edge (0, -1)
 
 
 def test_wlan_const_rates(wlan_const):
-    assert wlan_const.rate(5, 6) == 1.0
-    assert wlan_const.rate(5, 0) == 1.0
-    with pytest.raises(EdgeNotPresentError):
-        wlan_const.rate(0, 0)
+    fwd, back = wlan_const.forward_rates(8), wlan_const.backward_rates(8)
+    assert fwd[5] == 1.0
+    assert back[5] == 1.0
+    assert back[0] == 0.0  # no edge (0, 0)
 
 
 def test_wlan_decay_rates():
     m = wlan_decay_model(1.0, 1.0)
-    assert m.rate(0, 1) == 1.0
+    assert m.forward_rates(5)[0] == 1.0
     m2 = wlan_decay_model(2.0, 1.0)
-    assert m2.rate(3, 4) == 0.5
+    assert m2.forward_rates(5)[3] == 0.5
     report = verify_A2(m, [StateDistribution.delta(0, 20)])
     assert report.passed
 
@@ -74,16 +86,15 @@ def test_wlan_decay_rates():
 def test_interacting_rates():
     m0 = interacting_wlan_model(0.0)
     ref = wlan_decay_model(1.0, 1.0)
-    xi = geometric(0.5, 15)
-    for z in range(10):
-        assert m0.rate(z, z + 1, xi) == ref.rate(z, z + 1, xi)
-        if z >= 1:
-            assert m0.rate(z, 0, xi) == ref.rate(z, 0, xi)
+    xi = geometric(0.5, 15).probs
+    assert np.array_equal(m0.forward_rates(15, xi), ref.forward_rates(15, xi))
+    assert np.array_equal(m0.backward_rates(15, xi),
+                          ref.backward_rates(15, xi))
     m = interacting_wlan_model(0.5)
-    d0 = StateDistribution.delta(0, 10)
-    d5 = StateDistribution.delta(5, 10)
-    assert m.rate(0, 1, d0) == 1.5
-    assert m.rate(2, 0, d5) == 1.5
+    d0 = StateDistribution.delta(0, 10).probs
+    d5 = StateDistribution.delta(5, 10).probs
+    assert m.forward_rates(10, d0)[0] == 1.5
+    assert m.backward_rates(10, d5)[2] == 1.5
     with pytest.raises(ValueError):
         interacting_wlan_model(1.0)
 
@@ -94,7 +105,7 @@ def test_dominating_chain_dominates(interacting):
     dom = wlan_decay_model(1.5, 1.0)
     rng = np.random.default_rng(1)
     for _ in range(20):
-        xi = StateDistribution(rng.dirichlet(np.ones(21)), 20)
+        xi = rng.dirichlet(np.ones(21))
         fwd_m = interacting.forward_rates(20, xi)
         fwd_d = dom.forward_rates(20, xi)
         back_m = interacting.backward_rates(20, xi)
@@ -106,12 +117,15 @@ def test_dominating_chain_dominates(interacting):
 # -- stationary laws -----------------------------------------------------------
 
 def _generator(model, z_max):
-    """Dense single-particle generator on the closed window: the oracle
-    of the stationarity residual pi Q = 0."""
-    z = np.arange(1, z_max + 1)
+    """Dense single-particle generator on the closed window, edge by edge
+    from the raw rate functions: the oracle of the stationarity residual
+    pi Q = 0."""
+    no_field = np.zeros(1)
     Q = np.zeros((z_max + 1, z_max + 1))
-    Q[z - 1, z] = model.forward_rates(z_max)[:-1]
-    Q[z, model.backward_target(z)] = model.backward_rates(z_max)[1:]
+    for z in range(1, z_max + 1):
+        zb = _target(model.kind, z)
+        Q[z - 1, z] = _rate(model, z - 1, z, no_field)
+        Q[z, zb] = _rate(model, z, zb, no_field)
     np.fill_diagonal(Q, Q.diagonal() - Q.sum(axis=1))
     return Q
 
@@ -189,24 +203,33 @@ def test_lipschitz_estimates(wlan_const, interacting):
     assert 0.0 < est <= 1.0 + 1e-9  # analytic constant 2 * kappa = 1
 
 
-def test_edges_enumeration(mm1, wlan_const):
-    em = mm1.edges(4)
-    assert (3, 4) in em and (4, 3) in em and (4, 5) not in em
-    assert len(em) == len(set(em))
-    ew = wlan_const.edges(4)
-    assert (3, 4) in ew and (4, 0) in ew and (1, 0) in ew
+def test_edges_enumeration():
+    for kind in EdgeKind:
+        for z_max in range(1, 13):
+            expected = ([(z, z + 1) for z in range(z_max)]
+                        + [(z, _target(kind, z)) for z in range(1, z_max + 1)])
+            src, dst = edge_list(kind, z_max)
+            assert list(zip(src.tolist(), dst.tolist())) == expected
+            assert edge_list(kind, z_max)[0] is src
+            for a in (src, dst):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[0] = 7
 
 
 def test_rate_matches_rate_tables():
     rng = np.random.default_rng(3)
     for model in BUILTINS:
-        xi = StateDistribution(rng.dirichlet(np.ones(16)), 15)
-        fwd = model.forward_rates(15, xi)
-        back = model.backward_rates(15, xi)
-        for z in range(15):
-            assert model.rate(z, z + 1, xi) == fwd[z]
-        for z in range(1, 16):
-            assert model.rate(z, model.backward_target(z), xi) == back[z]
+        P = rng.dirichlet(np.ones(16), size=3)
+        for xi in (P[0], P):
+            fwd = np.atleast_2d(model.forward_rates(15, xi))
+            back = np.atleast_2d(model.backward_rates(15, xi))
+            for p, f, b in zip(np.atleast_2d(xi), fwd, back):
+                for z in range(15):
+                    assert _rate(model, z, z + 1, p) == f[z]
+                for z in range(1, 16):
+                    assert _rate(model, z, _target(model.kind, z), p) == b[z]
+                assert f[15] == 0.0 and b[0] == 0.0
 
 
 def test_stationarity_and_counterexample_predicates():
@@ -232,12 +255,12 @@ def _verify_A2_loop(model, sample_measures, z_max=60):
     tol = 1e-12
     for i, xi in enumerate(sample_measures):
         for z in range(z_max + 1):
-            r = model.rate(z, z + 1, xi)
+            r = _rate(model, z, z + 1, xi.probs)
             low, high = lo / (z + 1), hi / (z + 1)
             if not (low - tol <= r <= high + tol):
                 return A2Report(False, (z, "forward", r, low, high, i))
             if z >= 1:
-                r = model.rate(z, 0, xi)
+                r = _rate(model, z, 0, xi.probs)
                 if not (lo - tol <= r <= hi + tol):
                     return A2Report(False, (z, "reset", r, lo, hi, i))
     return A2Report(True, None)
@@ -255,11 +278,13 @@ def _lipschitz_loop(model, trials, rng_seed, z_max=30):
         if d < 1e-9:
             continue
         for z in range(0, min(z_max, 20) + 1):
-            gap = abs((z + 1) * (model.rate(z, z + 1, a) - model.rate(z, z + 1, b)))
+            gap = abs((z + 1) * (_rate(model, z, z + 1, a.probs)
+                                 - _rate(model, z, z + 1, b.probs)))
             best = max(best, gap / d)
             if z >= 1:
-                zb = model.backward_target(z)
-                gap = abs(model.rate(z, zb, a) - model.rate(z, zb, b))
+                zb = _target(model.kind, z)
+                gap = abs(_rate(model, z, zb, a.probs)
+                          - _rate(model, z, zb, b.probs))
                 best = max(best, gap / d)
     return best
 

@@ -6,7 +6,8 @@ import pytest
 from conftest import geometric
 from meanfield_ldp.measures import (StateDistribution, entropy_projection,
                                     theta_values, tv_distance)
-from meanfield_ldp.models import single_particle_stationary, wlan_decay_model
+from meanfield_ldp.models import (EdgeKind, single_particle_stationary,
+                                  wlan_decay_model)
 from meanfield_ldp.simulator import (_BLOCK, BallEvent, NotInKMEvent,
                                      SimConfig, TruncationOverflowError,
                                      _occupation, _tilted_estimate,
@@ -157,11 +158,13 @@ def test_truncation_overflow_aborts(interacting):
 # -- the per-jump loops, kept as the reference for the count-vector loops ----------
 
 def _step_reference(model, counts, rng):
-    """One jump from a valid count vector to a new valid count vector."""
+    """One jump from a valid count vector to a new valid count vector,
+    with the rates taken from the raw rate functions."""
     z_max = counts.shape[0] - 1
     xi = counts / counts.sum()
-    fwd = model.forward_rates(z_max, xi) * counts
-    back = model.backward_rates(z_max, xi) * counts
+    z = np.arange(z_max + 1)
+    fwd = np.where(z < z_max, model.forward(z, xi), 0.0) * counts
+    back = np.where(z > 0, model.backward(z, xi), 0.0) * counts
     total = float(fwd.sum() + back.sum())
     dt = rng.exponential(1.0 / total)
     u = rng.uniform(0.0, total)
@@ -173,7 +176,7 @@ def _step_reference(model, counts, rng):
         z, zp = idx, idx + 1
     else:
         z = idx - n
-        zp = model.backward_target(z)
+        zp = z - 1 if model.kind is EdgeKind.BIRTH_DEATH else 0
     new[z] -= 1
     new[zp] += 1
     assert new.min() >= 0 and new.sum() == counts.sum()
