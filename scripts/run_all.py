@@ -10,14 +10,14 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from meanfield_ldp.cli import run
+from meanfield_ldp.cli import _positive_int, run
 
 CONFIG_DIR = Path(__file__).parent / "configs"
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--threads", type=int, default=None)
+    parser.add_argument("--threads", type=_positive_int, default=None)
     parser.add_argument("--output-root", default=None,
                         help="directory to collect all experiment outputs")
     configs = sorted(CONFIG_DIR.glob("*.cfg"))

@@ -24,10 +24,11 @@ each other:
     supremum over test vectors alpha of
         <alpha, phi_dot> - sum_edges (exp(alpha(z')-alpha(z)) - 1)
                                       * lambda * phi(z),
-    a smooth concave maximisation solved by damped ascent from
-    alpha = 0 (which pins the evaluator at >= 0); the integrand is smooth
-    on each interval of the piecewise-affine path, and the time integral
-    takes m-point Gauss-Legendre quadrature per interval, m doubled from 2.
+    a smooth concave maximisation solved by damped Newton ascent from
+    alpha = 0 (which pins the evaluator at >= 0) with alpha(0) held at 0,
+    each step one tridiagonal solve; the integrand is smooth on each
+    interval of the piecewise-affine path, and the time integral takes
+    m-point Gauss-Legendre quadrature per interval, m doubled from 2.
 
 Convex duality makes the two agree once fluxes are recovered from the
 optimal alpha via h = exp(alpha(z') - alpha(z)) - 1; that recovery is
@@ -62,7 +63,7 @@ _FREEZE_TOL = 1e-7
 _GL_LADDER = (2, 4, 8, 16, 32, 64)
 _QUADRATURE_TOL = 1e-9
 # nodes per batched dual solve, piece rows per batched control-cost
-# block: bounds the (nodes, n, n) Hessian stack and the piece arrays
+# block: bounds the node and piece arrays
 _CHUNK = 256
 
 
@@ -142,19 +143,24 @@ def evolve(traj: FluxTrajectory) -> SampledPath:
     :class:`InfeasibleTrajectoryError`; per-state masses are affine
     inside segments, so endpoint checks cover the interior.
     """
-    p = traj.initial.probs.copy()
-    probs = [p]
-    balance = _mass_balance(traj.fluxes, traj.kind)
-    for k, (d, v) in enumerate(zip(traj.durations.tolist(), balance)):
-        p = p + d * v
-        low = p.min()
-        if low < -1e-12:
-            raise InfeasibleTrajectoryError(f"state {int(np.argmin(p))} mass "
-                                            f"{low:.3e} after segment {k}")
-        p = np.maximum(p, 0.0)
-        probs.append(p)
+    steps = traj.durations[:, None] * _mass_balance(traj.fluxes, traj.kind)
+    # a running sum adds in segment order; the loop that clamps every
+    # endpoint at 0 runs only when that sum dips below 0
+    probs = np.cumsum(np.concatenate([traj.initial.probs[None], steps]),
+                      axis=0)
+    if probs.min() < 0.0:
+        p = traj.initial.probs
+        for k, dp in enumerate(steps):
+            p = p + dp
+            low = p.min()
+            if low < -1e-12:
+                raise InfeasibleTrajectoryError(
+                    f"state {int(np.argmin(p))} mass {low:.3e} after "
+                    f"segment {k}")
+            p = np.maximum(p, 0.0)
+            probs[k + 1] = p
     times = np.concatenate([[0.0], np.cumsum(traj.durations)])
-    return SampledPath(times, np.stack(probs))
+    return SampledPath(times, probs)
 
 
 def concatenate(a: FluxTrajectory, b: FluxTrajectory) -> FluxTrajectory:
@@ -333,6 +339,10 @@ _NEWTON_DAMPS = (1.0, 0.5, 0.25, 0.1, 0.03, 0.01)
 _GRADIENT_DAMPS = (1.0, 0.1, 0.01, 1e-3, 1e-4)
 # a node whose projected gradient falls below this is converged
 _GRAD_TOL = 1e-10
+# relative rounding of a dual value: a full Newton step may lower the
+# value by this much, since near the optimum the value no longer
+# resolves the rise that the gradient still shows
+_ROUNDING = 4e-16
 
 
 def _edge_weights(model: RateModel, P: np.ndarray) -> np.ndarray:
@@ -342,12 +352,15 @@ def _edge_weights(model: RateModel, P: np.ndarray) -> np.ndarray:
     return np.concatenate([(fwd_r * P)[:, :-1], (back_r * P)[:, 1:]], axis=1)
 
 
-# The stacked kernels below repeat the single-node float operations in
-# the same order (per-row sums and dot products, ufunc.at assembly in
-# edge order, one LAPACK solve per node), so every node's iterates equal
-# those of a solve of that node alone, within the tolerances of the
-# single-node oracle test (a stacked matmul or batched solve need not
-# round like the 1-D call under every BLAS).
+# Psi sums to 0, so the dual value is unchanged by alpha -> alpha + c and
+# alpha_0 stays pinned at 0.  The Newton matrix on states 1..z_max is then
+# tridiagonal for both edge kinds (a reset edge (z, 0) adds to the diagonal
+# only), and one Thomas pass, a loop over the states with vector operations
+# over the nodes, solves it for every node.  The stacked kernels repeat the
+# single-node float operations (per-row sums and dot products, ufunc.at
+# gradient assembly in edge order), so every node's iterates equal those of
+# a solve of that node alone within the tolerances of the single-node oracle
+# test.
 
 def _dual_value(edges: tuple[np.ndarray, np.ndarray], A: np.ndarray,
                 Psi: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -356,20 +369,60 @@ def _dual_value(edges: tuple[np.ndarray, np.ndarray], A: np.ndarray,
     return dots - ((np.exp(A[:, dst] - A[:, src]) - 1.0) * W).sum(axis=1)
 
 
+def _newton_step(kind: EdgeKind, ew: np.ndarray, g: np.ndarray,
+                 held: np.ndarray) -> np.ndarray:
+    """Gauge-fixed projected Newton steps for every node: solves
+    H[F, F] x = g[F] on the free states F, those of 1..z_max not ``held``
+    at the box, with x = 0 elsewhere.  H is the negated Hessian
+    sum_e ew_e (1_src - 1_dst)(1_src - 1_dst)^T plus the ridge
+    1e-12 * (1 + trace(H) / n) on its diagonal; ew = exp(d alpha) * w are
+    the (nodes, 2*z_max) edge terms in flux-column order, g the (nodes, n)
+    gradients and held a (nodes, z_max) mask.  Returns (nodes, n) steps."""
+    B, n = g.shape
+    m = n - 1
+    # row z - 1 of each (m, nodes) array belongs to state z
+    fwd, back = ew[:, :m].T, ew[:, m:].T
+    ridge = 1e-12 * (1.0 + 2.0 * ew.sum(axis=1) / n)
+    diag = fwd + back + ridge  # edge (z-1, z) and the backward edge out of z
+    diag[:-1] += fwd[1:]  # edge (z, z+1)
+    off = -fwd[1:]  # H[z, z+1]
+    if kind is EdgeKind.BIRTH_DEATH:
+        diag[:-1] += back[1:]  # edge (z+1, z)
+        off -= back[1:]
+    # a held state keeps its alpha: its row becomes the identity
+    free = ~held.T
+    diag = np.where(free, diag, 1.0)
+    off *= free[:-1] & free[1:]
+    rhs = np.where(free, g[:, 1:].T, 0.0)
+    for i in range(1, m):
+        f = off[i - 1] / diag[i - 1]
+        diag[i] -= f * off[i - 1]
+        rhs[i] -= f * rhs[i - 1]
+    x = np.zeros((n, B))
+    x[m] = rhs[m - 1] / diag[m - 1]
+    for i in range(m - 2, -1, -1):
+        x[i + 1] = (rhs[i] - off[i] * x[i + 2]) / diag[i]
+    return x.T
+
+
 def _line_search(edges: tuple[np.ndarray, np.ndarray], A: np.ndarray,
                  cur: np.ndarray, todo: np.ndarray, direction: np.ndarray,
-                 scale: np.ndarray, damps: tuple, Psi: np.ndarray,
-                 W: np.ndarray) -> np.ndarray:
+                 damps: tuple, Psi: np.ndarray, W: np.ndarray,
+                 slack: float = 0.0) -> np.ndarray:
     """Move each node of ``todo`` by the first damped step
-    damp * direction / scale that raises its value (A and cur are
-    updated in place); returns the nodes no damping improved."""
+    damp * direction that raises its value by more than 1e-18, or, at the
+    first damp, lowers it by at most slack * (1 + |value|) (A and cur are
+    updated in place); returns the nodes no damping moved."""
     for damp in damps:
         if not todo.size:
             break
-        cand = np.clip(A[todo] + damp * direction[todo] / scale[todo, None],
-                       -_ALPHA_CAP, _ALPHA_CAP)
+        cand = np.clip(A[todo] + damp * direction[todo], -_ALPHA_CAP,
+                       _ALPHA_CAP)
         v = _dual_value(edges, cand, Psi[todo], W[todo])
-        up = v > cur[todo] + 1e-18
+        c = cur[todo]
+        up = v > c + 1e-18
+        if slack and damp == damps[0]:
+            up |= v >= c - slack * (1.0 + np.abs(c))
         A[todo[up]] = cand[up]
         cur[todo[up]] = v[up]
         todo = todo[~up]
@@ -377,21 +430,27 @@ def _line_search(edges: tuple[np.ndarray, np.ndarray], A: np.ndarray,
 
 
 def _dual_maximize(model: RateModel, P: np.ndarray, Psi: np.ndarray,
-                   max_iter: int = 300
+                   start: np.ndarray | None = None, max_iter: int = 300
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For each node b: max over alpha of
     <alpha, Psi[b]> - sum_e (exp(d alpha)-1) w_e(P[b]).
 
     P and Psi are (nodes, z_max+1) stacks of fields and slopes; the
     nodes are solved together, in chunks of at most ``_CHUNK``.  Each
-    node runs damped Newton ascent from alpha = 0, with alpha boxed to
-    +-50 -- the box realises the compact-support limit, and a coordinate
-    parked at the box with favourable multiplier sign is KKT-converged.
-    A node that no damped Newton step improves tries damped gradient
-    steps; when those fail too it stops, converged if its projected
-    gradient is below 1e-8.  Returns (values, alphas, converged).
+    node runs damped Newton ascent with alpha_0 pinned at 0, from
+    ``start`` (alpha = 0 if None), with alpha boxed to +-50 -- the box
+    realises the compact-support limit, and a coordinate parked at the
+    box with favourable multiplier sign is KKT-converged and held there.
+    The full Newton step is taken also when the value falls by no more
+    than rounding.  A node that no damped Newton step moves tries damped
+    gradient steps; one that neither moves stays as it is.  A node is
+    converged once its projected gradient falls below ``_GRAD_TOL``.
+    Returns (values, alphas, converged).
     """
-    out = [_dual_chunk(model, P[s:s + _CHUNK], Psi[s:s + _CHUNK], max_iter)
+    if start is None:
+        start = np.zeros(P.shape)
+    out = [_dual_chunk(model, P[s:s + _CHUNK], Psi[s:s + _CHUNK],
+                       start[s:s + _CHUNK].copy(), max_iter)
            for s in range(0, P.shape[0], _CHUNK)]
     if not out:
         return np.zeros(0), np.zeros((0, P.shape[1])), np.zeros(0, dtype=bool)
@@ -401,11 +460,11 @@ def _dual_maximize(model: RateModel, P: np.ndarray, Psi: np.ndarray,
 
 
 def _dual_chunk(model: RateModel, P: np.ndarray, Psi: np.ndarray,
-                max_iter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    B, n = P.shape
-    src, dst = edges = edge_list(model.kind, n - 1)
+                alpha: np.ndarray, max_iter: int
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    B = P.shape[0]
+    src, dst = edges = edge_list(model.kind, P.shape[1] - 1)
     W = _edge_weights(model, np.clip(P, 0.0, None))
-    alpha = np.zeros((B, n))
     cur = _dual_value(edges, alpha, Psi, W)
     converged = np.zeros(B, dtype=bool)
     live = np.arange(B)
@@ -416,47 +475,27 @@ def _dual_chunk(model: RateModel, P: np.ndarray, Psi: np.ndarray,
         g = psi.copy()
         np.add.at(g, (rows, src), ew)
         np.subtract.at(g, (rows, dst), ew)
-        resid = np.where(A <= -_ALPHA_CAP + 1e-12, np.maximum(g, 0.0),
-                         np.where(A >= _ALPHA_CAP - 1e-12,
-                                  np.minimum(g, 0.0), g))
-        rmax = np.abs(resid).max(axis=1)
-        done = rmax < _GRAD_TOL
+        # a state parked at the box with its gradient pointing out of it
+        # is KKT-converged and held there
+        a, gz = A[:, 1:], g[:, 1:]
+        held = (((a <= -_ALPHA_CAP + 1e-12) & (gz <= 0.0))
+                | ((a >= _ALPHA_CAP - 1e-12) & (gz >= 0.0)))
+        done = np.where(held, 0.0, np.abs(gz)).max(axis=1) < _GRAD_TOL
         converged[live[done]] = True
-        live, A, psi, w, c, ew, g, rmax = (
-            x[~done] for x in (live, A, psi, w, c, ew, g, rmax))
+        live, A, psi, w, c, ew, g, held = (
+            x[~done] for x in (live, A, psi, w, c, ew, g, held))
         if not live.size:
             break
-        H = np.zeros((live.size, n, n))
-        np.add.at(H, (rows, src, src), ew)
-        np.add.at(H, (rows, dst, dst), ew)
-        np.subtract.at(H, (rows, src, dst), ew)
-        np.subtract.at(H, (rows, dst, src), ew)
-        ridge = 1e-12 * (1.0 + np.trace(H, axis1=1, axis2=2) / n)
-        H += ridge[:, None, None] * np.eye(n)
-        try:
-            step = np.linalg.solve(H, g[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError:
-            # a singular node steps along its gradient
-            step = g.copy()
-            for i in range(live.size):
-                try:
-                    step[i] = np.linalg.solve(H[i], g[i])
-                except np.linalg.LinAlgError:
-                    pass
-        ones = np.ones(live.size)
-        stuck = _line_search(edges, A, c, np.arange(live.size), step, ones,
-                             _NEWTON_DAMPS, psi, w)
-        # |g| >= |resid| >= _GRAD_TOL here, so every stuck node goes on
-        # to plain gradient steps
-        dead = stuck
+        step = _newton_step(model.kind, ew, g, held)
+        stuck = _line_search(edges, A, c, np.arange(live.size), step,
+                             _NEWTON_DAMPS, psi, w, _ROUNDING)
         if stuck.size:
-            gnorm = np.maximum(np.abs(g).max(axis=1), 1.0)
-            dead = _line_search(edges, A, c, stuck, g, gnorm, _GRADIENT_DAMPS,
-                                psi, w)
-            converged[live[dead]] = rmax[dead] < 1e-8
+            # plain gradient steps, alpha_0 held at 0
+            g[:, 0] = 0.0
+            g /= np.maximum(np.abs(g).max(axis=1), 1.0)[:, None]
+            _line_search(edges, A, c, stuck, g, _GRADIENT_DAMPS, psi, w)
         alpha[live] = A
         cur[live] = c
-        live = np.delete(live, dead)
     # A coordinate parked at the +cap with positive multiplier means the
     # exact sup is only approached as the test vector grows (mass appears
     # in a state no live edge can feed at this node); the capped value is
@@ -489,12 +528,20 @@ def _intervals(times: np.ndarray, probs: np.ndarray
 
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """m-point Gauss-Legendre nodes and weights on [0, 1], by Golub-Welsch
-    from the Legendre Jacobi matrix; the weights sum to 1."""
-    k = np.arange(1, m)
-    beta = k / np.sqrt(4.0 * k * k - 1.0)
-    t, v = np.linalg.eigh(np.diag(beta, 1) + np.diag(beta, -1))
-    return 0.5 * (t + 1.0), v[0] ** 2
+    """m-point Gauss-Legendre nodes and weights on [0, 1]: Newton's method
+    on the Legendre three-term recurrence from the roots' cosine
+    estimates, weights 2 / ((1 - x^2) P_m'(x)^2) halved; they sum to 1."""
+    x = -np.cos(np.pi * (np.arange(1, m + 1) - 0.25) / (m + 0.5))
+    for _ in range(100):
+        p_prev, p = np.ones(m), x
+        for k in range(2, m + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        dp = m * (x * p - p_prev) / (x * x - 1.0)
+        dx = p / dp
+        x = x - dx
+        if np.abs(dx).max() <= 1e-16:
+            break
+    return 0.5 * (x + 1.0), 1.0 / ((1.0 - x * x) * dp * dp)
 
 
 def cost_variational(model: RateModel, path: SampledPath) -> float:
@@ -540,11 +587,12 @@ def flux_from_path(model: RateModel, path: SampledPath,
     z_max = path.z_max
     src, dst = edge_list(model.kind, z_max)
 
-    def build(pieces: int) -> FluxTrajectory:
+    def build(pieces: int, start: np.ndarray | None = None
+              ) -> tuple[FluxTrajectory, np.ndarray]:
         t2, p2 = _refine_grid(times, probs, pieces)
         k, dt, psi = _intervals(t2, p2)
         mid = np.clip(0.5 * (p2[k] + p2[k + 1]), 0.0, None)
-        _, alpha, ok = _dual_maximize(model, mid, psi)
+        _, alpha, ok = _dual_maximize(model, mid, psi, start)
         if not ok.all():
             warnings.warn(f"flux recovery: inner ascent flagged at "
                           f"{int(np.sum(~ok))} of {ok.size} nodes",
@@ -552,16 +600,17 @@ def flux_from_path(model: RateModel, path: SampledPath,
         F = np.exp(alpha[:, dst] - alpha[:, src]) * _edge_weights(model, mid)
         p0 = np.clip(probs[0], 0.0, None)
         init = StateDistribution(p0 / p0.sum(), z_max)
-        return FluxTrajectory(init, model.kind, dt, F)
+        return FluxTrajectory(init, model.kind, dt, F), alpha
 
     if refine is not None:
-        return build(refine)
-    # refine until the recovered control cost stabilises
-    prev_traj = build(1)
+        return build(refine)[0]
+    # refine until the recovered control cost stabilises; each level
+    # halves every piece of the last, whose alpha starts both halves
+    prev_traj, alpha = build(1)
     prev_cost = cost_nonvariational(model, prev_traj)
     pieces = 2
     for _ in range(9):
-        cand = build(pieces)
+        cand, alpha = build(pieces, np.repeat(alpha, 2, axis=0))
         c = cost_nonvariational(model, cand)
         if abs(c - prev_cost) < 2e-7:
             return cand

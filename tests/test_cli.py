@@ -346,6 +346,19 @@ def test_run_all_refuses_unknown_only(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("threads", ["-3", "0"])
+def test_run_all_refuses_non_positive_threads(tmp_path, threads):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "run_all.py"), "--threads",
+         threads, "--only", "counterexample", "--output-root",
+         str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2
+    assert "expected a positive integer" in done.stderr
+    assert not (tmp_path / "out").exists()
+
+
 _IMPORT_PROBE = """
 import sys
 import numpy as np
