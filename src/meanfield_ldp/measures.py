@@ -65,7 +65,7 @@ class StateDistribution:
             p = np.clip(p, 0.0, None)
             object.__setattr__(self, "probs", p)
         total = float(p.sum())
-        if abs(total - 1.0) > MASS_TOL:
+        if not abs(total - 1.0) <= MASS_TOL:  # also false for a NaN entry
             raise ValueError(f"total mass {total!r} outside [1-1e-12, 1+1e-12]")
         p.flags.writeable = False
 

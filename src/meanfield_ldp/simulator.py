@@ -7,10 +7,18 @@ sum_z counts[z] * sum_{z'} lambda_{z,z'}(counts/N).  The jump chain is
 simulated exactly (exponential holding times, categorical edge choice).
 
 Randomness comes from counter-based Philox streams keyed by
-(seed, replica_index): replicas are reproducible bitwise regardless of
-how they are scheduled, and aggregation is a commutative sum by
-replica index.  Occupation-measure estimators weight events by holding
-times at jump epochs, which is exact.
+(seed, stream index): an occupation run draws from stream 0 of its
+seed, and each N of a rate curve from its own stream i, so a rate curve
+does not depend on how its N are scheduled across threads.
+
+An occupation run keeps one ``JumpWorkspace``: the state grid, the
+particles that can leave along each edge family, and the weight
+buffers every jump reuses.  Each jump calls the model's rate functions
+once on the grid and updates the workspace with a few scalar writes;
+its draws, weights and sums are bitwise those of a loop that rebuilds
+the zeroed rate tables at every jump, so the estimates are too.
+Occupation-measure estimators weight events by holding times at jump
+epochs, which is exact.
 
 For non-interacting models the stationary law of the empirical measure
 is the law of N i.i.d. draws from the single-particle stationary law,
@@ -151,30 +159,84 @@ class NotInKMEvent:
 # Gillespie core
 # ---------------------------------------------------------------------------
 
-def gillespie_step(model: RateModel, counts: np.ndarray,
-                   rng: np.random.Generator) -> tuple[int, int, float]:
-    """One exact jump from the occupancy ``counts``: an exponential
+class JumpWorkspace:
+    """The occupancy of one run and the buffers its jumps reuse.
+
+    ``counts`` is the occupancy vector.  ``movers`` holds, as floats, the
+    particles that can leave along each edge family: row 0 the forward
+    edges (z, z+1), row 1 the backward edges.  Both rows equal
+    ``counts`` except the forward entry at z_max and the backward entry
+    at 0, which stay 0, so a rate function evaluated on the whole state
+    ``grid`` times its row is the jump weight of every edge inside the
+    window.  ``jump`` moves one particle and keeps ``movers`` in step.
+    """
+
+    def __init__(self, counts: np.ndarray) -> None:
+        # floats holding whole numbers: counts / N divides as the
+        # integer counts would, without a cast on every jump
+        self.counts = np.array(counts, dtype=float)
+        self.N = float(self.counts.sum())
+        self.z_max = z_max = self.counts.shape[0] - 1
+        self.grid = np.arange(z_max + 1)
+        self.movers = np.array([self.counts, self.counts])
+        self.movers[0, z_max] = self.movers[1, 0] = 0.0
+        # C-contiguous (2, z_max+1): row sums and row cumulative sums
+        # round as the 1-D reductions of each row do, and the flat view
+        # of the cumulative weights lists the forward edges, then the
+        # backward ones
+        self.weights = np.empty_like(self.movers)
+        self.cum = np.empty_like(self.movers)
+        self.cum_flat = self.cum.reshape(-1)
+        self.cum_back = self.cum[1]
+        self.fwd_movers, self.back_movers = self.movers
+        self.fwd_weights, self.back_weights = self.weights
+
+    def jump(self, z: int, zp: int) -> None:
+        """Move one particle from state z to state zp."""
+        self.counts[z] -= 1.0
+        self.counts[zp] += 1.0
+        if z != self.z_max:
+            self.fwd_movers[z] -= 1.0
+        if z:
+            self.back_movers[z] -= 1.0
+        if zp != self.z_max:
+            self.fwd_movers[zp] += 1.0
+        if zp:
+            self.back_movers[zp] += 1.0
+
+
+def gillespie_step(model: RateModel, work: JumpWorkspace,
+                   rng: np.random.Generator, xi: np.ndarray
+                   ) -> tuple[int, int, float]:
+    """One exact jump from the occupancy held in ``work``: an exponential
     holding time at the total rate, then an edge (z, z') chosen
-    proportionally to its rate.  Returns (z, z', dt) and leaves
-    ``counts`` as it is; the caller moves one particle from z to z'."""
-    z_max = counts.shape[0] - 1
-    if model.interacting and counts[z_max] > 0:
+    proportionally to its rate.  Writes the field counts / N into the
+    row ``xi``, which the caller may keep as the held state, and returns
+    (z, z', dt); the caller applies the move with ``work.jump(z, z')``.
+    The rate functions must be finite on the whole grid: a finite rate
+    times a zero mover is the zero of the zeroed table, and anything
+    else makes the total NaN, which raises ``AbsorbingStateError``."""
+    counts = work.counts
+    if model.interacting and counts[-1] > 0:
         raise TruncationOverflowError(
             "particle reached z_max; enlarge the window")
-    xi = counts / counts.sum()
-    fwd = model.forward_rates(z_max, xi) * counts
-    back = model.backward_rates(z_max, xi) * counts
-    fwd_total = fwd.sum()
-    total = float(fwd_total + back.sum())
-    if total <= 0.0:
-        raise AbsorbingStateError("total jump rate is zero")
+    np.divide(counts, work.N, out=xi)
+    np.multiply(model.forward(work.grid, xi), work.fwd_movers,
+                out=work.fwd_weights)
+    np.multiply(model.backward(work.grid, xi), work.back_movers,
+                out=work.back_weights)
+    fwd_total, back_total = np.add.reduce(work.weights, axis=1)
+    total = float(fwd_total + back_total)
+    if not total > 0.0:
+        raise AbsorbingStateError(f"total jump rate {total!r} is not positive")
     dt = rng.exponential(1.0 / total)
     u = total * rng.random()  # the draw of rng.uniform(0.0, total), bit for bit
-    cum = np.concatenate([fwd.cumsum(), fwd_total + back.cumsum()])
-    idx = int(cum.searchsorted(u, side="right"))
-    if idx <= z_max:
+    np.add.accumulate(work.weights, axis=1, out=work.cum)  # the cumsum
+    np.add(work.cum_back, fwd_total, out=work.cum_back)
+    idx = int(work.cum_flat.searchsorted(u, side="right"))
+    if idx <= work.z_max:
         return idx, idx + 1, dt
-    z = idx - z_max - 1
+    z = idx - work.z_max - 1
     return z, backward_target(model.kind, z), dt
 
 
@@ -186,59 +248,63 @@ def _occupation(model: RateModel, config: SimConfig, events: Sequence[Event],
     """Time-weighted occupation of several events along one run.
 
     Returns (occupied_time[e], batch_lengths[b], batch_fractions[e, b])
-    over ``_N_BATCHES`` equal post-burn-in batches.  Held states are
-    evaluated ``_BLOCK`` at a time through ``Event.batch``; their holding
-    pieces are then added in jump order, so every sum rounds as it would
-    one jump at a time."""
+    over ``_N_BATCHES`` equal post-burn-in batches.  Each jump writes its
+    held state into a block of ``_BLOCK`` rows and its clock interval
+    next to it; a full block is evaluated through ``Event.batch`` and
+    its holding intervals are split across the batch grid, the pieces
+    added in jump order, so every sum rounds as it would one jump at a
+    time."""
     rng = substream(config.seed, replica)
     burn = resolve_burn_in(config.burn_in, model)
     if not burn < config.horizon:
         raise ValueError(f"burn-in {burn!r} is not below the horizon "
                          f"{config.horizon!r}")
-    counts = np.zeros(config.z_max + 1, dtype=np.int64)
+    counts = np.zeros(config.z_max + 1)
     counts[0] = config.N
+    work = JumpWorkspace(counts)
     n_batches = _N_BATCHES
     batch_len = (config.horizon - burn) / n_batches
     occupied = np.zeros((len(events), n_batches))
     lengths = np.zeros(n_batches)
     held = np.empty((_BLOCK, config.z_max + 1))
-    pieces: list[tuple[int, int, float]] = []  # (row of held, batch, weight)
+    clock = np.empty((2, _BLOCK))  # the clock before and after each held jump
 
     def flush(k: int) -> None:
-        if not pieces:
-            return
+        lo = np.maximum(clock[0, :k], burn)
+        hi = np.minimum(clock[1, :k], config.horizon)
+        j0 = ((lo - burn) / batch_len).astype(np.int64)
+        j1 = np.minimum(((hi - burn) / batch_len).astype(np.int64),
+                        n_batches - 1)
+        # the batches each holding interval meets, j0..j1, in jump order
+        n_pieces = np.maximum(j1 + 1 - j0, 0)
+        rows = np.repeat(np.arange(k), n_pieces)
+        js = (np.arange(rows.shape[0])
+              + np.repeat(j0 + n_pieces - np.cumsum(n_pieces), n_pieces))
+        seg_lo = burn + js * batch_len
+        seg_hi = seg_lo + batch_len
+        ws = np.maximum(0.0, np.minimum(hi[rows], seg_hi)
+                        - np.maximum(lo[rows], seg_lo))
         hits = np.empty((len(events), k), dtype=bool)
         for i, ev in enumerate(events):
             hits[i] = ev.batch(held[:k])
-        rows, js, ws = (np.array(c) for c in zip(*pieces))
         # ufunc.at adds in index order: each cell sums in jump order
         np.add.at(occupied, (slice(None), js), ws * hits[:, rows])
         np.add.at(lengths, js, ws)
-        pieces.clear()
 
     k = 0
     t = 0.0
     while t < config.horizon:
-        z, zp, dt = gillespie_step(model, counts, rng)
-        a, b = t, min(t + dt, config.horizon)
-        if b > burn:
-            lo = max(a, burn)
-            np.divide(counts, config.N, out=held[k])
-            # spread the holding interval across the batch grid
-            j0 = int((lo - burn) / batch_len)
-            j1 = int((b - burn) / batch_len)
-            for j in range(j0, min(j1, n_batches - 1) + 1):
-                seg_lo = burn + j * batch_len
-                seg_hi = seg_lo + batch_len
-                w = max(0.0, min(b, seg_hi) - max(lo, seg_lo))
-                pieces.append((k, j, w))
+        z, zp, dt = gillespie_step(model, work, rng, held[k])
+        t_next = t + dt
+        if t_next > burn:  # some of the holding interval is past burn-in
+            clock[0, k] = t
+            clock[1, k] = t_next
             k += 1
             if k == _BLOCK:
                 flush(k)
                 k = 0
-        t += dt
-        counts[z] -= 1
-        counts[zp] += 1
+        work.jump(z, zp)
+        t = t_next
     flush(k)
     fractions = occupied / np.maximum(lengths, 1e-300)[None, :]
     return occupied.sum(axis=1), lengths, fractions

@@ -915,6 +915,14 @@ def test_load_trajectory_rejects_unplaceable_initial_state(tmp_path, initial,
         load_trajectory(f)
 
 
+def test_load_trajectory_rejects_nan_initial_mass(tmp_path):
+    f = tmp_path / "traj.txt"
+    f.write_text("z_max,5\nn_segments,1\ninitial\n0,nan\n1,1\nend_initial\n"
+                 "duration,1\n0,1,0.1\n")
+    with pytest.raises(ValueError, match="total mass nan"):
+        load_trajectory(f)
+
+
 def test_load_trajectory_rejects_segment_count_mismatch(tmp_path):
     with pytest.raises(ValueError, match="segment count"):
         load_trajectory(_trajectory_file(tmp_path, "duration,1\nduration,1\n", 1))

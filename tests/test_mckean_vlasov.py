@@ -90,20 +90,25 @@ def test_check_B2_includes_equilibrium_sample(interacting):
     assert report.sup_gap[0] < 1e-8  # only xi* sampled: zero gap throughout
 
 
-def _state_at(path, t):
-    """Reference interpolation: a distribution per sampled time, the end
-    states as they are and interior points linear between the two
-    bracketing nodes, renormalised."""
+def _reference_interpolant(path):
+    """Reference interpolation of a path: a map from a time to a
+    distribution, the end states as they are and interior points linear
+    between the two bracketing nodes, renormalised.  The node
+    distributions are built once per path."""
     times, states = path.times, [StateDistribution(p, path.z_max)
                                  for p in path.probs]
-    if t <= times[0]:
-        return states[0]
-    if t >= times[-1]:
-        return states[-1]
-    k = int(np.searchsorted(times, t) - 1)
-    w = (t - times[k]) / (times[k + 1] - times[k])
-    p = (1 - w) * states[k].probs + w * states[k + 1].probs
-    return StateDistribution(p / p.sum(), states[0].z_max)
+
+    def state_at(t):
+        if t <= times[0]:
+            return states[0]
+        if t >= times[-1]:
+            return states[-1]
+        k = int(np.searchsorted(times, t) - 1)
+        w = (t - times[k]) / (times[k + 1] - times[k])
+        p = (1 - w) * states[k].probs + w * states[k + 1].probs
+        return StateDistribution(p / p.sum(), states[0].z_max)
+
+    return state_at
 
 
 def test_interpolate_matches_reference(interacting):
@@ -114,8 +119,9 @@ def test_interpolate_matches_reference(interacting):
     between = [a + w * (b - a) for a, b in zip(t, t[1:])
                for w in (0.1, 0.5, 0.77)]
     beyond = [-1.0, t[-1] + 1.0]
+    state_at = _reference_interpolant(path)
     for s in on_nodes + between + beyond:
-        assert np.array_equal(_interpolate(path, s), _state_at(path, s).probs)
+        assert np.array_equal(_interpolate(path, s), state_at(s).probs)
 
 
 def test_check_B2_gaps_match_reference_interpolation(interacting):
@@ -133,7 +139,8 @@ def test_check_B2_gaps_match_reference_interpolation(interacting):
         # grid times at the first node, between nodes and at the last node
         assert report.grid[0] == path.times[0]
         assert report.grid[-1] == path.times[-1]
-        gaps.append([abs(float(_state_at(path, t).probs @ theta) - target)
+        state_at = _reference_interpolant(path)
+        gaps.append([abs(float(state_at(t).probs @ theta) - target)
                      for t in report.grid])
     assert np.array_equal(report.sup_gap, np.max(np.stack(gaps), axis=0))
 

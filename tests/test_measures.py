@@ -217,6 +217,13 @@ def test_entropy_projection_optimal_on_dirichlet_centres(seed):
 
 # -- file format ------------------------------------------------------------------
 
+def test_distribution_rejects_nan_entry():
+    """A NaN entry fails every comparison, so the mass test must be
+    written to fail on it rather than pass."""
+    with pytest.raises(ValueError, match="total mass nan"):
+        StateDistribution(np.array([1.0, np.nan, 0.0]), 2)
+
+
 def test_distribution_csv_roundtrip(tmp_path):
     g = geometric(0.5, 20)
     f = tmp_path / "dist.csv"

@@ -8,9 +8,11 @@ from meanfield_ldp.measures import (StateDistribution, entropy_projection,
                                     theta_values, tv_distance)
 from meanfield_ldp.models import (EdgeKind, single_particle_stationary,
                                   wlan_decay_model)
-from meanfield_ldp.simulator import (_BLOCK, BallEvent, NotInKMEvent,
-                                     SimConfig, TruncationOverflowError,
-                                     _occupation, _tilted_estimate,
+from meanfield_ldp import simulator
+from meanfield_ldp.simulator import (_BLOCK, BallEvent, JumpWorkspace,
+                                     NotInKMEvent, SimConfig,
+                                     TruncationOverflowError, _occupation,
+                                     _tilted_estimate,
                                      estimate_invariant_multi,
                                      estimate_rate_curve, gillespie_step,
                                      resolve_burn_in, save_rate_estimates,
@@ -42,36 +44,45 @@ def test_unit_ball_holds_every_count_vector():
                <= ball.radius for c in counts[:200])
 
 
+def _field(counts):
+    """A row for the field a step writes."""
+    return np.empty(counts.shape[0])
+
+
 def test_single_enabled_transition(mm1):
-    counts = _all_at_zero(1, 10)
-    before = counts.copy()
+    work = JumpWorkspace(_all_at_zero(1, 10))
+    before = work.counts.copy()
     rng = substream(0, 0)
-    z, zp, dt = gillespie_step(mm1, counts, rng)
-    assert np.array_equal(counts, before)  # the caller applies the move
+    z, zp, dt = gillespie_step(mm1, work, rng, _field(before))
+    assert np.array_equal(work.counts, before)  # the caller applies the move
     assert dt > 0
-    counts[z] -= 1
-    counts[zp] += 1
-    assert counts[1] == 1 and counts[0] == 0
+    work.jump(z, zp)
+    assert work.counts[1] == 1 and work.counts[0] == 0
 
 
 def test_two_particles_at_zero(wlan_const):
-    counts = _all_at_zero(2, 10)
+    work = JumpWorkspace(_all_at_zero(2, 10))
     rng = substream(0, 1)
-    z, zp, _ = gillespie_step(wlan_const, counts, rng)
-    counts[z] -= 1
-    counts[zp] += 1
-    assert counts[0] == 1 and counts[1] == 1
+    z, zp, _ = gillespie_step(wlan_const, work, rng, _field(work.counts))
+    work.jump(z, zp)
+    assert work.counts[0] == 1 and work.counts[1] == 1
 
 
 def test_counts_invariant_preserved(interacting):
-    counts = _all_at_zero(20, 15)
+    """Every jump keeps the particle count, and the movers stay the
+    counts with the forward entry at z_max and the backward entry at 0
+    removed."""
+    work = JumpWorkspace(_all_at_zero(20, 15))
     rng = substream(3, 0)
+    xi = _field(work.counts)
     for _ in range(2000):
-        z, zp, _ = gillespie_step(interacting, counts, rng)
-        counts[z] -= 1
-        counts[zp] += 1
-        assert int(counts.sum()) == 20
-        assert counts.min() >= 0
+        z, zp, _ = gillespie_step(interacting, work, rng, xi)
+        work.jump(z, zp)
+        assert int(work.counts.sum()) == 20
+        assert work.counts.min() >= 0
+        assert np.array_equal(work.movers,
+                              [np.r_[work.counts[:-1], 0.0],
+                               np.r_[0.0, work.counts[1:]]])
 
 
 def test_edge_selection_frequencies(mm1):
@@ -80,11 +91,13 @@ def test_edge_selection_frequencies(mm1):
     counts = np.zeros(11, dtype=np.int64)
     counts[0] = 3
     counts[1] = 2
+    work = JumpWorkspace(counts)
+    xi = _field(counts)
     rng = substream(7, 0)
     hits = {}
     n = 100_000
     for _ in range(n):
-        z, zp, _ = gillespie_step(mm1, counts, rng)
+        z, zp, _ = gillespie_step(mm1, work, rng, xi)
         hits[(z, zp)] = hits.get((z, zp), 0) + 1
     # rates: (0,1): 3*1, (1,2): 2*1, (1,0): 2*2
     total = 3.0 + 2.0 + 4.0
@@ -152,7 +165,16 @@ def test_truncation_overflow_aborts(interacting):
     counts[12] = 1
     counts[0] = 9
     with pytest.raises(TruncationOverflowError):
-        gillespie_step(interacting, counts, substream(0, 0))
+        gillespie_step(interacting, JumpWorkspace(counts), substream(0, 0),
+                       _field(counts))
+
+
+def test_occupation_aborts_on_truncation_overflow(interacting):
+    """An interacting run on a window too small for it stops when a
+    particle reaches z_max, instead of reflecting it there."""
+    cfg = SimConfig(N=20, seed=0, horizon=30.0, burn_in=1.0, z_max=3)
+    with pytest.raises(TruncationOverflowError):
+        _occupation(interacting, cfg, [_whole_space(3)], replica=0)
 
 
 # -- the per-jump loops, kept as the reference for the count-vector loops ----------
@@ -256,7 +278,8 @@ _OCCUPATION_RUNS = [(20, 70.0, 0.05, 3 * _BLOCK, 2), (2, 5.0, 3.0, 1, 3)]
 
 
 @pytest.mark.parametrize("run", _OCCUPATION_RUNS, ids=["long", "straddling"])
-@pytest.mark.parametrize("which", ["interacting", "mm1", "wlan_const"])
+@pytest.mark.parametrize("which", ["interacting", "mm1", "wlan_const",
+                                   "wlan_decay"])
 def test_occupation_matches_per_jump_reference(request, which, run):
     """Occupied times, batch lengths and fractions are bitwise those of
     the per-jump loop, over several evaluation blocks."""
@@ -275,6 +298,49 @@ def test_occupation_matches_per_jump_reference(request, which, run):
     assert np.array_equal(got[2], fractions)
     assert 0.0 < fractions[:2].mean() < 1.0  # the events do not all tie
     assert held >= least_held and widest >= least_widest
+
+
+@pytest.mark.parametrize("which", ["interacting", "mm1", "wlan_const",
+                                   "wlan_decay"])
+def test_step_matches_per_jump_reference(request, which):
+    """Jump by jump, the workspace kernel draws the same holding time,
+    bit for bit, and moves the same particle as the reference step; a
+    total rate one ulp off would change the holding time."""
+    model = request.getfixturevalue(which)
+    rng, ref_rng = substream(9, 0), substream(9, 0)
+    counts = _all_at_zero(20, 15)
+    work = JumpWorkspace(counts)
+    xi = _field(counts)
+    for _ in range(3000):
+        counts, ref_dt = _step_reference(model, counts, ref_rng)
+        z, zp, dt = gillespie_step(model, work, rng, xi)
+        work.jump(z, zp)
+        assert dt == ref_dt
+        assert np.array_equal(work.counts, counts)
+
+
+def test_occupation_steps_once_per_jump(interacting, monkeypatch):
+    """``_occupation`` makes exactly one module-level ``gillespie_step``
+    call per jump of the chain, which is what a trace of that function
+    counts as jumps."""
+    cfg = SimConfig(N=20, seed=17, horizon=20.0, burn_in=1.0, z_max=15)
+    rng = substream(cfg.seed, 0)
+    counts = _all_at_zero(cfg.N, cfg.z_max)
+    jumps, t = 0, 0.0
+    while t < cfg.horizon:
+        counts, dt = _step_reference(interacting, counts, rng)
+        t += dt
+        jumps += 1
+    calls = []
+    step = simulator.gillespie_step
+
+    def counting(*args):
+        calls.append(None)
+        return step(*args)
+
+    monkeypatch.setattr(simulator, "gillespie_step", counting)
+    _occupation(interacting, cfg, [_whole_space(cfg.z_max)], replica=0)
+    assert jumps > 100 and len(calls) == jumps
 
 
 # -- rate curves -----------------------------------------------------------------------
