@@ -558,7 +558,7 @@ def main(argv: list[str] | None = None) -> int:
     p_run = sub.add_parser("run", help="run a configured experiment")
     p_run.add_argument("config")
     p_run.add_argument("--threads", type=_positive_int, default=None,
-                       help="threads for rate_curve's i.i.d. sampling "
+                       help="threads over which rate_curve spreads its N "
                             "(default: the number of cores)")
     p_run.add_argument("--output", default=None,
                        help="override the configured output directory")

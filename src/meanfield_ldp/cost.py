@@ -740,10 +740,13 @@ def load_trajectory(path: str | Path) -> FluxTrajectory:
     birth-death; a file with neither loads with reset edges."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    it = iter(lines)
-    z_max = int(next(it).split(",")[1])
-    n_segments = int(next(it).split(",")[1])
-    if next(it) != "initial":
+    head = [ln.split(",") for ln in lines[:2]]
+    if [h[0] for h in head if len(h) == 2] != ["z_max", "n_segments"]:
+        raise ValueError(f"header rows {lines[:2]}: expected z_max,<int> "
+                         "and n_segments,<int>")
+    z_max, n_segments = (int(h[1]) for h in head)
+    it = iter(lines[2:])
+    if next(it, None) != "initial":
         raise ValueError("missing initial block")
     probs = np.zeros(z_max + 1)
     seen = set()
@@ -764,8 +767,10 @@ def load_trajectory(path: str | Path) -> FluxTrajectory:
     durations, entries = [], []  # entries: (segment, edge, flux)
     for ln in it:
         parts = ln.split(",")
-        if parts[0] == "duration":
+        if parts[0] == "duration" and len(parts) == 2:
             durations.append(float(parts[1]))
+        elif len(parts) != 3:
+            raise ValueError(f"row {ln!r}: not duration,d or z,z',flux")
         elif not durations:
             raise ValueError("flux line before the first duration")
         else:

@@ -240,18 +240,16 @@ def monotone_convergence_diagnostic(model: RateModel,
 
 
 def time_to_KDelta(model: RateModel, xi_star: StateDistribution,
-                   nu: StateDistribution, delta: float,
-                   horizon: float | None = None) -> float:
+                   nu: StateDistribution, delta: float) -> float:
     """First sampled time at which the flow from nu enters K(delta)
-    about the equilibrium ``xi_star``; inf if missed."""
+    about the equilibrium ``xi_star`` within 10 / lambda_lower; inf if
+    missed."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     z_max = nu.z_max
     if in_class_KDelta(nu, xi_star, delta):
         return 0.0
-    if horizon is None:
-        horizon = 10.0 / model.lambda_lower
-    path = integrate(model, nu, horizon, tol=1e-9)
+    path = integrate(model, nu, 10.0 / model.lambda_lower, tol=1e-9)
     for t, p in zip(path.times, path.probs):
         if in_class_KDelta(StateDistribution(p, z_max), xi_star, delta):
             return float(t)

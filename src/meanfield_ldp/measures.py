@@ -281,12 +281,14 @@ def load_distribution_csv(path: str | Path) -> StateDistribution:
     rows: list[tuple[str, str]] = []
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r)
+        header = next(r, [])
         if [h.strip() for h in header] != ["z", "prob"]:
             raise ValueError(f"bad header {header!r}: expected z,prob")
         for row in r:
             if not row:
                 continue
+            if len(row) != 2:
+                raise ValueError(f"row {','.join(row)!r}: expected z,prob")
             rows.append((row[0].strip(), row[1].strip()))
     probs: dict[int, float] = {}
     for key, val in rows:

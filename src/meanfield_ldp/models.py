@@ -258,7 +258,7 @@ def is_counterexample(model: RateModel) -> bool:
 # Stationary laws
 # ---------------------------------------------------------------------------
 
-def has_stationary_law(model: RateModel, z_max: int, xi=None) -> bool:
+def has_stationary_law(model: RateModel, z_max: int) -> bool:
     """Whether the chain keeps a stationary law as the window grows.
 
     Reset chains always return to 0.  A birth-death chain has none once
@@ -267,8 +267,8 @@ def has_stationary_law(model: RateModel, z_max: int, xi=None) -> bool:
     lambda_f >= lambda_b.
     """
     return (model.kind is not EdgeKind.BIRTH_DEATH
-            or model.forward_rates(z_max, xi)[-2]
-            < model.backward_rates(z_max, xi)[-1])
+            or model.forward_rates(z_max)[-2]
+            < model.backward_rates(z_max)[-1])
 
 
 # smallest window on which stationary laws are computed

@@ -7,9 +7,9 @@ sum_z counts[z] * sum_{z'} lambda_{z,z'}(counts/N).  The jump chain is
 simulated exactly (exponential holding times, categorical edge choice).
 
 Randomness comes from counter-based Philox streams keyed by
-(seed, stream index): an occupation run draws from stream 0 of its
-seed, and each N of a rate curve from its own stream i, so a rate curve
-does not depend on how its N are scheduled across threads.
+(seed, stream index): ``estimate_invariant_multi`` draws from stream 0
+of its seed and each N of a rate curve from its own stream i, so a rate
+curve does not depend on how its N are scheduled across threads.
 
 An occupation run keeps one ``JumpWorkspace``: the state grid, the
 particles that can leave along each edge family, and the weight
@@ -432,30 +432,30 @@ def estimate_rate_curve(model: RateModel, event: Event, N_list: Sequence[int],
     event, and every event when ``importance`` is false, uses plain
     i.i.d. sampling from pi with a Wilson interval.  Interacting models
     fall back to occupation estimates over runs of length
-    ``_RATE_CURVE_HORIZON``.  All-zero hit counts are
-    reported as lower-bound-only through the rule of three.  Each N
-    draws from its own ``substream(seed, i)``, so results do not depend
-    on ``threads``.
+    ``_RATE_CURVE_HORIZON``.  All-zero hit counts are reported as
+    lower-bound-only through the rule of three.  Every N, interacting or
+    not, runs on a pool of ``threads`` workers (default 1) and draws
+    from its own ``substream(seed, i)``, so results do not depend on
+    ``threads``.
     """
-    results: list[RateEstimate] = []
-    if model.interacting:
-        for i, N in enumerate(N_list):
-            cfg = SimConfig(N=N, seed=seed + i, horizon=_RATE_CURVE_HORIZON,
-                            z_max=z_max)
-            results.append(estimate_invariant_multi(model, cfg, [event])[0])
-        return results
     name = event.describe()
-    pi = single_particle_stationary(model, z_max)
-    zeta = None
-    if (importance and isinstance(event, BallEvent)
-            and tv_distance(pi, event.center) > event.radius):
-        zeta = entropy_projection(pi, event.center, event.radius)
+    pi = zeta = None
+    if not model.interacting:
+        pi = single_particle_stationary(model, z_max)
+        if (importance and isinstance(event, BallEvent)
+                and tv_distance(pi, event.center) > event.radius):
+            zeta = entropy_projection(pi, event.center, event.radius)
     # 25,000 rows per chunk: each thread holds a few chunk-sized arrays at
     # once, and the draws do not depend on the chunk size
     chunk = max(1, min(25_000, samples_per_N))
 
-    def one(i_N: tuple[int, int]) -> RateEstimate:
-        i, N = i_N
+    def one(i: int, N: int) -> RateEstimate:
+        if model.interacting:
+            cfg = SimConfig(N, seed, _RATE_CURVE_HORIZON, z_max=z_max)
+            occ, lengths, fractions = _occupation(model, cfg, [event],
+                                                  replica=i)
+            return _estimate_from_batches(name, float(occ[0]), fractions[0],
+                                          float(lengths.sum()), N, seed)
         rng = substream(seed, i)
         if zeta is not None:
             return _tilted_estimate(name, event, pi, zeta, N, samples_per_N,
@@ -468,13 +468,8 @@ def estimate_rate_curve(model: RateModel, event: Event, N_list: Sequence[int],
         lo, hi = _wilson(hits, samples_per_N)
         return RateEstimate(name, p_hat, lo, hi, -math.log(p_hat) / N, N, seed)
 
-    work = list(enumerate(N_list))
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(one, work))
-    else:
-        results = [one(w) for w in work]
-    return results
+    with ThreadPoolExecutor(max_workers=threads or 1) as ex:
+        return list(ex.map(one, range(len(N_list)), N_list))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ the underlying substance at feasible scale and pass.
 """
 import math
 import time
-import warnings
 
 import numpy as np
 
@@ -169,11 +168,9 @@ def test_criterion_03_zero_cost_flow():
     nu = StateDistribution.from_weights(np.exp(-0.35 * np.arange(41)), 40)
     for model in models:
         path = integrate(model, nu, 5.0, tol=1e-10, dt_max=0.002)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            var = cost_variational(model, path)
-            plan = flux_from_path(model, path, refine=1)
-            nonvar = cost_nonvariational(model, plan)
+        var = cost_variational(model, path)
+        plan = flux_from_path(model, path, refine=1)
+        nonvar = cost_nonvariational(model, plan)
         worst_var = max(worst_var, var)
         worst_nonvar = max(worst_nonvar, nonvar)
     elapsed = time.monotonic() - t0
@@ -193,17 +190,15 @@ def test_criterion_03_zero_cost_flow():
 def test_criterion_04_duality():
     t0 = time.monotonic()
     worst = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for model in (mm1_model(1.0, 2.0), wlan_const_model(1.0, 1.0)):
-            rng = np.random.default_rng(2026)
-            for _ in range(10):
-                traj = _random_feasible_trajectory(model, rng, 10, 2.0)
-                path = evolve(traj)
-                var = cost_variational(model, path)
-                rec = flux_from_path(model, path)
-                nonvar = cost_nonvariational(model, rec)
-                worst = max(worst, abs(var - nonvar))
+    for model in (mm1_model(1.0, 2.0), wlan_const_model(1.0, 1.0)):
+        rng = np.random.default_rng(2026)
+        for _ in range(10):
+            traj = _random_feasible_trajectory(model, rng, 10, 2.0)
+            path = evolve(traj)
+            var = cost_variational(model, path)
+            rec = flux_from_path(model, path)
+            nonvar = cost_nonvariational(model, rec)
+            worst = max(worst, abs(var - nonvar))
     elapsed = time.monotonic() - t0
     ok = worst < 1e-5 and elapsed < 120.0
     report("criterion 4", ok,

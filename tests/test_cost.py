@@ -95,11 +95,9 @@ def test_evolve_matches_per_edge_loop(request, name):
     rng = np.random.default_rng(4)
     plans = [_random_feasible_trajectory(model, rng, 12, 2.0)
              for _ in range(6)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        plans += [flux_from_path(
-            model, evolve(_random_feasible_trajectory(model, rng, 8, 1.0)),
-            refine=r) for r in (1, 2, 3)]
+    plans += [flux_from_path(
+        model, evolve(_random_feasible_trajectory(model, rng, 8, 1.0)),
+        refine=r) for r in (1, 2, 3)]
     # a staircase to a law with no mass at 0 empties state 0, whose
     # running remainder dips below 0 by rounding and is clamped
     w = np.random.default_rng(0).uniform(size=13)
@@ -656,9 +654,7 @@ def test_variational_matches_trapezoid_richardson(request, name):
     rng = np.random.default_rng(8)
     for _ in range(3):
         path = evolve(_random_feasible_trajectory(model, rng, 6, 1.0))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            var = cost_variational(model, path)
+        var = cost_variational(model, path)
         assert abs(var - _cost_variational_ref(model, path)) < 1e-8
 
 
@@ -675,9 +671,7 @@ def test_variational_nonnegative(wlan_const):
     b[0] = a[0]
     b /= b.sum()
     probs = np.stack([a, b, a])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert cost_variational(wlan_const, SampledPath(times, probs)) >= 0.0
+    assert cost_variational(wlan_const, SampledPath(times, probs)) >= 0.0
 
 
 def test_duality_crosscheck_small(mm1, wlan_const):
@@ -885,10 +879,23 @@ def _trajectory_file(tmp_path, body, n_segments=None):
     ("duration,0\n0,1,0.1\n", "positive"),
     ("duration,-1\n0,1,0.1\n", "positive"),
     ("0,1,0.1\nduration,1\n", "before the first duration"),
+    ("duration,1\n0,1\n", "row '0,1'"),  # a flux row without its flux
 ])
 def test_load_trajectory_rejects_malformed_input(tmp_path, body, match):
     with pytest.raises(ValueError, match=match):
         load_trajectory(_trajectory_file(tmp_path, body))
+
+
+@pytest.mark.parametrize("text, match", [
+    ("", r"header rows \[\]"),  # an empty file
+    ("z_max,2\n", r"header rows \['z_max,2'\]"),
+    ("z_max\n", r"header rows \['z_max'\]"),
+])
+def test_load_trajectory_rejects_truncated_header(tmp_path, text, match):
+    f = tmp_path / "traj.txt"
+    f.write_text(text)
+    with pytest.raises(ValueError, match=match):
+        load_trajectory(f)
 
 
 def test_load_trajectory_rejects_tail_row(tmp_path):

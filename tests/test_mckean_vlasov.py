@@ -167,7 +167,7 @@ def test_time_to_KDelta(wlan_const):
 
 def test_time_to_KDelta_unreached(wlan_const):
     out = time_to_KDelta(wlan_const, find_equilibrium(wlan_const, 30),
-                         StateDistribution.delta(0, 30), 1e-9, horizon=0.5)
+                         StateDistribution.delta(0, 30), 1e-9)
     assert out == math.inf
 
 

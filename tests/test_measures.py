@@ -260,6 +260,17 @@ def test_distribution_csv_rejects_unplaceable_state(tmp_path, rows, row):
         load_distribution_csv(f)
 
 
+@pytest.mark.parametrize("text, match", [
+    ("", "bad header"),  # an empty file
+    ("z,prob\n0\n", "row '0'"),  # a state without its mass
+])
+def test_distribution_csv_rejects_malformed_input(tmp_path, text, match):
+    f = tmp_path / "bad.csv"
+    f.write_text(text)
+    with pytest.raises(ValueError, match=match):
+        load_distribution_csv(f)
+
+
 # -- property tests -----------------------------------------------------------------
 
 dists = st.integers(0, 2 ** 31 - 1).map(lambda s: StateDistribution(

@@ -442,6 +442,21 @@ def test_rate_curve_threaded_deterministic(mm1):
     assert [r.p_hat for r in a] == [r.p_hat for r in b]
 
 
+def test_rate_curve_interacting_runs_on_per_N_streams(interacting):
+    """Each N of an interacting rate curve runs on ``substream(seed, i)``
+    like a sampled one: a curve shares no run with the curve of the next
+    seed, every estimate reports the caller's seed, and the pool size
+    changes nothing."""
+    event = NotInKMEvent(0.5, 20)
+    a = estimate_rate_curve(interacting, event, [10, 10], 1, seed=7, z_max=20)
+    b = estimate_rate_curve(interacting, event, [10], 1, seed=8, z_max=20)
+    assert not b[0].lower_bound_only
+    assert a[1].p_hat != b[0].p_hat
+    assert [r.seed for r in a + b] == [7, 7, 8]
+    assert estimate_rate_curve(interacting, event, [10, 10], 1, seed=7,
+                               z_max=20, threads=2) == a
+
+
 # -- dominating-chain stochastic domination audit -------------------------------------------
 
 def test_dominating_chain_theta_domination(interacting):
