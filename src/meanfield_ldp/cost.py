@@ -35,8 +35,7 @@ optimal alpha via h = exp(alpha(z') - alpha(z)) - 1; that recovery is
 :func:`flux_from_path`.
 
 Also here: explicit test-function lower bounds on the cost of reaching
-a target, and the theta-moment growth inequality asserted on every
-constructed trajectory.
+a target.
 """
 from __future__ import annotations
 
@@ -684,29 +683,6 @@ def testfunction_lower_bound(model: RateModel, start: StateDistribution,
     moment_cap_const = float(start.probs @ iota) + b_lin * T
     penalty = 2.0 * lam_up * (_E * (moment_cap_const + 1.0) - 1.0) * T
     return (gap - penalty) / (1.0 + 2.0 * lam_up * _E * T)
-
-
-def moment_inequality_check(model: RateModel, traj: FluxTrajectory,
-                            slack: float = 1e-9) -> bool:
-    """Theta-moment growth inequality along a trajectory:
-
-        sup_t <phi_t, theta> <= <phi_0, theta> + S + slack
-                                 + lambda_upper*(e-1)*T.
-
-    Only meaningful for reset edge sets with the decay envelope; the
-    inf-cost case holds trivially.
-    """
-    if model.kind is not EdgeKind.CHAIN_WITH_RESETS:
-        raise ValueError("moment inequality requires the reset edge set")
-    S = cost_nonvariational(model, traj)
-    if math.isinf(S):
-        return True
-    path = evolve(traj)
-    th = theta_values(traj.z_max)
-    sup_theta = float(np.max(path.probs @ th))
-    start = float(path.probs[0] @ th)
-    T = traj.duration
-    return sup_theta <= start + S + slack + model.lambda_upper * (_E - 1.0) * T
 
 
 # ---------------------------------------------------------------------------

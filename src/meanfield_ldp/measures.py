@@ -246,25 +246,6 @@ def entropy_projection(nu: StateDistribution, center: StateDistribution,
     return StateDistribution(zeta / zeta.sum(), z_max)
 
 
-def sanov_inf_over_ball(nu: StateDistribution, center: StateDistribution,
-                        delta: float) -> float:
-    """inf { I(zeta || nu) : tv(zeta, center) <= delta }, on the common
-    window of nu and center.
-
-    Exactly ``0.0`` when nu lies in the ball, ``inf`` when no
-    distribution in the ball is absolutely continuous with respect to
-    nu, and otherwise the relative entropy of ``entropy_projection``.
-    """
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
-    if tv_distance(nu, center) <= delta:
-        return 0.0
-    zeta = entropy_projection(nu, center, delta)
-    if zeta is None:
-        return math.inf
-    return relative_entropy(zeta, nu)
-
-
 # ---------------------------------------------------------------------------
 # CSV interface:  header "z,prob", one row per state
 # ---------------------------------------------------------------------------

@@ -12,10 +12,10 @@ A ``RateModel`` bundles the edge shape with one vectorised rate table:
 the rates lambda(z, z+1, xi) and lambda(z, backward_target(kind, z), xi),
 where xi is the current empirical measure.  Everything else -- the
 window tables, the drift, the stability and counterexample predicates
-and the assumption audits -- is derived from these two functions, and
-:func:`edge_list` is the one place that orders the edges into flux
-columns.  The declared envelope constants lambda_lower / lambda_upper
-enter the decay condition checked by :func:`verify_A2`:
+-- is derived from these two functions, and :func:`edge_list` is the
+one place that orders the edges into flux columns.  The declared
+envelope constants lambda_lower / lambda_upper state the paper's decay
+condition (A2):
 
     lambda_lower/(z+1) <= forward(z, xi)  <= lambda_upper/(z+1)
     lambda_lower       <= backward(z, xi) <= lambda_upper
@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -244,9 +244,8 @@ def is_counterexample(model: RateModel) -> bool:
     """Whether the model is one of the paper's counterexamples.
 
     Those are the non-interacting chains whose forward rate does not
-    decay: it is the same at every state (checked on {0..60}, the
-    window :func:`verify_A2` audits by default).  That covers mm1 and
-    wlan_const for every parameter value.
+    decay: it is the same at every state (checked on {0..60}).  That
+    covers mm1 and wlan_const for every parameter value.
     """
     if model.interacting:
         return False
@@ -320,56 +319,3 @@ def single_particle_stationary(model: RateModel, z_max: int,
         pi[:-1] = T[:-1] - T[1:]
         pi[-1] = T[-1]
     return StateDistribution(pi / pi.sum(), z_max)
-
-
-# ---------------------------------------------------------------------------
-# Assumption audits
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class A2Report:
-    passed: bool
-    first_violation: tuple | None  # (z, edge, value, low, high, sample_index)
-
-
-def verify_A2(model: RateModel, sample_measures: Sequence[StateDistribution],
-              z_max: int = 60) -> A2Report:
-    """Check the decay envelope on every edge against every sample field.
-
-    The reported violation is the first one in (sample, z) order, the
-    forward edge of a state before its reset edge.
-    """
-    if not sample_measures:
-        raise ValueError("need at least one sample measure")
-    if model.kind is not EdgeKind.CHAIN_WITH_RESETS:
-        return A2Report(False, (0, "edge_set", 0.0, 0.0, 0.0, -1))
-    lo, hi = model.lambda_lower, model.lambda_upper
-    tol = 1e-12
-    z = np.arange(z_max + 1)
-    low, high = lo / (z + 1.0), hi / (z + 1.0)
-    for i, xi in enumerate(sample_measures):
-        fwd = model.forward(z, xi.probs)
-        back = model.backward(z, xi.probs)
-        bad_fwd = ~((low - tol <= fwd) & (fwd <= high + tol))
-        bad_back = ~((lo - tol <= back) & (back <= hi + tol)) & (z >= 1)
-        bad = np.flatnonzero(bad_fwd | bad_back)
-        if bad.size:
-            k = int(bad[0])
-            if bad_fwd[k]:
-                return A2Report(False, (k, "forward", float(fwd[k]),
-                                        float(low[k]), float(high[k]), i))
-            return A2Report(False, (k, "reset", float(back[k]), lo, hi, i))
-    return A2Report(True, None)
-
-
-def factorial_decay_bound(model: RateModel, pi: StateDistribution) -> bool:
-    """Whether pi(z) <= pi(0) * (ub/lb)^z / z! holds at every window state."""
-    ub, lb = model.lambda_upper, model.lambda_lower
-    bound = pi[0]
-    ok = True
-    for z in range(1, pi.z_max + 1):
-        bound *= (ub / lb) / z
-        if pi[z] > bound * (1.0 + 1e-9) + 1e-15:
-            ok = False
-            break
-    return ok

@@ -34,12 +34,11 @@ from typing import Sequence
 import numpy as np
 
 from .cost import (FluxTrajectory, _freeze_pieces, _segment_costs,
-                   concatenate, cost_nonvariational, evolve, flux_from_path,
-                   save_trajectory, testfunction_lower_bound)
-from .measures import (SampledPath, StateDistribution, in_class_KDelta,
-                       relative_entropy, save_distribution_csv, theta_moment,
-                       theta_values, tv_distance)
-from .mckean_vlasov import integrate
+                   concatenate, cost_nonvariational, evolve, save_trajectory,
+                   testfunction_lower_bound)
+from .measures import (StateDistribution, relative_entropy,
+                       save_distribution_csv, theta_moment, theta_values,
+                       tv_distance)
 from .models import (EdgeKind, RateModel, is_counterexample,
                      single_particle_stationary)
 
@@ -189,36 +188,6 @@ def connector(model: RateModel, from_: StateDistribution,
     if tv_distance(end, to) > 1e-10:
         raise PhaseOrderingError("connector endpoint misses the target")
     return traj
-
-
-def descend_to_equilibrium(model: RateModel, xi_star: StateDistribution,
-                           nu: StateDistribution,
-                           delta: float) -> FluxTrajectory:
-    """Ride the limiting flow from nu into K(delta), then connect into
-    the equilibrium ``xi_star`` (on nu's window).
-
-    The flow leg is realised as a flux plan recovered from the sampled
-    flow (near-zero cost, integration bias below 1e-6); the final leg
-    is a connector, so the total cost is dominated by the connector
-    term at radius delta.
-    """
-    _require_reset_model(model)
-    z_max = nu.z_max
-    if in_class_KDelta(nu, xi_star, delta):
-        return connector(model, nu, xi_star, choose_z0(xi_star))
-    horizon = 10.0 / model.lambda_lower
-    path = integrate(model, nu, horizon, tol=1e-10)
-    kt = next((k for k in range(1, path.times.size)
-               if in_class_KDelta(StateDistribution(path.probs[k], z_max),
-                                  xi_star, delta)), None)
-    if kt is None:
-        raise PhaseOrderingError(
-            f"flow did not reach K({delta}) within horizon {horizon}")
-    flow = flux_from_path(model, SampledPath(path.times[:kt + 1],
-                                             path.probs[:kt + 1]))
-    entry = evolve(flow).final_distribution()
-    tail = connector(model, entry, xi_star, choose_z0(xi_star))
-    return concatenate(flow, tail)
 
 
 # ---------------------------------------------------------------------------

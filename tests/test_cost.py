@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from audits import moment_inequality_check
 from conftest import geometric
 from meanfield_ldp.cli import _random_feasible_trajectory
 from meanfield_ldp.measures import (SampledPath, StateDistribution,
@@ -17,8 +18,8 @@ from meanfield_ldp.cost import (EndpointMismatchError, FluxTrajectory,
                                 InfeasibleTrajectoryError,
                                 concatenate, cost_nonvariational,
                                 cost_variational, evolve, flux_from_path,
-                                load_trajectory, moment_inequality_check,
-                                save_trajectory, testfunction_lower_bound)
+                                load_trajectory, save_trajectory,
+                                testfunction_lower_bound)
 from meanfield_ldp.cost import (_ALPHA_CAP, _GL_LADDER, _dual_maximize,
                                 _edge_weights, _freeze_pieces,
                                 _gauss_legendre, _intervals, _mass_balance,

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from audits import sanov_inf_over_ball
 from conftest import geometric
 from meanfield_ldp.measures import (StateDistribution,
                                     TruncationMismatchError,
                                     entropy_projection, in_class_KDelta,
                                     load_distribution_csv, relative_entropy,
-                                    sanov_inf_over_ball, save_distribution_csv,
-                                    theta_moment, tv_distance)
+                                    save_distribution_csv, theta_moment,
+                                    tv_distance)
 from meanfield_ldp.simulator import NotInKMEvent
 
 

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
+from audits import A2Report, factorial_decay_bound, verify_A2
 from conftest import geometric
 from meanfield_ldp.measures import StateDistribution, tv_distance
-from meanfield_ldp.models import (A2Report, EdgeKind, InstabilityError,
-                                  RateModel, edge_list,
-                                  factorial_decay_bound, has_stationary_law,
+from meanfield_ldp.models import (EdgeKind, InstabilityError, RateModel,
+                                  edge_list, has_stationary_law,
                                   interacting_wlan_model, is_counterexample,
                                   mm1_model, single_particle_stationary,
-                                  verify_A2, wlan_const_model,
-                                  wlan_decay_model)
+                                  wlan_const_model, wlan_decay_model)
 
 BUILTINS = [mm1_model(1.0, 2.0), wlan_const_model(1.0, 1.0),
             wlan_decay_model(2.0, 1.0), interacting_wlan_model(0.5)]
@@ -196,6 +195,47 @@ def test_verify_A2_mm1_wrong_edges(mm1):
     assert not verify_A2(mm1, [StateDistribution.delta(0, 10)]).passed
 
 
+# The first violation on each sample list of
+# test_verify_A2_matches_per_state_loop, in list order: point masses at
+# 5, 1 and 0; the same led by a law with 0.4 at 0 and at 1; 20 Dirichlet
+# fields; the point mass at 5 alone.  Every model gets the same verdict
+# at z_max 60 and 10.
+_EDGE_SET = (0, "edge_set", 0.0, 0.0, 0.0, -1)
+_WLAN_CONST = (1, "forward", 1.0, 0.5, 0.5, 0)
+A2_VERDICTS = {
+    "mm1": [_EDGE_SET] * 4,
+    "wlan_const": [_WLAN_CONST] * 4,
+    "wlan_decay": [None] * 4,
+    "interacting_wlan": [None] * 4,
+    "forward_violation": [(0, "forward", 3.0, 1.0, 1.5, 2),
+                          (0, "forward", 1.7339449541284404, 1.0, 1.5, 0),
+                          None, None],
+    "mixed_violation": [(1, "reset", 3.0, 1.0, 1.5, 1),
+                        (1, "forward", 0.8669724770642202, 0.5, 0.75, 0),
+                        None, None],
+    "within_tolerance": [None] * 4,
+}
+
+
+@pytest.mark.parametrize("model", BUILTINS + VIOLATING,
+                         ids=lambda m: m.name)
+def test_verify_A2_matches_per_state_loop(model):
+    """The per-state audit's exact report on fields that put the
+    violating models outside the envelope through either edge family,
+    or not at all: the reports a vectorised audit over whole state
+    arrays returned on the same models and fields."""
+    rng = np.random.default_rng(8)
+    both = StateDistribution.from_weights(np.r_[0.4, 0.4, np.full(29, 0.01)], 30)
+    singles = [StateDistribution.delta(z, 30) for z in (5, 1, 0)]
+    fields = [StateDistribution(rng.dirichlet(np.full(31, 0.5)), 30)
+              for _ in range(20)]
+    sample_lists = (singles, [both] + singles, fields, singles[:1])
+    for samples, violation in zip(sample_lists, A2_VERDICTS[model.name]):
+        for z_max in (60, 10):
+            assert verify_A2(model, samples, z_max) \
+                == A2Report(violation is None, violation)
+
+
 def test_lipschitz_estimates(wlan_const, interacting):
     assert _lipschitz_loop(wlan_const, 50, 0) == 0.0
     assert _lipschitz_loop(interacting_wlan_model(0.0), 50, 0) == 0.0
@@ -246,25 +286,7 @@ def test_stationarity_and_counterexample_predicates():
         assert not is_counterexample(model)
 
 
-# -- per-state reference oracles for the vectorised audits ----------------------
-
-def _verify_A2_loop(model, sample_measures, z_max=60):
-    if model.kind is not EdgeKind.CHAIN_WITH_RESETS:
-        return A2Report(False, (0, "edge_set", 0.0, 0.0, 0.0, -1))
-    lo, hi = model.lambda_lower, model.lambda_upper
-    tol = 1e-12
-    for i, xi in enumerate(sample_measures):
-        for z in range(z_max + 1):
-            r = _rate(model, z, z + 1, xi.probs)
-            low, high = lo / (z + 1), hi / (z + 1)
-            if not (low - tol <= r <= high + tol):
-                return A2Report(False, (z, "forward", r, low, high, i))
-            if z >= 1:
-                r = _rate(model, z, 0, xi.probs)
-                if not (lo - tol <= r <= hi + tol):
-                    return A2Report(False, (z, "reset", r, lo, hi, i))
-    return A2Report(True, None)
-
+# -- per-state estimate of the field Lipschitz constant ----------------------
 
 def _lipschitz_loop(model, trials, rng_seed, z_max=30):
     """Empirical lower estimate of the uniform Lipschitz constant in the
@@ -287,17 +309,3 @@ def _lipschitz_loop(model, trials, rng_seed, z_max=30):
                           - _rate(model, z, zb, b.probs))
                 best = max(best, gap / d)
     return best
-
-
-@pytest.mark.parametrize("model", BUILTINS + VIOLATING,
-                         ids=lambda m: m.name)
-def test_verify_A2_matches_per_state_loop(model):
-    rng = np.random.default_rng(8)
-    both = StateDistribution.from_weights(np.r_[0.4, 0.4, np.full(29, 0.01)], 30)
-    singles = [StateDistribution.delta(z, 30) for z in (5, 1, 0)]
-    fields = [StateDistribution(rng.dirichlet(np.full(31, 0.5)), 30)
-              for _ in range(20)]
-    for samples in (singles, [both] + singles, fields, singles[:1]):
-        for z_max in (60, 10):
-            assert verify_A2(model, samples, z_max) \
-                == _verify_A2_loop(model, samples, z_max)

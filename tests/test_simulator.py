@@ -115,9 +115,29 @@ def test_seed_reproducibility(interacting):
         assert np.array_equal(a, b)
 
 
+def _simulate_path(model, config, thinning):
+    """The program's jump kernel from all particles at 0, sampled every
+    ``thinning`` time units by holding the last jump state."""
+    rng = substream(config.seed, 0)
+    work = JumpWorkspace(_all_at_zero(config.N, config.z_max))
+    xi = np.empty(config.z_max + 1)
+    t = 0.0
+    sample_times = np.arange(0.0, config.horizon + 1e-12, thinning)
+    out = np.zeros((sample_times.shape[0], config.z_max + 1), dtype=np.int64)
+    k = 0
+    while k < sample_times.shape[0]:
+        z, zp, dt = gillespie_step(model, work, rng, xi)
+        while k < sample_times.shape[0] and sample_times[k] <= t + dt:
+            out[k] = work.counts
+            k += 1
+        t += dt
+        work.jump(z, zp)
+    return sample_times, out
+
+
 def test_total_mass_at_every_sample(mm1):
     cfg = SimConfig(N=50, seed=1, horizon=20.0, burn_in=0.5, z_max=25)
-    _, counts = _simulate_path_reference(mm1, cfg, 0.5)
+    _, counts = _simulate_path(mm1, cfg, 0.5)
     assert np.all(counts.sum(axis=1) == 50)
 
 
@@ -126,7 +146,7 @@ def test_mean_state0_occupancy_mm1(mm1):
     cfg = SimConfig(N=50, seed=11, horizon=400.0, burn_in=20.0, z_max=25)
     est, = estimate_invariant_multi(mm1, cfg, [_whole_space(25)])
     assert est.p_hat == 1.0
-    times, counts = _simulate_path_reference(mm1, cfg, 0.5)
+    times, counts = _simulate_path(mm1, cfg, 0.5)
     keep = times >= 20.0
     frac0 = counts[keep, 0].mean() / 50
     assert abs(frac0 - 0.5) < 0.03
@@ -248,25 +268,6 @@ def _occupation_reference(model, config, events):
     return occupied.sum(axis=1), lengths, fractions, held, widest
 
 
-def _simulate_path_reference(model, config, thinning):
-    """The per-jump chain from all particles at 0, sampled every
-    ``thinning`` time units by holding the last jump state."""
-    rng = substream(config.seed, 0)
-    counts = _all_at_zero(config.N, config.z_max)
-    t = 0.0
-    sample_times = np.arange(0.0, config.horizon + 1e-12, thinning)
-    out = np.zeros((sample_times.shape[0], config.z_max + 1), dtype=np.int64)
-    k = 0
-    while k < sample_times.shape[0]:
-        nxt, dt = _step_reference(model, counts, rng)
-        while k < sample_times.shape[0] and sample_times[k] <= t + dt:
-            out[k] = counts
-            k += 1
-        t += dt
-        counts = nxt
-    return sample_times, out
-
-
 # (N, horizon, burn_in, least held states, least batches one holding
 # interval meets): several evaluation blocks of short intervals, or a
 # short run whose intervals span several batches of length 0.1.  Holding
@@ -355,7 +356,7 @@ def test_rate_curve_probability_one_event(mm1):
 def test_rate_curve_matches_sanov_at_small_N(mm1):
     """Feasible-scale check of the Sanov recovery: at N = 20 the ball
     event has probability ~2e-4 and plain Monte Carlo resolves it."""
-    from meanfield_ldp.measures import sanov_inf_over_ball
+    from audits import sanov_inf_over_ball
     event = BallEvent(StateDistribution.delta(0, 30), 0.1)
     rows = estimate_rate_curve(mm1, event, [20], 400_000, seed=3, z_max=30,
                                importance=False)
@@ -471,7 +472,7 @@ def test_dominating_chain_theta_domination(interacting):
     dom_samples = np.array([rng.multinomial(40, dom_pi) @ theta / 40
                             for _ in range(n_dom)])
     cfg = SimConfig(N=40, seed=22, horizon=420.0, burn_in=20.0, z_max=20)
-    times, counts = _simulate_path_reference(interacting, cfg, 1.0)
+    times, counts = _simulate_path(interacting, cfg, 1.0)
     keep = times >= cfg.burn_in
     model_samples = (counts[keep] @ theta) / 40
     eps = 1.63 / math.sqrt(n_dom) + 1.63 / math.sqrt(model_samples.size)
@@ -488,7 +489,7 @@ def test_gillespie_occupation_matches_iid_sampling(mm1):
     z_max = 25
     N = 40
     cfg = SimConfig(N=N, seed=13, horizon=600.0, burn_in=30.0, z_max=z_max)
-    times, counts = _simulate_path_reference(mm1, cfg, 1.0)
+    times, counts = _simulate_path(mm1, cfg, 1.0)
     keep = times >= cfg.burn_in
     occ = counts[keep].mean(axis=0) / N
     pi = single_particle_stationary(mm1, z_max).probs
