@@ -15,7 +15,9 @@ each other:
     and exact, where raw quadrature would blow up.  All segments of a
     plan are costed in one batched pass: segments of one piece count
     share stacked rate-table calls in blocks of at most ``_CHUNK``
-    piece rows, each edge family's idle terms are row sums, and the
+    piece rows.  Each edge family's idle terms lambda*phi are formed
+    once: their row sums are the segments' all-idle costs B and, with
+    the active positions zeroed, the idle parts of their costs.  The
     active terms are summed per segment over rows of equal length, so
     every segment's cost is bitwise the one it has when costed alone.
     The plan cost adds the segment costs in order.
@@ -207,55 +209,61 @@ def _freeze_pieces(model: RateModel, fluxes: np.ndarray, P0: np.ndarray,
 def _row_sums(terms: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Sum of each row's run of a compressed 1-D array, runs of length
     ``counts`` in row order; rows of one length are summed together as
-    a matrix, so each sum equals that of the run alone."""
+    a matrix (the array itself when their runs fill it), so each sum
+    equals that of the run alone."""
     out = np.zeros(counts.size)
     starts = np.cumsum(counts) - counts
     for k in sorted(set(counts.tolist()) - {0}):
         rows = np.flatnonzero(counts == k)
-        out[rows] = terms[starts[rows, None] + np.arange(k)].sum(axis=1)
+        runs = (terms.reshape(-1, k) if rows.size * k == terms.size
+                else terms[starts[rows, None] + np.arange(k)])
+        out[rows] = runs.sum(axis=1)
     return out
 
 
-def _family_costs(f: np.ndarray, lam: np.ndarray, phi0: np.ndarray,
-                  phi1: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Per-segment sum over one edge family of the closed-form integral
-    of tau*(f/(lam*phi) - 1) * lam * phi over pieces where phi is affine
-    and lam is frozen.
+def _family_costs(f: np.ndarray, rates: np.ndarray, P: np.ndarray,
+                  S: np.ndarray, k: int, dp: np.ndarray) -> np.ndarray:
+    """Per-segment sums over edge family k (0 forward, 1 backward) of the
+    closed-form integral of tau*(f/(lam*phi) - 1) * lam * phi over pieces
+    where phi is affine and lam is frozen, and of lam * phi alone.
 
-    A block of c segments of n pieces each: f (c, E) flux rows, lam,
-    phi0 and phi1 (c, n, E) piece rates and end masses, delta (c,) piece
-    lengths; returns (c,) costs, inf where an active edge leaves a state
-    that is empty over a whole piece.
+    A block of c segments of n pieces each: f (c, E) the family's flux
+    rows, rates (c, n, z_max+1) piece rate tables (or one row that
+    broadcasts), P (c, n+1, z_max+1) clipped piece end states, S their
+    (c, n, z_max+1) sums over consecutive ends, dp (c,) piece lengths;
+    column e is the edge out of state e + k.  Returns the (2, c) costs
+    and all-idle costs; a cost is inf where an active edge leaves a
+    state that is empty over a whole piece.
     """
-    c, n, e = phi0.shape
-    phi0 = np.clip(phi0, 0.0, None).reshape(c, n * e)
-    phi1 = np.clip(phi1, 0.0, None).reshape(c, n * e)
-    lam = np.broadcast_to(lam, (c, n, e)).reshape(c, n * e)
-    f = np.broadcast_to(f[:, None, :], (c, n, e)).reshape(c, n * e)
-    d = delta[:, None]
+    (c, n), e = S.shape[:2], f.shape[1]
+    lam = np.broadcast_to(rates[..., k:k + e], (c, n, e))
+    # lam * phi integrated over each piece, the tau*(-1) suppression cost
+    idle = np.multiply(lam, (0.5 * dp)[:, None, None], order="C")
+    idle *= S[..., k:k + e]
+    B = idle.reshape(c, -1).sum(axis=1)
     active = f > 0.0
-    # idle edges: integral of lam*phi, the tau*(-1) suppression cost
-    total = np.where(active, 0.0, lam * d * 0.5 * (phi0 + phi1)).sum(axis=1)
-    counts = active.sum(axis=1)
-    fa = f[active]
-    la = lam[active]
-    a0 = phi0[active]
-    a1 = phi1[active]
-    da = np.repeat(delta, counts)
+    if not active.any():
+        return np.array((B, B))
+    # the mask broadcast over pieces takes the active terms in (c, n, E) order
+    m = np.repeat(active, n, axis=0).reshape(c, n, e)
+    ia = idle[m]
+    idle[m] = 0.0
+    total = idle.reshape(c, -1).sum(axis=1)
+    counts = n * active.sum(axis=1)
+    fa, la = np.repeat(f, n, axis=0).reshape(c, n, e)[m], lam[m]
+    a0, a1 = P[:, :-1, k:k + e][m], P[:, 1:, k:k + e][m]
+    da = np.repeat(dp, counts)
     with np.errstate(divide="ignore", invalid="ignore"):
         F0 = np.where(a0 > 0.0, a0 * np.log(a0) - a0, 0.0)
         F1 = np.where(a1 > 0.0, a1 * np.log(a1) - a1, 0.0)
-        v = (a1 - a0) / da
-        flat = np.abs(a1 - a0) <= 1e-14 * np.maximum(a0, a1)
-        mid = 0.5 * (a0 + a1)
-        int_log = np.where(flat, da * np.log(np.where(mid > 0, mid, 1.0)),
+        diff = a1 - a0
+        v = diff / da
+        flat = np.abs(diff) <= 1e-14 * np.maximum(a0, a1)
+        # a piece whose source stays empty has log(0) = -inf: its cost is inf
+        int_log = np.where(flat, da * np.log(0.5 * (a0 + a1)),
                            (F1 - F0) / np.where(v != 0.0, v, 1.0))
-        terms = (fa * da * (np.log(fa) - np.log(la) - 1.0) - fa * int_log
-                 + la * da * 0.5 * (a0 + a1))
-    total += _row_sums(terms, counts)
-    stranded = (active & (phi0 <= 0.0) & (phi1 <= 0.0)).any(axis=1)
-    total[stranded] = math.inf
-    return total
+        terms = fa * da * (np.log(fa) - np.log(la) - 1.0) - fa * int_log + ia
+    return np.array((total + _row_sums(terms, counts), B))
 
 
 def _rate_rows(model: RateModel, z_max: int, fields: np.ndarray
@@ -271,9 +279,9 @@ def _rate_rows(model: RateModel, z_max: int, fields: np.ndarray
 
 
 def _segment_costs(model: RateModel, fluxes: np.ndarray, P0: np.ndarray,
-                   P1: np.ndarray, durations: np.ndarray,
-                   pieces: np.ndarray) -> np.ndarray:
-    """Cost of every constant-flux segment, shape (S,).
+                   P1: np.ndarray, durations: np.ndarray, pieces: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Each segment's cost and all-idle cost B, shapes (S,) each.
 
     Segment k runs flux row k for ``durations[k]`` from P0[k] to P1[k],
     split into ``pieces[k]`` equal pieces with the rate frozen at each
@@ -283,7 +291,7 @@ def _segment_costs(model: RateModel, fluxes: np.ndarray, P0: np.ndarray,
     elements in the same order as a segment costed alone would.
     """
     z_max = P0.shape[1] - 1
-    out = np.empty(durations.shape[0])
+    out = np.empty((2, durations.shape[0]))
     for n in sorted(set(pieces.tolist())):
         lam = np.arange(n + 1) / n
         same = np.flatnonzero(pieces == n)
@@ -292,14 +300,30 @@ def _segment_costs(model: RateModel, fluxes: np.ndarray, P0: np.ndarray,
             idx = same[s:s + step]
             # piece end states, (segments, n+1, z_max+1)
             P = P0[idx, None] + (P1[idx] - P0[idx])[:, None] * lam[:, None]
-            fwd, back = _rate_rows(model, z_max, 0.5 * (P[:, :-1] + P[:, 1:]))
+            rates = _rate_rows(model, z_max, 0.5 * (P[:, :-1] + P[:, 1:]))
+            np.clip(P, 0.0, None, out=P)
+            S = P[:, :-1] + P[:, 1:]
             dp = durations[idx] / n
-            c_fwd = _family_costs(fluxes[idx, :z_max], fwd[..., :-1],
-                                  P[:, :-1, :-1], P[:, 1:, :-1], dp)
-            c_back = _family_costs(fluxes[idx, z_max:], back[..., 1:],
-                                   P[:, :-1, 1:], P[:, 1:, 1:], dp)
-            out[idx] = np.where(c_fwd == math.inf, math.inf, c_fwd + c_back)
-    return out
+            fwd, back = (_family_costs(fluxes[idx, k * z_max:(k + 1) * z_max],
+                                       rates[k], P, S, k, dp) for k in (0, 1))
+            out[:, idx] = fwd + back
+    return out[0], out[1]
+
+
+def _plan_costs(model: RateModel, traj: FluxTrajectory
+                ) -> tuple[float, np.ndarray]:
+    """:func:`cost_nonvariational` and every segment's all-idle cost B."""
+    # the two edge kinds share every edge but the backward ones out of z >= 2
+    if traj.kind is not model.kind and traj.fluxes[:, traj.z_max + 1:].any():
+        raise EdgeNotPresentError(f"plan has flux on {traj.kind.value} edges "
+                                  f"not in {model.kind.value}")
+    P = evolve(traj).probs
+    seg = (traj.fluxes, P[:-1], P[1:], traj.durations)
+    costs, idle = _segment_costs(model, *seg, _freeze_pieces(model, *seg))
+    total = 0.0
+    for c in costs.tolist():  # in segment order; an inf cost makes it inf
+        total += c
+    return total, idle
 
 
 def cost_nonvariational(model: RateModel, traj: FluxTrajectory) -> float:
@@ -314,20 +338,7 @@ def cost_nonvariational(model: RateModel, traj: FluxTrajectory) -> float:
     All segments are costed in one batched pass (:func:`_segment_costs`)
     and their costs added in segment order.
     """
-    # the two edge kinds share every edge but the backward ones out of z >= 2
-    if traj.kind is not model.kind and traj.fluxes[:, traj.z_max + 1:].any():
-        raise EdgeNotPresentError(f"plan has flux on {traj.kind.value} edges "
-                                  f"not in {model.kind.value}")
-    path = evolve(traj)
-    P0, P1 = path.probs[:-1], path.probs[1:]
-    pieces = _freeze_pieces(model, traj.fluxes, P0, P1, traj.durations)
-    costs = _segment_costs(model, traj.fluxes, P0, P1, traj.durations, pieces)
-    if np.isinf(costs).any():
-        return math.inf
-    total = 0.0
-    for c in costs.tolist():
-        total += c
-    return total
+    return _plan_costs(model, traj)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -607,14 +618,12 @@ def flux_from_path(model: RateModel, path: SampledPath,
     # halves every piece of the last, whose alpha starts both halves
     prev_traj, alpha = build(1)
     prev_cost = cost_nonvariational(model, prev_traj)
-    pieces = 2
-    for _ in range(9):
-        cand, alpha = build(pieces, np.repeat(alpha, 2, axis=0))
+    for level in range(1, 10):
+        cand, alpha = build(2 ** level, np.repeat(alpha, 2, axis=0))
         c = cost_nonvariational(model, cand)
         if abs(c - prev_cost) < 2e-7:
             return cand
         prev_traj, prev_cost = cand, c
-        pieces *= 2
     return prev_traj
 
 
@@ -635,14 +644,9 @@ def tent_theta(n: int, z_max: int) -> np.ndarray:
     The mirrored branch only reaches indices below n, so values on the
     window {0..z_max} suffice.
     """
-    th = theta_values(z_max)
-    out = np.zeros(z_max + 1)
-    for zz in range(z_max + 1):
-        if zz <= n:
-            out[zz] = th[zz]
-        elif zz <= 2 * n:
-            out[zz] = th[2 * n - zz]
-    return out
+    z = np.arange(z_max + 1)
+    return np.where(z <= 2 * n,
+                    theta_values(z_max)[np.minimum(z, np.abs(2 * n - z))], 0.0)
 
 
 def testfunction_lower_bound(model: RateModel, start: StateDistribution,
@@ -739,8 +743,10 @@ def load_trajectory(path: str | Path) -> FluxTrajectory:
                              f"0..{z_max} or repeated")
         seen.add(z)
         probs[z] = float(val)
+    else:
+        raise ValueError("missing end_initial")
     initial = StateDistribution(probs, z_max)
-    durations, entries = [], []  # entries: (segment, edge, flux)
+    durations, entries = [], {}  # entries: (segment, edge) -> flux
     for ln in it:
         parts = ln.split(",")
         if parts[0] == "duration" and len(parts) == 2:
@@ -750,19 +756,21 @@ def load_trajectory(path: str | Path) -> FluxTrajectory:
         elif not durations:
             raise ValueError("flux line before the first duration")
         else:
-            entries.append((len(durations) - 1, (int(parts[0]), int(parts[1])),
-                            float(parts[2])))
+            key = (len(durations) - 1, (int(parts[0]), int(parts[1])))
+            if key in entries:
+                raise ValueError(f"row {ln!r}: edge repeated in its segment")
+            entries[key] = float(parts[2])
     if len(durations) != n_segments:
         raise ValueError("segment count mismatch")
     kinds = {EdgeKind.BIRTH_DEATH if zp else EdgeKind.CHAIN_WITH_RESETS
-             for _, (z, zp), _ in entries if z >= 2 and zp in (0, z - 1)}
+             for _, (z, zp) in entries if z >= 2 and zp in (0, z - 1)}
     if len(kinds) > 1:
         raise ValueError("file mixes reset and birth-death edges")
     kind = kinds.pop() if kinds else EdgeKind.CHAIN_WITH_RESETS
     src, dst = edge_list(kind, z_max)
     column = {e: c for c, e in enumerate(zip(src.tolist(), dst.tolist()))}
     fluxes = np.zeros((n_segments, 2 * z_max))
-    for k, e, f in entries:
+    for (k, e), f in entries.items():
         if e not in column:
             raise ValueError(f"({e[0]},{e[1]}) is no edge inside the window")
         fluxes[k, column[e]] = f

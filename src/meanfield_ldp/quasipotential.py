@@ -33,8 +33,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .cost import (FluxTrajectory, _freeze_pieces, _segment_costs,
-                   concatenate, cost_nonvariational, evolve, save_trajectory,
+from .cost import (FluxTrajectory, _plan_costs, concatenate,
+                   cost_nonvariational, evolve, save_trajectory,
                    testfunction_lower_bound)
 from .measures import (StateDistribution, relative_entropy,
                        save_distribution_csv, theta_moment, theta_values,
@@ -100,13 +100,8 @@ def construct_equilibrium_to_delta0(model: RateModel,
 
 def choose_z0(to: StateDistribution) -> int:
     """Smallest z0 whose tail theta-mass above z0 is below 1e-7."""
-    th = theta_values(to.z_max)
-    tail = np.cumsum((th * to.probs)[::-1])[::-1]
-    for z0 in range(to.z_max + 1):
-        above = tail[z0 + 1] if z0 + 1 <= to.z_max else 0.0
-        if above < 1e-7:
-            return z0
-    return to.z_max
+    tail = np.cumsum((theta_values(to.z_max) * to.probs)[::-1])[::-1]
+    return int(np.argmax(np.append(tail[1:], 0.0) < 1e-7))
 
 
 def connector(model: RateModel, from_: StateDistribution,
@@ -210,7 +205,7 @@ class VBound:
                 raise ValueError("lower bound exceeds upper bound")
 
 
-def _refine_witness(model: RateModel, traj: FluxTrajectory) -> FluxTrajectory:
+def _refine_witness(traj: FluxTrajectory, B: np.ndarray) -> FluxTrajectory:
     """Run every segment at its cost-optimal speed.
 
     Scaling a segment's duration d by s and its flux row by 1/s moves
@@ -219,18 +214,15 @@ def _refine_witness(model: RateModel, traj: FluxTrajectory) -> FluxTrajectory:
 
         c(s) = A - F log s + B s,   minimised at s* = F / B,
 
-    where F = d * sum(row) is the mass the segment moves and B is the
-    cost of the same states with every edge idle, the integral of
-    sum_e lambda_e phi_e.  Witness segments carry one unit flux and
-    every state of a reset model has a positive total jump rate, so F
-    and B are positive.  For interacting models B is frozen on the
-    segment's own pieces, which holds the formula to within the
-    freezing tolerance.
+    where F = d * sum(row) is the mass the segment moves and B, which
+    ``_plan_costs`` returns with the plan cost, is the cost of the same
+    states with every edge idle, the integral of sum_e lambda_e phi_e.
+    Witness segments carry one unit flux and every state of a reset
+    model has a positive total jump rate, so F and B are positive.  For
+    interacting models B is frozen on the segment's own pieces, which
+    holds the formula to within the freezing tolerance.
     """
-    P = evolve(traj).probs
     d, rows = traj.durations, traj.fluxes
-    pieces = _freeze_pieces(model, rows, P[:-1], P[1:], d)
-    B = _segment_costs(model, np.zeros_like(rows), P[:-1], P[1:], d, pieces)
     s = d * rows.sum(axis=1) / B
     return FluxTrajectory(traj.initial, traj.kind, d * s, rows / s[:, None])
 
@@ -259,11 +251,11 @@ def v_upper_bound(model: RateModel, xi_star: StateDistribution,
     except PhaseOrderingError:
         pass
 
-    costs = [cost_nonvariational(model, t) for t in candidates]
-    upper = min(costs)
-    best = candidates[costs.index(upper)]
+    costs, idles = zip(*(_plan_costs(model, t) for t in candidates))
+    k = costs.index(min(costs))
+    upper, best = costs[k], candidates[k]
     if refine:
-        polished = _refine_witness(model, best)
+        polished = _refine_witness(best, idles[k])
         polished_cost = cost_nonvariational(model, polished)
         if polished_cost < upper:
             best, upper = polished, polished_cost

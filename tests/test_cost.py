@@ -23,7 +23,8 @@ from meanfield_ldp.cost import (EndpointMismatchError, FluxTrajectory,
 from meanfield_ldp.cost import (_ALPHA_CAP, _GL_LADDER, _dual_maximize,
                                 _edge_weights, _freeze_pieces,
                                 _gauss_legendre, _intervals, _mass_balance,
-                                _newton_step, _refine_grid, _segment_costs)
+                                _newton_step, _plan_costs, _refine_grid,
+                                _segment_costs)
 
 
 RESETS, BIRTH_DEATH = EdgeKind.CHAIN_WITH_RESETS, EdgeKind.BIRTH_DEATH
@@ -253,7 +254,7 @@ def test_edge_cost_vectorised_matches_scalar():
         # the edge (0, 1) of the z_max = 1 window; (1, 0) idles at zero mass
         vec = _segment_costs(wlan_const_model(lam, 1.0), np.array([[f, 0.0]]),
                              np.array([[phi0, 0.0]]), np.array([[phi1, 0.0]]),
-                             np.array([delta]), np.ones(1, dtype=int))[0]
+                             np.array([delta]), np.ones(1, dtype=int))[0][0]
         if math.isinf(ref):
             assert math.isinf(vec)
         else:
@@ -312,7 +313,7 @@ def _segment_cost_loop(model, row, p0, p1, delta, pieces):
 
 def _one_segment(model, row, p0, p1, delta, pieces):
     return _segment_costs(model, row[None], p0[None], p1[None],
-                          np.array([delta]), np.array([pieces]))[0]
+                          np.array([delta]), np.array([pieces]))[0][0]
 
 
 @pytest.mark.parametrize("pieces", [1, 2, 3, 17, 256])
@@ -357,15 +358,10 @@ def _thinned_plan(model, rng, z_max):
                           np.array(rows))
 
 
-@pytest.mark.parametrize("which", ["mm1", "wlan_const", "wlan_decay",
-                                   "interacting"])
-def test_batched_cost_matches_per_segment_reference(request, which):
-    """All segments costed in one batched pass equal, bit for bit, each
-    segment costed alone; so do the subdivision counts and the plan
-    total.  The plans mix active-edge counts, the interacting ones mix
-    piece counts up to the 4096 cap, and flux out of a state that stays
-    empty makes its segment, and the plan, cost inf."""
-    model = request.getfixturevalue(which)
+def _mixed_plans(model):
+    """Six thinned random plans, a stranded plan (its last, and flux out
+    of a state that stays empty) and, for an interacting model, a plan
+    that hits the 4096-piece cap."""
     z_max = 12
     rng = np.random.default_rng(9)
     start = StateDistribution.delta(0, z_max)
@@ -379,6 +375,19 @@ def test_batched_cost_matches_per_segment_reference(request, which):
         plans.append(_plan(StateDistribution(p, z_max), model.kind,
                            (0.9, {(0, 1): 1.0}), (0.5, {(1, 2): 0.1}),
                            (0.3, {(1, 0): 0.2, (0, 1): 0.05})))
+    return plans, stranded
+
+
+@pytest.mark.parametrize("which", ["mm1", "wlan_const", "wlan_decay",
+                                   "interacting"])
+def test_batched_cost_matches_per_segment_reference(request, which):
+    """All segments costed in one batched pass equal, bit for bit, each
+    segment costed alone; so do the subdivision counts and the plan
+    total.  The plans mix active-edge counts, the interacting ones mix
+    piece counts up to the 4096 cap, and flux out of a state that stays
+    empty makes its segment, and the plan, cost inf."""
+    model = request.getfixturevalue(which)
+    plans, stranded = _mixed_plans(model)
     active_counts, piece_counts = set(), set()
     for traj in plans:
         P = evolve(traj).probs
@@ -389,8 +398,8 @@ def test_batched_cost_matches_per_segment_reference(request, which):
         assert pieces.tolist() == ref_pieces
         ref = [_segment_cost_loop(model, *seg, n)
                for seg, n in zip(segs, ref_pieces)]
-        got = _segment_costs(model, traj.fluxes, P[:-1], P[1:],
-                             traj.durations, pieces)
+        got, _ = _segment_costs(model, traj.fluxes, P[:-1], P[1:],
+                                traj.durations, pieces)
         assert got.tolist() == ref
         total = 0.0
         for c in ref:
@@ -402,6 +411,30 @@ def test_batched_cost_matches_per_segment_reference(request, which):
     if model.interacting:
         assert 4096 in piece_counts and len(piece_counts) >= 4
     assert cost_nonvariational(model, stranded) == math.inf
+
+
+@pytest.mark.parametrize("which", ["mm1", "wlan_const", "wlan_decay",
+                                   "interacting"])
+def test_idle_costs_match_zero_flux_costing(request, which):
+    """The all-idle cost B that the batched pass returns with every
+    segment's cost equals, bit for bit, the cost of the same states and
+    pieces with a zero flux row; _plan_costs returns the same row next
+    to the plan cost, also for the stranded plan and the plan at the
+    4096-piece cap."""
+    model = request.getfixturevalue(which)
+    plans, _ = _mixed_plans(model)
+    for traj in plans:
+        P = evolve(traj).probs
+        seg = (P[:-1], P[1:], traj.durations)
+        pieces = _freeze_pieces(model, traj.fluxes, *seg)
+        costs, idle = _segment_costs(model, traj.fluxes, *seg, pieces)
+        zero, zero_idle = _segment_costs(model, np.zeros_like(traj.fluxes),
+                                         *seg, pieces)
+        assert idle.tolist() == zero.tolist() == zero_idle.tolist()
+        assert np.all(idle > 0.0)
+        total, plan_idle = _plan_costs(model, traj)
+        assert total == cost_nonvariational(model, traj)
+        assert plan_idle.tolist() == idle.tolist()
 
 
 def test_freeze_pieces_needs_declared_lipschitz_constant(interacting):
@@ -881,6 +914,7 @@ def _trajectory_file(tmp_path, body, n_segments=None):
     ("duration,-1\n0,1,0.1\n", "positive"),
     ("0,1,0.1\nduration,1\n", "before the first duration"),
     ("duration,1\n0,1\n", "row '0,1'"),  # a flux row without its flux
+    ("duration,1\n0,1,0.1\n0,1,0.2\n", "row '0,1,0.2'"),  # edge given twice
 ])
 def test_load_trajectory_rejects_malformed_input(tmp_path, body, match):
     with pytest.raises(ValueError, match=match):
@@ -896,6 +930,17 @@ def test_load_trajectory_rejects_truncated_header(tmp_path, text, match):
     f = tmp_path / "traj.txt"
     f.write_text(text)
     with pytest.raises(ValueError, match=match):
+        load_trajectory(f)
+
+
+@pytest.mark.parametrize("n_segments", [0, 1])
+def test_load_trajectory_rejects_unterminated_initial_block(tmp_path,
+                                                           n_segments):
+    """A file cut inside the initial block is an error, also when its
+    header announces no segments."""
+    f = tmp_path / "traj.txt"
+    f.write_text(f"z_max,5\nn_segments,{n_segments}\ninitial\n0,0.5\n1,0.5\n")
+    with pytest.raises(ValueError, match="missing end_initial"):
         load_trajectory(f)
 
 

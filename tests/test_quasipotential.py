@@ -11,8 +11,8 @@ from meanfield_ldp.mckean_vlasov import find_equilibrium
 from meanfield_ldp.models import (single_particle_stationary,
                                   wlan_const_model)
 from meanfield_ldp.cli import _corpus_targets
-from meanfield_ldp.cost import (_freeze_pieces, _segment_costs,
-                                cost_nonvariational, evolve)
+from meanfield_ldp.cost import (_freeze_pieces, _plan_costs, _segment_costs,
+                                concatenate, cost_nonvariational, evolve)
 from meanfield_ldp.quasipotential import (_refine_witness,
                                           choose_z0, cm_bound, connector,
                                           construct_delta0_to_target,
@@ -184,6 +184,36 @@ def test_glued_plan_beats_the_connector():
         < cost_nonvariational(model, direct)
 
 
+def _refine_recomputing_B(model, traj):
+    """The refine with B recomputed: evolve the plan and cost its states
+    with a zero flux row on the plan's own pieces."""
+    P = evolve(traj).probs
+    seg = (P[:-1], P[1:], traj.durations)
+    pieces = _freeze_pieces(model, traj.fluxes, *seg)
+    B, _ = _segment_costs(model, np.zeros_like(traj.fluxes), *seg, pieces)
+    return _refine_witness(traj, B)
+
+
+def test_refine_takes_the_winners_idle_cost():
+    """v_upper_bound refines the winner with the B of the winner: where
+    the glued plan beats the connector, the refined bound is the refine
+    of the glued plan with B recomputed from scratch."""
+    model = wlan_const_model(0.5, 3.0)
+    xi_star = find_equilibrium(model, 20)
+    xi, = _corpus_targets(xi_star, 20.0, 1, seed=3)
+    glued = concatenate(construct_equilibrium_to_delta0(model, xi_star),
+                        construct_delta0_to_target(model, xi))
+    plain = v_upper_bound(model, xi_star, xi)
+    assert plain.upper == cost_nonvariational(model, glued)
+    polished = _refine_recomputing_B(model, glued)
+    expected = cost_nonvariational(model, polished)
+    assert expected < plain.upper
+    refined = v_upper_bound(model, xi_star, xi, refine=True)
+    assert refined.upper == expected
+    assert np.array_equal(refined.witness.durations, polished.durations)
+    assert np.array_equal(refined.witness.fluxes, polished.fluxes)
+
+
 def test_refine_never_increases(wlan_decay):
     xi = StateDistribution.from_weights(np.exp(-0.7 * np.arange(31)), 30)
     xi_star = find_equilibrium(wlan_decay, 30)
@@ -195,7 +225,7 @@ def test_refine_never_increases(wlan_decay):
 def _cost_at_speed(model, d, row, p0, p1, t):
     """Cost of one segment run over t times its duration at flux row / t."""
     seg = (row[None] / t, p0[None], p1[None], np.array([d * t]))
-    return _segment_costs(model, *seg, _freeze_pieces(model, *seg))[0]
+    return _segment_costs(model, *seg, _freeze_pieces(model, *seg))[0][0]
 
 
 @pytest.mark.parametrize("which, slack", [("wlan_decay", 0.0),
@@ -209,8 +239,8 @@ def test_refined_segments_run_at_their_optimal_speed(request, which, slack):
     model = request.getfixturevalue(which)
     xi_star = find_equilibrium(model, 20)
     for xi in _corpus_targets(xi_star, 5.0, 3, seed=5):
-        refined = _refine_witness(model, v_upper_bound(model, xi_star,
-                                                       xi).witness)
+        witness = v_upper_bound(model, xi_star, xi).witness
+        refined = _refine_witness(witness, _plan_costs(model, witness)[1])
         path = evolve(refined)
         for k, (d, row) in enumerate(zip(refined.durations, refined.fluxes)):
             seg = (model, d, row, path.probs[k], path.probs[k + 1])
