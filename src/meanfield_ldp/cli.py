@@ -46,8 +46,9 @@ from .cost import (FluxTrajectory, InfeasibleTrajectoryError, _edge_weights,
                    evolve, flux_from_path)
 from .measures import StateDistribution, save_distribution_csv, theta_moment
 from .mckean_vlasov import (EquilibriumNotFoundError, StiffnessError, check_B2,
-                            find_equilibrium, monotone_convergence_diagnostic,
-                            time_to_KDelta)
+                            find_equilibrium, flows,
+                            monotone_convergence_diagnostic,
+                            sample_initials_in_KM, time_to_KDelta)
 from .models import (MIN_Z_MAX, RateModel, has_stationary_law,
                      interacting_wlan_model, is_counterexample, mm1_model,
                      wlan_const_model, wlan_decay_model)
@@ -334,12 +335,15 @@ def _run_rate_curve(cfg: ExperimentConfig, out: Path, threads: int) -> None:
 def _run_mve_audit(cfg: ExperimentConfig, out: Path, threads: int) -> None:
     v = cfg.values
     xi_star = find_equilibrium(cfg.model, cfg.z_max)
-    report = check_B2(cfg.model, xi_star, v["m"], v["horizon"], v["n_samples"],
-                      cfg.seed, threshold=v["threshold"])
+    initials = sample_initials_in_KM(xi_star, v["m"], v["n_samples"], cfg.seed)
     delta0 = StateDistribution.delta(0, cfg.z_max)
-    t_hit = time_to_KDelta(cfg.model, xi_star, delta0, v["delta"])
-    monotone = monotone_convergence_diagnostic(cfg.model, xi_star, delta0,
-                                               v["horizon"])
+    # check_B2's flows, then delta_0 over the hitting and the audit horizon
+    *b2_paths, hit_path, delta0_path = flows(
+        cfg.model, initials + [delta0, delta0], [v["horizon"]] * len(initials)
+        + [10.0 / cfg.model.lambda_lower, v["horizon"]])
+    report = check_B2(xi_star, b2_paths, threshold=v["threshold"])
+    t_hit = time_to_KDelta(xi_star, hit_path, v["delta"])
+    monotone = monotone_convergence_diagnostic(xi_star, delta0_path)
     with open(out / "b2_gaps.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "sup_theta_gap"])

@@ -5,15 +5,16 @@ integrator is a classic explicit 4th-order scheme with step doubling
 for local error control; every accepted state is projected back onto
 the simplex (clip-and-renormalise, with violations beyond 1e-12
 aborting the step instead).  On the closed window the drift has zero
-column sums, so total mass is conserved to rounding.  The solution is
-a :class:`~meanfield_ldp.measures.SampledPath` whose rows are the
+column sums, so total mass is conserved to rounding.  :func:`flows`
+integrates a batch of initial laws in one stacked pass, each into a
+:class:`~meanfield_ldp.measures.SampledPath` whose rows are the
 accepted states, the same path type the cost layer reads.
 
 Also here: location of the globally attracting equilibrium by damped
-fixed-point iteration on the frozen-field stationary law, a sampled
-audit of the theta-moment convergence assumption (the sampled initial
-conditions are integrated one after another), and the hitting time of
-the equilibrium neighbourhood class.
+fixed-point iteration on the frozen-field stationary law, and readers
+of the paths of one :func:`flows` call: a sampled audit of the
+theta-moment convergence assumption, a monotonicity diagnostic and the
+hitting time of the equilibrium neighbourhood class.
 """
 from __future__ import annotations
 
@@ -23,7 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .measures import (SampledPath, StateDistribution, in_class_KDelta,
+from .measures import (SampledPath, StateDistribution,
+                       TruncationMismatchError, in_class_KDelta,
                        theta_moment, theta_values, tv_distance)
 from .models import RateModel, single_particle_stationary
 
@@ -42,15 +44,8 @@ class EquilibriumNotFoundError(RuntimeError):
     """Fixed-point iteration failed to reach the requested residual."""
 
 
-def _project_simplex_soft(p: np.ndarray) -> np.ndarray:
-    if p.min() < -1e-12:
-        raise FloatingPointError("negative excursion beyond tolerance")
-    q = np.clip(p, 0.0, None)
-    return q / q.sum()
-
-
 def _rk4_step(drift: Callable[[np.ndarray], np.ndarray], p: np.ndarray,
-              dt: float) -> np.ndarray:
+              dt: np.ndarray) -> np.ndarray:
     k1 = drift(p)
     k2 = drift(p + 0.5 * dt * k1)
     k3 = drift(p + 0.5 * dt * k2)
@@ -58,52 +53,62 @@ def _rk4_step(drift: Callable[[np.ndarray], np.ndarray], p: np.ndarray,
     return p + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def integrate(model: RateModel, nu: StateDistribution, T: float,
-              tol: float = 1e-9, dt_max: float | None = None) -> SampledPath:
-    """Integrate the limiting dynamics from nu over [0, T].
+def flows(model: RateModel, initials: list[StateDistribution],
+          horizons: list[float], tol: float = 1e-9,
+          dt_max: float | None = None) -> list[SampledPath]:
+    """Integrate the limiting dynamics from each initial law (all on one
+    window) over [0, its horizon], in lockstep as one C-contiguous stack.
 
-    Local error is estimated by step doubling (one full step against
-    two half steps) and kept below tol * dt; the step is halved until
-    that holds and grown gently afterwards.  ``dt_max`` caps the node
-    spacing for consumers that need a dense sampling (the cost
+    Each row has its own step size, error control and projection and
+    leaves the stack at its horizon, so its path is the one it gives
+    alone.  Local error is estimated by step doubling (one full step
+    against two half steps) and kept below tol * dt; the step is halved
+    until that holds and grown gently afterwards.  ``dt_max`` caps the
+    node spacing for consumers that need a dense sampling (the cost
     evaluators see the piecewise-affine interpolant, whose own cost is
-    second order in the spacing).  Raises :class:`StiffnessError` if
-    dt underflows.
+    second order in the spacing).  Raises :class:`StiffnessError` if dt
+    underflows.
     """
-    if T <= 0 or tol <= 0:
-        raise ValueError("T and tol must be positive")
+    T = np.array(horizons, dtype=float)
+    if T.shape != (len(initials),) or not (T > 0).all() or not tol > 0:
+        raise ValueError("need one positive horizon per initial law and a "
+                         "positive tol")
+    windows = sorted({nu.z_max for nu in initials})
+    if len(windows) > 1:
+        raise TruncationMismatchError(f"initial laws on windows {windows}")
     drift = model.drift
-    t, p = 0.0, nu.probs.copy()
-    times = [0.0]
-    rows = [p]
     cap = dt_max if dt_max is not None else 0.25
-    dt = min(0.1, cap, T)
-    eps_T = 1e-12 * max(1.0, T)
-    while T - t > eps_T:
-        dt = min(dt, cap, T - t)
-        while True:
-            full = _rk4_step(drift, p, dt)
-            half = _rk4_step(drift, _rk4_step(drift, p, dt / 2), dt / 2)
-            err = float(np.abs(full - half).sum()) / 15.0
-            if err < tol * dt:
-                break
-            dt *= 0.5
-            if dt < _MIN_DT:
-                raise StiffnessError(f"dt underflow at t={t!r}")
-        try:
-            p = _project_simplex_soft(half)
-        except FloatingPointError:
-            dt *= 0.5
-            if dt < _MIN_DT:
-                raise StiffnessError(f"projection failure at t={t!r}")
-            continue
-        t += dt
-        times.append(t)
-        rows.append(p)
-        if err < tol * dt / 32.0:
-            dt *= 2.0
-    times[-1] = T  # snap the sub-1e-12 terminal slack
-    return SampledPath(np.array(times), np.stack(rows))
+    p = np.stack([nu.probs for nu in initials])
+    t = np.zeros(T.size)
+    dt = np.minimum(min(0.1, cap), T)
+    eps_T = 1e-12 * np.maximum(1.0, T)
+    times = [[0.0] for _ in initials]
+    rows = [[nu.probs] for nu in initials]
+    live = np.flatnonzero(T > eps_T)
+    while live.size:
+        h = np.minimum(np.minimum(dt[live], cap), T[live] - t[live])
+        pl, hc = p[live], h[:, None]
+        full = _rk4_step(drift, pl, hc)
+        half = _rk4_step(drift, _rk4_step(drift, pl, hc / 2), hc / 2)
+        err = np.abs(full - half).sum(axis=-1) / 15.0
+        # a rejected step and a projection failure both halve dt
+        ok = (err < tol * h) & (half.min(axis=-1) >= -1e-12)
+        dt[live] = np.where(ok, np.where(err < tol * h / 32.0, h * 2.0, h),
+                            h * 0.5)
+        stiff = live[~ok & (dt[live] < _MIN_DT)]
+        if stiff.size:
+            raise StiffnessError(f"dt underflow at t={float(t[stiff[0]])!r}")
+        done = live[ok]
+        q = np.clip(half[ok], 0.0, None)
+        p[done] = q = q / q.sum(axis=-1, keepdims=True)
+        t[done] += h[ok]
+        for i, ti, row in zip(done.tolist(), t[done].tolist(), q):
+            times[i].append(ti)
+            rows[i].append(row)
+        live = live[T[live] - t[live] > eps_T[live]]
+    # each last time snaps its sub-1e-12 slack to the horizon
+    return [SampledPath(np.array(ts[:-1] + [Ti]), np.stack(rs))
+            for ts, rs, Ti in zip(times, rows, T.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +125,9 @@ def find_equilibrium(model: RateModel, z_max: int, tol: float = 1e-10,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if initial is not None and initial.z_max != z_max:
+        raise TruncationMismatchError(
+            f"initial law on window {initial.z_max}, equilibrium on {z_max}")
     if not model.interacting:
         return single_particle_stationary(model, z_max)
     xi = initial or StateDistribution.delta(0, z_max)
@@ -187,70 +195,68 @@ def _interpolate(path: SampledPath, t: float) -> np.ndarray:
     return p / p.sum()
 
 
-def check_B2(model: RateModel, xi_star: StateDistribution, M: float,
-             horizon: float, n_samples: int, seed: int,
-             threshold: float = 1e-3) -> B2Report:
-    """Integrate from sampled initial conditions in K_M and track the
-    theta-moment gap to the equilibrium ``xi_star`` on a uniform grid;
-    the initial conditions live on xi_star's window.
-
-    The initial conditions are integrated one after another.  At each
-    grid time the gap is read off the linear interpolant of the
-    integrated path between its accepted steps (``_interpolate``).
-    """
-    if M <= 0:
-        raise ValueError("M must be positive")
-    z_max = xi_star.z_max
-    target = theta_moment(xi_star)
-    grid = np.linspace(0.0, horizon, _B2_GRID + 1)
-    theta_w = theta_values(z_max)
-
-    initials: list[StateDistribution] = []
-    if theta_moment(xi_star) <= M:
-        initials.append(xi_star)
+def sample_initials_in_KM(xi_star: StateDistribution, M: float,
+                          n_samples: int, seed: int
+                          ) -> list[StateDistribution]:
+    """check_B2's n_samples initial conditions in K_M on xi_star's
+    window: xi_star itself when it lies in K_M, then the j-th random law
+    drawn from ``np.random.default_rng([seed, j])``."""
+    if M <= 0 or n_samples <= 0:
+        raise ValueError("M and n_samples must be positive")
+    initials = [xi_star] if theta_moment(xi_star) <= M else []
     for j in range(n_samples - len(initials)):
         sub = np.random.default_rng([seed, j])
-        initials.append(_sample_in_KM(sub, z_max, M))
+        initials.append(_sample_in_KM(sub, xi_star.z_max, M))
+    return initials
 
-    gaps = []
-    for nu in initials:
-        path = integrate(model, nu, horizon, tol=1e-9)
-        gaps.append([abs(float(_interpolate(path, t) @ theta_w) - target)
-                     for t in grid])
+
+def check_B2(xi_star: StateDistribution, paths: list[SampledPath],
+             threshold: float = 1e-3) -> B2Report:
+    """Track the theta-moment gap to the equilibrium ``xi_star`` along
+    the flows from sampled initial conditions in K_M
+    (:func:`sample_initials_in_KM`) on a uniform grid over their common
+    horizon.
+
+    The caller integrates the paths, all in one :func:`flows` call.  At
+    each grid time the gap is read off the linear interpolant of each
+    path between its accepted steps (``_interpolate``).
+    """
+    horizon = paths[0].times[-1]
+    if any(path.times[-1] != horizon for path in paths):
+        raise ValueError("the paths must share one horizon")
+    target = theta_moment(xi_star)
+    grid = np.linspace(0.0, horizon, _B2_GRID + 1)
+    theta_w = theta_values(xi_star.z_max)
+    gaps = [[abs(float(_interpolate(path, t) @ theta_w) - target)
+             for t in grid] for path in paths]
     sup_gap = np.max(np.stack(gaps), axis=0)
     terminal = float(sup_gap[-1])
     return B2Report(grid, sup_gap, terminal, threshold,
-                    terminal < threshold, len(initials))
+                    terminal < threshold, len(paths))
 
 
-def monotone_convergence_diagnostic(model: RateModel,
-                                    xi_star: StateDistribution,
-                                    nu: StateDistribution,
-                                    horizon: float) -> bool:
-    """Whether tv(mu_nu(t), xi_star) is decreasing after an initial
-    settle window.  A diagnostic to report, not a property to assert:
-    the flow can approach the equilibrium non-monotonically in TV.
+def monotone_convergence_diagnostic(xi_star: StateDistribution,
+                                    path: SampledPath) -> bool:
+    """Whether tv(mu_nu(t), xi_star) is decreasing along the flow
+    ``path`` after an initial settle window.  A diagnostic to report,
+    not a property to assert: the flow can approach the equilibrium
+    non-monotonically in TV.
     """
-    path = integrate(model, nu, horizon, tol=1e-9)
-    dists = [tv_distance(StateDistribution(p, nu.z_max), xi_star)
+    dists = [tv_distance(StateDistribution(p, path.z_max), xi_star)
              for p in path.probs]
     start = int(_SETTLE_FRACTION * len(dists))
     tail = dists[start:]
     return all(a >= b - 1e-12 for a, b in zip(tail, tail[1:]))
 
 
-def time_to_KDelta(model: RateModel, xi_star: StateDistribution,
-                   nu: StateDistribution, delta: float) -> float:
-    """First sampled time at which the flow from nu enters K(delta)
-    about the equilibrium ``xi_star`` within 10 / lambda_lower; inf if
-    missed."""
+def time_to_KDelta(xi_star: StateDistribution, path: SampledPath,
+                   delta: float) -> float:
+    """First node time at which the flow ``path`` is in K(delta) about
+    the equilibrium ``xi_star``; inf if it never is.  The audit
+    integrates over 10 / lambda_lower."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    z_max = nu.z_max
-    if in_class_KDelta(nu, xi_star, delta):
-        return 0.0
-    path = integrate(model, nu, 10.0 / model.lambda_lower, tol=1e-9)
     for t, p in zip(path.times, path.probs):
-        if in_class_KDelta(StateDistribution(p, z_max), xi_star, delta):
+        if in_class_KDelta(StateDistribution(p, path.z_max), xi_star, delta):
             return float(t)
     return math.inf

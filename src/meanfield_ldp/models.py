@@ -90,11 +90,12 @@ class RateModel:
     backward entry at z = 0 is ignored).  They are the only rate
     representation; hot loops call them through the window tables
     :meth:`forward_rates` and :meth:`backward_rates`, which take the
-    field as ``None`` (non-interacting models only) or an array.
+    field as ``None`` (non-interacting models only) or an array;
+    :meth:`drift` calls them directly.
 
-    Stacked fields: the tables also take a stack of B fields, shape
-    (B, z_max+1), and return one rate row per field, shape (B, z_max+1),
-    each row equal to the call with that field alone.  The rate function
+    Stacked fields: the tables and :meth:`drift` also take a stack of B
+    fields, shape (B, z_max+1), and return one row per field, each row
+    equal to the call with that field alone.  The rate function
     then sees the stack state-axis first: xi has shape (z_max+1, B) and
     z is repeated to the same shape, so ``xi[0]`` is the mass at state 0
     of every field and ``np.full(z.shape, value)`` gives one column per
@@ -146,18 +147,21 @@ class RateModel:
         return self._table(self.backward, z_max, xi, 0)
 
     def drift(self, probs: np.ndarray) -> np.ndarray:
-        """Mean-field drift Lambda*_xi xi on the closed window."""
-        z_max = probs.shape[0] - 1
-        fwd = self.forward_rates(z_max, probs) * probs
-        back = self.backward_rates(z_max, probs) * probs
-        v = np.zeros_like(probs)
-        v -= fwd + back
-        v[1:] += fwd[:-1]
+        """Mean-field drift Lambda*_xi xi on the closed window; a stack
+        of fields (B, z_max+1) gives one drift row per field."""
+        p = np.atleast_2d(probs)
+        z = np.arange(p.shape[1])[:, None].repeat(p.shape[0], axis=1)
+        # C-order products, so each row sums as a 1-D field does
+        fwd = np.multiply(self.forward(z, p.T).T, p, order="C")
+        back = np.multiply(self.backward(z, p.T).T, p, order="C")
+        fwd[:, -1] = back[:, 0] = 0.0
+        v = 0.0 - (fwd + back)
+        v[:, 1:] += fwd[:, :-1]
         if self.kind is EdgeKind.CHAIN_WITH_RESETS:
-            v[0] += back.sum()
+            v[:, 0] += back.sum(axis=-1)
         else:
-            v[:-1] += back[1:]
-        return v
+            v[:, :-1] += back[:, 1:]
+        return v if probs.ndim == 2 else v[0]
 
 
 # ---------------------------------------------------------------------------

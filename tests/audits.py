@@ -11,7 +11,11 @@ rate curves and plans against them:
   * :func:`moment_inequality_check`, the theta-moment growth
     inequality along a plan;
   * :func:`descend_to_equilibrium`, the flow-then-connector plan into
-    the equilibrium.
+    the equilibrium;
+  * :func:`integrate`, the limiting flow from one law at a time, the
+    per-path loop that every row of the stacked ``flows`` equals bit
+    for bit, and :func:`drift_reference`, the drift through the rate
+    tables, which every row of a stacked ``RateModel.drift`` equals.
 """
 import math
 from dataclasses import dataclass
@@ -24,7 +28,7 @@ from meanfield_ldp.measures import (SampledPath, StateDistribution,
                                     entropy_projection, in_class_KDelta,
                                     relative_entropy, theta_values,
                                     tv_distance)
-from meanfield_ldp.mckean_vlasov import integrate
+from meanfield_ldp.mckean_vlasov import StiffnessError, flows
 from meanfield_ldp.models import EdgeKind, RateModel
 from meanfield_ldp.quasipotential import (PhaseOrderingError,
                                           _require_reset_model, choose_z0,
@@ -140,7 +144,7 @@ def descend_to_equilibrium(model: RateModel, xi_star: StateDistribution,
     if in_class_KDelta(nu, xi_star, delta):
         return connector(model, nu, xi_star, choose_z0(xi_star))
     horizon = 10.0 / model.lambda_lower
-    path = integrate(model, nu, horizon, tol=1e-10)
+    path, = flows(model, [nu], [horizon], tol=1e-10)
     kt = next((k for k in range(1, path.times.size)
                if in_class_KDelta(StateDistribution(path.probs[k], z_max),
                                   xi_star, delta)), None)
@@ -152,3 +156,85 @@ def descend_to_equilibrium(model: RateModel, xi_star: StateDistribution,
     entry = evolve(flow).final_distribution()
     tail = connector(model, entry, xi_star, choose_z0(xi_star))
     return concatenate(flow, tail)
+
+
+def drift_reference(model: RateModel, probs: np.ndarray) -> np.ndarray:
+    """Mean-field drift Lambda*_xi xi of one field, through the window
+    rate tables."""
+    z_max = probs.shape[0] - 1
+    fwd = model.forward_rates(z_max, probs) * probs
+    back = model.backward_rates(z_max, probs) * probs
+    v = np.zeros_like(probs)
+    v -= fwd + back
+    v[1:] += fwd[:-1]
+    if model.kind is EdgeKind.CHAIN_WITH_RESETS:
+        v[0] += back.sum()
+    else:
+        v[:-1] += back[1:]
+    return v
+
+
+_MIN_DT = 1e-12
+
+
+def _project_simplex_soft(p: np.ndarray) -> np.ndarray:
+    if p.min() < -1e-12:
+        raise FloatingPointError("negative excursion beyond tolerance")
+    q = np.clip(p, 0.0, None)
+    return q / q.sum()
+
+
+def _rk4_step(drift, p: np.ndarray, dt: float) -> np.ndarray:
+    k1 = drift(p)
+    k2 = drift(p + 0.5 * dt * k1)
+    k3 = drift(p + 0.5 * dt * k2)
+    k4 = drift(p + dt * k3)
+    return p + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def integrate(model: RateModel, nu: StateDistribution, T: float,
+              tol: float = 1e-9, dt_max: float | None = None) -> SampledPath:
+    """Integrate the limiting dynamics from nu over [0, T].
+
+    Local error is estimated by step doubling (one full step against
+    two half steps) and kept below tol * dt; the step is halved until
+    that holds and grown gently afterwards.  ``dt_max`` caps the node
+    spacing for consumers that need a dense sampling (the cost
+    evaluators see the piecewise-affine interpolant, whose own cost is
+    second order in the spacing).  Raises :class:`StiffnessError` if
+    dt underflows.
+    """
+    if T <= 0 or tol <= 0:
+        raise ValueError("T and tol must be positive")
+    drift = model.drift
+    t, p = 0.0, nu.probs.copy()
+    times = [0.0]
+    rows = [p]
+    cap = dt_max if dt_max is not None else 0.25
+    dt = min(0.1, cap, T)
+    eps_T = 1e-12 * max(1.0, T)
+    while T - t > eps_T:
+        dt = min(dt, cap, T - t)
+        while True:
+            full = _rk4_step(drift, p, dt)
+            half = _rk4_step(drift, _rk4_step(drift, p, dt / 2), dt / 2)
+            err = float(np.abs(full - half).sum()) / 15.0
+            if err < tol * dt:
+                break
+            dt *= 0.5
+            if dt < _MIN_DT:
+                raise StiffnessError(f"dt underflow at t={t!r}")
+        try:
+            p = _project_simplex_soft(half)
+        except FloatingPointError:
+            dt *= 0.5
+            if dt < _MIN_DT:
+                raise StiffnessError(f"projection failure at t={t!r}")
+            continue
+        t += dt
+        times.append(t)
+        rows.append(p)
+        if err < tol * dt / 32.0:
+            dt *= 2.0
+    times[-1] = T  # snap the sub-1e-12 terminal slack
+    return SampledPath(np.array(times), np.stack(rows))

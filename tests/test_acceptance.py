@@ -21,7 +21,7 @@ from audits import (descend_to_equilibrium, factorial_decay_bound,
 from meanfield_ldp.cli import _corpus_targets, _random_feasible_trajectory
 from meanfield_ldp.measures import (StateDistribution, theta_moment,
                                     theta_values, tv_distance)
-from meanfield_ldp.mckean_vlasov import find_equilibrium, integrate
+from meanfield_ldp.mckean_vlasov import find_equilibrium, flows
 from meanfield_ldp.models import (interacting_wlan_model, mm1_model,
                                   single_particle_stationary, wlan_const_model,
                                   wlan_decay_model)
@@ -167,7 +167,7 @@ def test_criterion_03_zero_cost_flow():
     worst_var = worst_nonvar = 0.0
     nu = StateDistribution.from_weights(np.exp(-0.35 * np.arange(41)), 40)
     for model in models:
-        path = integrate(model, nu, 5.0, tol=1e-10, dt_max=0.002)
+        path, = flows(model, [nu], [5.0], tol=1e-10, dt_max=0.002)
         var = cost_variational(model, path)
         plan = flux_from_path(model, path, refine=1)
         nonvar = cost_nonvariational(model, plan)
@@ -326,8 +326,8 @@ def test_criterion_08_b1_b2_audit():
             q[0] += 1.0 - q.sum()
             dist = StateDistribution(q, z_max)
         initials.append(dist)
-    finals = [integrate(model, nu, horizon, tol=1e-10).final_distribution()
-              for nu in initials]
+    finals = [path.final_distribution() for path in
+              flows(model, initials, [horizon] * len(initials), tol=1e-10)]
     spread = max(tv_distance(a, b) for a in finals for b in finals)
     xi_star = find_equilibrium(model, z_max)
     theta_gap = max(abs(theta_moment(f) - theta_moment(xi_star))

@@ -9,7 +9,7 @@ from conftest import geometric
 from meanfield_ldp.cli import _random_feasible_trajectory
 from meanfield_ldp.measures import (SampledPath, StateDistribution,
                                     theta_values)
-from meanfield_ldp.mckean_vlasov import find_equilibrium, integrate
+from meanfield_ldp.mckean_vlasov import find_equilibrium, flows
 from meanfield_ldp.models import (EdgeKind, EdgeNotPresentError,
                                   MissingBoundsError, RateModel, edge_list,
                                   mm1_model,
@@ -694,7 +694,7 @@ def test_variational_matches_trapezoid_richardson(request, name):
 
 def test_variational_zero_on_flow(wlan_const):
     nu = StateDistribution.from_weights(np.exp(-0.4 * np.arange(21)), 20)
-    path = integrate(wlan_const, nu, 2.0, tol=1e-10, dt_max=0.004)
+    path, = flows(wlan_const, [nu], [2.0], tol=1e-10, dt_max=0.004)
     assert cost_variational(wlan_const, path) < 1e-6
 
 
@@ -726,7 +726,7 @@ def test_duality_crosscheck_small(mm1, wlan_const):
 
 def test_flux_recovery_on_flow_matches_drift(wlan_const):
     nu = StateDistribution.from_weights(np.exp(-0.4 * np.arange(13)), 12)
-    path = integrate(wlan_const, nu, 1.0, tol=1e-10, dt_max=0.01)
+    path, = flows(wlan_const, [nu], [1.0], tol=1e-10, dt_max=0.01)
     rec = flux_from_path(wlan_const, path, refine=1)
     probs = path.probs
     k = rec.durations.size // 2
@@ -829,7 +829,7 @@ def test_lower_bound_validity_against_witnesses(wlan_decay):
 
 def test_moment_inequality_on_zero_cost_flow(wlan_const):
     nu = StateDistribution.from_weights(np.exp(-0.4 * np.arange(13)), 12)
-    path = integrate(wlan_const, nu, 1.0, tol=1e-10, dt_max=0.01)
+    path, = flows(wlan_const, [nu], [1.0], tol=1e-10, dt_max=0.01)
     rec = flux_from_path(wlan_const, path, refine=1)
     assert moment_inequality_check(wlan_const, rec)
 
