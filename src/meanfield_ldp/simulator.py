@@ -365,10 +365,22 @@ def _wilson(hits: int, n: int) -> tuple[float, float]:
     return lo, hi
 
 
+# entries per sampling chunk: 2**17 float64 values are 1 MiB
+_CHUNK_ENTRIES = 2 ** 17
+
+
 def _draws(rng: np.random.Generator, N: int, probs: np.ndarray, n: int,
            chunk: int) -> Iterator[np.ndarray]:
     """n i.i.d. empirical measures of N draws from ``probs``, as stacks of
-    at most ``chunk`` rows."""
+    at most ``chunk`` rows.
+
+    Callers size ``chunk`` in entries, ``_CHUNK_ENTRIES // (z_max + 1)``
+    rows: a float64 stack is then 1 MiB, which stays in cache, and the
+    matvec an event or a likelihood ratio applies to it stays below
+    OpenBLAS's gemv threading cutoff (about 460,000 entries), above which
+    each product wakes BLAS threads that contend with the rate-curve pool
+    for the cores and runs an order of magnitude slower.  Multinomial draws
+    consume the stream row by row, so the chunk changes no estimate."""
     for start in range(0, n, chunk):
         yield rng.multinomial(N, probs, size=min(chunk, n - start)) / N
 
@@ -438,6 +450,10 @@ def estimate_rate_curve(model: RateModel, event: Event, N_list: Sequence[int],
     from its own ``substream(seed, i)``, so results do not depend on
     ``threads``.
     """
+    if samples_per_N < 1:
+        raise ValueError(f"samples_per_N must be >= 1, got {samples_per_N}")
+    if any(N < 1 for N in N_list):
+        raise ValueError(f"every N of N_list must be >= 1, got {list(N_list)}")
     name = event.describe()
     pi = zeta = None
     if not model.interacting:
@@ -445,9 +461,10 @@ def estimate_rate_curve(model: RateModel, event: Event, N_list: Sequence[int],
         if (importance and isinstance(event, BallEvent)
                 and tv_distance(pi, event.center) > event.radius):
             zeta = entropy_projection(pi, event.center, event.radius)
-    # 25,000 rows per chunk: each thread holds a few chunk-sized arrays at
-    # once, and the draws do not depend on the chunk size
-    chunk = max(1, min(25_000, samples_per_N))
+    # chunks sized in entries, not rows (see _draws): each thread holds a
+    # few 1 MiB arrays at once, and no matvec reaches the BLAS threading
+    # cutoff
+    chunk = min(max(1, _CHUNK_ENTRIES // (z_max + 1)), samples_per_N)
 
     def one(i: int, N: int) -> RateEstimate:
         if model.interacting:

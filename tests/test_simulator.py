@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,10 +10,10 @@ from meanfield_ldp.measures import (StateDistribution, entropy_projection,
 from meanfield_ldp.models import (EdgeKind, single_particle_stationary,
                                   wlan_decay_model)
 from meanfield_ldp import simulator
-from meanfield_ldp.simulator import (_BLOCK, BallEvent, JumpWorkspace,
-                                     NotInKMEvent, SimConfig,
-                                     TruncationOverflowError, _occupation,
-                                     _tilted_estimate,
+from meanfield_ldp.simulator import (_BLOCK, _CHUNK_ENTRIES, BallEvent,
+                                     JumpWorkspace, NotInKMEvent, SimConfig,
+                                     TruncationOverflowError, _draws,
+                                     _occupation, _tilted_estimate,
                                      estimate_invariant_multi,
                                      estimate_rate_curve, gillespie_step,
                                      resolve_burn_in, save_rate_estimates,
@@ -422,16 +423,58 @@ def test_rate_curve_importance_agrees_with_plain_at_small_N(mm1, which):
 
 def test_tilted_estimate_does_not_depend_on_chunk(mm1):
     """Multinomial draws consume the stream row by row, so the chunk
-    size bounds memory without changing the estimate."""
+    size bounds memory without changing the estimate: 7 rows, the
+    production chunk and one whole chunk agree, though the whole
+    chunk's 1.55M-entry matvec runs past OpenBLAS's gemv threading
+    cutoff."""
     pi = single_particle_stationary(mm1, 30)
     event = BallEvent(StateDistribution.delta(0, 30), 0.1)
     zeta = entropy_projection(pi, event.center, event.radius)
-    n = 2000
-    small, whole = (_tilted_estimate("ball", event, pi, zeta, 20, n, 3,
-                                     substream(3, 0), chunk)
-                    for chunk in (7, n))
+    n = 50_000
+    small, production, whole = (
+        _tilted_estimate("ball", event, pi, zeta, 20, n, 3, substream(3, 0),
+                         chunk)
+        for chunk in (7, _CHUNK_ENTRIES // 31, n))
     assert not whole.lower_bound_only
-    assert small == whole
+    assert small == production == whole
+
+
+def test_plain_hits_do_not_depend_on_chunk(mm1):
+    """The plain path's event matvec gives the same hits, draw by draw,
+    over chunks of 7 rows, the production chunk and one whole chunk."""
+    pi = single_particle_stationary(mm1, 30)
+    event = NotInKMEvent(3.0, 30)
+    n = 50_000
+    small, production, whole = (
+        np.concatenate([event.batch(d) for d
+                        in _draws(substream(3, 0), 20, pi.probs, n, chunk)])
+        for chunk in (7, _CHUNK_ENTRIES // 31, n))
+    assert whole.sum() > 50
+    assert np.array_equal(small, whole)
+    assert np.array_equal(production, whole)
+
+
+def test_rate_curve_memory_is_bounded_by_the_chunk(mm1):
+    """One N of 200,000 tilted draws at z_max 30 holds a few 1 MiB
+    chunk arrays and the hit weights at once: its traced peak was
+    3.9 MiB, where 25,000-row chunks peaked at 18.7 MiB."""
+    event = BallEvent(StateDistribution.delta(0, 30), 0.1)
+    tracemalloc.start()
+    try:
+        estimate_rate_curve(mm1, event, [400], 200_000, seed=0, z_max=30,
+                            threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("N_list, samples, match", [
+    ([10], 0, "samples_per_N"), ([10, 0], 100, "N_list")])
+def test_rate_curve_rejects_degenerate_sizes(mm1, N_list, samples, match):
+    event = BallEvent(StateDistribution.delta(0, 30), 0.1)
+    with pytest.raises(ValueError, match=match):
+        estimate_rate_curve(mm1, event, N_list, samples, seed=0)
 
 
 def test_rate_curve_threaded_deterministic(mm1):
