@@ -42,8 +42,7 @@ import numpy as np
 
 from . import __version__
 from .cost import (FluxTrajectory, InfeasibleTrajectoryError, _edge_weights,
-                   _mass_balance, cost_nonvariational, cost_variational,
-                   evolve, flux_from_path)
+                   _mass_balance, _recover, cost_variational, evolve)
 from .measures import StateDistribution, save_distribution_csv, theta_moment
 from .mckean_vlasov import (EquilibriumNotFoundError, StiffnessError, check_B2,
                             find_equilibrium, flows,
@@ -443,8 +442,7 @@ def _run_duality_check(cfg: ExperimentConfig, out: Path, threads: int) -> None:
                                            cfg.values["t_max"])
         path = evolve(traj)
         var = cost_variational(cfg.model, path)
-        rec = flux_from_path(cfg.model, path)
-        nonvar = cost_nonvariational(cfg.model, rec)
+        _, nonvar = _recover(cfg.model, path, None)
         rows.append((i, var, nonvar, abs(var - nonvar)))
     with open(out / "duality.csv", "w", newline="") as fh:
         w = csv.writer(fh)

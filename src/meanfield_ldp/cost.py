@@ -26,15 +26,16 @@ each other:
     supremum over test vectors alpha of
         <alpha, phi_dot> - sum_edges (exp(alpha(z')-alpha(z)) - 1)
                                       * lambda * phi(z),
-    a smooth concave maximisation solved by damped Newton ascent from
-    alpha = 0 (which pins the evaluator at >= 0) with alpha(0) held at 0,
-    each step one tridiagonal solve; the integrand is smooth on each
-    interval of the piecewise-affine path, and the time integral takes
-    m-point Gauss-Legendre quadrature per interval, m doubled from 2.
+    a smooth concave maximisation with alpha(0) held at 0, in closed
+    form cut by cut on birth-death edges, else by damped Newton ascent
+    from alpha = 0 (which pins the evaluator at >= 0), each step one
+    tridiagonal solve; the integrand is smooth on each interval of the
+    piecewise-affine path, and the time integral takes m-point
+    Gauss-Legendre quadrature per interval, m doubled from 2.
 
 Convex duality makes the two agree once fluxes are recovered from the
 optimal alpha via h = exp(alpha(z') - alpha(z)) - 1; that recovery is
-:func:`flux_from_path`.
+:func:`_recover`.
 
 Also here: explicit test-function lower bounds on the cost of reaching
 a target.
@@ -363,8 +364,8 @@ def _edge_weights(model: RateModel, P: np.ndarray) -> np.ndarray:
 
 
 # Psi sums to 0, so the dual value is unchanged by alpha -> alpha + c and
-# alpha_0 stays pinned at 0.  The Newton matrix on states 1..z_max is then
-# tridiagonal for both edge kinds (a reset edge (z, 0) adds to the diagonal
+# alpha_0 stays pinned at 0.  With resets the Newton matrix on states
+# 1..z_max is then tridiagonal (a reset edge (z, 0) adds to the diagonal
 # only), and one Thomas pass, a loop over the states with vector operations
 # over the nodes, solves it for every node.  The stacked kernels repeat the
 # single-node float operations (per-row sums and dot products, ufunc.at
@@ -379,11 +380,11 @@ def _dual_value(edges: tuple[np.ndarray, np.ndarray], A: np.ndarray,
     return dots - ((np.exp(A[:, dst] - A[:, src]) - 1.0) * W).sum(axis=1)
 
 
-def _newton_step(kind: EdgeKind, ew: np.ndarray, g: np.ndarray,
-                 held: np.ndarray) -> np.ndarray:
-    """Gauge-fixed projected Newton steps for every node: solves
-    H[F, F] x = g[F] on the free states F, those of 1..z_max not ``held``
-    at the box, with x = 0 elsewhere.  H is the negated Hessian
+def _newton_step(ew: np.ndarray, g: np.ndarray, held: np.ndarray
+                 ) -> np.ndarray:
+    """Gauge-fixed projected Newton steps of a reset model for every
+    node: solves H[F, F] x = g[F] on the free states F, those of 1..z_max
+    not ``held`` at the box, with x = 0 elsewhere.  H is the negated Hessian
     sum_e ew_e (1_src - 1_dst)(1_src - 1_dst)^T plus the ridge
     1e-12 * (1 + trace(H) / n) on its diagonal; ew = exp(d alpha) * w are
     the (nodes, 2*z_max) edge terms in flux-column order, g the (nodes, n)
@@ -393,12 +394,9 @@ def _newton_step(kind: EdgeKind, ew: np.ndarray, g: np.ndarray,
     # row z - 1 of each (m, nodes) array belongs to state z
     fwd, back = ew[:, :m].T, ew[:, m:].T
     ridge = 1e-12 * (1.0 + 2.0 * ew.sum(axis=1) / n)
-    diag = fwd + back + ridge  # edge (z-1, z) and the backward edge out of z
+    diag = fwd + back + ridge  # edge (z-1, z) and the reset edge out of z
     diag[:-1] += fwd[1:]  # edge (z, z+1)
     off = -fwd[1:]  # H[z, z+1]
-    if kind is EdgeKind.BIRTH_DEATH:
-        diag[:-1] += back[1:]  # edge (z+1, z)
-        off -= back[1:]
     # a held state keeps its alpha: its row becomes the identity
     free = ~held.T
     diag = np.where(free, diag, 1.0)
@@ -445,18 +443,22 @@ def _dual_maximize(model: RateModel, P: np.ndarray, Psi: np.ndarray,
     """For each node b: max over alpha of
     <alpha, Psi[b]> - sum_e (exp(d alpha)-1) w_e(P[b]).
 
-    P and Psi are (nodes, z_max+1) stacks of fields and slopes; the
-    nodes are solved together, in chunks of at most ``_CHUNK``.  Each
-    node runs damped Newton ascent with alpha_0 pinned at 0, from
-    ``start`` (alpha = 0 if None), with alpha boxed to +-50 -- the box
-    realises the compact-support limit, and a coordinate parked at the
-    box with favourable multiplier sign is KKT-converged and held there.
-    The full Newton step is taken also when the value falls by no more
-    than rounding.  A node that no damped Newton step moves tries damped
+    P and Psi are (nodes, z_max+1) stacks of fields and slopes; alpha_0
+    is pinned at 0.  Birth-death models take :func:`_birth_death_dual`.
+    Reset models solve their nodes together, in chunks of at most
+    ``_CHUNK``, by damped Newton ascent from ``start`` (alpha = 0 if
+    None), with alpha boxed to +-50 -- the box realises the
+    compact-support limit, and a coordinate parked at the box with
+    favourable multiplier sign is KKT-converged and held there.  The
+    full Newton step is taken also when the value falls by no more than
+    rounding.  A node that no damped Newton step moves tries damped
     gradient steps; one that neither moves stays as it is.  A node is
     converged once its projected gradient falls below ``_GRAD_TOL``.
     Returns (values, alphas, converged).
     """
+    if model.kind is EdgeKind.BIRTH_DEATH:
+        return _birth_death_dual(_edge_weights(model, np.clip(P, 0.0, None)),
+                                 Psi)
     if start is None:
         start = np.zeros(P.shape)
     out = [_dual_chunk(model, P[s:s + _CHUNK], Psi[s:s + _CHUNK],
@@ -467,6 +469,31 @@ def _dual_maximize(model: RateModel, P: np.ndarray, Psi: np.ndarray,
     values, alphas, converged = zip(*out)
     return (np.concatenate(values), np.concatenate(alphas),
             np.concatenate(converged))
+
+
+def _birth_death_dual(W: np.ndarray, Psi: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The birth-death dual in closed form: with u = d alpha across cut y
+    and S = sum_{z>y} Psi_z it is a sum over cuts of
+    max_u u S - a(e^u - 1) - b(e^-u - 1), a and b the weights of the
+    edges y -> y+1 and y+1 -> y, attained at e^u = (r + S) / (2a) =
+    2b / (r - S) (whichever does not cancel), r = sqrt(S^2 + 4ab), with
+    value u S - r + a + b.  A cut whose optimum is infinite takes
+    u = +-``_ALPHA_CAP`` (compact support); the node counts as converged."""
+    a, b = np.split(W, 2, axis=1)
+    S = np.cumsum(Psi[:, :0:-1], axis=1)[:, ::-1]
+    r = np.sqrt(S * S + 4.0 * a * b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = np.where(S >= 0.0, np.log(r + S) - np.log(2.0 * a),
+                     np.log(2.0 * b) - np.log(r - S))
+    finite = np.isfinite(u)
+    # infinite optima: a = 0 <= S rises, b = 0 >= S falls, a = b = S = 0 flat
+    u = np.where(finite, u, _ALPHA_CAP * np.sign(S + b - a))
+    # at a capped cut one weight is 0: a e^u + b e^-u = (a + b) e^-cap
+    flux = np.where(finite, r, (a + b) * math.exp(-_ALPHA_CAP))
+    values = (u * S - flux + a + b).sum(axis=1)
+    alpha = np.pad(np.cumsum(u, axis=1), ((0, 0), (1, 0)))
+    return np.maximum(values, 0.0), alpha, np.isfinite(values)
 
 
 def _dual_chunk(model: RateModel, P: np.ndarray, Psi: np.ndarray,
@@ -496,7 +523,7 @@ def _dual_chunk(model: RateModel, P: np.ndarray, Psi: np.ndarray,
             x[~done] for x in (live, A, psi, w, c, ew, g, held))
         if not live.size:
             break
-        step = _newton_step(model.kind, ew, g, held)
+        step = _newton_step(ew, g, held)
         stuck = _line_search(edges, A, c, np.arange(live.size), step,
                              _NEWTON_DAMPS, psi, w, _ROUNDING)
         if stuck.size:
@@ -582,16 +609,17 @@ def cost_variational(model: RateModel, path: SampledPath) -> float:
     return max(total, 0.0)
 
 
-def flux_from_path(model: RateModel, path: SampledPath,
-                   refine: int | None = None) -> FluxTrajectory:
-    """Minimal-cost flux decomposition consistent with the path slopes.
+def _recover(model: RateModel, path: SampledPath, refine: int | None
+             ) -> tuple[FluxTrajectory, float]:
+    """Minimal-cost flux plan consistent with the path slopes, and its cost.
 
     Flux balance alone underdetermines the per-edge split; the
     dual-optimal alpha resolves it through h = exp(d alpha) - 1, so
     the control cost of the result matches the variational cost of the
     path.  Each interval becomes one segment per refinement piece with
     fluxes exp(d alpha) * lambda * phi evaluated at the piece midpoint,
-    in the edge order of the plan's flux columns.
+    in the edge order of the plan's flux columns.  Without ``refine``
+    the piece count doubles until the control cost settles.
     """
     times, probs = path.times, path.probs
     z_max = path.z_max
@@ -613,7 +641,8 @@ def flux_from_path(model: RateModel, path: SampledPath,
         return FluxTrajectory(init, model.kind, dt, F), alpha
 
     if refine is not None:
-        return build(refine)[0]
+        traj = build(refine)[0]
+        return traj, cost_nonvariational(model, traj)
     # refine until the recovered control cost stabilises; each level
     # halves every piece of the last, whose alpha starts both halves
     prev_traj, alpha = build(1)
@@ -622,9 +651,9 @@ def flux_from_path(model: RateModel, path: SampledPath,
         cand, alpha = build(2 ** level, np.repeat(alpha, 2, axis=0))
         c = cost_nonvariational(model, cand)
         if abs(c - prev_cost) < 2e-7:
-            return cand
+            return cand, c
         prev_traj, prev_cost = cand, c
-    return prev_traj
+    return prev_traj, prev_cost
 
 
 # ---------------------------------------------------------------------------

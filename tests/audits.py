@@ -10,6 +10,8 @@ rate curves and plans against them:
   * :func:`sanov_inf_over_ball`, the Sanov infimum over a TV ball;
   * :func:`moment_inequality_check`, the theta-moment growth
     inequality along a plan;
+  * :func:`flux_from_path`, the plan that the duality check recovers
+    from a path, without its cost;
   * :func:`descend_to_equilibrium`, the flow-then-connector plan into
     the equilibrium;
   * :func:`integrate`, the limiting flow from one law at a time, the
@@ -22,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from meanfield_ldp.cost import (FluxTrajectory, concatenate,
-                                cost_nonvariational, evolve, flux_from_path)
+from meanfield_ldp.cost import (FluxTrajectory, _recover, concatenate,
+                                cost_nonvariational, evolve)
 from meanfield_ldp.measures import (SampledPath, StateDistribution,
                                     entropy_projection, in_class_KDelta,
                                     relative_entropy, theta_values,
@@ -126,6 +128,13 @@ def moment_inequality_check(model: RateModel, traj: FluxTrajectory,
     T = traj.duration
     return (sup_theta
             <= start + S + slack + model.lambda_upper * (math.e - 1.0) * T)
+
+
+def flux_from_path(model: RateModel, path: SampledPath,
+                   refine: int | None = None) -> FluxTrajectory:
+    """The minimal-cost flux plan of a path: ``cost._recover`` without
+    the plan's control cost."""
+    return _recover(model, path, refine)[0]
 
 
 def descend_to_equilibrium(model: RateModel, xi_star: StateDistribution,

@@ -17,7 +17,8 @@ import time
 import numpy as np
 
 from audits import (descend_to_equilibrium, factorial_decay_bound,
-                    moment_inequality_check, sanov_inf_over_ball)
+                    flux_from_path, moment_inequality_check,
+                    sanov_inf_over_ball)
 from meanfield_ldp.cli import _corpus_targets, _random_feasible_trajectory
 from meanfield_ldp.measures import (StateDistribution, theta_moment,
                                     theta_values, tv_distance)
@@ -25,8 +26,7 @@ from meanfield_ldp.mckean_vlasov import find_equilibrium, flows
 from meanfield_ldp.models import (interacting_wlan_model, mm1_model,
                                   single_particle_stationary, wlan_const_model,
                                   wlan_decay_model)
-from meanfield_ldp.cost import (cost_nonvariational, cost_variational, evolve,
-                                flux_from_path)
+from meanfield_ldp.cost import cost_nonvariational, cost_variational, evolve
 from meanfield_ldp.quasipotential import (choose_z0, cm_bound, connector,
                                           construct_delta0_to_target,
                                           construct_equilibrium_to_delta0,

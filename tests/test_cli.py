@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from meanfield_ldp import cli
+from meanfield_ldp import cli, cost
 from meanfield_ldp.cost import InfeasibleTrajectoryError
+from meanfield_ldp.models import EdgeKind
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = ROOT / "scripts" / "configs"
@@ -265,12 +266,11 @@ def test_output_override(tmp_path):
     assert not (tmp_path / "unused").exists()
 
 
-def test_duality_check_experiment(tmp_path):
-    body = """
+DUALITY = """
 [model]
-model = wlan_const
+model = {model}
 lambda_f = 1
-lambda_b = 1
+lambda_b = {lambda_b}
 z_max = 8
 
 [experiment]
@@ -280,14 +280,36 @@ seed = 2
 n_trajectories = 2
 t_max = 1.0
 """
+
+
+def _check_duality(tmp_path: Path, model: str, lambda_b: int) -> None:
     out = tmp_path / "out"
-    cfg = write_cfg(tmp_path, body.format(out=out))
+    cfg = write_cfg(tmp_path, DUALITY.format(model=model, lambda_b=lambda_b,
+                                             out=out))
     assert cli.run(cfg, threads=1) == 0
     lines = (out / "duality.csv").read_text().splitlines()
     assert lines[0] == "trajectory,variational,nonvariational_recovered,abs_gap"
     assert len(lines) == 3
     for ln in lines[1:]:
         assert float(ln.split(",")[-1]) < 1e-5
+
+
+def test_duality_check_experiment(tmp_path):
+    _check_duality(tmp_path, "wlan_const", 1)
+
+
+def test_birth_death_duality_check_runs_no_newton(tmp_path, monkeypatch):
+    """Birth-death nodes take the closed-form dual: an mm1 duality check
+    runs with the Newton solver refusing them."""
+    newton = cost._dual_chunk
+
+    def resets_only(model, *args):
+        if model.kind is EdgeKind.BIRTH_DEATH:
+            raise AssertionError("a birth-death node entered Newton ascent")
+        return newton(model, *args)
+
+    monkeypatch.setattr(cost, "_dual_chunk", resets_only)
+    _check_duality(tmp_path, "mm1", 2)
 
 
 def test_mve_audit_experiment(tmp_path):
@@ -363,13 +385,13 @@ _IMPORT_PROBE = """
 import sys
 import numpy as np
 from meanfield_ldp.cli import _random_feasible_trajectory
-from meanfield_ldp.cost import cost_variational, evolve, flux_from_path
+from meanfield_ldp.cost import _recover, cost_variational, evolve
 from meanfield_ldp.models import mm1_model
 model = mm1_model(1.0, 2.0)
 traj = _random_feasible_trajectory(model, np.random.default_rng(0), 4, 0.5)
 path = evolve(traj)
 cost_variational(model, path)
-flux_from_path(model, path)
+_recover(model, path, None)
 print(sorted(m for m in sys.modules
              if m.split(".")[:2] in (["numpy", "polynomial"], ["numpy", "ma"])))
 """

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from audits import moment_inequality_check
+from audits import flux_from_path, moment_inequality_check
 from conftest import geometric
 from meanfield_ldp.cli import _random_feasible_trajectory
 from meanfield_ldp.measures import (SampledPath, StateDistribution,
@@ -17,14 +17,15 @@ from meanfield_ldp.models import (EdgeKind, EdgeNotPresentError,
 from meanfield_ldp.cost import (EndpointMismatchError, FluxTrajectory,
                                 InfeasibleTrajectoryError,
                                 concatenate, cost_nonvariational,
-                                cost_variational, evolve, flux_from_path,
+                                cost_variational, evolve,
                                 load_trajectory, save_trajectory,
                                 testfunction_lower_bound)
+from meanfield_ldp import cost as cost_module
 from meanfield_ldp.cost import (_ALPHA_CAP, _GL_LADDER, _dual_maximize,
                                 _edge_weights, _freeze_pieces,
                                 _gauss_legendre, _intervals, _mass_balance,
-                                _newton_step, _plan_costs, _refine_grid,
-                                _segment_costs)
+                                _newton_step, _plan_costs, _recover,
+                                _refine_grid, _segment_costs)
 
 
 RESETS, BIRTH_DEATH = EdgeKind.CHAIN_WITH_RESETS, EdgeKind.BIRTH_DEATH
@@ -578,21 +579,35 @@ def _dual_nodes(model, z_max, rng):
     s[:, k + 1] = rng.uniform(0.05, 0.5, 10)
     s[:, 0] = -s[:, k + 1]
     Psi.append(s)
-    f = rng.dirichlet(np.ones(z_max + 1), size=20)
-    j = rng.integers(2, z_max, 20)
-    f[np.arange(20), j] = 10.0 ** rng.uniform(-6, -4, 20)
-    f[np.arange(20), j + 1] = 10.0 ** rng.uniform(-6, -4, 20)
-    P.append(f / f.sum(axis=1, keepdims=True))
-    s = rng.normal(size=(20, z_max + 1))
-    s = 0.3 * (s - s.mean(axis=1, keepdims=True))
-    feed = rng.uniform(0.1, 1.0, 20)
-    s[np.arange(20), j] += feed
-    s[:, 0] -= feed
+    f, s = _fed_pair_nodes(rng, 20, z_max, -6, -4)
+    P.append(f)
     Psi.append(s)
     return np.concatenate(P), np.concatenate(Psi)
 
 
-@pytest.mark.parametrize("name", ["wlan_const", "mm1", "interacting"])
+def _fed_pair_nodes(rng, n, z_max, lo, hi):
+    """n fields in which two adjacent states hold 10^U(lo, hi) of mass,
+    with slopes that feed the first of them."""
+    f = rng.dirichlet(np.ones(z_max + 1), size=n)
+    j = rng.integers(2, z_max, n)
+    f[np.arange(n), j] = 10.0 ** rng.uniform(lo, hi, n)
+    f[np.arange(n), j + 1] = 10.0 ** rng.uniform(lo, hi, n)
+    s = rng.normal(size=(n, z_max + 1))
+    s = 0.3 * (s - s.mean(axis=1, keepdims=True))
+    feed = rng.uniform(0.1, 1.0, n)
+    s[np.arange(n), j] += feed
+    s[:, 0] -= feed
+    return f / f.sum(axis=1, keepdims=True), s
+
+
+def _oracle(model, P, Psi):
+    """Values, alphas and converged flags of the single-node oracle."""
+    ref = [_dual_maximize_scalar(model, p, s, set()) for p, s in zip(P, Psi)]
+    return (np.array([v for v, _, _ in ref]), np.array([a for _, a, _ in ref]),
+            np.array([c for _, _, c in ref]))
+
+
+@pytest.mark.parametrize("name", ["wlan_const", "interacting"])
 def test_batched_dual_matches_single_node_oracle(request, name):
     model = request.getfixturevalue(name)
     z_max = 8
@@ -617,7 +632,70 @@ def test_batched_dual_matches_single_node_oracle(request, name):
     assert not ok.any()
 
 
-@pytest.mark.parametrize("kind", [RESETS, BIRTH_DEATH])
+def test_birth_death_closed_form_matches_single_node_oracle(mm1):
+    """The closed form against Newton ascent on the oracle's nodes: equal
+    where the oracle converged inside the box, never below it, flagged
+    as the oracle flags the compact-support nodes, and its fluxes
+    exp(d alpha) * w solve the optimality conditions and balance Psi."""
+    z_max = 8
+    P, Psi = _dual_nodes(mm1, z_max, np.random.default_rng(3))
+    vals, alphas, ok = _dual_maximize(mm1, P, Psi)
+    ref, ref_alphas, ref_ok = _oracle(mm1, P, Psi)
+    inside = np.abs(ref_alphas).max(axis=1) < _ALPHA_CAP - 1e-12
+    assert np.sum(inside & ref_ok) >= 200 and np.sum(~inside) >= 10
+    assert np.abs(vals - ref)[inside & ref_ok].max() <= 1e-12
+    assert np.all(vals[inside]
+                  >= ref[inside] - 1e-12 * (1.0 + np.abs(ref[inside])))
+    assert ok[~inside].tolist() == ref_ok[~inside].tolist()
+    w = _edge_weights(mm1, np.clip(P, 0.0, None))
+    src, dst = edge_list(BIRTH_DEATH, z_max)
+    F = np.exp(alphas[:, dst] - alphas[:, src]) * w
+    scale = 1.0 + np.abs(Psi).max(axis=1) + F.max(axis=1)
+    kkt = np.array([np.abs(_grad_hess(BIRTH_DEATH, a, s, e)[0]).max()
+                    for a, s, e in zip(alphas, Psi, w)])
+    balance = np.abs(_mass_balance(F, BIRTH_DEATH) - Psi).max(axis=1)
+    assert (kkt / scale)[inside].max() <= 1e-12
+    assert (balance / scale)[inside].max() <= 1e-12
+
+
+def test_birth_death_closed_form_on_vanishing_masses(mm1):
+    """Two adjacent states hold 10^U(-12,-8) of mass and the first is
+    fed: the optimum lies far from alpha_0, where Newton's box binds and
+    its steps clip.  The closed form stays finite and never ends below
+    the oracle, which falls short on some of these nodes."""
+    P, Psi = _fed_pair_nodes(np.random.default_rng(4), 30, 10, -12, -8)
+    vals, alphas, ok = _dual_maximize(mm1, P, Psi)
+    ref, _, _ = _oracle(mm1, P, Psi)
+    assert np.isfinite(vals).all() and np.isfinite(alphas).all() and ok.all()
+    assert np.all(vals >= ref - 1e-12)
+    assert np.sum(vals > ref + 1e-9) >= 5
+
+
+def test_recovered_cost_is_the_plans_control_cost(mm1, monkeypatch):
+    """The cost that ends the recovery ladder is the control cost of the
+    plan returned, bit for bit: when the ladder settles, when it runs out
+    of levels and when it is not climbed (refine=1)."""
+    costs = []
+
+    def spy(model, traj):
+        costs.append(cost_nonvariational(model, traj))
+        return costs[-1]
+
+    monkeypatch.setattr(cost_module, "cost_nonvariational", spy)
+    for t_max, refine, settled in ((0.5, None, True), (8.0, None, False),
+                                   (2.0, 1, None)):
+        path = evolve(_random_feasible_trajectory(
+            mm1, np.random.default_rng(0), 4, t_max))
+        costs.clear()
+        plan, c = _recover(mm1, path, refine)
+        assert c == costs[-1] == cost_nonvariational(mm1, plan)
+        if settled is not None:
+            # ten costings: build(1) and the nine doubling levels
+            assert (len(costs) < 10) == settled
+            assert (abs(costs[-1] - costs[-2]) < 2e-7) == settled
+
+
+@pytest.mark.parametrize("kind", [RESETS])
 def test_newton_step_matches_dense_solve(kind):
     """The batched Thomas pass against a dense solve on the free states.
     A third of the edges weigh 0, so some blocks of states lean on the
@@ -629,7 +707,7 @@ def test_newton_step_matches_dense_solve(kind):
     ew[rng.random(ew.shape) < 0.3] = 0.0
     g = rng.normal(size=(300, z_max + 1))
     held = rng.random((300, z_max)) < 0.1
-    steps = _newton_step(kind, ew, g, held)
+    steps = _newton_step(ew, g, held)
     for e, gb, h, step in zip(ew, g, held, steps):
         H = _hessian(kind, e)
         ref = _dense_step(H, gb, h)
