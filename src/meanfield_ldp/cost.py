@@ -12,7 +12,10 @@ each other:
     segment-midpoint field, so each edge integrates in closed form
     through the x*log(x) antiderivative -- this is what keeps the
     vanishing-mass endpoints (mass draining exactly to zero) finite
-    and exact, where raw quadrature would blow up.  All segments of a
+    and exact, where raw quadrature would blow up.  An interacting
+    model freezes the rate on pieces of a segment instead, as many as
+    the bias estimate rate change x mass change x rate scale x
+    duration asks for.  All segments of a
     plan are costed in one batched pass: segments of one piece count
     share stacked rate-table calls in blocks of at most ``_CHUNK``
     piece rows.  Each edge family's idle terms lambda*phi are formed
@@ -189,9 +192,14 @@ def _freeze_pieces(model: RateModel, fluxes: np.ndarray, P0: np.ndarray,
     """Per-segment subdivision counts, shape (S,), holding the
     midpoint-freezing bias below ``_FREEZE_TOL``.
 
-    Freezing the rate at the piece-midpoint field cancels the bias at
-    first order, so the residual is quadratic in the within-piece TV
-    variation and the count scales as a square root.
+    The bias estimate is rate change x TV mass change x rate scale x
+    duration.  Freezing the rate at the piece-midpoint field cancels the
+    bias at first order, so the residual is quadratic in the within-piece
+    variation and the count scales as a square root.  The rate change is
+    the segment's own, the largest (z+1)|d forward| or |d backward|
+    between its end fields, capped at ``lipschitz * TV``; a segment
+    whose mid-field rates are not the mean of its end rates (to 1e-12
+    relative), so the rates bend along it, takes the cap itself.
     """
     if not model.interacting:
         return np.ones(durations.shape[0], dtype=int)
@@ -202,7 +210,17 @@ def _freeze_pieces(model: RateModel, fluxes: np.ndarray, P0: np.ndarray,
     # each row's flux summed in edge order
     lam_scale = 2.0 * model.lambda_upper + np.array(
         [sum(row) for row in fluxes.tolist()])
-    est = model.lipschitz * dtv * dtv * lam_scale * durations
+    cap = model.lipschitz * dtv
+    # rate tables at the end, mid and end fields, (3, S, z_max+1) each
+    z = np.arange(1, P0.shape[1] + 1)
+    fwd, back = _rate_rows(model, z.size - 1,
+                           np.stack([P0, 0.5 * (P0 + P1), P1]))
+    change = np.maximum(z * np.abs(fwd[2] - fwd[0]),
+                        np.abs(back[2] - back[0])).max(axis=1)
+    affine = np.all([np.abs(t[1] - 0.5 * (t[0] + t[2])) <= 1e-12 * np.abs(t[1])
+                     for t in (fwd, back)], axis=(0, 2))
+    est = (np.where(affine, np.minimum(change, cap), cap) * dtv * lam_scale
+           * durations)
     pieces = np.minimum(4096, np.ceil(np.sqrt(est / _FREEZE_TOL)))
     return np.where(est <= _FREEZE_TOL, 1, pieces).astype(int)
 
@@ -335,7 +353,8 @@ def cost_nonvariational(model: RateModel, traj: FluxTrajectory) -> float:
     identically zero over a positive-length interval yields the inf
     sentinel.  For interacting models the rate is frozen at the
     midpoint field of each piece and segments are subdivided until the
-    Lipschitz bias estimate falls below ``_FREEZE_TOL`` per segment.
+    bias estimate, rate change x mass change x rate scale x duration,
+    falls below ``_FREEZE_TOL`` per segment (:func:`_freeze_pieces`).
     All segments are costed in one batched pass (:func:`_segment_costs`)
     and their costs added in segment order.
     """

@@ -102,13 +102,15 @@ def flows(model: RateModel, initials: list[StateDistribution],
         q = np.clip(half[ok], 0.0, None)
         p[done] = q = q / q.sum(axis=-1, keepdims=True)
         t[done] += h[ok]
+        # copied rows leave no step's block alive
         for i, ti, row in zip(done.tolist(), t[done].tolist(), q):
             times[i].append(ti)
-            rows[i].append(row)
+            rows[i].append(row.copy())
         live = live[T[live] - t[live] > eps_T[live]]
-    # each last time snaps its sub-1e-12 slack to the horizon
-    return [SampledPath(np.array(ts[:-1] + [Ti]), np.stack(rs))
-            for ts, rs, Ti in zip(times, rows, T.tolist())]
+    # each last time snaps its sub-1e-12 slack to the horizon; a row's
+    # list is popped, so it goes once its path is stacked
+    return [SampledPath(np.array(ts[:-1] + [Ti]), np.stack(rows.pop(0)))
+            for ts, Ti in zip(times, T.tolist())]
 
 
 # ---------------------------------------------------------------------------

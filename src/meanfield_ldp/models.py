@@ -106,8 +106,9 @@ class RateModel:
     (z+1)|forward(z, xi) - forward(z, zeta)| <= L d(xi, zeta) and
     |backward(z, xi) - backward(z, zeta)| <= L d(xi, zeta), d the TV
     distance.  The control-form cost of an interacting model sizes its
-    rate-freezing pieces with it; a non-interacting model may leave it
-    None.
+    rate-freezing pieces by the rate change each segment has, capped at
+    L times its TV change, and by L itself wherever the rates bend
+    along the segment; a non-interacting model may leave it None.
     """
 
     kind: EdgeKind

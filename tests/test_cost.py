@@ -6,7 +6,8 @@ import pytest
 
 from audits import flux_from_path, moment_inequality_check
 from conftest import geometric
-from meanfield_ldp.cli import _random_feasible_trajectory
+from meanfield_ldp.cli import (_corpus_targets,
+                               _random_feasible_trajectory)
 from meanfield_ldp.measures import (SampledPath, StateDistribution,
                                     theta_values)
 from meanfield_ldp.mckean_vlasov import find_equilibrium, flows
@@ -21,8 +22,9 @@ from meanfield_ldp.cost import (EndpointMismatchError, FluxTrajectory,
                                 load_trajectory, save_trajectory,
                                 testfunction_lower_bound)
 from meanfield_ldp import cost as cost_module
-from meanfield_ldp.cost import (_ALPHA_CAP, _GL_LADDER, _dual_maximize,
-                                _edge_weights, _freeze_pieces,
+from meanfield_ldp.quasipotential import v_upper_bound
+from meanfield_ldp.cost import (_ALPHA_CAP, _FREEZE_TOL, _GL_LADDER,
+                                _dual_maximize, _edge_weights, _freeze_pieces,
                                 _gauss_legendre, _intervals, _mass_balance,
                                 _newton_step, _plan_costs, _recover,
                                 _refine_grid, _segment_costs)
@@ -330,13 +332,26 @@ def test_segment_cost_matches_per_piece_loop(interacting, pieces):
             assert _one_segment(*args) == _segment_cost_loop(*args)
 
 
-def _freeze_pieces_ref(model, row, p0, p1, delta):
-    """Oracle: the subdivision count of one segment."""
+def _freeze_pieces_ref(model, row, p0, p1, delta, measured=True):
+    """Oracle: the subdivision count of one segment.  Its rate change is
+    measured between the end tables, capped at lipschitz * TV, where the
+    mid-field tables are the means of the end tables; elsewhere, and
+    with ``measured`` False (the Lipschitz rule), it is that cap."""
     if not model.interacting:
         return 1
+    z_max = p0.size - 1
     dtv = 0.5 * float(np.abs(p1 - p0).sum())
     lam_scale = 2.0 * model.lambda_upper + sum(row.tolist())
-    est = model.lipschitz * dtv * dtv * lam_scale * delta
+    change = model.lipschitz * dtv
+    fields = (p0, 0.5 * (p0 + p1), p1)
+    f0, fm, f1 = (model.forward_rates(z_max, xi) for xi in fields)
+    b0, bm, b1 = (model.backward_rates(z_max, xi) for xi in fields)
+    if measured and all(np.all(np.abs(m - 0.5 * (a + b)) <= 1e-12 * np.abs(m))
+                        for a, m, b in ((f0, fm, f1), (b0, bm, b1))):
+        z = np.arange(1, z_max + 2)
+        change = min(change, float(max(np.max(z * np.abs(f1 - f0)),
+                                       np.max(np.abs(b1 - b0)))))
+    est = change * dtv * lam_scale * delta
     if est <= 1e-7:
         return 1
     return min(4096, math.ceil(math.sqrt(est / 1e-7)))
@@ -362,6 +377,7 @@ def _thinned_plan(model, rng, z_max):
 def _mixed_plans(model):
     """Six thinned random plans, a stranded plan (its last, and flux out
     of a state that stays empty) and, for an interacting model, a plan
+    that moves 0.9 of the mass in one segment (3,819 pieces) and one
     that hits the 4096-piece cap."""
     z_max = 12
     rng = np.random.default_rng(9)
@@ -370,12 +386,14 @@ def _mixed_plans(model):
                      (0.2, {(1, 2): 0.5, (2, 3): 0.5}))
     plans = [_thinned_plan(model, rng, z_max) for _ in range(6)] + [stranded]
     if model.interacting:
-        # 0.9 of the mass moved in one segment needs more than 4096 pieces
         p = np.full(z_max + 1, 0.01 / z_max)
         p[0] = 0.99
         plans.append(_plan(StateDistribution(p, z_max), model.kind,
                            (0.9, {(0, 1): 1.0}), (0.5, {(1, 2): 0.1}),
                            (0.3, {(1, 0): 0.2, (0, 1): 0.05})))
+        # the same 0.9 carried on through state 1 needs more than 4096
+        plans.append(_plan(StateDistribution(p, z_max), model.kind,
+                           (0.9, {(0, 1): 1.0, (1, 2): 1.0})))
     return plans, stranded
 
 
@@ -448,6 +466,57 @@ def test_freeze_pieces_needs_declared_lipschitz_constant(interacting):
     with pytest.raises(MissingBoundsError):
         _freeze_pieces(undeclared, np.r_[0.5, np.zeros(15)][None], p0[None],
                        p1[None], np.ones(1))
+
+
+def test_freeze_pieces_hold_the_bias_below_tolerance(interacting):
+    """On the mixed plans and the refined witnesses of a small corpus,
+    every finite segment cost at the chosen pieces is within
+    _FREEZE_TOL of its cost at four times the pieces (past the 4096 cap
+    where need be), no segment gets more pieces than the Lipschitz rule
+    gives, and the measured rate change saves pieces."""
+    plans, _ = _mixed_plans(interacting)
+    xi_star = find_equilibrium(interacting, 20)
+    plans += [v_upper_bound(interacting, xi_star, xi, refine=True).witness
+              for xi in _corpus_targets(xi_star, 5.0, 3, seed=17)]
+    chosen = lipschitz = 0
+    for traj in plans:
+        P = evolve(traj).probs
+        seg = (traj.fluxes, P[:-1], P[1:], traj.durations)
+        pieces = _freeze_pieces(interacting, *seg)
+        rule = np.array([_freeze_pieces_ref(interacting, *s, measured=False)
+                         for s in zip(*seg)])
+        assert np.all(pieces <= rule)
+        chosen, lipschitz = chosen + pieces.sum(), lipschitz + rule.sum()
+        costs = _segment_costs(interacting, *seg, pieces)[0]
+        fine = _segment_costs(interacting, *seg, 4 * pieces)[0]
+        finite = np.isfinite(costs)
+        assert np.array_equal(finite, np.isfinite(fine))
+        assert np.abs(costs[finite] - fine[finite]).max() <= _FREEZE_TOL
+    assert chosen < 0.6 * lipschitz
+
+
+def test_freeze_pieces_take_the_lipschitz_size_where_rates_bend():
+    """A forward rate (1 + 4 xi0 (1 - xi0)) / (z+1) has equal tables at
+    xi0 = 0.3 and 0.7 but not at 0.5 between them: the segment is sized
+    by lipschitz * TV, not by its vanishing end-to-end change."""
+    bend = RateModel(RESETS,
+                     lambda z, xi: (1.0 + 4.0 * xi[0] * (1.0 - xi[0]))
+                     / (z + 1.0),
+                     lambda z, xi: np.full(z.shape, 1.0), lambda_upper=2.0,
+                     lambda_lower=1.0, interacting=True, name="bend",
+                     lipschitz=4.0)
+    z_max, delta = 8, 0.1
+    p0, p1 = np.zeros(z_max + 1), np.zeros(z_max + 1)
+    p0[:2], p1[:2] = (0.3, 0.7), (0.7, 0.3)
+    row = np.zeros(2 * z_max)
+    row[z_max] = 0.4 / delta  # the reset edge (1, 0)
+    assert np.allclose(bend.forward_rates(z_max, p0),
+                       bend.forward_rates(z_max, p1), rtol=1e-15, atol=0.0)
+    pieces = _freeze_pieces(bend, row[None], p0[None], p1[None],
+                            np.array([delta]))
+    assert pieces.tolist() == [_freeze_pieces_ref(bend, row, p0, p1, delta,
+                                                  measured=False)]
+    assert 1 < pieces[0] < 4096
 
 
 def test_cost_rejects_edges_of_the_other_kind(mm1):
@@ -891,7 +960,6 @@ def test_lower_bound_grows_with_truncation(mm1):
 
 
 def test_lower_bound_validity_against_witnesses(wlan_decay):
-    from meanfield_ldp.quasipotential import v_upper_bound
     xi = StateDistribution.from_weights(np.exp(-0.8 * np.arange(13)), 12)
     xi_star = find_equilibrium(wlan_decay, 12)
     bound = v_upper_bound(wlan_decay, xi_star, xi)
