@@ -83,8 +83,10 @@ def _boolean(text: str) -> bool:
 
 
 def _path(text: str) -> Path:
-    if not text:
-        raise ValueError("empty path")
+    """A directory path whose last component names it, as the staging
+    directory beside it needs: not empty, ``.``, ``..`` or the root."""
+    if Path(text).name in ("", ".."):
+        raise ValueError("the last path component names no directory")
     return Path(text)
 
 
@@ -485,8 +487,13 @@ def run(config_path: str | Path, threads: int | None = None,
         for p in problems:
             print(f"validation: {p}", file=sys.stderr)
         return 2
-    if output_override:
-        cfg.output_dir = Path(output_override)
+    if output_override is not None:
+        try:
+            cfg.output_dir = _path(output_override)
+        except ValueError as exc:
+            print(f"validation: bad --output value {output_override!r}: "
+                  f"{exc}", file=sys.stderr)
+            return 2
     threads = threads or os.cpu_count() or 1
 
     final = cfg.output_dir

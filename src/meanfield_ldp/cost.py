@@ -8,22 +8,15 @@ each other:
     the time integral of sum_edges tau*(h) * lambda * phi, where
     tau*(h) = (1+h) log(1+h) - h is the convex dual of the centred
     Poisson log-MGF tau(u) = e^u - u - 1.  Within a segment the source
-    mass is affine in time and the rate is frozen at the
-    segment-midpoint field, so each edge integrates in closed form
-    through the x*log(x) antiderivative -- this is what keeps the
-    vanishing-mass endpoints (mass draining exactly to zero) finite
-    and exact, where raw quadrature would blow up.  An interacting
-    model freezes the rate on pieces of a segment instead, as many as
-    the bias estimate rate change x mass change x rate scale x
-    duration asks for.  All segments of a
-    plan are costed in one batched pass: segments of one piece count
-    share stacked rate-table calls in blocks of at most ``_CHUNK``
-    piece rows.  Each edge family's idle terms lambda*phi are formed
-    once: their row sums are the segments' all-idle costs B and, with
-    the active positions zeroed, the idle parts of their costs.  The
-    active terms are summed per segment over rows of equal length, so
-    every segment's cost is bitwise the one it has when costed alone.
-    The plan cost adds the segment costs in order.
+    mass is affine in time, and so is the rate of every model whose rates
+    are affine in the field; each edge integrates in closed form through
+    the x*log(x) antiderivative -- this is what keeps the vanishing-mass
+    endpoints (mass draining exactly to zero) finite and exact, where raw
+    quadrature would blow up.  A segment along which the rates bend is
+    split into pieces (:func:`_freeze_pieces`).  All segments of a plan
+    are costed in one batched pass that also yields each segment's
+    all-idle cost B; every segment's cost is bitwise the one it has when
+    costed alone, and the plan cost adds them in order.
 
   * the variational form: at each time the integrand is the
     supremum over test vectors alpha of
@@ -60,15 +53,14 @@ from .models import (EdgeKind, EdgeNotPresentError, MissingBoundsError,
 
 _E = math.e
 _ALPHA_CAP = 50.0
-# bound on the midpoint-freezing bias per segment of an interacting model
+# bound on the rate-interpolation error per segment where the rates bend
 _FREEZE_TOL = 1e-7
 # Gauss-Legendre nodes per interval, tried in turn until the variational
 # value changes by less than _QUADRATURE_TOL; a low start keeps flow paths
 # of thousands of near-zero-cost intervals cheap
 _GL_LADDER = (2, 4, 8, 16, 32, 64)
 _QUADRATURE_TOL = 1e-9
-# nodes per batched dual solve, piece rows per batched control-cost
-# block: bounds the node and piece arrays
+# nodes per batched dual solve: bounds the node arrays
 _CHUNK = 256
 
 
@@ -189,18 +181,11 @@ def concatenate(a: FluxTrajectory, b: FluxTrajectory) -> FluxTrajectory:
 
 def _freeze_pieces(model: RateModel, fluxes: np.ndarray, P0: np.ndarray,
                    P1: np.ndarray, durations: np.ndarray) -> np.ndarray:
-    """Per-segment subdivision counts, shape (S,), holding the
-    midpoint-freezing bias below ``_FREEZE_TOL``.
-
-    The bias estimate is rate change x TV mass change x rate scale x
-    duration.  Freezing the rate at the piece-midpoint field cancels the
-    bias at first order, so the residual is quadratic in the within-piece
-    variation and the count scales as a square root.  The rate change is
-    the segment's own, the largest (z+1)|d forward| or |d backward|
-    between its end fields, capped at ``lipschitz * TV``; a segment
-    whose mid-field rates are not the mean of its end rates (to 1e-12
-    relative), so the rates bend along it, takes the cap itself.
-    """
+    """Per-segment subdivision counts, shape (S,): 1 where the rates are
+    affine along the segment (its mid-field tables the mean of its end
+    tables to 1e-12 relative), else as many pieces as hold the error
+    estimate lipschitz x TV^2 x rate scale x duration, quadratic in the
+    within-piece variation, below ``_FREEZE_TOL``, at most 4096."""
     if not model.interacting:
         return np.ones(durations.shape[0], dtype=int)
     if model.lipschitz is None:
@@ -210,79 +195,14 @@ def _freeze_pieces(model: RateModel, fluxes: np.ndarray, P0: np.ndarray,
     # each row's flux summed in edge order
     lam_scale = 2.0 * model.lambda_upper + np.array(
         [sum(row) for row in fluxes.tolist()])
-    cap = model.lipschitz * dtv
     # rate tables at the end, mid and end fields, (3, S, z_max+1) each
-    z = np.arange(1, P0.shape[1] + 1)
-    fwd, back = _rate_rows(model, z.size - 1,
+    fwd, back = _rate_rows(model, P0.shape[1] - 1,
                            np.stack([P0, 0.5 * (P0 + P1), P1]))
-    change = np.maximum(z * np.abs(fwd[2] - fwd[0]),
-                        np.abs(back[2] - back[0])).max(axis=1)
     affine = np.all([np.abs(t[1] - 0.5 * (t[0] + t[2])) <= 1e-12 * np.abs(t[1])
                      for t in (fwd, back)], axis=(0, 2))
-    est = (np.where(affine, np.minimum(change, cap), cap) * dtv * lam_scale
-           * durations)
+    est = model.lipschitz * dtv * dtv * lam_scale * durations
     pieces = np.minimum(4096, np.ceil(np.sqrt(est / _FREEZE_TOL)))
-    return np.where(est <= _FREEZE_TOL, 1, pieces).astype(int)
-
-
-def _row_sums(terms: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Sum of each row's run of a compressed 1-D array, runs of length
-    ``counts`` in row order; rows of one length are summed together as
-    a matrix (the array itself when their runs fill it), so each sum
-    equals that of the run alone."""
-    out = np.zeros(counts.size)
-    starts = np.cumsum(counts) - counts
-    for k in sorted(set(counts.tolist()) - {0}):
-        rows = np.flatnonzero(counts == k)
-        runs = (terms.reshape(-1, k) if rows.size * k == terms.size
-                else terms[starts[rows, None] + np.arange(k)])
-        out[rows] = runs.sum(axis=1)
-    return out
-
-
-def _family_costs(f: np.ndarray, rates: np.ndarray, P: np.ndarray,
-                  S: np.ndarray, k: int, dp: np.ndarray) -> np.ndarray:
-    """Per-segment sums over edge family k (0 forward, 1 backward) of the
-    closed-form integral of tau*(f/(lam*phi) - 1) * lam * phi over pieces
-    where phi is affine and lam is frozen, and of lam * phi alone.
-
-    A block of c segments of n pieces each: f (c, E) the family's flux
-    rows, rates (c, n, z_max+1) piece rate tables (or one row that
-    broadcasts), P (c, n+1, z_max+1) clipped piece end states, S their
-    (c, n, z_max+1) sums over consecutive ends, dp (c,) piece lengths;
-    column e is the edge out of state e + k.  Returns the (2, c) costs
-    and all-idle costs; a cost is inf where an active edge leaves a
-    state that is empty over a whole piece.
-    """
-    (c, n), e = S.shape[:2], f.shape[1]
-    lam = np.broadcast_to(rates[..., k:k + e], (c, n, e))
-    # lam * phi integrated over each piece, the tau*(-1) suppression cost
-    idle = np.multiply(lam, (0.5 * dp)[:, None, None], order="C")
-    idle *= S[..., k:k + e]
-    B = idle.reshape(c, -1).sum(axis=1)
-    active = f > 0.0
-    if not active.any():
-        return np.array((B, B))
-    # the mask broadcast over pieces takes the active terms in (c, n, E) order
-    m = np.repeat(active, n, axis=0).reshape(c, n, e)
-    ia = idle[m]
-    idle[m] = 0.0
-    total = idle.reshape(c, -1).sum(axis=1)
-    counts = n * active.sum(axis=1)
-    fa, la = np.repeat(f, n, axis=0).reshape(c, n, e)[m], lam[m]
-    a0, a1 = P[:, :-1, k:k + e][m], P[:, 1:, k:k + e][m]
-    da = np.repeat(dp, counts)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        F0 = np.where(a0 > 0.0, a0 * np.log(a0) - a0, 0.0)
-        F1 = np.where(a1 > 0.0, a1 * np.log(a1) - a1, 0.0)
-        diff = a1 - a0
-        v = diff / da
-        flat = np.abs(diff) <= 1e-14 * np.maximum(a0, a1)
-        # a piece whose source stays empty has log(0) = -inf: its cost is inf
-        int_log = np.where(flat, da * np.log(0.5 * (a0 + a1)),
-                           (F1 - F0) / np.where(v != 0.0, v, 1.0))
-        terms = fa * da * (np.log(fa) - np.log(la) - 1.0) - fa * int_log + ia
-    return np.array((total + _row_sums(terms, counts), B))
+    return np.where(affine | (est <= _FREEZE_TOL), 1, pieces).astype(int)
 
 
 def _rate_rows(model: RateModel, z_max: int, fields: np.ndarray
@@ -297,48 +217,76 @@ def _rate_rows(model: RateModel, z_max: int, fields: np.ndarray
             model.backward_rates(z_max, flat).reshape(fields.shape))
 
 
+def _log_integral(a0: np.ndarray, a1: np.ndarray, d: np.ndarray
+                  ) -> np.ndarray:
+    """Integral over [0, d] of log of the affine function from a0 to a1,
+    through the x log x - x antiderivative; d log of the mean where the
+    ends agree to 1e-14 relative, which is -inf where both are 0."""
+    F0 = np.where(a0 > 0.0, a0 * np.log(a0) - a0, 0.0)
+    F1 = np.where(a1 > 0.0, a1 * np.log(a1) - a1, 0.0)
+    diff = a1 - a0
+    v = diff / d
+    flat = np.abs(diff) <= 1e-14 * np.maximum(a0, a1)
+    return np.where(flat, d * np.log(0.5 * (a0 + a1)),
+                    (F1 - F0) / np.where(v != 0.0, v, 1.0))
+
+
 def _segment_costs(model: RateModel, fluxes: np.ndarray, P0: np.ndarray,
-                   P1: np.ndarray, durations: np.ndarray, pieces: np.ndarray
+                   P1: np.ndarray, durations: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Each segment's cost and all-idle cost B, shapes (S,) each.
 
-    Segment k runs flux row k for ``durations[k]`` from P0[k] to P1[k],
-    split into ``pieces[k]`` equal pieces with the rate frozen at each
-    piece-midpoint field.  Segments of one piece count are costed
-    together, at most ``_CHUNK`` piece rows per stacked rate-table call
-    (a segment of more pieces alone); every sum runs over the same
-    elements in the same order as a segment costed alone would.
-    """
+    Segment k runs flux row k for ``durations[k]`` = d from P0[k] to
+    P1[k], masses and rates affine in time between their end values:
+    an edge idles at d/6 (lam0 (2 phi0 + phi1) + lam1 (phi0 + 2 phi1)),
+    the integral of lam * phi, and a flux f > 0 adds
+    f (d (log f - 1) - int log lam - int log phi), inf where its source
+    stays empty.  The masses are >= 0, as :func:`evolve` leaves them.
+    Sums run over full rows, so each segment's cost is bitwise the one
+    it has when costed alone."""
     z_max = P0.shape[1] - 1
-    out = np.empty((2, durations.shape[0]))
-    for n in sorted(set(pieces.tolist())):
-        lam = np.arange(n + 1) / n
-        same = np.flatnonzero(pieces == n)
-        step = max(1, _CHUNK // n)
-        for s in range(0, same.size, step):
-            idx = same[s:s + step]
-            # piece end states, (segments, n+1, z_max+1)
-            P = P0[idx, None] + (P1[idx] - P0[idx])[:, None] * lam[:, None]
-            rates = _rate_rows(model, z_max, 0.5 * (P[:, :-1] + P[:, 1:]))
-            np.clip(P, 0.0, None, out=P)
-            S = P[:, :-1] + P[:, 1:]
-            dp = durations[idx] / n
-            fwd, back = (_family_costs(fluxes[idx, k * z_max:(k + 1) * z_max],
-                                       rates[k], P, S, k, dp) for k in (0, 1))
-            out[:, idx] = fwd + back
+    rates = _rate_rows(model, z_max, np.stack([P0, P1]))
+    d = durations[:, None]
+    out = np.zeros((2, durations.shape[0]))
+    for k, table in enumerate(rates):
+        # column e of family k is the edge out of state e + k
+        lam0, lam1 = table[..., k:k + z_max] if model.interacting else (
+            table[k:k + z_max],) * 2
+        a0, a1 = P0[:, k:k + z_max], P1[:, k:k + z_max]
+        f = fluxes[:, k * z_max:(k + 1) * z_max]
+        idle = d / 6.0 * (lam0 * (2.0 * a0 + a1) + lam1 * (a0 + 2.0 * a1))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            run = f * (d * (np.log(f) - 1.0) - _log_integral(lam0, lam1, d)
+                       - _log_integral(a0, a1, d))
+        out[0] += (idle + np.where(f > 0.0, run, 0.0)).sum(axis=1)
+        out[1] += idle.sum(axis=1)
     return out[0], out[1]
 
 
 def _plan_costs(model: RateModel, traj: FluxTrajectory
                 ) -> tuple[float, np.ndarray]:
-    """:func:`cost_nonvariational` and every segment's all-idle cost B."""
+    """:func:`cost_nonvariational` and every segment's all-idle cost B.
+
+    Segments are costed in one :func:`_segment_costs` call.  Where some
+    take more than one piece, every segment of n pieces is split at
+    (1 - t) P_k + t P_k+1, t = j / n, so one piece keeps its own ends,
+    and its sub-segments' costs are summed."""
     # the two edge kinds share every edge but the backward ones out of z >= 2
     if traj.kind is not model.kind and traj.fluxes[:, traj.z_max + 1:].any():
         raise EdgeNotPresentError(f"plan has flux on {traj.kind.value} edges "
                                   f"not in {model.kind.value}")
     P = evolve(traj).probs
     seg = (traj.fluxes, P[:-1], P[1:], traj.durations)
-    costs, idle = _segment_costs(model, *seg, _freeze_pieces(model, *seg))
+    n = _freeze_pieces(model, *seg)
+    if n.max(initial=1) == 1:
+        costs, idle = _segment_costs(model, *seg)
+    else:
+        k = np.repeat(np.arange(n.size), n)
+        starts = np.cumsum(n) - n
+        t = ((np.arange(k.size) - starts[k]) / n[k])[:, None]
+        Q = np.concatenate([(1.0 - t) * P[k] + t * P[k + 1], P[-1:]])
+        costs, idle = (np.add.reduceat(c, starts) for c in _segment_costs(
+            model, traj.fluxes[k], Q[:-1], Q[1:], traj.durations[k] / n[k]))
     total = 0.0
     for c in costs.tolist():  # in segment order; an inf cost makes it inf
         total += c
@@ -351,12 +299,10 @@ def cost_nonvariational(model: RateModel, traj: FluxTrajectory) -> float:
     Idle edges contribute integral of lambda*phi (the tau*(-1) = 1
     suppression cost); positive flux out of a state whose mass is
     identically zero over a positive-length interval yields the inf
-    sentinel.  For interacting models the rate is frozen at the
-    midpoint field of each piece and segments are subdivided until the
-    bias estimate, rate change x mass change x rate scale x duration,
-    falls below ``_FREEZE_TOL`` per segment (:func:`_freeze_pieces`).
-    All segments are costed in one batched pass (:func:`_segment_costs`)
-    and their costs added in segment order.
+    sentinel.  Masses and rates are affine along each segment, which is
+    exact for rates affine in the field; a segment along which the rates
+    bend is split into pieces (:func:`_freeze_pieces`).  The segment
+    costs, from one batched pass, are added in segment order.
     """
     return _plan_costs(model, traj)[0]
 

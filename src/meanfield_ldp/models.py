@@ -105,10 +105,10 @@ class RateModel:
     ``lipschitz`` is the declared constant L of the rates in the field:
     (z+1)|forward(z, xi) - forward(z, zeta)| <= L d(xi, zeta) and
     |backward(z, xi) - backward(z, zeta)| <= L d(xi, zeta), d the TV
-    distance.  The control-form cost of an interacting model sizes its
-    rate-freezing pieces by the rate change each segment has, capped at
-    L times its TV change, and by L itself wherever the rates bend
-    along the segment; a non-interacting model may leave it None.
+    distance.  The control-form cost of an interacting model sizes by L
+    only the pieces of a segment along which the rates bend; rates
+    affine in the field take one piece.  A non-interacting model may
+    leave it None.
     """
 
     kind: EdgeKind

@@ -218,9 +218,9 @@ def _refine_witness(traj: FluxTrajectory, B: np.ndarray) -> FluxTrajectory:
     ``_plan_costs`` returns with the plan cost, is the cost of the same
     states with every edge idle, the integral of sum_e lambda_e phi_e.
     Witness segments carry one unit flux and every state of a reset
-    model has a positive total jump rate, so F and B are positive.  For
-    interacting models B is frozen on the segment's own pieces, which
-    holds the formula to within the freezing tolerance.
+    model has a positive total jump rate, so F and B are positive.  The
+    formula is exact wherever the rates are affine along the segment, as
+    they are for every model whose rates are affine in the field.
     """
     d, rows = traj.durations, traj.fluxes
     s = d * rows.sum(axis=1) / B

@@ -153,13 +153,16 @@ def _bundled_with(tmp_path: Path, name: str, settings: dict,
     ("rate_curve", {"event": "not_in_km", "radius": "0.3"},
      "rate_curve with event not_in_km takes no radius"),
     ("rate_curve", {"m": "4"}, "rate_curve with event ball_delta0 takes no m"),
+    # the staging directory is named after the output directory
+    ("rate_curve", {"output_dir": "."}, "bad output_dir value '.'"),
 ], ids=["zero_delta", "no_samples", "negative_threshold",
         "default_burn_in_past_horizon", "burn_in_past_horizon",
         "zero_corpus_cap", "short_duality_horizon", "zero_horizon",
         "negative_ball_radius", "negative_km_cap", "zero_tightness_radius",
         "word_seed", "fractional_seed", "negative_seed", "word_refine",
         "negative_burn_in", "kappa_on_mm1", "empty_duality_window",
-        "infinite_duality_horizon", "radius_on_not_in_km", "m_on_ball_event"])
+        "infinite_duality_horizon", "radius_on_not_in_km", "m_on_ball_event",
+        "nameless_output_dir"])
 def test_validate_flags_settings_that_cannot_run(tmp_path, name, settings,
                                                  problem):
     out = tmp_path / "out"
@@ -264,6 +267,18 @@ def test_output_override(tmp_path):
     assert cli.run(cfg, output_override=str(out)) == 0
     assert (out / "manifest.json").exists()
     assert not (tmp_path / "unused").exists()
+
+
+@pytest.mark.parametrize("output", [".", "..", "/", "", "run/.."])
+def test_run_refuses_an_output_that_names_no_directory(tmp_path, monkeypatch,
+                                                       capsys, output):
+    """--output takes the output_dir check: a path whose last component
+    names no directory exits 2 before anything is written."""
+    monkeypatch.chdir(tmp_path)
+    cfg = write_cfg(tmp_path, RATE_CURVE.format(out=tmp_path / "unused"))
+    assert cli.main(["run", str(cfg), "--output", output]) == 2
+    assert f"bad --output value {output!r}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [cfg.name]
 
 
 DUALITY = """

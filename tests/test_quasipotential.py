@@ -11,8 +11,8 @@ from meanfield_ldp.mckean_vlasov import find_equilibrium
 from meanfield_ldp.models import (single_particle_stationary,
                                   wlan_const_model)
 from meanfield_ldp.cli import _corpus_targets
-from meanfield_ldp.cost import (_freeze_pieces, _plan_costs, _segment_costs,
-                                concatenate, cost_nonvariational, evolve)
+from meanfield_ldp.cost import (_plan_costs, _segment_costs, concatenate,
+                                cost_nonvariational, evolve)
 from meanfield_ldp.quasipotential import (_refine_witness,
                                           choose_z0, cm_bound, connector,
                                           construct_delta0_to_target,
@@ -186,11 +186,10 @@ def test_glued_plan_beats_the_connector():
 
 def _refine_recomputing_B(model, traj):
     """The refine with B recomputed: evolve the plan and cost its states
-    with a zero flux row on the plan's own pieces."""
+    with a zero flux row."""
     P = evolve(traj).probs
-    seg = (P[:-1], P[1:], traj.durations)
-    pieces = _freeze_pieces(model, traj.fluxes, *seg)
-    B, _ = _segment_costs(model, np.zeros_like(traj.fluxes), *seg, pieces)
+    B, _ = _segment_costs(model, np.zeros_like(traj.fluxes), P[:-1], P[1:],
+                          traj.durations)
     return _refine_witness(traj, B)
 
 
@@ -224,18 +223,16 @@ def test_refine_never_increases(wlan_decay):
 
 def _cost_at_speed(model, d, row, p0, p1, t):
     """Cost of one segment run over t times its duration at flux row / t."""
-    seg = (row[None] / t, p0[None], p1[None], np.array([d * t]))
-    return _segment_costs(model, *seg, _freeze_pieces(model, *seg))[0][0]
+    return _segment_costs(model, row[None] / t, p0[None], p1[None],
+                          np.array([d * t]))[0][0]
 
 
 @pytest.mark.parametrize("which, slack", [("wlan_decay", 0.0),
                                           ("wlan_const", 0.0),
-                                          ("interacting", 1e-9)])
+                                          ("interacting", 0.0)])
 def test_refined_segments_run_at_their_optimal_speed(request, which, slack):
     """Every refined segment sits at the minimum of its cost over speeds:
-    running it 0.1% faster or slower costs no less.  On the interacting
-    model the freezing pieces change with the speed, which moves the
-    cost by up to the freezing bias."""
+    running it 0.1% faster or slower costs no less."""
     model = request.getfixturevalue(which)
     xi_star = find_equilibrium(model, 20)
     for xi in _corpus_targets(xi_star, 5.0, 3, seed=5):
