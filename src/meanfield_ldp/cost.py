@@ -8,15 +8,15 @@ each other:
     the time integral of sum_edges tau*(h) * lambda * phi, where
     tau*(h) = (1+h) log(1+h) - h is the convex dual of the centred
     Poisson log-MGF tau(u) = e^u - u - 1.  Within a segment the source
-    mass is affine in time, and so is the rate of every model whose rates
-    are affine in the field; each edge integrates in closed form through
-    the x*log(x) antiderivative -- this is what keeps the vanishing-mass
-    endpoints (mass draining exactly to zero) finite and exact, where raw
-    quadrature would blow up.  A segment along which the rates bend is
-    split into pieces (:func:`_freeze_pieces`).  All segments of a plan
-    are costed in one batched pass that also yields each segment's
-    all-idle cost B; every segment's cost is bitwise the one it has when
-    costed alone, and the plan cost adds them in order.
+    mass is affine in time, and so is every rate, since rates are affine
+    in the field (:class:`~meanfield_ldp.models.AffineRate`); each edge
+    integrates in closed form through the x*log(x) antiderivative --
+    this is what keeps the vanishing-mass endpoints (mass draining
+    exactly to zero) finite and exact, where raw quadrature would blow
+    up.  All segments of a plan are costed in one batched pass that also
+    yields each segment's all-idle cost B; every segment's cost is
+    bitwise the one it has when costed alone, and the plan cost adds
+    them in order.
 
   * the variational form: at each time the integrand is the
     supremum over test vectors alpha of
@@ -48,13 +48,11 @@ import numpy as np
 
 from .measures import (SampledPath, StateDistribution, theta_values,
                        tv_distance)
-from .models import (EdgeKind, EdgeNotPresentError, MissingBoundsError,
-                     RateModel, edge_list)
+from .models import EdgeKind, EdgeNotPresentError, RateModel, edge_list
 
 _E = math.e
+_EPS = np.finfo(float).eps
 _ALPHA_CAP = 50.0
-# bound on the rate-interpolation error per segment where the rates bend
-_FREEZE_TOL = 1e-7
 # Gauss-Legendre nodes per interval, tried in turn until the variational
 # value changes by less than _QUADRATURE_TOL; a low start keeps flow paths
 # of thousands of near-zero-cost intervals cheap
@@ -179,56 +177,23 @@ def concatenate(a: FluxTrajectory, b: FluxTrajectory) -> FluxTrajectory:
 # Control-form (non-variational) cost, closed form, all segments at once
 # ---------------------------------------------------------------------------
 
-def _freeze_pieces(model: RateModel, fluxes: np.ndarray, P0: np.ndarray,
-                   P1: np.ndarray, durations: np.ndarray) -> np.ndarray:
-    """Per-segment subdivision counts, shape (S,): 1 where the rates are
-    affine along the segment (its mid-field tables the mean of its end
-    tables to 1e-12 relative), else as many pieces as hold the error
-    estimate lipschitz x TV^2 x rate scale x duration, quadratic in the
-    within-piece variation, below ``_FREEZE_TOL``, at most 4096."""
-    if not model.interacting:
-        return np.ones(durations.shape[0], dtype=int)
-    if model.lipschitz is None:
-        raise MissingBoundsError(f"{model.name}: interacting model declares "
-                                 "no Lipschitz constant")
-    dtv = 0.5 * np.abs(P1 - P0).sum(axis=1)
-    # each row's flux summed in edge order
-    lam_scale = 2.0 * model.lambda_upper + np.array(
-        [sum(row) for row in fluxes.tolist()])
-    # rate tables at the end, mid and end fields, (3, S, z_max+1) each
-    fwd, back = _rate_rows(model, P0.shape[1] - 1,
-                           np.stack([P0, 0.5 * (P0 + P1), P1]))
-    affine = np.all([np.abs(t[1] - 0.5 * (t[0] + t[2])) <= 1e-12 * np.abs(t[1])
-                     for t in (fwd, back)], axis=(0, 2))
-    est = model.lipschitz * dtv * dtv * lam_scale * durations
-    pieces = np.minimum(4096, np.ceil(np.sqrt(est / _FREEZE_TOL)))
-    return np.where(affine | (est <= _FREEZE_TOL), 1, pieces).astype(int)
-
-
-def _rate_rows(model: RateModel, z_max: int, fields: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Forward and backward rate tables at a (..., z_max+1) stack of mean
-    fields, in one stacked call each; a non-interacting model's single
-    row pair broadcasts over the stack."""
-    if not model.interacting:
-        return model.forward_rates(z_max), model.backward_rates(z_max)
-    flat = fields.reshape(-1, z_max + 1)
-    return (model.forward_rates(z_max, flat).reshape(fields.shape),
-            model.backward_rates(z_max, flat).reshape(fields.shape))
-
-
 def _log_integral(a0: np.ndarray, a1: np.ndarray, d: np.ndarray
                   ) -> np.ndarray:
-    """Integral over [0, d] of log of the affine function from a0 to a1,
-    through the x log x - x antiderivative; d log of the mean where the
-    ends agree to 1e-14 relative, which is -inf where both are 0."""
-    F0 = np.where(a0 > 0.0, a0 * np.log(a0) - a0, 0.0)
-    F1 = np.where(a1 > 0.0, a1 * np.log(a1) - a1, 0.0)
-    diff = a1 - a0
-    v = diff / d
-    flat = np.abs(diff) <= 1e-14 * np.maximum(a0, a1)
-    return np.where(flat, d * np.log(0.5 * (a0 + a1)),
-                    (F1 - F0) / np.where(v != 0.0, v, 1.0))
+    """Integral over [0, d] of log of the affine function from a0 >= 0 to
+    a1 >= 0: with m the mean of the ends and r = (a1 - a0) / (a1 + a0),
+
+        d (log m + ((1+r) log1p(r) - (1-r) log1p(-r)) / (2r) - 1),
+
+    which keeps its precision as r -> 0, where the x log x - x
+    antiderivative cancels.  It is d log m at r = 0, -inf where both
+    ends are 0, and takes 0 log 0 = 0 where one end is 0 (|r| = 1)."""
+    s = a0 + a1
+    r = (a1 - a0) / np.where(s > 0.0, s, 1.0)
+    # log1p stays finite at r = -1 and 1, where its factor is 0
+    q = np.clip(r, _EPS - 1.0, 1.0 - _EPS)
+    ends = (1.0 + r) * np.log1p(q) - (1.0 - r) * np.log1p(-q)
+    jensen = np.where(r != 0.0, ends / (2.0 * r), 1.0) - 1.0
+    return d * (np.log(0.5 * s) + jensen)
 
 
 def _segment_costs(model: RateModel, fluxes: np.ndarray, P0: np.ndarray,
@@ -245,10 +210,12 @@ def _segment_costs(model: RateModel, fluxes: np.ndarray, P0: np.ndarray,
     Sums run over full rows, so each segment's cost is bitwise the one
     it has when costed alone."""
     z_max = P0.shape[1] - 1
-    rates = _rate_rows(model, z_max, np.stack([P0, P1]))
+    # a non-interacting model's one table row serves both ends
+    fields = np.stack([P0, P1]) if model.interacting else None
     d = durations[:, None]
     out = np.zeros((2, durations.shape[0]))
-    for k, table in enumerate(rates):
+    for k, table in enumerate((model.forward_rates(z_max, fields),
+                               model.backward_rates(z_max, fields))):
         # column e of family k is the edge out of state e + k
         lam0, lam1 = table[..., k:k + z_max] if model.interacting else (
             table[k:k + z_max],) * 2
@@ -265,28 +232,15 @@ def _segment_costs(model: RateModel, fluxes: np.ndarray, P0: np.ndarray,
 
 def _plan_costs(model: RateModel, traj: FluxTrajectory
                 ) -> tuple[float, np.ndarray]:
-    """:func:`cost_nonvariational` and every segment's all-idle cost B.
-
-    Segments are costed in one :func:`_segment_costs` call.  Where some
-    take more than one piece, every segment of n pieces is split at
-    (1 - t) P_k + t P_k+1, t = j / n, so one piece keeps its own ends,
-    and its sub-segments' costs are summed."""
+    """:func:`cost_nonvariational` and every segment's all-idle cost B,
+    from one :func:`_segment_costs` call."""
     # the two edge kinds share every edge but the backward ones out of z >= 2
     if traj.kind is not model.kind and traj.fluxes[:, traj.z_max + 1:].any():
         raise EdgeNotPresentError(f"plan has flux on {traj.kind.value} edges "
                                   f"not in {model.kind.value}")
     P = evolve(traj).probs
-    seg = (traj.fluxes, P[:-1], P[1:], traj.durations)
-    n = _freeze_pieces(model, *seg)
-    if n.max(initial=1) == 1:
-        costs, idle = _segment_costs(model, *seg)
-    else:
-        k = np.repeat(np.arange(n.size), n)
-        starts = np.cumsum(n) - n
-        t = ((np.arange(k.size) - starts[k]) / n[k])[:, None]
-        Q = np.concatenate([(1.0 - t) * P[k] + t * P[k + 1], P[-1:]])
-        costs, idle = (np.add.reduceat(c, starts) for c in _segment_costs(
-            model, traj.fluxes[k], Q[:-1], Q[1:], traj.durations[k] / n[k]))
+    costs, idle = _segment_costs(model, traj.fluxes, P[:-1], P[1:],
+                                 traj.durations)
     total = 0.0
     for c in costs.tolist():  # in segment order; an inf cost makes it inf
         total += c
@@ -299,10 +253,9 @@ def cost_nonvariational(model: RateModel, traj: FluxTrajectory) -> float:
     Idle edges contribute integral of lambda*phi (the tau*(-1) = 1
     suppression cost); positive flux out of a state whose mass is
     identically zero over a positive-length interval yields the inf
-    sentinel.  Masses and rates are affine along each segment, which is
-    exact for rates affine in the field; a segment along which the rates
-    bend is split into pieces (:func:`_freeze_pieces`).  The segment
-    costs, from one batched pass, are added in segment order.
+    sentinel.  Masses and rates are affine along each segment, so each
+    segment costs in closed form.  The segment costs, from one batched
+    pass, are added in segment order.
     """
     return _plan_costs(model, traj)[0]
 
@@ -324,8 +277,11 @@ _ROUNDING = 4e-16
 def _edge_weights(model: RateModel, P: np.ndarray) -> np.ndarray:
     """Edge weights lambda * phi for a (nodes, z_max+1) stack of fields,
     in flux-column order."""
-    fwd_r, back_r = _rate_rows(model, P.shape[1] - 1, P)
-    return np.concatenate([(fwd_r * P)[:, :-1], (back_r * P)[:, 1:]], axis=1)
+    z_max = P.shape[1] - 1
+    xi = P if model.interacting else None
+    return np.concatenate([(model.forward_rates(z_max, xi) * P)[:, :-1],
+                           (model.backward_rates(z_max, xi) * P)[:, 1:]],
+                          axis=1)
 
 
 # Psi sums to 0, so the dual value is unchanged by alpha -> alpha + c and

@@ -7,31 +7,35 @@ Two edge-set shapes cover everything built here:
   * ``CHAIN_WITH_RESETS``  -- forward edges (z, z+1) and reset edges
                               (z, 0) for z >= 1 (backoff-like).
 
-A ``RateModel`` bundles the edge shape with one vectorised rate table:
-``forward(z, xi)`` and ``backward(z, xi)`` map an array of states z to
-the rates lambda(z, z+1, xi) and lambda(z, backward_target(kind, z), xi),
-where xi is the current empirical measure.  Everything else -- the
-window tables, the drift, the stability and counterexample predicates
--- is derived from these two functions, and :func:`edge_list` is the
-one place that orders the edges into flux columns.  The declared
+A ``RateModel`` bundles the edge shape with one :class:`AffineRate` per
+edge family: the rates lambda(z, z+1, xi) and
+lambda(z, backward_target(kind, z), xi) are affine in the current
+empirical measure xi,
+
+    lambda(z, xi) = a(z) + sum_y B(z, y) xi(y),
+
+declared by the base a and the nonzero columns of B.  Everything else
+-- the window tables, the drift, the stability and counterexample
+predicates -- is derived from these coefficients, and :func:`edge_list`
+is the one place that orders the edges into flux columns.  The declared
 envelope constants lambda_lower / lambda_upper state the paper's decay
 condition (A2):
 
-    lambda_lower/(z+1) <= forward(z, xi)  <= lambda_upper/(z+1)
-    lambda_lower       <= backward(z, xi) <= lambda_upper
+    lambda_lower/(z+1) <= lambda(z, z+1, xi) <= lambda_upper/(z+1)
+    lambda_lower       <= lambda(z, z', xi)  <= lambda_upper  (z' <= z)
 
-Rate functions must be pure; RateModel values are immutable and
-shareable across threads.  The forward rate out of the truncation
-level z_max is taken to be zero in every module (reflecting closure),
-which conserves probability on the window: no mass ever leaves
-{0..z_max}, so a distribution is a probability vector on it.
+RateModel values are immutable and shareable across threads.  The
+forward rate out of the truncation level z_max is taken to be zero in
+every module (reflecting closure), which conserves probability on the
+window: no mass ever leaves {0..z_max}, so a distribution is a
+probability vector on it.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -51,15 +55,9 @@ class InstabilityError(ValueError):
     """No stationary law exists for the requested parameters."""
 
 
-class MissingBoundsError(ValueError):
-    """Operation requires declared rate envelope constants."""
-
-
-RateFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-# the field a non-interacting model's rate function is given
-_NO_FIELD = np.zeros(1)
-_NO_FIELD.flags.writeable = False
+# a coefficient of an affine rate: an integer state array z to the float
+# array of its values, of the same shape
+Coefficient = Callable[[np.ndarray], np.ndarray]
 
 
 def backward_target(kind: EdgeKind, z):
@@ -82,87 +80,123 @@ def edge_list(kind: EdgeKind, z_max: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @dataclass(frozen=True)
+class AffineRate:
+    """The rate of one edge family, affine in the field:
+
+        lambda(z, xi) = base(z) + sum over (y, coef) in coupling
+                                  of xi(y) coef(z),
+
+    so ``coef`` is column y of the coupling matrix B.  ``base`` and each
+    ``coef`` map an integer state array to the float array of their
+    values.  A family without coupling does not depend on the field."""
+
+    base: Coefficient
+    coupling: tuple[tuple[int, Coefficient], ...] = ()
+
+
+class RateWindow(NamedTuple):
+    """An :class:`AffineRate` on the window z = 0..z_max: its base and
+    coupling columns as read-only arrays, each zero at the entry of the
+    edge that leaves the window."""
+
+    base: np.ndarray
+    coupling: tuple[tuple[int, np.ndarray], ...]
+
+    def at(self, xi: np.ndarray) -> np.ndarray:
+        """The rate table at a field, or one row per field of a
+        (..., z_max+1) stack: base + xi(y) c_y, added in the declared
+        order, so each row rounds as its field alone does.  Without
+        coupling it is the base itself."""
+        out = self.base
+        for y, c in self.coupling:
+            # the mass at y: a scalar of a field, a column of a stack
+            out = out + (xi[y] if xi.ndim == 1 else xi[..., y, None]) * c
+        return out
+
+
+def _on_window(rate: AffineRate, z_max: int, zeroed: int) -> RateWindow:
+    """``rate`` on z = 0..z_max, every array zero at ``zeroed``."""
+    z = np.arange(z_max + 1)
+
+    def values(fn: Coefficient) -> np.ndarray:
+        arr = np.array(fn(z), dtype=float)
+        arr[zeroed] = 0.0
+        arr.flags.writeable = False
+        return arr
+
+    return RateWindow(values(rate.base),
+                      tuple((y, values(coef)) for y, coef in rate.coupling))
+
+
+@dataclass(frozen=True)
 class RateModel:
-    """Edge set plus vectorised rate table with declared envelope constants.
+    """Edge set plus one affine rate per edge family, with declared
+    envelope constants.
 
-    ``forward``/``backward`` take an integer state array z and the field
-    probabilities xi and return the rate array of the same shape (the
-    backward entry at z = 0 is ignored).  They are the only rate
-    representation; hot loops call them through the window tables
-    :meth:`forward_rates` and :meth:`backward_rates`, which take the
-    field as ``None`` (non-interacting models only) or an array;
-    :meth:`drift` calls them directly.
-
-    Stacked fields: the tables and :meth:`drift` also take a stack of B
-    fields, shape (B, z_max+1), and return one row per field, each row
-    equal to the call with that field alone.  The rate function
-    then sees the stack state-axis first: xi has shape (z_max+1, B) and
-    z is repeated to the same shape, so ``xi[0]`` is the mass at state 0
-    of every field and ``np.full(z.shape, value)`` gives one column per
-    field.  A rate function written elementwise in z and in the rows of
-    xi serves both calls unchanged.
-
-    ``lipschitz`` is the declared constant L of the rates in the field:
-    (z+1)|forward(z, xi) - forward(z, zeta)| <= L d(xi, zeta) and
-    |backward(z, xi) - backward(z, zeta)| <= L d(xi, zeta), d the TV
-    distance.  The control-form cost of an interacting model sizes by L
-    only the pieces of a segment along which the rates bend; rates
-    affine in the field take one piece.  A non-interacting model may
-    leave it None.
+    ``forward`` rates the edges (z, z+1) and ``backward`` the edge out of
+    each z >= 1 (its value at z = 0 is ignored).  The window tables
+    :meth:`forward_rates` and :meth:`backward_rates` take the field as
+    ``None`` (non-interacting models only) or an array; a stack of
+    fields, shape (..., z_max+1), gives one row per field, each equal to
+    the call with that field alone, and so does :meth:`drift`.  All of
+    them read the coefficients of :meth:`window`.
     """
 
     kind: EdgeKind
-    forward: RateFn
-    backward: RateFn
+    forward: AffineRate
+    backward: AffineRate
     lambda_upper: float
     lambda_lower: float
-    interacting: bool
     name: str
-    lipschitz: float | None = None
+    _windows: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
-    def _table(self, fn: RateFn, z_max: int, xi: np.ndarray | None,
-               zeroed: int) -> np.ndarray:
-        """``fn`` on z = 0..z_max, one row per field, with entry ``zeroed``
-        set to zero."""
+    @property
+    def interacting(self) -> bool:
+        """Whether a rate depends on the field."""
+        return bool(self.forward.coupling or self.backward.coupling)
+
+    def window(self, z_max: int) -> tuple[RateWindow, RateWindow]:
+        """The forward and backward coefficients on z = 0..z_max, built
+        once per z_max and shared."""
+        w = self._windows.get(z_max)
+        if w is None:
+            w = self._windows[z_max] = (_on_window(self.forward, z_max, z_max),
+                                        _on_window(self.backward, z_max, 0))
+        return w
+
+    def _table(self, family: int, z_max: int, xi: np.ndarray | None
+               ) -> np.ndarray:
+        w = self.window(z_max)[family]
         if xi is None:
             if self.interacting:
                 raise ValueError("interacting model needs the mean field xi")
-            xi = _NO_FIELD
-        if xi.ndim == 2:
-            z = np.arange(z_max + 1)[:, None].repeat(xi.shape[0], axis=1)
-            out = np.array(fn(z, xi.T), dtype=float).T
-            out[:, zeroed] = 0.0
-        else:
-            out = np.array(fn(np.arange(z_max + 1), xi), dtype=float)
-            out[zeroed] = 0.0
-        return out
+            return w.base
+        return w.at(xi) if w.coupling else np.broadcast_to(w.base, xi.shape)
 
     def forward_rates(self, z_max: int, xi: np.ndarray | None = None
                       ) -> np.ndarray:
         """Forward rates for z = 0..z_max with the boundary rate zeroed."""
-        return self._table(self.forward, z_max, xi, z_max)
+        return self._table(0, z_max, xi)
 
     def backward_rates(self, z_max: int, xi: np.ndarray | None = None
                        ) -> np.ndarray:
         """Backward/reset rates for z = 0..z_max (entry 0 is zero)."""
-        return self._table(self.backward, z_max, xi, 0)
+        return self._table(1, z_max, xi)
 
     def drift(self, probs: np.ndarray) -> np.ndarray:
         """Mean-field drift Lambda*_xi xi on the closed window; a stack
-        of fields (B, z_max+1) gives one drift row per field."""
-        p = np.atleast_2d(probs)
-        z = np.arange(p.shape[1])[:, None].repeat(p.shape[0], axis=1)
-        # C-order products, so each row sums as a 1-D field does
-        fwd = np.multiply(self.forward(z, p.T).T, p, order="C")
-        back = np.multiply(self.backward(z, p.T).T, p, order="C")
-        fwd[:, -1] = back[:, 0] = 0.0
+        of fields (..., z_max+1) gives one drift row per field."""
+        fwd_w, back_w = self.window(probs.shape[-1] - 1)
+        fwd = fwd_w.at(probs) * probs
+        back = back_w.at(probs) * probs
         v = 0.0 - (fwd + back)
-        v[:, 1:] += fwd[:, :-1]
+        v[..., 1:] += fwd[..., :-1]
         if self.kind is EdgeKind.CHAIN_WITH_RESETS:
-            v[:, 0] += back.sum(axis=-1)
+            v[..., 0] += back.sum(axis=-1)
         else:
-            v[:, :-1] += back[:, 1:]
-        return v if probs.ndim == 2 else v[0]
+            v[..., :-1] += back[..., 1:]
+        return v
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +209,8 @@ def _require_positive(**kw: float) -> None:
             raise ValueError(f"{k} must be positive, got {v!r}")
 
 
-def _constant(value: float) -> RateFn:
-    return lambda z, xi: np.full(z.shape, value)
+def _constant(value: float) -> Coefficient:
+    return lambda z: np.full(z.shape, value)
 
 
 def mm1_model(lambda_f: float, lambda_b: float) -> RateModel:
@@ -184,11 +218,10 @@ def mm1_model(lambda_f: float, lambda_b: float) -> RateModel:
     _require_positive(lambda_f=lambda_f, lambda_b=lambda_b)
     return RateModel(
         kind=EdgeKind.BIRTH_DEATH,
-        forward=_constant(lambda_f),
-        backward=_constant(lambda_b),
+        forward=AffineRate(_constant(lambda_f)),
+        backward=AffineRate(_constant(lambda_b)),
         lambda_upper=max(lambda_f, lambda_b),
         lambda_lower=min(lambda_f, lambda_b),
-        interacting=False,
         name="mm1",
     )
 
@@ -198,11 +231,10 @@ def wlan_const_model(lambda_f: float, lambda_b: float) -> RateModel:
     _require_positive(lambda_f=lambda_f, lambda_b=lambda_b)
     return RateModel(
         kind=EdgeKind.CHAIN_WITH_RESETS,
-        forward=_constant(lambda_f),
-        backward=_constant(lambda_b),
+        forward=AffineRate(_constant(lambda_f)),
+        backward=AffineRate(_constant(lambda_b)),
         lambda_upper=max(lambda_f, lambda_b),
         lambda_lower=min(lambda_f, lambda_b),
-        interacting=False,
         name="wlan_const",
     )
 
@@ -212,11 +244,10 @@ def wlan_decay_model(lambda_f: float, lambda_b: float) -> RateModel:
     _require_positive(lambda_f=lambda_f, lambda_b=lambda_b)
     return RateModel(
         kind=EdgeKind.CHAIN_WITH_RESETS,
-        forward=lambda z, xi: lambda_f / (z + 1.0),
-        backward=_constant(lambda_b),
+        forward=AffineRate(lambda z: lambda_f / (z + 1.0)),
+        backward=AffineRate(_constant(lambda_b)),
         lambda_upper=max(lambda_f, lambda_b),
         lambda_lower=min(lambda_f, lambda_b),
-        interacting=False,
         name="wlan_decay",
     )
 
@@ -224,24 +255,26 @@ def wlan_decay_model(lambda_f: float, lambda_b: float) -> RateModel:
 def interacting_wlan_model(kappa: float) -> RateModel:
     """Mean-field backoff chain coupled through the mass at state 0.
 
-    forward(z, xi) = (1 + kappa*xi(0)) / (z+1)
-    reset(z, xi)   = 1 + kappa*(1 - xi(0))
+    forward(z, xi) = 1/(z+1) + xi(0) kappa/(z+1)
+    reset(z, xi)   = (1 + kappa) - xi(0) kappa
 
     Satisfies the decay envelope with lambda_lower = 1 and
-    lambda_upper = 1 + kappa, and is Lipschitz in xi (TV, half-L1) with
-    constant at most 2*kappa.  kappa = 0 reduces to wlan_decay(1, 1).
+    lambda_upper = 1 + kappa.  kappa = 0 declares no coupling and
+    reduces to wlan_decay(1, 1).
     """
     if not 0.0 <= kappa < 1.0:
         raise ValueError("kappa must lie in [0, 1)")
+    coupled = kappa > 0.0
     return RateModel(
         kind=EdgeKind.CHAIN_WITH_RESETS,
-        forward=lambda z, xi: (1.0 + kappa * xi[0]) / (z + 1.0),
-        backward=lambda z, xi: np.full(z.shape, 1.0 + kappa * (1.0 - xi[0])),
+        forward=AffineRate(lambda z: 1.0 / (z + 1.0),
+                           ((0, lambda z: kappa / (z + 1.0)),) if coupled
+                           else ()),
+        backward=AffineRate(_constant(1.0 + kappa),
+                            ((0, _constant(-kappa)),) if coupled else ()),
         lambda_upper=1.0 + kappa,
         lambda_lower=1.0,
-        interacting=kappa > 0.0,
         name="interacting_wlan",
-        lipschitz=2.0 * kappa,
     )
 
 
@@ -249,12 +282,12 @@ def is_counterexample(model: RateModel) -> bool:
     """Whether the model is one of the paper's counterexamples.
 
     Those are the non-interacting chains whose forward rate does not
-    decay: it is the same at every state (checked on {0..60}).  That
-    covers mm1 and wlan_const for every parameter value.
+    decay: its base is the same at every state (checked on {0..60}).
+    That covers mm1 and wlan_const for every parameter value.
     """
     if model.interacting:
         return False
-    fwd = model.forward(np.arange(61), _NO_FIELD)
+    fwd = model.forward.base(np.arange(61))
     return bool(np.all(fwd == fwd[0]))
 
 

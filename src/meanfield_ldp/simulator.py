@@ -11,12 +11,12 @@ Randomness comes from counter-based Philox streams keyed by
 of its seed and each N of a rate curve from its own stream i, so a rate
 curve does not depend on how its N are scheduled across threads.
 
-An occupation run keeps one ``JumpWorkspace``: the state grid, the
-particles that can leave along each edge family, and the weight
-buffers every jump reuses.  Each jump calls the model's rate functions
-once on the grid and updates the workspace with a few scalar writes;
-its draws, weights and sums are bitwise those of a loop that rebuilds
-the zeroed rate tables at every jump, so the estimates are too.
+An occupation run keeps one ``JumpWorkspace``: the occupancy and the
+weight buffers every jump reuses.  Each jump takes the rate tables at
+the current field from the model's window coefficients and moves one
+particle with two scalar writes; its draws, weights and sums are
+bitwise those of a loop that rebuilds the zeroed rate tables at every
+jump, so the estimates are too.
 Occupation-measure estimators weight events by holding times at jump
 epochs, which is exact.
 
@@ -162,13 +162,11 @@ class NotInKMEvent:
 class JumpWorkspace:
     """The occupancy of one run and the buffers its jumps reuse.
 
-    ``counts`` is the occupancy vector.  ``movers`` holds, as floats, the
-    particles that can leave along each edge family: row 0 the forward
-    edges (z, z+1), row 1 the backward edges.  Both rows equal
-    ``counts`` except the forward entry at z_max and the backward entry
-    at 0, which stay 0, so a rate function evaluated on the whole state
-    ``grid`` times its row is the jump weight of every edge inside the
-    window.  ``jump`` moves one particle and keeps ``movers`` in step.
+    ``counts`` is the occupancy vector.  The window rate tables are zero
+    on the edges that leave the window, so each table times ``counts``
+    is the jump weight of every edge of its family inside the window:
+    row 0 of ``weights`` the forward edges (z, z+1), row 1 the backward
+    edges.  ``jump`` moves one particle.
     """
 
     def __init__(self, counts: np.ndarray) -> None:
@@ -176,33 +174,21 @@ class JumpWorkspace:
         # integer counts would, without a cast on every jump
         self.counts = np.array(counts, dtype=float)
         self.N = float(self.counts.sum())
-        self.z_max = z_max = self.counts.shape[0] - 1
-        self.grid = np.arange(z_max + 1)
-        self.movers = np.array([self.counts, self.counts])
-        self.movers[0, z_max] = self.movers[1, 0] = 0.0
+        self.z_max = self.counts.shape[0] - 1
         # C-contiguous (2, z_max+1): row sums and row cumulative sums
         # round as the 1-D reductions of each row do, and the flat view
         # of the cumulative weights lists the forward edges, then the
         # backward ones
-        self.weights = np.empty_like(self.movers)
-        self.cum = np.empty_like(self.movers)
+        self.weights = np.empty((2, self.z_max + 1))
+        self.cum = np.empty_like(self.weights)
         self.cum_flat = self.cum.reshape(-1)
         self.cum_back = self.cum[1]
-        self.fwd_movers, self.back_movers = self.movers
         self.fwd_weights, self.back_weights = self.weights
 
     def jump(self, z: int, zp: int) -> None:
         """Move one particle from state z to state zp."""
         self.counts[z] -= 1.0
         self.counts[zp] += 1.0
-        if z != self.z_max:
-            self.fwd_movers[z] -= 1.0
-        if z:
-            self.back_movers[z] -= 1.0
-        if zp != self.z_max:
-            self.fwd_movers[zp] += 1.0
-        if zp:
-            self.back_movers[zp] += 1.0
 
 
 def gillespie_step(model: RateModel, work: JumpWorkspace,
@@ -213,18 +199,16 @@ def gillespie_step(model: RateModel, work: JumpWorkspace,
     proportionally to its rate.  Writes the field counts / N into the
     row ``xi``, which the caller may keep as the held state, and returns
     (z, z', dt); the caller applies the move with ``work.jump(z, z')``.
-    The rate functions must be finite on the whole grid: a finite rate
-    times a zero mover is the zero of the zeroed table, and anything
-    else makes the total NaN, which raises ``AbsorbingStateError``."""
+    A total rate that is not positive, or is NaN, raises
+    ``AbsorbingStateError``."""
     counts = work.counts
     if model.interacting and counts[-1] > 0:
         raise TruncationOverflowError(
             "particle reached z_max; enlarge the window")
     np.divide(counts, work.N, out=xi)
-    np.multiply(model.forward(work.grid, xi), work.fwd_movers,
-                out=work.fwd_weights)
-    np.multiply(model.backward(work.grid, xi), work.back_movers,
-                out=work.back_weights)
+    fwd, back = model.window(work.z_max)
+    np.multiply(fwd.at(xi), counts, out=work.fwd_weights)
+    np.multiply(back.at(xi), counts, out=work.back_weights)
     fwd_total, back_total = np.add.reduce(work.weights, axis=1)
     total = float(fwd_total + back_total)
     if not total > 0.0:

@@ -4,7 +4,7 @@ No experiment runs them; the tests check the program's models, laws,
 rate curves and plans against them:
 
   * :func:`verify_A2`, the decay envelope (A2) of a model's rates,
-    one state at a time from the raw rate functions;
+    one state at a time from its affine declaration (:func:`affine_rate`);
   * :func:`factorial_decay_bound`, the factorial decay of a
     stationary law;
   * :func:`sanov_inf_over_ball`, the Sanov infimum over a TV ball;
@@ -31,10 +31,21 @@ from meanfield_ldp.measures import (SampledPath, StateDistribution,
                                     relative_entropy, theta_values,
                                     tv_distance)
 from meanfield_ldp.mckean_vlasov import StiffnessError, flows
-from meanfield_ldp.models import EdgeKind, RateModel
+from meanfield_ldp.models import AffineRate, EdgeKind, RateModel
 from meanfield_ldp.quasipotential import (PhaseOrderingError,
                                           _require_reset_model, choose_z0,
                                           connector)
+
+
+def affine_rate(rate: AffineRate, z, xi: np.ndarray):
+    """An affine rate at a state or an array of states z and the field
+    xi, straight from its declaration: a(z) + xi(y) B(z, y) over the
+    coupling, added in the declared order."""
+    z = np.asarray(z)
+    r = rate.base(z)
+    for y, coef in rate.coupling:
+        r = r + xi[y] * coef(z)
+    return r
 
 
 @dataclass(frozen=True)
@@ -63,12 +74,12 @@ def verify_A2(model: RateModel, sample_measures: list[StateDistribution],
     tol = 1e-12
     for i, xi in enumerate(sample_measures):
         for z in range(z_max + 1):
-            r = float(model.forward(np.array(z), xi.probs))
+            r = float(affine_rate(model.forward, z, xi.probs))
             low, high = lo / (z + 1), hi / (z + 1)
             if not (low - tol <= r <= high + tol):
                 return A2Report(False, (z, "forward", r, low, high, i))
             if z >= 1:
-                r = float(model.backward(np.array(z), xi.probs))
+                r = float(affine_rate(model.backward, z, xi.probs))
                 if not (lo - tol <= r <= hi + tol):
                     return A2Report(False, (z, "reset", r, lo, hi, i))
     return A2Report(True, None)

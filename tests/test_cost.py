@@ -1,3 +1,4 @@
+import decimal
 import math
 import warnings
 
@@ -11,9 +12,8 @@ from meanfield_ldp.cli import (_corpus_targets,
 from meanfield_ldp.measures import (SampledPath, StateDistribution,
                                     theta_values)
 from meanfield_ldp.mckean_vlasov import find_equilibrium, flows
-from meanfield_ldp.models import (EdgeKind, EdgeNotPresentError,
-                                  MissingBoundsError, RateModel, edge_list,
-                                  mm1_model,
+from meanfield_ldp.models import (AffineRate, EdgeKind, EdgeNotPresentError,
+                                  RateModel, edge_list, mm1_model,
                                   single_particle_stationary, wlan_const_model)
 from meanfield_ldp.cost import (EndpointMismatchError, FluxTrajectory,
                                 InfeasibleTrajectoryError,
@@ -23,10 +23,11 @@ from meanfield_ldp.cost import (EndpointMismatchError, FluxTrajectory,
                                 testfunction_lower_bound)
 from meanfield_ldp import cost as cost_module
 from meanfield_ldp.quasipotential import v_upper_bound
-from meanfield_ldp.cost import (_ALPHA_CAP, _FREEZE_TOL, _GL_LADDER,
-                                _dual_maximize, _edge_weights, _freeze_pieces,
+from meanfield_ldp.cost import (_ALPHA_CAP, _GL_LADDER,
+                                _dual_maximize, _edge_weights,
                                 _gauss_legendre, _intervals, _mass_balance,
-                                _newton_step, _plan_costs, _recover,
+                                _log_integral, _newton_step, _plan_costs,
+                                _recover,
                                 _refine_grid, _segment_costs)
 
 
@@ -230,6 +231,32 @@ def _int_log_affine(a0: float, a1: float, delta: float) -> float:
     return (F(a1) - F(a0)) / v
 
 
+def _log_integral_decimal(a0: float, a1: float, d: float) -> float:
+    """integral_0^d log(a0 + (a1 - a0) t / d) dt in 50-digit decimal
+    arithmetic, through the x log x - x antiderivative."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        A0, A1, D = (decimal.Decimal(x) for x in (a0, a1, d))
+        F0, F1 = (x * x.ln() - x for x in (A0, A1))
+        return float(D * (F1 - F0) / (A1 - A0))
+
+
+@pytest.mark.parametrize("a0, d", [(0.3, 1.0), (2.5, 0.1), (1e-3, 3.0),
+                                   (1.0, 1.0)])
+def test_log_integral_keeps_its_precision_as_the_ends_meet(a0, d):
+    """Ends a relative gap of 1e-15 to 1e-3 apart, either way round: the
+    integral is within 2 ulp of d (1 + |log a0|) of a 50-digit reference
+    (measured: at most 1.5 ulp), where (F(a1) - F(a0)) / slope alone is
+    off by 1.9e-2 at a0 = 0.3, d = 1 and a gap of 2e-14."""
+    gaps = np.logspace(-15, -3, 37)
+    gaps = np.concatenate([gaps, -gaps])
+    a1 = a0 * (1.0 + gaps)
+    got = _log_integral(np.full(a1.shape, a0), a1, np.full(a1.shape, d))
+    ref = np.array([_log_integral_decimal(a0, b, d) for b in a1.tolist()])
+    tol = 2.0 * np.finfo(float).eps * d * (1.0 + abs(math.log(a0)))
+    assert np.abs(got - ref).max() <= tol
+
+
 def _edge_cost(f: float, lam0: float, lam1: float, phi0: float, phi1: float,
                delta: float) -> float:
     """Scalar oracle: closed-form integral of tau*(f/(lam*phi) - 1) * lam * phi
@@ -251,10 +278,12 @@ def _ramp_model(lam0: float, lam1: float) -> RateModel:
     """A z_max = 1 window whose forward rate out of 0 runs from lam0 to
     lam1 as the mass at state 1 runs from 0 to 1, with no backward rate."""
     return RateModel(RESETS,
-                     lambda z, xi: lam0 + (lam1 - lam0) * xi[1] + 0.0 * z,
-                     lambda z, xi: np.zeros(z.shape),
+                     AffineRate(lambda z: np.full(z.shape, lam0),
+                                ((1, lambda z: np.full(z.shape,
+                                                       lam1 - lam0)),)),
+                     AffineRate(lambda z: np.zeros(z.shape)),
                      lambda_upper=max(lam0, lam1), lambda_lower=0.0,
-                     interacting=True, name="ramp", lipschitz=0.0)
+                     name="ramp")
 
 
 def test_edge_cost_vectorised_matches_scalar():
@@ -398,27 +427,6 @@ def test_witness_segment_costs_match_per_piece_loop(interacting):
     assert _assert_second_order(interacting, plans).max() > 1e-6
 
 
-def _freeze_pieces_ref(model, row, p0, p1, delta):
-    """Oracle: the subdivision count of one segment.  It is 1 where the
-    mid-field tables are the means of the end tables; elsewhere the
-    Lipschitz rule sizes it."""
-    if not model.interacting:
-        return 1
-    z_max = p0.size - 1
-    fields = (p0, 0.5 * (p0 + p1), p1)
-    f0, fm, f1 = (model.forward_rates(z_max, xi) for xi in fields)
-    b0, bm, b1 = (model.backward_rates(z_max, xi) for xi in fields)
-    if all(np.all(np.abs(m - 0.5 * (a + b)) <= 1e-12 * np.abs(m))
-           for a, m, b in ((f0, fm, f1), (b0, bm, b1))):
-        return 1
-    dtv = 0.5 * float(np.abs(p1 - p0).sum())
-    lam_scale = 2.0 * model.lambda_upper + sum(row.tolist())
-    est = model.lipschitz * dtv * dtv * lam_scale * delta
-    if est <= 1e-7:
-        return 1
-    return min(4096, math.ceil(math.sqrt(est / 1e-7)))
-
-
 def _thinned_plan(model, rng, z_max):
     """A _random_feasible_trajectory plan with a random share of every
     row's edges idle, each row halved until it keeps every mass
@@ -440,7 +448,7 @@ def _mixed_plans(model):
     """Six thinned random plans, a stranded plan (its last, and flux out
     of a state that stays empty) and, for an interacting model, a plan
     that moves 0.9 of the mass in one segment and one that carries it on
-    through state 1; on the bend model those two hit the 4096-piece cap."""
+    through state 1."""
     z_max = 12
     rng = np.random.default_rng(9)
     start = StateDistribution.delta(0, z_max)
@@ -458,71 +466,38 @@ def _mixed_plans(model):
     return plans, stranded
 
 
-def _bend_model():
-    """A forward rate (1 + 4 xi0 (1 - xi0)) / (z+1), which bends along
-    every segment that moves the mass at 0."""
-    return RateModel(RESETS,
-                     lambda z, xi: (1.0 + 4.0 * xi[0] * (1.0 - xi[0]))
-                     / (z + 1.0),
-                     lambda z, xi: np.full(z.shape, 1.0), lambda_upper=2.0,
-                     lambda_lower=1.0, interacting=True, name="bend",
-                     lipschitz=4.0)
-
-
-@pytest.fixture(scope="module")
-def bend():
-    return _bend_model()
-
-
 @pytest.mark.parametrize("which", ["mm1", "wlan_const", "wlan_decay",
-                                   "interacting", "bend"])
+                                   "interacting"])
 def test_batched_cost_matches_per_segment_reference(request, which):
     """All segments costed in one batched pass equal, bit for bit, each
-    segment costed alone; so do the subdivision counts.  The plan total
-    is the sum in order of each segment's cost on its own pieces, bit for
-    bit where every segment takes one piece.  The plans mix active-edge
-    counts, the bend model's mix piece counts up to the 4096 cap, and
-    flux out of a state that stays empty makes its segment, and the
-    plan, cost inf."""
+    segment costed alone, and the plan total is their sum in order.  The
+    plans mix active-edge counts, and flux out of a state that stays
+    empty makes its segment, and the plan, cost inf."""
     model = request.getfixturevalue(which)
     plans, stranded = _mixed_plans(model)
-    active_counts, piece_counts = set(), set()
+    active_counts = set()
     for traj in plans:
         P = evolve(traj).probs
         segs = list(zip(traj.fluxes, P[:-1], P[1:], traj.durations))
-        ref_pieces = [_freeze_pieces_ref(model, *seg) for seg in segs]
-        pieces = _freeze_pieces(model, traj.fluxes, P[:-1], P[1:],
-                                traj.durations)
-        assert pieces.tolist() == ref_pieces
         got, _ = _segment_costs(model, traj.fluxes, P[:-1], P[1:],
                                 traj.durations)
         assert got.tolist() == [_one_segment(model, *seg) for seg in segs]
         total = 0.0
-        for seg, n in zip(segs, ref_pieces):
-            total += _cost_on_pieces(model, *seg, n)[0]
-        if max(ref_pieces) == 1:
-            assert cost_nonvariational(model, traj) == total
-        else:
-            assert cost_nonvariational(model, traj) == pytest.approx(
-                total, rel=1e-12)
+        for seg in segs:
+            total += _cost_on_pieces(model, *seg, 1)[0]
+        assert cost_nonvariational(model, traj) == total
         active_counts.update((traj.fluxes > 0.0).sum(axis=1).tolist())
-        piece_counts.update(ref_pieces)
     assert len(active_counts) >= 4
-    if which == "bend":
-        assert 4096 in piece_counts and len(piece_counts) >= 4
-    else:
-        assert piece_counts == {1}
     assert cost_nonvariational(model, stranded) == math.inf
 
 
 @pytest.mark.parametrize("which", ["mm1", "wlan_const", "wlan_decay",
-                                   "interacting", "bend"])
+                                   "interacting"])
 def test_idle_costs_match_zero_flux_costing(request, which):
     """The all-idle cost B that the batched pass returns with every
     segment's cost equals, bit for bit, the cost of the same states with
     a zero flux row; _plan_costs returns the same row next to the plan
-    cost, also for the stranded plan, and on the bend model the sums of
-    B over each segment's pieces."""
+    cost, also for the stranded plan."""
     model = request.getfixturevalue(which)
     plans, _ = _mixed_plans(model)
     for traj in plans:
@@ -535,46 +510,21 @@ def test_idle_costs_match_zero_flux_costing(request, which):
         assert np.all(idle > 0.0)
         total, plan_idle = _plan_costs(model, traj)
         assert total == cost_nonvariational(model, traj)
-        pieces = _freeze_pieces(model, traj.fluxes, *seg)
-        if pieces.max() == 1:
-            assert plan_idle.tolist() == idle.tolist()
-        else:
-            on_pieces = [_cost_on_pieces(model, *s, n)[1]
-                         for s, n in zip(zip(traj.fluxes, *seg), pieces)]
-            assert plan_idle == pytest.approx(on_pieces, rel=1e-12)
+        assert plan_idle.tolist() == idle.tolist()
 
 
-def test_freeze_pieces_needs_declared_lipschitz_constant(interacting):
-    assert interacting.lipschitz == 2.0 * 0.5  # 2 * kappa
-    undeclared = RateModel(EdgeKind.CHAIN_WITH_RESETS, interacting.forward,
-                           interacting.backward, lambda_upper=1.5,
-                           lambda_lower=1.0, interacting=True, name="undeclared")
-    p0 = geometric(0.5, 8).probs
-    p1 = np.roll(p0, 1)
-    with pytest.raises(MissingBoundsError):
-        _freeze_pieces(undeclared, np.r_[0.5, np.zeros(15)][None], p0[None],
-                       p1[None], np.ones(1))
-
-
-def test_freeze_pieces_hold_the_bias_below_tolerance(interacting):
-    """On the mixed plans and the refined witnesses of a small corpus
-    every segment takes one piece, where the Lipschitz rule for bent
-    rates would take up to thousands: its rates are affine along it, so
-    the closed form is exact and four pieces cost the same up to
-    rounding."""
+def test_segment_cost_equals_its_cost_on_four_sub_segments(interacting):
+    """On the mixed plans and the refined witnesses of a small corpus the
+    rates are affine along every segment, so the closed form is exact:
+    a segment costs the same, up to rounding, as the sum of its four
+    equal sub-segments."""
     plans, _ = _mixed_plans(interacting)
     xi_star = find_equilibrium(interacting, 20)
     plans += [v_upper_bound(interacting, xi_star, xi, refine=True).witness
               for xi in _corpus_targets(xi_star, 5.0, 3, seed=17)]
-    lipschitz = []
     for traj in plans:
         P = evolve(traj).probs
         seg = (traj.fluxes, P[:-1], P[1:], traj.durations)
-        assert _freeze_pieces(interacting, *seg).tolist() == [1] * len(P[1:])
-        dtv = 0.5 * np.abs(P[1:] - P[:-1]).sum(axis=1)
-        scale = 2.0 * interacting.lambda_upper + traj.fluxes.sum(axis=1)
-        lipschitz += (interacting.lipschitz * dtv * dtv * scale
-                      * traj.durations / _FREEZE_TOL).tolist()
         costs = _segment_costs(interacting, *seg)[0]
         fine = np.array([_cost_on_pieces(interacting, *s, 4)[0]
                          for s in zip(*seg)])
@@ -582,33 +532,6 @@ def test_freeze_pieces_hold_the_bias_below_tolerance(interacting):
         assert np.array_equal(finite, np.isfinite(fine))
         # measured 8.9e-16
         assert np.abs(costs[finite] - fine[finite]).max() <= 1e-13
-    assert max(lipschitz) > 4096 ** 2
-
-
-def test_freeze_pieces_take_the_lipschitz_size_where_rates_bend(bend):
-    """A forward rate (1 + 4 xi0 (1 - xi0)) / (z+1) has equal tables at
-    xi0 = 0.3 and 0.7 but not at 0.5 between them: the segment is sized
-    by the Lipschitz rule, not by its vanishing end-to-end change, and
-    at that size its cost is within _FREEZE_TOL of the cost at four
-    times the pieces."""
-    z_max, delta = 8, 0.1
-    p0, p1 = np.zeros(z_max + 1), np.zeros(z_max + 1)
-    p0[:2], p1[:2] = (0.3, 0.7), (0.7, 0.3)
-    row = np.zeros(2 * z_max)
-    row[z_max] = 0.4 / delta  # the reset edge (1, 0)
-    assert np.allclose(bend.forward_rates(z_max, p0),
-                       bend.forward_rates(z_max, p1), rtol=1e-15, atol=0.0)
-    pieces = _freeze_pieces(bend, row[None], p0[None], p1[None],
-                            np.array([delta]))
-    assert pieces.tolist() == [_freeze_pieces_ref(bend, row, p0, p1, delta)]
-    n = int(pieces[0])
-    assert 1 < n < 4096
-    seg = (bend, row, p0, p1, delta)
-    assert abs(_cost_on_pieces(*seg, n)[0] - _cost_on_pieces(*seg, 4 * n)[0]) \
-        <= _FREEZE_TOL
-    # one piece, the rates interpolated between equal end tables, misses
-    assert abs(_cost_on_pieces(*seg, 1)[0] - _cost_on_pieces(*seg, n)[0]) \
-        > 100 * _FREEZE_TOL
 
 
 def test_cost_rejects_edges_of_the_other_kind(mm1):

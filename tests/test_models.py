@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from audits import A2Report, factorial_decay_bound, verify_A2
+from audits import (A2Report, affine_rate, factorial_decay_bound,
+                    verify_A2)
 from conftest import geometric
-from meanfield_ldp.measures import StateDistribution, tv_distance
-from meanfield_ldp.models import (EdgeKind, InstabilityError, RateModel,
-                                  edge_list, has_stationary_law,
+from meanfield_ldp.measures import StateDistribution
+from meanfield_ldp.models import (AffineRate, EdgeKind, InstabilityError,
+                                  RateModel, _constant, edge_list,
+                                  has_stationary_law,
                                   interacting_wlan_model, is_counterexample,
                                   mm1_model, single_particle_stationary,
                                   wlan_const_model, wlan_decay_model)
@@ -17,20 +19,19 @@ BUILTINS = [mm1_model(1.0, 2.0), wlan_const_model(1.0, 1.0),
 # model leaves it by less than the audit's 1e-12 tolerance.
 VIOLATING = [
     RateModel(EdgeKind.CHAIN_WITH_RESETS,
-              forward=lambda z, xi: (1.0 + 2.0 * xi[0]) / (z + 1.0),
-              backward=lambda z, xi: np.full(z.shape, 1.0),
-              lambda_upper=1.5, lambda_lower=1.0, interacting=True,
-              name="forward_violation"),
+              forward=AffineRate(lambda z: 1.0 / (z + 1.0),
+                                 ((0, lambda z: 2.0 / (z + 1.0)),)),
+              backward=AffineRate(_constant(1.0)),
+              lambda_upper=1.5, lambda_lower=1.0, name="forward_violation"),
     RateModel(EdgeKind.CHAIN_WITH_RESETS,
-              forward=lambda z, xi: (1.0 + 2.0 * xi[0] * (z >= 1)) / (z + 1.0),
-              backward=lambda z, xi: np.full(z.shape, 1.0 + 2.0 * xi[1]),
-              lambda_upper=1.5, lambda_lower=1.0, interacting=True,
-              name="mixed_violation"),
+              forward=AffineRate(lambda z: 1.0 / (z + 1.0),
+                                 ((0, lambda z: 2.0 * (z >= 1) / (z + 1.0)),)),
+              backward=AffineRate(_constant(1.0), ((1, _constant(2.0)),)),
+              lambda_upper=1.5, lambda_lower=1.0, name="mixed_violation"),
     RateModel(EdgeKind.CHAIN_WITH_RESETS,
-              forward=lambda z, xi: (1.5 + 5e-13) / (z + 1.0),
-              backward=lambda z, xi: np.full(z.shape, 1.0 - 5e-13),
-              lambda_upper=1.5, lambda_lower=1.0, interacting=False,
-              name="within_tolerance"),
+              forward=AffineRate(lambda z: (1.5 + 5e-13) / (z + 1.0)),
+              backward=AffineRate(_constant(1.0 - 5e-13)),
+              lambda_upper=1.5, lambda_lower=1.0, name="within_tolerance"),
 ]
 
 
@@ -48,10 +49,11 @@ def test_stacked_rate_tables_match_rows(model):
 
 
 def _rate(model, z, z_prime, xi):
-    """One edge's rate straight from the raw rate functions: the oracle
-    of the window tables."""
-    fn = model.forward if z_prime == z + 1 else model.backward
-    return float(fn(np.array(z), xi))
+    """One edge's rate straight from the model's affine declaration,
+    a(z) + xi(y) B(z, y) over its coupling in order: the oracle of the
+    window tables."""
+    rate = model.forward if z_prime == z + 1 else model.backward
+    return float(affine_rate(rate, z, xi))
 
 
 def _target(kind, z):
@@ -96,6 +98,50 @@ def test_interacting_rates():
     assert m.backward_rates(10, d5)[2] == 1.5
     with pytest.raises(ValueError):
         interacting_wlan_model(1.0)
+
+
+def _interacting_closed_forms(kappa, z_max, xi):
+    """interacting_wlan's tables as the closed forms (1 + kappa xi0)/(z+1)
+    and 1 + kappa (1 - xi0), boundary entries zeroed; xi is a field or a
+    stack of fields."""
+    xi0 = xi[..., :1]
+    fwd = (1.0 + kappa * xi0) / (np.arange(z_max + 1) + 1.0)
+    back = np.broadcast_to(1.0 + kappa * (1.0 - xi0), fwd.shape).copy()
+    fwd[..., z_max] = back[..., 0] = 0.0
+    return fwd, back
+
+
+@pytest.mark.parametrize("kappa", [0.5, 0.9])
+def test_affine_tables_match_closed_forms_within_2_ulp(kappa):
+    """The affine form a + xi0 c rounds differently from the closed
+    forms, by at most 2 ulp, on single fields and on stacks."""
+    model = interacting_wlan_model(kappa)
+    rng = np.random.default_rng(12)
+    for z_max in (10, 25, 30):
+        for size in (None, 1, 2, 7):
+            xi = rng.dirichlet(np.ones(z_max + 1), size=size)
+            got = (model.forward_rates(z_max, xi),
+                   model.backward_rates(z_max, xi))
+            refs = _interacting_closed_forms(kappa, z_max, xi)
+            for g, ref in zip(got, refs):
+                assert g.shape == ref.shape
+                assert np.all(np.abs(g - ref) <= 2.0 * np.spacing(ref))
+
+
+def test_non_interacting_tables_keep_their_closed_forms():
+    z = np.arange(31)
+    for lf, lb in [(1.0, 2.0), (0.7, 3.0)]:
+        const_f = np.r_[np.full(30, lf), 0.0]
+        back = np.r_[0.0, np.full(30, lb)]
+        for model in (mm1_model(lf, lb), wlan_const_model(lf, lb)):
+            assert np.array_equal(model.forward_rates(30), const_f)
+            assert np.array_equal(model.backward_rates(30), back)
+        decay = wlan_decay_model(lf, lb)
+        assert np.array_equal(decay.forward_rates(30),
+                              np.r_[(lf / (z + 1.0))[:30], 0.0])
+        assert np.array_equal(decay.backward_rates(30), back)
+    assert not interacting_wlan_model(0.0).interacting
+    assert interacting_wlan_model(0.5).interacting
 
 
 def test_dominating_chain_dominates(interacting):
@@ -154,10 +200,10 @@ def test_stationary_law_needs_state_independent_backward_rates():
     """The product form is the only solver: a model whose reset rate
     grows with the state is rejected by name, not solved."""
     growing = RateModel(EdgeKind.CHAIN_WITH_RESETS,
-                        forward=lambda z, xi: np.full(z.shape, 1.0),
-                        backward=lambda z, xi: 1.0 + z,
+                        forward=AffineRate(_constant(1.0)),
+                        backward=AffineRate(lambda z: 1.0 + z),
                         lambda_upper=2.0, lambda_lower=1.0,
-                        interacting=False, name="growing_resets")
+                        name="growing_resets")
     with pytest.raises(ValueError, match="growing_resets"):
         single_particle_stationary(growing, 20)
 
@@ -236,13 +282,6 @@ def test_verify_A2_matches_per_state_loop(model):
                 == A2Report(violation is None, violation)
 
 
-def test_lipschitz_estimates(wlan_const, interacting):
-    assert _lipschitz_loop(wlan_const, 50, 0) == 0.0
-    assert _lipschitz_loop(interacting_wlan_model(0.0), 50, 0) == 0.0
-    est = _lipschitz_loop(interacting, 200, 0)
-    assert 0.0 < est <= 1.0 + 1e-9  # analytic constant 2 * kappa = 1
-
-
 def test_edges_enumeration():
     for kind in EdgeKind:
         for z_max in range(1, 13):
@@ -284,28 +323,3 @@ def test_stationarity_and_counterexample_predicates():
                                  wlan_decay_model(1.0, 1.0)]:
         assert has_stationary_law(model, 30)
         assert not is_counterexample(model)
-
-
-# -- per-state estimate of the field Lipschitz constant ----------------------
-
-def _lipschitz_loop(model, trials, rng_seed, z_max=30):
-    """Empirical lower estimate of the uniform Lipschitz constant in the
-    field: the largest rate gap over TV distance on random field pairs."""
-    rng = np.random.default_rng(rng_seed)
-    best = 0.0
-    for _ in range(trials):
-        a = StateDistribution(rng.dirichlet(np.ones(z_max + 1)), z_max)
-        b = StateDistribution(rng.dirichlet(np.ones(z_max + 1)), z_max)
-        d = tv_distance(a, b)
-        if d < 1e-9:
-            continue
-        for z in range(0, min(z_max, 20) + 1):
-            gap = abs((z + 1) * (_rate(model, z, z + 1, a.probs)
-                                 - _rate(model, z, z + 1, b.probs)))
-            best = max(best, gap / d)
-            if z >= 1:
-                zb = _target(model.kind, z)
-                gap = abs(_rate(model, z, zb, a.probs)
-                          - _rate(model, z, zb, b.probs))
-                best = max(best, gap / d)
-    return best
