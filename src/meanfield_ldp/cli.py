@@ -54,7 +54,8 @@ from .models import (MIN_Z_MAX, RateModel, has_stationary_law,
 from .quasipotential import (PhaseOrderingError, cm_bound,
                              counterexample_report, save_trajectory_and_bound,
                              v_upper_bound)
-from .simulator import (RNG_ALGORITHM, BallEvent, NotInKMEvent, SimConfig,
+from .simulator import (RNG_ALGORITHM, AbsorbingStateError, BallEvent,
+                        NotInKMEvent, SimConfig, TruncationOverflowError,
                         estimate_invariant_multi, estimate_rate_curve,
                         resolve_burn_in, save_rate_estimates)
 
@@ -104,7 +105,7 @@ _EXPERIMENT_COMMON = {"experiment": (str, _REQUIRED),
 _EXPERIMENTS = {
     "counterexample": {"k_list": (_list(int), _REQUIRED), "t": (_real, 1.0)},
     "rate_curve": {"n_list": (_list(int), _REQUIRED),
-                   "samples_per_n": (int, _REQUIRED),
+                   "samples_per_n": (int, None),
                    "event": (str, "ball_delta0"), "radius": (_real, 0.1),
                    "m": (_real, 4.0)},
     "mve_audit": {"m": (_real, _REQUIRED), "horizon": (_real, _REQUIRED),
@@ -186,7 +187,12 @@ def _cross_checks(exp: str, v: dict, given: set[str], model: RateModel,
     elif exp == "rate_curve":
         need(v["n_list"] and min(v["n_list"]) >= 1,
              "n_list with positive entries")
-        need(v["samples_per_n"] >= 1, "samples_per_n >= 1")
+        n = v["samples_per_n"]
+        if model.interacting and n is not None:
+            problems.append("rate_curve on an interacting model takes no "
+                            "samples_per_n: it runs each N for a fixed time")
+        elif not model.interacting:
+            need(n is not None and n >= 1, "samples_per_n >= 1")
         need(v["event"] in ("ball_delta0", "ball_equilibrium", "not_in_km"),
              "event ball_delta0, ball_equilibrium or not_in_km")
         need(v["radius"] > 0, "radius > 0")
@@ -326,9 +332,10 @@ def _make_event(cfg: ExperimentConfig):
 
 
 def _run_rate_curve(cfg: ExperimentConfig, out: Path, threads: int) -> None:
+    # an interacting curve draws no samples; 1 passes the size check
     rows = estimate_rate_curve(cfg.model, _make_event(cfg),
                                cfg.values["n_list"],
-                               cfg.values["samples_per_n"], cfg.seed,
+                               cfg.values["samples_per_n"] or 1, cfg.seed,
                                z_max=cfg.z_max, threads=threads)
     save_rate_estimates(rows, out / "rate_curve.csv")
 
@@ -505,7 +512,8 @@ def run(config_path: str | Path, threads: int | None = None,
     try:
         _RUNNERS[cfg.experiment](cfg, staging, threads)
     except (InfeasibleTrajectoryError, StiffnessError, PhaseOrderingError,
-            EquilibriumNotFoundError, FloatingPointError,
+            EquilibriumNotFoundError, TruncationOverflowError,
+            AbsorbingStateError, FloatingPointError,
             np.linalg.LinAlgError) as exc:
         shutil.rmtree(staging, ignore_errors=True)
         print(json.dumps({"error": "numeric_failure",

@@ -11,12 +11,12 @@ Randomness comes from counter-based Philox streams keyed by
 of its seed and each N of a rate curve from its own stream i, so a rate
 curve does not depend on how its N are scheduled across threads.
 
-An occupation run keeps one ``JumpWorkspace``: the occupancy and the
-weight buffers every jump reuses.  Each jump takes the rate tables at
-the current field from the model's window coefficients and moves one
-particle with two scalar writes; its draws, weights and sums are
-bitwise those of a loop that rebuilds the zeroed rate tables at every
-jump, so the estimates are too.
+An occupation run keeps one ``JumpWorkspace``: the occupancy, the
+buffers every jump reuses and the rate tables, memoised by the counts
+at the states the model couples through.  Each jump weighs its table by
+the counts and moves one particle with two scalar writes; its draws,
+weights and sums are bitwise those of a loop that rebuilds the zeroed
+rate tables at every jump, so the estimates are too.
 Occupation-measure estimators weight events by holding times at jump
 epochs, which is exact.
 
@@ -160,30 +160,36 @@ class NotInKMEvent:
 # ---------------------------------------------------------------------------
 
 class JumpWorkspace:
-    """The occupancy of one run and the buffers its jumps reuse.
-
-    ``counts`` is the occupancy vector.  The window rate tables are zero
-    on the edges that leave the window, so each table times ``counts``
-    is the jump weight of every edge of its family inside the window:
-    row 0 of ``weights`` the forward edges (z, z+1), row 1 the backward
-    edges.  ``jump`` moves one particle.
+    """The occupancy ``counts`` of one run, the buffers its jumps reuse
+    and its own memo ``tables``, from the counts at the ``coupled``
+    states to the window tables at counts / N (row 0 forward, row 1
+    backward, zero on the edges that leave the window, so a table times
+    ``counts`` weighs every edge inside it).  ``edges`` holds the
+    (z, z') of each flat slot of the weights.  ``jump`` moves one
+    particle.
     """
 
-    def __init__(self, counts: np.ndarray) -> None:
+    def __init__(self, model: RateModel, counts: np.ndarray) -> None:
         # floats holding whole numbers: counts / N divides as the
         # integer counts would, without a cast on every jump
         self.counts = np.array(counts, dtype=float)
         self.N = float(self.counts.sum())
-        self.z_max = self.counts.shape[0] - 1
+        z_max = self.counts.shape[0] - 1
+        self.interacting = model.interacting
+        self.window = model.window(z_max)
+        self.coupled = tuple(sorted({y for w in self.window
+                                     for y, _ in w.coupling}))
+        self.tables: dict[tuple[float, ...], np.ndarray] = {}
+        self.edges = [(z, z + 1) for z in range(z_max + 1)] + [
+            (z, backward_target(model.kind, z)) for z in range(z_max + 1)]
         # C-contiguous (2, z_max+1): row sums and row cumulative sums
         # round as the 1-D reductions of each row do, and the flat view
         # of the cumulative weights lists the forward edges, then the
         # backward ones
-        self.weights = np.empty((2, self.z_max + 1))
+        self.weights = np.empty((2, z_max + 1))
         self.cum = np.empty_like(self.weights)
         self.cum_flat = self.cum.reshape(-1)
         self.cum_back = self.cum[1]
-        self.fwd_weights, self.back_weights = self.weights
 
     def jump(self, z: int, zp: int) -> None:
         """Move one particle from state z to state zp."""
@@ -191,24 +197,25 @@ class JumpWorkspace:
         self.counts[zp] += 1.0
 
 
-def gillespie_step(model: RateModel, work: JumpWorkspace,
-                   rng: np.random.Generator, xi: np.ndarray
+def gillespie_step(work: JumpWorkspace, rng: np.random.Generator
                    ) -> tuple[int, int, float]:
     """One exact jump from the occupancy held in ``work``: an exponential
     holding time at the total rate, then an edge (z, z') chosen
-    proportionally to its rate.  Writes the field counts / N into the
-    row ``xi``, which the caller may keep as the held state, and returns
-    (z, z', dt); the caller applies the move with ``work.jump(z, z')``.
-    A total rate that is not positive, or is NaN, raises
-    ``AbsorbingStateError``."""
+    proportionally to its rate.  Returns (z, z', dt) and writes no field:
+    the caller keeps the held counts and applies the move with
+    ``work.jump(z, z')``.  A total rate that is not positive, or is
+    NaN, raises ``AbsorbingStateError``."""
     counts = work.counts
-    if model.interacting and counts[-1] > 0:
+    if work.interacting and counts[-1] > 0:
         raise TruncationOverflowError(
             "particle reached z_max; enlarge the window")
-    np.divide(counts, work.N, out=xi)
-    fwd, back = model.window(work.z_max)
-    np.multiply(fwd.at(xi), counts, out=work.fwd_weights)
-    np.multiply(back.at(xi), counts, out=work.back_weights)
+    key = tuple(map(counts.item, work.coupled))
+    table = work.tables.get(key)
+    if table is None:  # the first visit of these coupled counts
+        xi = counts / work.N
+        table = work.tables[key] = np.array(
+            [w.at(xi) if w.coupling else w.base for w in work.window])
+    np.multiply(table, counts, out=work.weights)
     fwd_total, back_total = np.add.reduce(work.weights, axis=1)
     total = float(fwd_total + back_total)
     if not total > 0.0:
@@ -217,11 +224,8 @@ def gillespie_step(model: RateModel, work: JumpWorkspace,
     u = total * rng.random()  # the draw of rng.uniform(0.0, total), bit for bit
     np.add.accumulate(work.weights, axis=1, out=work.cum)  # the cumsum
     np.add(work.cum_back, fwd_total, out=work.cum_back)
-    idx = int(work.cum_flat.searchsorted(u, side="right"))
-    if idx <= work.z_max:
-        return idx, idx + 1, dt
-    z = idx - work.z_max - 1
-    return z, backward_target(model.kind, z), dt
+    z, zp = work.edges[int(work.cum_flat.searchsorted(u, side="right"))]
+    return z, zp, dt
 
 
 _BLOCK = 512  # held states per batched event evaluation
@@ -232,12 +236,12 @@ def _occupation(model: RateModel, config: SimConfig, events: Sequence[Event],
     """Time-weighted occupation of several events along one run.
 
     Returns (occupied_time[e], batch_lengths[b], batch_fractions[e, b])
-    over ``_N_BATCHES`` equal post-burn-in batches.  Each jump writes its
-    held state into a block of ``_BLOCK`` rows and its clock interval
-    next to it; a full block is evaluated through ``Event.batch`` and
-    its holding intervals are split across the batch grid, the pieces
-    added in jump order, so every sum rounds as it would one jump at a
-    time."""
+    over ``_N_BATCHES`` equal post-burn-in batches.  Each jump copies its
+    held counts into a block of ``_BLOCK`` rows and its clock interval
+    next to it; a full block is divided by N at once, evaluated through
+    ``Event.batch``, and its holding intervals are split across the
+    batch grid, the pieces added in jump order, so every sum rounds as
+    it would one jump at a time."""
     rng = substream(config.seed, replica)
     burn = resolve_burn_in(config.burn_in, model)
     if not burn < config.horizon:
@@ -245,7 +249,7 @@ def _occupation(model: RateModel, config: SimConfig, events: Sequence[Event],
                          f"{config.horizon!r}")
     counts = np.zeros(config.z_max + 1)
     counts[0] = config.N
-    work = JumpWorkspace(counts)
+    work = JumpWorkspace(model, counts)
     n_batches = _N_BATCHES
     batch_len = (config.horizon - burn) / n_batches
     occupied = np.zeros((len(events), n_batches))
@@ -268,9 +272,10 @@ def _occupation(model: RateModel, config: SimConfig, events: Sequence[Event],
         seg_hi = seg_lo + batch_len
         ws = np.maximum(0.0, np.minimum(hi[rows], seg_hi)
                         - np.maximum(lo[rows], seg_lo))
+        probs = held[:k] / config.N
         hits = np.empty((len(events), k), dtype=bool)
         for i, ev in enumerate(events):
-            hits[i] = ev.batch(held[:k])
+            hits[i] = ev.batch(probs)
         # ufunc.at adds in index order: each cell sums in jump order
         np.add.at(occupied, (slice(None), js), ws * hits[:, rows])
         np.add.at(lengths, js, ws)
@@ -278,9 +283,10 @@ def _occupation(model: RateModel, config: SimConfig, events: Sequence[Event],
     k = 0
     t = 0.0
     while t < config.horizon:
-        z, zp, dt = gillespie_step(model, work, rng, held[k])
+        z, zp, dt = gillespie_step(work, rng)
         t_next = t + dt
         if t_next > burn:  # some of the holding interval is past burn-in
+            held[k] = work.counts
             clock[0, k] = t
             clock[1, k] = t_next
             k += 1

@@ -10,6 +10,7 @@ import pytest
 from meanfield_ldp import cli, cost
 from meanfield_ldp.cost import InfeasibleTrajectoryError
 from meanfield_ldp.models import EdgeKind
+from meanfield_ldp.simulator import AbsorbingStateError, TruncationOverflowError
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_DIR = ROOT / "scripts" / "configs"
@@ -110,11 +111,13 @@ MODEL_SECTION_KEYS = {"model", "lambda_f", "lambda_b", "kappa", "z_max"}
 
 def _bundled_with(tmp_path: Path, name: str, settings: dict,
                   out: Path) -> Path:
-    """The bundled config ``name`` writing to ``out``, with ``settings``."""
+    """The bundled config ``name`` writing to ``out``, with ``settings``;
+    a setting of None drops the key."""
     lines = [f"output_dir = {out}" if ln.startswith("output_dir") else ln
              for ln in (CONFIG_DIR / f"{name}.cfg").read_text().splitlines()
              if ln.split("=")[0].strip() not in settings]
-    set_lines = {key: f"{key} = {value}" for key, value in settings.items()}
+    set_lines = {key: f"{key} = {value}" for key, value in settings.items()
+                 if value is not None}
     at = lines.index("[model]") + 1
     lines[at:at] = [ln for key, ln in set_lines.items()
                     if key in MODEL_SECTION_KEYS]
@@ -155,6 +158,12 @@ def _bundled_with(tmp_path: Path, name: str, settings: dict,
     ("rate_curve", {"m": "4"}, "rate_curve with event ball_delta0 takes no m"),
     # the staging directory is named after the output directory
     ("rate_curve", {"output_dir": "."}, "bad output_dir value '.'"),
+    # sampled curves read samples_per_n; an interacting curve runs each N
+    # for a fixed time and would ignore it
+    ("rate_curve", {"samples_per_n": None}, "rate_curve needs samples_per_n"),
+    ("rate_curve", {"model": "interacting_wlan", "lambda_f": None,
+                    "lambda_b": None},
+     "rate_curve on an interacting model takes no samples_per_n"),
 ], ids=["zero_delta", "no_samples", "negative_threshold",
         "default_burn_in_past_horizon", "burn_in_past_horizon",
         "zero_corpus_cap", "short_duality_horizon", "zero_horizon",
@@ -162,7 +171,7 @@ def _bundled_with(tmp_path: Path, name: str, settings: dict,
         "word_seed", "fractional_seed", "negative_seed", "word_refine",
         "negative_burn_in", "kappa_on_mm1", "empty_duality_window",
         "infinite_duality_horizon", "radius_on_not_in_km", "m_on_ball_event",
-        "nameless_output_dir"])
+        "nameless_output_dir", "missing_samples", "samples_on_interacting"])
 def test_validate_flags_settings_that_cannot_run(tmp_path, name, settings,
                                                  problem):
     out = tmp_path / "out"
@@ -243,6 +252,48 @@ def test_run_numeric_failure_exit3(tmp_path, monkeypatch):
     monkeypatch.setitem(cli._RUNNERS, "rate_curve", boom)
     assert cli.run(cfg) == 3
     assert not out.exists()
+
+
+@pytest.mark.parametrize("error", [TruncationOverflowError,
+                                   AbsorbingStateError])
+def test_run_labels_simulator_failures_numeric(tmp_path, monkeypatch, capsys,
+                                               error):
+    """A window too small for the run, or a chain with no way out, is a
+    numeric failure of the run, not a fault of the program."""
+    out = tmp_path / "out"
+    cfg = _bundled_with(tmp_path, "tightness_audit", {}, out)
+
+    def boom(*a, **kw):
+        raise error("forced")
+
+    monkeypatch.setattr(cli, "estimate_invariant_multi", boom)
+    assert cli.run(cfg, threads=1) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "numeric_failure"
+    assert err["reason"] == f"{error.__name__}: forced"
+    assert not out.exists()
+
+
+def test_run_interacting_rate_curve_without_samples(tmp_path):
+    """An interacting rate curve validates and runs without
+    samples_per_n."""
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, f"""
+[model]
+model = interacting_wlan
+kappa = 0.5
+z_max = 10
+
+[experiment]
+experiment = rate_curve
+output_dir = {out}
+n_list = 10
+event = not_in_km
+m = 1
+""")
+    assert cli.validate(cfg) == []
+    assert cli.run(cfg, threads=1) == 0
+    assert (out / "rate_curve.csv").read_text().count("not_in_KM(M=1)") == 1
 
 
 def test_run_overwrites_previous_run(tmp_path):

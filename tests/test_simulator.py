@@ -8,7 +8,8 @@ from audits import affine_rate
 from conftest import geometric
 from meanfield_ldp.measures import (StateDistribution, entropy_projection,
                                     theta_values, tv_distance)
-from meanfield_ldp.models import (EdgeKind, single_particle_stationary,
+from meanfield_ldp.models import (AffineRate, EdgeKind, RateModel, RateWindow,
+                                  single_particle_stationary,
                                   wlan_decay_model)
 from meanfield_ldp import simulator
 from meanfield_ldp.simulator import (_BLOCK, _CHUNK_ENTRIES, BallEvent,
@@ -19,6 +20,20 @@ from meanfield_ldp.simulator import (_BLOCK, _CHUNK_ENTRIES, BallEvent,
                                      estimate_rate_curve, gillespie_step,
                                      resolve_burn_in, save_rate_estimates,
                                      substream)
+
+
+@pytest.fixture(scope="module")
+def two_coupled():
+    """A reset chain coupled through two states: forward rates
+    (1 + xi(0)/2)/(z+1) and reset rates 3/2 - xi(1)/2, inside the decay
+    envelope with lambda_lower = 1 and lambda_upper = 3/2."""
+    return RateModel(
+        kind=EdgeKind.CHAIN_WITH_RESETS,
+        forward=AffineRate(lambda z: 1.0 / (z + 1.0),
+                           ((0, lambda z: 0.5 / (z + 1.0)),)),
+        backward=AffineRate(lambda z: np.full(z.shape, 1.5),
+                            ((1, lambda z: np.full(z.shape, -0.5)),)),
+        lambda_upper=1.5, lambda_lower=1.0, name="two_coupled")
 
 
 def _all_at_zero(N, z_max):
@@ -46,16 +61,11 @@ def test_unit_ball_holds_every_count_vector():
                <= ball.radius for c in counts[:200])
 
 
-def _field(counts):
-    """A row for the field a step writes."""
-    return np.empty(counts.shape[0])
-
-
 def test_single_enabled_transition(mm1):
-    work = JumpWorkspace(_all_at_zero(1, 10))
+    work = JumpWorkspace(mm1, _all_at_zero(1, 10))
     before = work.counts.copy()
     rng = substream(0, 0)
-    z, zp, dt = gillespie_step(mm1, work, rng, _field(before))
+    z, zp, dt = gillespie_step(work, rng)
     assert np.array_equal(work.counts, before)  # the caller applies the move
     assert dt > 0
     work.jump(z, zp)
@@ -63,20 +73,19 @@ def test_single_enabled_transition(mm1):
 
 
 def test_two_particles_at_zero(wlan_const):
-    work = JumpWorkspace(_all_at_zero(2, 10))
+    work = JumpWorkspace(wlan_const, _all_at_zero(2, 10))
     rng = substream(0, 1)
-    z, zp, _ = gillespie_step(wlan_const, work, rng, _field(work.counts))
+    z, zp, _ = gillespie_step(work, rng)
     work.jump(z, zp)
     assert work.counts[0] == 1 and work.counts[1] == 1
 
 
 def test_counts_invariant_preserved(interacting):
     """Every jump keeps the particle count."""
-    work = JumpWorkspace(_all_at_zero(20, 15))
+    work = JumpWorkspace(interacting, _all_at_zero(20, 15))
     rng = substream(3, 0)
-    xi = _field(work.counts)
     for _ in range(2000):
-        z, zp, _ = gillespie_step(interacting, work, rng, xi)
+        z, zp, _ = gillespie_step(work, rng)
         work.jump(z, zp)
         assert int(work.counts.sum()) == 20
         assert work.counts.min() >= 0
@@ -88,13 +97,12 @@ def test_edge_selection_frequencies(mm1):
     counts = np.zeros(11, dtype=np.int64)
     counts[0] = 3
     counts[1] = 2
-    work = JumpWorkspace(counts)
-    xi = _field(counts)
+    work = JumpWorkspace(mm1, counts)
     rng = substream(7, 0)
     hits = {}
     n = 100_000
     for _ in range(n):
-        z, zp, _ = gillespie_step(mm1, work, rng, xi)
+        z, zp, _ = gillespie_step(work, rng)
         hits[(z, zp)] = hits.get((z, zp), 0) + 1
     # rates: (0,1): 3*1, (1,2): 2*1, (1,0): 2*2
     total = 3.0 + 2.0 + 4.0
@@ -116,14 +124,13 @@ def _simulate_path(model, config, thinning):
     """The program's jump kernel from all particles at 0, sampled every
     ``thinning`` time units by holding the last jump state."""
     rng = substream(config.seed, 0)
-    work = JumpWorkspace(_all_at_zero(config.N, config.z_max))
-    xi = np.empty(config.z_max + 1)
+    work = JumpWorkspace(model, _all_at_zero(config.N, config.z_max))
     t = 0.0
     sample_times = np.arange(0.0, config.horizon + 1e-12, thinning)
     out = np.zeros((sample_times.shape[0], config.z_max + 1), dtype=np.int64)
     k = 0
     while k < sample_times.shape[0]:
-        z, zp, dt = gillespie_step(model, work, rng, xi)
+        z, zp, dt = gillespie_step(work, rng)
         while k < sample_times.shape[0] and sample_times[k] <= t + dt:
             out[k] = work.counts
             k += 1
@@ -182,8 +189,7 @@ def test_truncation_overflow_aborts(interacting):
     counts[12] = 1
     counts[0] = 9
     with pytest.raises(TruncationOverflowError):
-        gillespie_step(interacting, JumpWorkspace(counts), substream(0, 0),
-                       _field(counts))
+        gillespie_step(JumpWorkspace(interacting, counts), substream(0, 0))
 
 
 def test_occupation_aborts_on_truncation_overflow(interacting):
@@ -277,7 +283,7 @@ _OCCUPATION_RUNS = [(20, 70.0, 0.05, 3 * _BLOCK, 2), (2, 5.0, 3.0, 1, 3)]
 
 @pytest.mark.parametrize("run", _OCCUPATION_RUNS, ids=["long", "straddling"])
 @pytest.mark.parametrize("which", ["interacting", "mm1", "wlan_const",
-                                   "wlan_decay"])
+                                   "wlan_decay", "two_coupled"])
 def test_occupation_matches_per_jump_reference(request, which, run):
     """Occupied times, batch lengths and fractions are bitwise those of
     the per-jump loop, over several evaluation blocks."""
@@ -299,7 +305,7 @@ def test_occupation_matches_per_jump_reference(request, which, run):
 
 
 @pytest.mark.parametrize("which", ["interacting", "mm1", "wlan_const",
-                                   "wlan_decay"])
+                                   "wlan_decay", "two_coupled"])
 def test_step_matches_per_jump_reference(request, which):
     """Jump by jump, the workspace kernel draws the same holding time,
     bit for bit, and moves the same particle as the reference step; a
@@ -307,11 +313,10 @@ def test_step_matches_per_jump_reference(request, which):
     model = request.getfixturevalue(which)
     rng, ref_rng = substream(9, 0), substream(9, 0)
     counts = _all_at_zero(20, 15)
-    work = JumpWorkspace(counts)
-    xi = _field(counts)
+    work = JumpWorkspace(model, counts)
     for _ in range(3000):
         counts, ref_dt = _step_reference(model, counts, ref_rng)
-        z, zp, dt = gillespie_step(model, work, rng, xi)
+        z, zp, dt = gillespie_step(work, rng)
         work.jump(z, zp)
         assert dt == ref_dt
         assert np.array_equal(work.counts, counts)
@@ -339,6 +344,37 @@ def test_occupation_steps_once_per_jump(interacting, monkeypatch):
     monkeypatch.setattr(simulator, "gillespie_step", counting)
     _occupation(interacting, cfg, [_whole_space(cfg.z_max)], replica=0)
     assert jumps > 100 and len(calls) == jumps
+
+
+@pytest.mark.parametrize("which", ["interacting", "mm1"])
+def test_occupation_builds_each_rate_table_once(request, monkeypatch, which):
+    """A run memoises its rate tables by the counts at the coupled
+    states: interacting_wlan at N = 20 builds at most N + 1 tables,
+    with two ``RateWindow.at`` calls each, over more than 1,000 jumps,
+    and mm1 builds one table without calling ``at``."""
+    model = request.getfixturevalue(which)
+    cfg = SimConfig(N=20, seed=17, horizon=60.0, burn_in=1.0, z_max=15)
+    at_calls, works = [], []
+    at, step = RateWindow.at, simulator.gillespie_step
+
+    def counting_at(self, xi):
+        at_calls.append(None)
+        return at(self, xi)
+
+    def recording_step(work, rng):
+        works.append(work)
+        return step(work, rng)
+
+    monkeypatch.setattr(RateWindow, "at", counting_at)
+    monkeypatch.setattr(simulator, "gillespie_step", recording_step)
+    _occupation(model, cfg, [_whole_space(cfg.z_max)], replica=0)
+    work = works[0]
+    assert len(works) > 1000 and all(w is work for w in works)
+    if which == "mm1":
+        assert len(work.tables) == 1 and not at_calls
+    else:
+        assert 1 < len(work.tables) <= cfg.N + 1
+        assert len(at_calls) == 2 * len(work.tables)
 
 
 # -- rate curves -----------------------------------------------------------------------
