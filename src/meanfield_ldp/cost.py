@@ -46,8 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .measures import (SampledPath, StateDistribution, theta_values,
-                       tv_distance)
+from .measures import SampledPath, StateDistribution, theta_values
 from .models import EdgeKind, EdgeNotPresentError, RateModel, edge_list
 
 _E = math.e
@@ -64,10 +63,6 @@ _CHUNK = 256
 
 class InfeasibleTrajectoryError(RuntimeError):
     """A flux plan drives some state mass negative."""
-
-
-class EndpointMismatchError(ValueError):
-    """Concatenation endpoints disagree beyond tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -156,21 +151,6 @@ def evolve(traj: FluxTrajectory) -> SampledPath:
             probs[k + 1] = p
     times = np.concatenate([[0.0], np.cumsum(traj.durations)])
     return SampledPath(times, probs)
-
-
-def concatenate(a: FluxTrajectory, b: FluxTrajectory) -> FluxTrajectory:
-    """Glue two flux plans; endpoints must agree within 1e-9 in TV."""
-    if a.z_max != b.z_max or a.kind is not b.kind:
-        raise EndpointMismatchError("window or edge kind mismatch")
-    if not b.durations.size:
-        return a
-    end = evolve(a).final_distribution()
-    gap = tv_distance(end, b.initial)
-    if gap > 1e-9:
-        raise EndpointMismatchError(f"endpoint gap {gap:.3e} exceeds 1e-9")
-    return FluxTrajectory(a.initial, a.kind,
-                          np.concatenate([a.durations, b.durations]),
-                          np.concatenate([a.fluxes, b.fluxes]))
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +248,8 @@ _NEWTON_DAMPS = (1.0, 0.5, 0.25, 0.1, 0.03, 0.01)
 _GRADIENT_DAMPS = (1.0, 0.1, 0.01, 1e-3, 1e-4)
 # a node whose projected gradient falls below this is converged
 _GRAD_TOL = 1e-10
+# Newton or gradient steps per reset-model dual solve
+_MAX_ITER = 300
 # relative rounding of a dual value: a full Newton step may lower the
 # value by this much, since near the optimum the value no longer
 # resolves the rise that the gradient still shows
@@ -359,7 +341,7 @@ def _line_search(edges: tuple[np.ndarray, np.ndarray], A: np.ndarray,
 
 
 def _dual_maximize(model: RateModel, P: np.ndarray, Psi: np.ndarray,
-                   start: np.ndarray | None = None, max_iter: int = 300
+                   start: np.ndarray | None = None
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """For each node b: max over alpha of
     <alpha, Psi[b]> - sum_e (exp(d alpha)-1) w_e(P[b]).
@@ -383,7 +365,7 @@ def _dual_maximize(model: RateModel, P: np.ndarray, Psi: np.ndarray,
     if start is None:
         start = np.zeros(P.shape)
     out = [_dual_chunk(model, P[s:s + _CHUNK], Psi[s:s + _CHUNK],
-                       start[s:s + _CHUNK].copy(), max_iter)
+                       start[s:s + _CHUNK].copy())
            for s in range(0, P.shape[0], _CHUNK)]
     if not out:
         return np.zeros(0), np.zeros((0, P.shape[1])), np.zeros(0, dtype=bool)
@@ -418,7 +400,7 @@ def _birth_death_dual(W: np.ndarray, Psi: np.ndarray
 
 
 def _dual_chunk(model: RateModel, P: np.ndarray, Psi: np.ndarray,
-                alpha: np.ndarray, max_iter: int
+                alpha: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     B = P.shape[0]
     src, dst = edges = edge_list(model.kind, P.shape[1] - 1)
@@ -427,7 +409,7 @@ def _dual_chunk(model: RateModel, P: np.ndarray, Psi: np.ndarray,
     converged = np.zeros(B, dtype=bool)
     live = np.arange(B)
     rows = slice(None)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         A, psi, w, c = alpha[live], Psi[live], W[live], cur[live]
         ew = np.exp(A[:, dst] - A[:, src]) * w
         g = psi.copy()

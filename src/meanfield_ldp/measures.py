@@ -185,7 +185,7 @@ def in_class_KDelta(a: StateDistribution, xi_star: StateDistribution,
 # ---------------------------------------------------------------------------
 
 def _level_from_below(w: np.ndarray, v: np.ndarray, target: float) -> float:
-    # the x >= 0 with sum((x w - v)_+) = target, for w > 0 and v >= 0;
+    # the x with sum((x w - v)_+) = target > 0, for w > 0 and any real v;
     # the sum is linear between the sorted knots v/w, so locate the
     # bracketing knot and solve the linear piece exactly
     if target <= 0.0:
@@ -195,18 +195,6 @@ def _level_from_below(w: np.ndarray, v: np.ndarray, target: float) -> float:
     cw, cv = np.cumsum(w[order]), np.cumsum(v[order])
     k = int(np.searchsorted(r[order] * cw - cv, target))
     return (target + cv[k - 1]) / cw[k - 1]
-
-
-def _level_from_above(w: np.ndarray, v: np.ndarray, target: float) -> float:
-    # the x with sum((v - x w)_+) = target, for w > 0 and
-    # 0 < target < sum(v); mirror image of _level_from_below
-    if target <= 0.0:
-        return math.inf
-    r = v / w
-    order = np.argsort(-r)
-    cw, cv = np.cumsum(w[order]), np.cumsum(v[order])
-    k = int(np.searchsorted(cv - r[order] * cw, target))
-    return (cv[k - 1] - target) / cw[k - 1]
 
 
 def entropy_projection(nu: StateDistribution, center: StateDistribution,
@@ -240,7 +228,9 @@ def entropy_projection(nu: StateDistribution, center: StateDistribution,
     if lowered < 0.0:
         return None
     A = _level_from_below(pi[support], c[support], delta)
-    B = _level_from_above(pi[support], c[support], lowered)
+    # sum (c - B pi)_+ = lowered is the level from below of -c, negated
+    B = (-_level_from_below(pi[support], -c[support], lowered)
+         if lowered > 0.0 else math.inf)
     zeta = np.zeros(z_max + 1)
     zeta[support] = np.clip(c[support], A * pi[support], B * pi[support])
     return StateDistribution(zeta / zeta.sum(), z_max)

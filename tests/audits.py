@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from meanfield_ldp.cost import (FluxTrajectory, _recover, concatenate,
+from meanfield_ldp.cost import (FluxTrajectory, _recover,
                                 cost_nonvariational, evolve)
 from meanfield_ldp.measures import (SampledPath, StateDistribution,
                                     entropy_projection, in_class_KDelta,
@@ -32,9 +32,7 @@ from meanfield_ldp.measures import (SampledPath, StateDistribution,
                                     tv_distance)
 from meanfield_ldp.mckean_vlasov import StiffnessError, flows
 from meanfield_ldp.models import AffineRate, EdgeKind, RateModel
-from meanfield_ldp.quasipotential import (PhaseOrderingError,
-                                          _require_reset_model, choose_z0,
-                                          connector)
+from meanfield_ldp.quasipotential import _require_reset_model, connector
 
 
 def affine_rate(rate: AffineRate, z, xi: np.ndarray):
@@ -162,20 +160,23 @@ def descend_to_equilibrium(model: RateModel, xi_star: StateDistribution,
     _require_reset_model(model)
     z_max = nu.z_max
     if in_class_KDelta(nu, xi_star, delta):
-        return connector(model, nu, xi_star, choose_z0(xi_star))
+        return connector(nu, xi_star)
     horizon = 10.0 / model.lambda_lower
     path, = flows(model, [nu], [horizon], tol=1e-10)
     kt = next((k for k in range(1, path.times.size)
                if in_class_KDelta(StateDistribution(path.probs[k], z_max),
                                   xi_star, delta)), None)
     if kt is None:
-        raise PhaseOrderingError(
+        raise RuntimeError(
             f"flow did not reach K({delta}) within horizon {horizon}")
     flow = flux_from_path(model, SampledPath(path.times[:kt + 1],
                                              path.probs[:kt + 1]))
     entry = evolve(flow).final_distribution()
-    tail = connector(model, entry, xi_star, choose_z0(xi_star))
-    return concatenate(flow, tail)
+    tail = connector(entry, xi_star)
+    return FluxTrajectory(
+        flow.initial, flow.kind,
+        np.concatenate([flow.durations, tail.durations]),
+        np.concatenate([flow.fluxes, tail.fluxes]))
 
 
 def drift_reference(model: RateModel, probs: np.ndarray) -> np.ndarray:

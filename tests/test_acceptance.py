@@ -27,7 +27,7 @@ from meanfield_ldp.models import (interacting_wlan_model, mm1_model,
                                   single_particle_stationary, wlan_const_model,
                                   wlan_decay_model)
 from meanfield_ldp.cost import cost_nonvariational, cost_variational, evolve
-from meanfield_ldp.quasipotential import (choose_z0, cm_bound, connector,
+from meanfield_ldp.quasipotential import (cm_bound, connector,
                                           construct_delta0_to_target,
                                           construct_equilibrium_to_delta0,
                                           counterexample_report,
@@ -253,15 +253,15 @@ def test_criterion_06_moment_inequality():
         for _ in range(20):
             w = rng.dirichlet(np.ones(z_max + 1) * 0.7)
             xi = StateDistribution(w, z_max)
-            trajs.append(construct_delta0_to_target(model, xi))
+            trajs.append(construct_delta0_to_target(xi))
         for _ in range(10):
             w = rng.dirichlet(np.ones(z_max + 1) * 2.0)
             xi = StateDistribution(w, z_max)
-            trajs.append(connector(model, xi_star, xi, choose_z0(xi)))
+            trajs.append(connector(xi_star, xi))
         for _ in range(10):
             w = rng.dirichlet(np.ones(z_max + 1) * 1.5)
             start = StateDistribution(w, z_max)
-            trajs.append(construct_equilibrium_to_delta0(model, start))
+            trajs.append(construct_equilibrium_to_delta0(start))
         for _ in range(10):
             trajs.append(_random_feasible_trajectory(model, rng, 12, 1.5))
         trajs.append(descend_to_equilibrium(
@@ -291,7 +291,7 @@ def test_criterion_07_small_cost_connection():
         p = (1 - w) * xi_star.probs
         p[8] += w
         target = StateDistribution(p, 25)
-        traj = connector(model, xi_star, target, choose_z0(target))
+        traj = connector(xi_star, target)
         cost = cost_nonvariational(model, traj)
         consts.append(cost / (eps * math.log(1.0 / eps)))
     C = max(consts)

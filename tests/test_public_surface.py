@@ -11,6 +11,7 @@ its module; a method is referenced by attribute access.  Code that only
 the tests need lives in the tests (the paper's audits are in
 ``tests/audits.py``)."""
 import ast
+import builtins
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -104,3 +105,31 @@ def test_every_public_name_has_a_caller():
     assert not unused, (f"module-level names that only tests reach: "
                         f"{unused}; delete them, give them a caller, or "
                         "move them into the tests")
+
+
+
+def test_every_exception_class_is_raised():
+    """Every exception class of ``src/`` has a ``raise`` left there: a
+    class that nothing raises names an error no caller can meet."""
+    bases, raised = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [b.id for b in node.bases
+                                    if isinstance(b, ast.Name)]
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = getattr(node.exc, "func", node.exc)
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+
+    def is_exception(name: str) -> bool:
+        builtin = getattr(builtins, name, None)
+        if isinstance(builtin, type):
+            return issubclass(builtin, BaseException)
+        return any(map(is_exception, bases.get(name, ())))
+
+    exceptions = set(filter(is_exception, bases))
+    assert exceptions
+    assert not exceptions - raised, (
+        f"exception classes that src/ never raises: "
+        f"{sorted(exceptions - raised)}")

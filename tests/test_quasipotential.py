@@ -1,8 +1,11 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from audits import descend_to_equilibrium, moment_inequality_check
 from meanfield_ldp.measures import (StateDistribution, theta_moment,
@@ -10,11 +13,11 @@ from meanfield_ldp.measures import (StateDistribution, theta_moment,
 from meanfield_ldp.mckean_vlasov import find_equilibrium
 from meanfield_ldp.models import (single_particle_stationary,
                                   wlan_const_model)
+from meanfield_ldp import quasipotential
 from meanfield_ldp.cli import _corpus_targets
-from meanfield_ldp.cost import (_plan_costs, _segment_costs, concatenate,
+from meanfield_ldp.cost import (FluxTrajectory, _plan_costs, _segment_costs,
                                 cost_nonvariational, evolve)
-from meanfield_ldp.quasipotential import (_refine_witness,
-                                          choose_z0, cm_bound, connector,
+from meanfield_ldp.quasipotential import (_refine_witness, cm_bound, connector,
                                           construct_delta0_to_target,
                                           construct_equilibrium_to_delta0,
                                           counterexample_report,
@@ -26,15 +29,13 @@ from meanfield_ldp.quasipotential import (_refine_witness,
 # -- staircase-up construction ------------------------------------------------
 
 def test_delta0_to_delta0_empty(wlan_decay):
-    traj = construct_delta0_to_target(wlan_decay,
-                                      StateDistribution.delta(0, 10))
+    traj = construct_delta0_to_target(StateDistribution.delta(0, 10))
     assert traj.durations.size == 0
     assert cost_nonvariational(wlan_decay, traj) == 0.0
 
 
 def test_delta0_to_delta2(wlan_decay):
-    traj = construct_delta0_to_target(wlan_decay,
-                                      StateDistribution.delta(2, 10))
+    traj = construct_delta0_to_target(StateDistribution.delta(2, 10))
     assert traj.duration == pytest.approx(2.0, abs=1e-15)
     end = evolve(traj).final_distribution()
     assert tv_distance(end, StateDistribution.delta(2, 10)) < 1e-12
@@ -42,7 +43,7 @@ def test_delta0_to_delta2(wlan_decay):
 
 def test_delta0_to_geometric_cost_below_cm(wlan_decay):
     xi = StateDistribution.from_weights(0.5 ** np.arange(41), 40)
-    traj = construct_delta0_to_target(wlan_decay, xi)
+    traj = construct_delta0_to_target(xi)
     end = evolve(traj).final_distribution()
     assert tv_distance(end, xi) < 1e-12
     assert traj.duration == pytest.approx(
@@ -54,14 +55,13 @@ def test_delta0_to_geometric_cost_below_cm(wlan_decay):
 # -- sweep-down construction ----------------------------------------------------
 
 def test_equilibrium_to_delta0_empty(wlan_decay):
-    traj = construct_equilibrium_to_delta0(wlan_decay,
-                                           StateDistribution.delta(0, 10))
+    traj = construct_equilibrium_to_delta0(StateDistribution.delta(0, 10))
     assert traj.durations.size == 0
 
 
 def test_equilibrium_to_delta0_geometric(wlan_decay):
     xi = StateDistribution.from_weights(0.5 ** np.arange(31), 30)
-    traj = construct_equilibrium_to_delta0(wlan_decay, xi)
+    traj = construct_equilibrium_to_delta0(xi)
     end = evolve(traj).final_distribution()
     assert tv_distance(end, StateDistribution.delta(0, 30)) < 1e-12
     # proof-style bound: sum xi(z) [log(1/xi(z)) + log(1/lब) + 2 ub]
@@ -75,7 +75,7 @@ def test_equilibrium_to_delta0_geometric(wlan_decay):
 
 def test_connector_identity(wlan_decay):
     xi_star = find_equilibrium(wlan_decay, 25)
-    traj = connector(wlan_decay, xi_star, xi_star, choose_z0(xi_star))
+    traj = connector(xi_star, xi_star)
     assert cost_nonvariational(wlan_decay, traj) < 1e-8
 
 
@@ -87,7 +87,7 @@ def test_connector_small_perturbation(wlan_decay):
     p[0] -= eps
     target = StateDistribution(p, 25)
     assert tv_distance(target, xi_star) == pytest.approx(eps, abs=1e-12)
-    traj = connector(wlan_decay, xi_star, target, choose_z0(target))
+    traj = connector(xi_star, target)
     end = evolve(traj).final_distribution()
     assert tv_distance(end, target) < 1e-10
     assert cost_nonvariational(wlan_decay, traj) < 0.05
@@ -106,7 +106,7 @@ def test_connector_scaling(wlan_decay):
         target = StateDistribution(p, 25)
         gap = abs(theta_moment(target) - theta_moment(xi_star))
         assert gap == pytest.approx(eps, rel=1e-6)
-        traj = connector(wlan_decay, xi_star, target, choose_z0(target))
+        traj = connector(xi_star, target)
         cost = cost_nonvariational(wlan_decay, traj)
         consts.append(cost / (eps * math.log(1.0 / eps)))
     assert all(c > 0 for c in consts)
@@ -119,9 +119,64 @@ def test_connector_interacting(interacting):
     p[5] += 5e-3
     p[1] -= 5e-3
     target = StateDistribution(p, 25)
-    traj = connector(interacting, xi_star, target, choose_z0(target))
+    traj = connector(xi_star, target)
     end = evolve(traj).final_distribution()
     assert tv_distance(end, target) < 1e-10
+
+
+def _random_law(kind, z_max, rng):
+    """A law on {0..z_max}: Dirichlet, a few point masses off state 0, a
+    geometric tail falling to 1e-1..1e-40 at z_max with holes, or a
+    Dirichlet head with masses down to 1e-40 above it."""
+    n = z_max + 1
+    if kind == "dirichlet":
+        w = rng.dirichlet(np.full(n, rng.uniform(0.05, 3.0)))
+    elif kind == "points":
+        w = np.zeros(n)
+        w[1 + rng.choice(z_max, min(z_max, rng.integers(1, 4)),
+                         replace=False)] = 1.0
+    elif kind == "holes":
+        w = 10.0 ** (-rng.uniform(1.0, 40.0) * np.arange(n) / z_max)
+        holes = rng.random(n) < 0.3
+        holes[rng.integers(n)] = False
+        w[holes] = 0.0
+    else:
+        w = rng.dirichlet(np.ones(n))
+        k = rng.integers(n)
+        w[k + 1:] = 10.0 ** rng.uniform(-40.0, -8.0, z_max - k)
+    return StateDistribution.from_weights(w, z_max)
+
+
+_LAWS = st.sampled_from(["dirichlet", "points", "holes", "tiny"])
+
+
+@st.composite
+def _pairs(draw):
+    z_max = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return (_random_law(draw(_LAWS), z_max, rng),
+            _random_law(draw(_LAWS), z_max, rng))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pairs())
+def test_witness_plans_reach_any_target(pair):
+    """The connector never raises and ends within 1e-10 TV of its
+    target, and the glued candidate of v_upper_bound, its two legs
+    stacked, ends within 1e-9 of its target."""
+    from_, to = pair
+    end = evolve(connector(from_, to)).final_distribution()
+    assert tv_distance(end, to) <= 1e-10
+    candidates = []
+
+    def spy(model, traj):
+        candidates.append(traj)
+        return _plan_costs(model, traj)
+
+    with mock.patch.object(quasipotential, "_plan_costs", spy):
+        v_upper_bound(wlan_const_model(1.0, 1.0), from_, to)
+    end = evolve(candidates[0]).final_distribution()
+    assert tv_distance(end, to) <= 1e-9
 
 
 # -- descent ----------------------------------------------------------------------------
@@ -179,7 +234,7 @@ def test_glued_plan_beats_the_connector():
     model = wlan_const_model(0.5, 3.0)
     xi_star = find_equilibrium(model, 20)
     xi, = _corpus_targets(xi_star, 20.0, 1, seed=3)
-    direct = connector(model, xi_star, xi, choose_z0(xi))
+    direct = connector(xi_star, xi)
     assert v_upper_bound(model, xi_star, xi).upper \
         < cost_nonvariational(model, direct)
 
@@ -200,8 +255,11 @@ def test_refine_takes_the_winners_idle_cost():
     model = wlan_const_model(0.5, 3.0)
     xi_star = find_equilibrium(model, 20)
     xi, = _corpus_targets(xi_star, 20.0, 1, seed=3)
-    glued = concatenate(construct_equilibrium_to_delta0(model, xi_star),
-                        construct_delta0_to_target(model, xi))
+    down = construct_equilibrium_to_delta0(xi_star)
+    up = construct_delta0_to_target(xi)
+    glued = FluxTrajectory(xi_star, down.kind,
+                           np.concatenate([down.durations, up.durations]),
+                           np.concatenate([down.fluxes, up.fluxes]))
     plain = v_upper_bound(model, xi_star, xi)
     assert plain.upper == cost_nonvariational(model, glued)
     polished = _refine_recomputing_B(model, glued)

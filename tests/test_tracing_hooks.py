@@ -34,8 +34,7 @@ def test_every_hook_binds_its_function(mm1, wlan_const, interacting):
     covered = set()
 
     name = "cost.cost_nonvariational"
-    plan = construct_delta0_to_target(wlan_const,
-                                      StateDistribution.delta(2, 10))
+    plan = construct_delta0_to_target(StateDistribution.delta(2, 10))
     _, attrs = _hooked(hooks, name, cost.cost_nonvariational, wlan_const, plan)
     assert attrs == {"plan": id(plan), "segments": 2}
     covered.add(name)
