@@ -41,12 +41,13 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .measures import SampledPath, StateDistribution, theta_values
+from .measures import SampledPath, StateDistribution, _one_window, theta_values
 from .models import EdgeKind, EdgeNotPresentError, RateModel, edge_list
 
 _E = math.e
@@ -57,7 +58,8 @@ _ALPHA_CAP = 50.0
 # of thousands of near-zero-cost intervals cheap
 _GL_LADDER = (2, 4, 8, 16, 32, 64)
 _QUADRATURE_TOL = 1e-9
-# nodes per batched dual solve: bounds the node arrays
+# nodes per batched dual solve and segments per batched plan costing:
+# bounds their arrays
 _CHUNK = 256
 
 
@@ -210,21 +212,46 @@ def _segment_costs(model: RateModel, fluxes: np.ndarray, P0: np.ndarray,
     return out[0], out[1]
 
 
-def _plan_costs(model: RateModel, traj: FluxTrajectory
-                ) -> tuple[float, np.ndarray]:
-    """:func:`cost_nonvariational` and every segment's all-idle cost B,
-    from one :func:`_segment_costs` call."""
-    # the two edge kinds share every edge but the backward ones out of z >= 2
-    if traj.kind is not model.kind and traj.fluxes[:, traj.z_max + 1:].any():
-        raise EdgeNotPresentError(f"plan has flux on {traj.kind.value} edges "
-                                  f"not in {model.kind.value}")
-    P = evolve(traj).probs
-    costs, idle = _segment_costs(model, traj.fluxes, P[:-1], P[1:],
-                                 traj.durations)
-    total = 0.0
-    for c in costs.tolist():  # in segment order; an inf cost makes it inf
-        total += c
-    return total, idle
+def _packs(items: Iterable, size: Callable[..., int]
+           ) -> Iterator[tuple[list, np.ndarray]]:
+    """Consecutive runs of ``items``, taken lazily, of total ``size`` at
+    most ``_CHUNK`` (an item above it runs alone), each with the offsets
+    that split its stacked rows back into items."""
+    pack, sizes = [], []
+    for item in items:
+        if pack and sum(sizes) + size(item) > _CHUNK:
+            yield pack, np.cumsum(sizes)[:-1]
+            pack, sizes = [], []
+        pack.append(item)
+        sizes.append(size(item))
+    if pack:
+        yield pack, np.cumsum(sizes)[:-1]
+
+
+def _plan_costs(model: RateModel, trajs: list[FluxTrajectory]
+                ) -> list[tuple[float, np.ndarray]]:
+    """:func:`cost_nonvariational` and every segment's all-idle cost B of
+    each plan (all on one window), consecutive plans in one
+    :func:`_segment_costs` call (:func:`_packs`)."""
+    out = []
+    for plans, cuts in _packs(trajs, lambda traj: traj.durations.size):
+        for t in plans:
+            # the kinds share every edge but the backward ones out of z >= 2
+            if t.kind is not model.kind and t.fluxes[:, t.z_max + 1:].any():
+                raise EdgeNotPresentError(f"plan has flux on {t.kind.value} "
+                                          f"edges not in {model.kind.value}")
+        P = [evolve(t).probs for t in plans]
+        costs, idle = _segment_costs(
+            model, np.concatenate([t.fluxes for t in plans]),
+            np.concatenate([p[:-1] for p in P]),
+            np.concatenate([p[1:] for p in P]),
+            np.concatenate([t.durations for t in plans]))
+        for row, B in zip(np.split(costs, cuts), np.split(idle, cuts)):
+            total = 0.0
+            for c in row.tolist():  # in segment order; an inf cost makes it inf
+                total += c
+            out.append((total, B))
+    return out
 
 
 def cost_nonvariational(model: RateModel, traj: FluxTrajectory) -> float:
@@ -237,7 +264,7 @@ def cost_nonvariational(model: RateModel, traj: FluxTrajectory) -> float:
     segment costs in closed form.  The segment costs, from one batched
     pass, are added in segment order.
     """
-    return _plan_costs(model, traj)[0]
+    return _plan_costs(model, [traj])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +298,10 @@ def _edge_weights(model: RateModel, P: np.ndarray) -> np.ndarray:
 # 1..z_max is then tridiagonal (a reset edge (z, 0) adds to the diagonal
 # only), and one Thomas pass, a loop over the states with vector operations
 # over the nodes, solves it for every node.  The stacked kernels repeat the
-# single-node float operations (per-row sums and dot products, ufunc.at
-# gradient assembly in edge order), so every node's iterates equal those of
-# a solve of that node alone within the tolerances of the single-node oracle
-# test.
+# single-node float operations (per-row sums and dot products, gradient
+# assembly in edge order), so every node's iterates equal those of a solve
+# of that node alone within the tolerances of the single-node oracle test,
+# and do not depend on which other nodes share the stack.
 
 def _dual_value(edges: tuple[np.ndarray, np.ndarray], A: np.ndarray,
                 Psi: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -403,18 +430,21 @@ def _dual_chunk(model: RateModel, P: np.ndarray, Psi: np.ndarray,
                 alpha: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     B = P.shape[0]
-    src, dst = edges = edge_list(model.kind, P.shape[1] - 1)
+    m = P.shape[1] - 1
+    src, dst = edges = edge_list(model.kind, m)
     W = _edge_weights(model, np.clip(P, 0.0, None))
     cur = _dual_value(edges, alpha, Psi, W)
     converged = np.zeros(B, dtype=bool)
     live = np.arange(B)
-    rows = slice(None)
     for _ in range(_MAX_ITER):
         A, psi, w, c = alpha[live], Psi[live], W[live], cur[live]
         ew = np.exp(A[:, dst] - A[:, src]) * w
+        # out-edges in, then the in-edge out, in flux-column order; g[:, 0]
+        # is never read (the gauge pins alpha_0, gradient steps zero it)
         g = psi.copy()
-        np.add.at(g, (rows, src), ew)
-        np.subtract.at(g, (rows, dst), ew)
+        g[:, :m] += ew[:, :m]
+        g[:, 1:] += ew[:, m:]
+        g[:, 1:] -= ew[:, :m]
         # a state parked at the box with its gradient pointing out of it
         # is KKT-converged and held there
         a, gz = A[:, 1:], g[:, 1:]
@@ -484,37 +514,61 @@ def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 1.0 / ((1.0 - x * x) * dp * dp)
 
 
-def cost_variational(model: RateModel, path: SampledPath) -> float:
-    """Variational cost of a sampled path, taken as piecewise affine.
+def _dual_lockstep(model: RateModel, stacks: Iterable[tuple]
+                   ) -> Iterator[tuple]:
+    """Yields each of the lazy per-path stacks (fields, slopes, start or
+    None, *rest) with its :func:`_dual_maximize` result, the nodes of
+    consecutive paths in one call (:func:`_packs`); no node's result
+    depends on the nodes it shares a stack with."""
+    for pack, cuts in _packs(stacks, lambda stack: stack[0].shape[0]):
+        P, Psi, start = zip(*(stack[:3] for stack in pack))
+        solved = _dual_maximize(
+            model, np.concatenate(P), np.concatenate(Psi),
+            None if start[0] is None else np.concatenate(start))
+        yield from zip(pack, zip(*(np.split(x, cuts) for x in solved)))
+
+
+def cost_variational(model: RateModel, paths: list[SampledPath]
+                     ) -> list[float]:
+    """Variational cost of each sampled path (all on one window), taken
+    as piecewise affine.
 
     Each positive-length interval takes the m-point Gauss-Legendre rule
-    (field interpolated affinely, the interval's slope kept), every node
-    of one m in one batched solve, for m along ``_GL_LADDER`` until the
-    value changes by less than ``_QUADRATURE_TOL``.  A warning names the
-    last m and change (the error estimate) if the ladder ends unsettled
-    or a node unconverged."""
-    k, dt, psi = _intervals(path.times, path.probs)
-    start, step = path.probs[k], path.probs[k + 1] - path.probs[k]
-    total = change = math.inf
+    (field interpolated affinely, the interval's slope kept), for m along
+    ``_GL_LADDER`` until the path's value changes by less than
+    ``_QUADRATURE_TOL``, the paths not yet settled in lockstep.  A warning
+    names a path's last m and change (the error estimate) if its ladder
+    ends unsettled or a node unconverged."""
+    n = _one_window(paths) + 1
+    grids = [_intervals(path.times, path.probs) for path in paths]
+    total, last = [math.inf] * len(paths), [None] * len(paths)
+    live = range(len(paths))
     for m in _GL_LADDER:
         x, w = _gauss_legendre(m)
-        P = start[:, None] + x[:, None] * step[:, None]  # (intervals, m, n)
-        vals, _, ok = _dual_maximize(model, P.reshape(-1, path.z_max + 1),
-                                     np.repeat(psi, m, axis=0))
-        prev, total = total, float(dt @ (vals.reshape(-1, m) @ w))
-        change = abs(total - prev)
-        if change < _QUADRATURE_TOL:
-            break
-    if change >= _QUADRATURE_TOL or not ok.all():
-        warnings.warn(f"variational cost: Gauss-Legendre m={m}, last change "
-                      f"{change:.1e}, {int(np.sum(~ok))} of {ok.size} nodes "
-                      "unconverged", RuntimeWarning)
-    return max(total, 0.0)
+
+        def stacks():
+            for i in live:
+                (k, dt, psi), probs = grids[i], paths[i].probs
+                start, step = probs[k], probs[k + 1] - probs[k]
+                P = start[:, None] + x[:, None] * step[:, None]  # (k, m, n)
+                yield P.reshape(-1, n), np.repeat(psi, m, axis=0), None, i, dt
+
+        for (*_, i, dt), (vals, _, ok) in _dual_lockstep(model, stacks()):
+            prev, total[i] = total[i], float(dt @ (vals.reshape(-1, m) @ w))
+            last[i] = m, abs(total[i] - prev), ok
+        live = [i for i in live if not last[i][1] < _QUADRATURE_TOL]
+    for m, change, ok in last:
+        if change >= _QUADRATURE_TOL or not ok.all():
+            warnings.warn(f"variational cost: Gauss-Legendre m={m}, last "
+                          f"change {change:.1e}, {int(np.sum(~ok))} of "
+                          f"{ok.size} nodes unconverged", RuntimeWarning)
+    return [max(t, 0.0) for t in total]
 
 
-def _recover(model: RateModel, path: SampledPath, refine: int | None
-             ) -> tuple[FluxTrajectory, float]:
-    """Minimal-cost flux plan consistent with the path slopes, and its cost.
+def _recover(model: RateModel, paths: list[SampledPath], refine: int | None
+             ) -> list[tuple[FluxTrajectory, float]]:
+    """Minimal-cost flux plan consistent with each path's slopes (all
+    paths on one window), and its cost.
 
     Flux balance alone underdetermines the per-edge split; the
     dual-optimal alpha resolves it through h = exp(d alpha) - 1, so
@@ -522,41 +576,39 @@ def _recover(model: RateModel, path: SampledPath, refine: int | None
     path.  Each interval becomes one segment per refinement piece with
     fluxes exp(d alpha) * lambda * phi evaluated at the piece midpoint,
     in the edge order of the plan's flux columns.  Without ``refine``
-    the piece count doubles until the control cost settles.
+    each path's piece count doubles, each piece's alpha starting both
+    its halves, until its control cost settles; unsettled paths run in
+    lockstep.
     """
-    times, probs = path.times, path.probs
-    z_max = path.z_max
+    z_max = _one_window(paths)
     src, dst = edge_list(model.kind, z_max)
+    plans, alphas = [None] * len(paths), [None] * len(paths)
+    costs, change = [math.inf] * len(paths), [math.inf] * len(paths)
+    live = list(range(len(paths)))
+    ladder = [2 ** level for level in range(10)] if refine is None else [refine]
+    for pieces in ladder:
 
-    def build(pieces: int, start: np.ndarray | None = None
-              ) -> tuple[FluxTrajectory, np.ndarray]:
-        t2, p2 = _refine_grid(times, probs, pieces)
-        k, dt, psi = _intervals(t2, p2)
-        mid = np.clip(0.5 * (p2[k] + p2[k + 1]), 0.0, None)
-        _, alpha, ok = _dual_maximize(model, mid, psi, start)
-        if not ok.all():
-            warnings.warn(f"flux recovery: inner ascent flagged at "
-                          f"{int(np.sum(~ok))} of {ok.size} nodes",
-                          RuntimeWarning)
-        F = np.exp(alpha[:, dst] - alpha[:, src]) * _edge_weights(model, mid)
-        p0 = np.clip(probs[0], 0.0, None)
-        init = StateDistribution(p0 / p0.sum(), z_max)
-        return FluxTrajectory(init, model.kind, dt, F), alpha
+        def stacks():
+            for i in live:
+                t2, p2 = _refine_grid(paths[i].times, paths[i].probs, pieces)
+                k, dt, psi = _intervals(t2, p2)
+                a = alphas[i]
+                yield (np.clip(0.5 * (p2[k] + p2[k + 1]), 0.0, None), psi,
+                       None if a is None else np.repeat(a, 2, axis=0), i, dt)
 
-    if refine is not None:
-        traj = build(refine)[0]
-        return traj, cost_nonvariational(model, traj)
-    # refine until the recovered control cost stabilises; each level
-    # halves every piece of the last, whose alpha starts both halves
-    prev_traj, alpha = build(1)
-    prev_cost = cost_nonvariational(model, prev_traj)
-    for level in range(1, 10):
-        cand, alpha = build(2 ** level, np.repeat(alpha, 2, axis=0))
-        c = cost_nonvariational(model, cand)
-        if abs(c - prev_cost) < 2e-7:
-            return cand, c
-        prev_traj, prev_cost = cand, c
-    return prev_traj, prev_cost
+        for (mid, *_, i, dt), (_, alpha, ok) in _dual_lockstep(model, stacks()):
+            if not ok.all():
+                warnings.warn(f"flux recovery: inner ascent flagged at "
+                              f"{int(np.sum(~ok))} of {ok.size} nodes",
+                              RuntimeWarning)
+            F = np.exp(alpha[:, dst] - alpha[:, src]) * _edge_weights(model, mid)
+            p0 = np.clip(paths[i].probs[0], 0.0, None)
+            init = StateDistribution(p0 / p0.sum(), z_max)
+            plans[i], alphas[i] = FluxTrajectory(init, model.kind, dt, F), alpha
+        for i, (c, _) in zip(live, _plan_costs(model, [plans[i] for i in live])):
+            change[i], costs[i] = abs(c - costs[i]), c
+        live = [i for i in live if not change[i] < 2e-7]
+    return list(zip(plans, costs))
 
 
 # ---------------------------------------------------------------------------

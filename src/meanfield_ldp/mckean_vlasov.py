@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .measures import (SampledPath, StateDistribution,
-                       TruncationMismatchError, in_class_KDelta,
+                       TruncationMismatchError, _one_window, in_class_KDelta,
                        theta_moment, theta_values, tv_distance)
 from .models import RateModel, single_particle_stationary
 
@@ -73,9 +73,7 @@ def flows(model: RateModel, initials: list[StateDistribution],
     if T.shape != (len(initials),) or not (T > 0).all() or not tol > 0:
         raise ValueError("need one positive horizon per initial law and a "
                          "positive tol")
-    windows = sorted({nu.z_max for nu in initials})
-    if len(windows) > 1:
-        raise TruncationMismatchError(f"initial laws on windows {windows}")
+    _one_window(initials)
     drift = model.drift
     cap = dt_max if dt_max is not None else 0.25
     p = np.stack([nu.probs for nu in initials])

@@ -122,6 +122,14 @@ class SampledPath:
         return StateDistribution(p, self.z_max)
 
 
+def _one_window(items) -> int:
+    """The window z_max that all the laws or paths share (0 for none)."""
+    windows = sorted({item.z_max for item in items})
+    if len(windows) > 1:
+        raise TruncationMismatchError(f"inputs on windows {windows}")
+    return windows[0] if windows else 0
+
+
 def _check_same_window(a: StateDistribution, b: StateDistribution) -> None:
     if a.z_max != b.z_max:
         raise TruncationMismatchError(

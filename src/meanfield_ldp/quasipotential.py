@@ -240,7 +240,7 @@ def v_upper_bound(model: RateModel, xi_star: StateDistribution,
                            np.concatenate([down.fluxes, up.fluxes]))
     candidates = [glued, connector(xi_star, xi)]
 
-    costs, idles = zip(*(_plan_costs(model, t) for t in candidates))
+    costs, idles = zip(*_plan_costs(model, candidates))
     k = costs.index(min(costs))
     upper, best = costs[k], candidates[k]
     if refine:

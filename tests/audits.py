@@ -143,7 +143,7 @@ def flux_from_path(model: RateModel, path: SampledPath,
                    refine: int | None = None) -> FluxTrajectory:
     """The minimal-cost flux plan of a path: ``cost._recover`` without
     the plan's control cost."""
-    return _recover(model, path, refine)[0]
+    return _recover(model, [path], refine)[0][0]
 
 
 def descend_to_equilibrium(model: RateModel, xi_star: StateDistribution,

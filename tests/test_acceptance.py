@@ -168,7 +168,7 @@ def test_criterion_03_zero_cost_flow():
     nu = StateDistribution.from_weights(np.exp(-0.35 * np.arange(41)), 40)
     for model in models:
         path, = flows(model, [nu], [5.0], tol=1e-10, dt_max=0.002)
-        var = cost_variational(model, path)
+        var, = cost_variational(model, [path])
         plan = flux_from_path(model, path, refine=1)
         nonvar = cost_nonvariational(model, plan)
         worst_var = max(worst_var, var)
@@ -195,7 +195,7 @@ def test_criterion_04_duality():
         for _ in range(10):
             traj = _random_feasible_trajectory(model, rng, 10, 2.0)
             path = evolve(traj)
-            var = cost_variational(model, path)
+            var, = cost_variational(model, [path])
             rec = flux_from_path(model, path)
             nonvar = cost_nonvariational(model, rec)
             worst = max(worst, abs(var - nonvar))

@@ -456,8 +456,8 @@ from meanfield_ldp.models import mm1_model
 model = mm1_model(1.0, 2.0)
 traj = _random_feasible_trajectory(model, np.random.default_rng(0), 4, 0.5)
 path = evolve(traj)
-cost_variational(model, path)
-_recover(model, path, None)
+cost_variational(model, [path])
+_recover(model, [path], None)
 print(sorted(m for m in sys.modules
              if m.split(".")[:2] in (["numpy", "polynomial"], ["numpy", "ma"])))
 """

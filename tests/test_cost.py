@@ -10,7 +10,7 @@ from conftest import geometric
 from meanfield_ldp.cli import (_corpus_targets,
                                _random_feasible_trajectory)
 from meanfield_ldp.measures import (SampledPath, StateDistribution,
-                                    theta_values)
+                                    TruncationMismatchError, theta_values)
 from meanfield_ldp.mckean_vlasov import find_equilibrium, flows
 from meanfield_ldp.models import (AffineRate, EdgeKind, EdgeNotPresentError,
                                   RateModel, edge_list, mm1_model,
@@ -22,7 +22,7 @@ from meanfield_ldp.cost import (FluxTrajectory, InfeasibleTrajectoryError,
                                 testfunction_lower_bound)
 from meanfield_ldp import cost as cost_module
 from meanfield_ldp.quasipotential import v_upper_bound
-from meanfield_ldp.cost import (_ALPHA_CAP, _GL_LADDER,
+from meanfield_ldp.cost import (_ALPHA_CAP, _CHUNK, _GL_LADDER,
                                 _dual_maximize, _edge_weights,
                                 _gauss_legendre, _intervals, _mass_balance,
                                 _log_integral, _newton_step, _plan_costs,
@@ -507,7 +507,7 @@ def test_idle_costs_match_zero_flux_costing(request, which):
                                          *seg)
         assert idle.tolist() == zero.tolist() == zero_idle.tolist()
         assert np.all(idle > 0.0)
-        total, plan_idle = _plan_costs(model, traj)
+        (total, plan_idle), = _plan_costs(model, [traj])
         assert total == cost_nonvariational(model, traj)
         assert plan_idle.tolist() == idle.tolist()
 
@@ -761,22 +761,104 @@ def test_recovered_cost_is_the_plans_control_cost(mm1, monkeypatch):
     of levels and when it is not climbed (refine=1)."""
     costs = []
 
-    def spy(model, traj):
-        costs.append(cost_nonvariational(model, traj))
-        return costs[-1]
+    def spy(model, trajs):
+        out = _plan_costs(model, trajs)
+        costs.extend(c for c, _ in out)
+        return out
 
-    monkeypatch.setattr(cost_module, "cost_nonvariational", spy)
     for t_max, refine, settled in ((0.5, None, True), (8.0, None, False),
                                    (2.0, 1, None)):
         path = evolve(_random_feasible_trajectory(
             mm1, np.random.default_rng(0), 4, t_max))
         costs.clear()
-        plan, c = _recover(mm1, path, refine)
+        with monkeypatch.context() as patch:
+            patch.setattr(cost_module, "_plan_costs", spy)
+            (plan, c), = _recover(mm1, [path], refine)
         assert c == costs[-1] == cost_nonvariational(mm1, plan)
         if settled is not None:
             # ten costings: build(1) and the nine doubling levels
             assert (len(costs) < 10) == settled
             assert (abs(costs[-1] - costs[-2]) < 2e-7) == settled
+
+
+@pytest.mark.parametrize("name", ["wlan_const", "mm1"])
+def test_dual_nodes_do_not_depend_on_their_stack(request, name):
+    """Each node's value, alpha and flag come out bitwise the same
+    whichever nodes share its stack: per-path stacks solved alone against
+    their concatenation, permuted and crossing a _CHUNK boundary, from
+    alpha = 0 and from given starts.  The lockstep solves of
+    cost_variational and _recover rest on this."""
+    model = request.getfixturevalue(name)
+    rng = np.random.default_rng(6)
+    P, Psi = (np.concatenate(x)
+              for x in zip(*(_dual_nodes(model, 8, rng) for _ in range(2))))
+    assert P.shape[0] > _CHUNK
+    start = rng.uniform(-1.0, 1.0, P.shape)
+    start[:, 0] = 0.0
+    cuts = np.sort(rng.choice(np.arange(1, P.shape[0]), 6, replace=False))
+    order = rng.permutation(P.shape[0])
+    for A in (None, start):
+        pieces = zip(np.split(P, cuts), np.split(Psi, cuts),
+                     np.split(start, cuts))
+        alone = [_dual_maximize(model, p, s, None if A is None else a)
+                 for p, s, a in pieces]
+        joint = _dual_maximize(model, P[order], Psi[order],
+                               None if A is None else A[order])
+        for a, j in zip(zip(*alone), joint):
+            assert np.concatenate(a)[order].tobytes() == j.tobytes()
+
+
+@pytest.mark.parametrize("name", ["wlan_const", "mm1"])
+def test_lockstep_costs_match_per_path_calls(request, name, monkeypatch):
+    """cost_variational and _recover on a corpus give, bit for bit, what
+    they give on each path alone.  The paths settle at different
+    quadrature rungs and recovery levels, and some of them alone stack
+    more than _CHUNK nodes."""
+    model = request.getfixturevalue(name)
+    rng = np.random.default_rng(0)
+    paths = [evolve(_random_feasible_trajectory(model, rng, 4, t_max))
+             for t_max in (0.5, 2.0) * 3]
+    stacks = []
+
+    def spy(model, P, Psi, start=None):
+        stacks.append(P.shape[0])
+        return dual(model, P, Psi, start)
+
+    dual = cost_module._dual_maximize
+    monkeypatch.setattr(cost_module, "_dual_maximize", spy)
+    var, rec, rungs, levels, sizes = [], [], set(), set(), []
+    for path in paths:
+        var += cost_variational(model, [path])
+        rungs.add(len(stacks))
+        sizes += stacks
+        stacks.clear()
+        rec += _recover(model, [path], None)
+        levels.add(len(stacks))
+        sizes += stacks
+        stacks.clear()
+    assert len(rungs) >= 2 and len(levels) >= 2 and max(sizes) > _CHUNK
+    assert cost_variational(model, paths) == var
+    joint = _recover(model, paths, None)
+    assert [c for _, c in joint] == [c for _, c in rec]
+    for (plan, _), (ref, _) in zip(joint, rec):
+        assert plan.initial.probs.tobytes() == ref.initial.probs.tobytes()
+        assert plan.durations.tobytes() == ref.durations.tobytes()
+        assert plan.fluxes.tobytes() == ref.fluxes.tobytes()
+    # the corpus shared its solves: fewer calls than the paths alone made
+    assert len(stacks) < len(sizes)
+
+
+def test_lockstep_costs_take_one_window(wlan_const):
+    """Paths on two windows are refused; no paths cost nothing."""
+    rng = np.random.default_rng(0)
+    paths = [evolve(_random_feasible_trajectory(wlan_const, rng, z_max, 0.5))
+             for z_max in (4, 6)]
+    with pytest.raises(TruncationMismatchError):
+        cost_variational(wlan_const, paths)
+    with pytest.raises(TruncationMismatchError):
+        _recover(wlan_const, paths, None)
+    assert cost_variational(wlan_const, []) == []
+    assert _recover(wlan_const, [], None) == []
 
 
 @pytest.mark.parametrize("kind", [RESETS])
@@ -850,14 +932,14 @@ def test_variational_matches_trapezoid_richardson(request, name):
     rng = np.random.default_rng(8)
     for _ in range(3):
         path = evolve(_random_feasible_trajectory(model, rng, 6, 1.0))
-        var = cost_variational(model, path)
+        var, = cost_variational(model, [path])
         assert abs(var - _cost_variational_ref(model, path)) < 1e-8
 
 
 def test_variational_zero_on_flow(wlan_const):
     nu = StateDistribution.from_weights(np.exp(-0.4 * np.arange(21)), 20)
     path, = flows(wlan_const, [nu], [2.0], tol=1e-10, dt_max=0.004)
-    assert cost_variational(wlan_const, path) < 1e-6
+    assert cost_variational(wlan_const, [path])[0] < 1e-6
 
 
 def test_variational_nonnegative(wlan_const):
@@ -867,7 +949,7 @@ def test_variational_nonnegative(wlan_const):
     b[0] = a[0]
     b /= b.sum()
     probs = np.stack([a, b, a])
-    assert cost_variational(wlan_const, SampledPath(times, probs)) >= 0.0
+    assert cost_variational(wlan_const, [SampledPath(times, probs)])[0] >= 0.0
 
 
 def test_duality_crosscheck_small(mm1, wlan_const):
@@ -879,7 +961,7 @@ def test_duality_crosscheck_small(mm1, wlan_const):
         for model in (mm1, wlan_const):
             traj = _random_feasible_trajectory(model, rng, 6, 1.5)
             path = evolve(traj)
-            var = cost_variational(model, path)
+            var, = cost_variational(model, [path])
             rec = flux_from_path(model, path)
             nonvar = cost_nonvariational(model, rec)
             assert abs(var - nonvar) < 1e-5

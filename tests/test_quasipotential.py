@@ -169,9 +169,9 @@ def test_witness_plans_reach_any_target(pair):
     assert tv_distance(end, to) <= 1e-10
     candidates = []
 
-    def spy(model, traj):
-        candidates.append(traj)
-        return _plan_costs(model, traj)
+    def spy(model, trajs):
+        candidates.extend(trajs)
+        return _plan_costs(model, trajs)
 
     with mock.patch.object(quasipotential, "_plan_costs", spy):
         v_upper_bound(wlan_const_model(1.0, 1.0), from_, to)
@@ -295,7 +295,7 @@ def test_refined_segments_run_at_their_optimal_speed(request, which, slack):
     xi_star = find_equilibrium(model, 20)
     for xi in _corpus_targets(xi_star, 5.0, 3, seed=5):
         witness = v_upper_bound(model, xi_star, xi).witness
-        refined = _refine_witness(witness, _plan_costs(model, witness)[1])
+        refined = _refine_witness(witness, _plan_costs(model, [witness])[0][1])
         path = evolve(refined)
         for k, (d, row) in enumerate(zip(refined.durations, refined.fluxes)):
             seg = (model, d, row, path.probs[k], path.probs[k + 1])
