@@ -29,13 +29,12 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import json
 import os
 import shutil
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,8 +42,8 @@ import numpy as np
 from . import __version__
 from .cost import (FluxTrajectory, InfeasibleTrajectoryError, _edge_weights,
                    _mass_balance, _recover, cost_variational, evolve)
-from .measures import (StateDistribution, save_distribution_csv, theta_moment,
-                       theta_values)
+from .measures import (StateDistribution, _write_csv, _write_json,
+                       save_distribution_csv, theta_moment, theta_values)
 from .mckean_vlasov import (EquilibriumNotFoundError, StiffnessError, check_B2,
                             find_equilibrium, flows,
                             monotone_convergence_diagnostic,
@@ -302,25 +301,15 @@ def load_config(config_path: str | Path) -> ExperimentConfig:
 # Experiment bodies (each writes into a staging directory)
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _run_counterexample(cfg: ExperimentConfig, out: Path, threads: int) -> None:
     report = counterexample_report(cfg.model, cfg.values["k_list"],
                                    cfg.values["t"])
-    with open(out / "counterexample.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["K", "entropy", "theta_moment", "lb_linear", "lb_theta",
-                    "best_n"])
-        for r in report.rows:
-            w.writerow([r.K, _fmt(r.entropy), _fmt(r.theta_moment),
-                        _fmt(r.lb_linear), _fmt(r.lb_theta), r.best_n])
-    with open(out / "summary.json", "w") as fh:
-        json.dump({"divergence_ratio": report.divergence_ratio,
-                   "T": report.T, "model": report.model_name},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_csv(out / "counterexample.csv", ["K", "entropy", "theta_moment",
+                                            "lb_linear", "lb_theta", "best_n"],
+               map(astuple, report.rows))
+    _write_json(out / "summary.json",
+                {"divergence_ratio": report.divergence_ratio, "T": report.T,
+                 "model": report.model_name})
 
 
 def _make_event(cfg: ExperimentConfig):
@@ -353,24 +342,19 @@ def _run_mve_audit(cfg: ExperimentConfig, out: Path, threads: int) -> None:
     report = check_B2(xi_star, b2_paths, threshold=v["threshold"])
     t_hit = time_to_KDelta(xi_star, hit_path, v["delta"])
     monotone = monotone_convergence_diagnostic(xi_star, delta0_path)
-    with open(out / "b2_gaps.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "sup_theta_gap"])
-        for t, g in zip(report.grid, report.sup_gap):
-            w.writerow([_fmt(t), _fmt(g)])
+    _write_csv(out / "b2_gaps.csv", ["t", "sup_theta_gap"],
+               zip(report.grid, report.sup_gap))
     save_distribution_csv(xi_star, out / "equilibrium.csv")
-    with open(out / "audit.json", "w") as fh:
-        json.dump({
-            "terminal_gap": report.terminal_gap,
-            "threshold": report.threshold,
-            "passed": report.passed,
-            "n_samples": report.n_samples,
-            "time_to_KDelta_from_delta0": t_hit,
-            "tv_eventually_decreasing": monotone,
-            "verdict": "consistent with global stability over the sampled "
-                       "initial conditions",
-        }, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "audit.json", {
+        "terminal_gap": report.terminal_gap,
+        "threshold": report.threshold,
+        "passed": report.passed,
+        "n_samples": report.n_samples,
+        "time_to_KDelta_from_delta0": t_hit,
+        "tv_eventually_decreasing": monotone,
+        "verdict": "consistent with global stability over the sampled "
+                   "initial conditions",
+    })
 
 
 def _corpus_targets(xi_star: StateDistribution, M: float, n: int,
@@ -415,11 +399,8 @@ def _run_quasipotential_bounds(cfg: ExperimentConfig, out: Path,
         save_trajectory_and_bound(bound, out, tfile, wfile,
                                   f"vbound_{i:03d}.json")
         rows.append((i, bound.upper, bound.lower, cm, theta_moment(xi)))
-    with open(out / "bounds.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["target", "upper", "lower", "cm_bound", "theta_moment"])
-        for i, up, lo, cm, th in rows:
-            w.writerow([i, _fmt(up), _fmt(lo), _fmt(cm), _fmt(th)])
+    _write_csv(out / "bounds.csv",
+               ["target", "upper", "lower", "cm_bound", "theta_moment"], rows)
 
 
 def _random_feasible_trajectory(model: RateModel, rng: np.random.Generator,
@@ -452,12 +433,10 @@ def _run_duality_check(cfg: ExperimentConfig, out: Path, threads: int) -> None:
              for _ in range(cfg.values["n_trajectories"])]
     var = cost_variational(cfg.model, paths)
     nonvar = [c for _, c in _recover(cfg.model, paths, None)]
-    with open(out / "duality.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["trajectory", "variational", "nonvariational_recovered",
-                    "abs_gap"])
-        for i, (v, nv) in enumerate(zip(var, nonvar)):
-            w.writerow([i, _fmt(v), _fmt(nv), _fmt(abs(v - nv))])
+    _write_csv(out / "duality.csv", ["trajectory", "variational",
+                                     "nonvariational_recovered", "abs_gap"],
+               [(i, v, nv, abs(v - nv))
+                for i, (v, nv) in enumerate(zip(var, nonvar))])
 
 
 def _run_tightness_audit(cfg: ExperimentConfig, out: Path, threads: int) -> None:
@@ -540,9 +519,7 @@ def run(config_path: str | Path, threads: int | None = None,
         },
         "wall_time_s": wall,
     }
-    with open(staging / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(staging / "manifest.json", manifest)
 
     if final.exists():
         if final.is_dir() and (not any(final.iterdir())

@@ -47,7 +47,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .measures import SampledPath, StateDistribution, _one_window, theta_values
+from .measures import (SampledPath, StateDistribution, _one_window, _real,
+                       theta_values)
 from .models import EdgeKind, EdgeNotPresentError, RateModel, edge_list
 
 _E = math.e
@@ -655,9 +656,7 @@ def testfunction_lower_bound(model: RateModel, start: StateDistribution,
     """
     if n < 1 or T <= 0:
         raise ValueError("need n >= 1 and T > 0")
-    if start.z_max != target.z_max:
-        raise ValueError("start/target windows differ")
-    z_max = start.z_max
+    z_max = _one_window((start, target))
     lam_up = model.lambda_upper
     b_lin = 2.0 * (_E - 1.0) * lam_up
     if kind == "linear_fn":
@@ -689,13 +688,13 @@ def save_trajectory(traj: FluxTrajectory, path: str | Path) -> None:
         fh.write(f"n_segments,{traj.durations.size}\n")
         fh.write("initial\n")
         for z in range(traj.z_max + 1):
-            fh.write(f"{z},{format(float(traj.initial.probs[z]), '.17g')}\n")
+            fh.write(f"{z},{_real(traj.initial.probs[z])}\n")
         fh.write("end_initial\n")
         for d, row in zip(traj.durations.tolist(), traj.fluxes.tolist()):
-            fh.write(f"duration,{format(d, '.17g')}\n")
+            fh.write(f"duration,{_real(d)}\n")
             for z, zp, c in by_edge:
                 if row[c] > 0.0:
-                    fh.write(f"{z},{zp},{format(row[c], '.17g')}\n")
+                    fh.write(f"{z},{zp},{_real(row[c])}\n")
 
 
 def load_trajectory(path: str | Path) -> FluxTrajectory:

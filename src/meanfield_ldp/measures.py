@@ -16,11 +16,13 @@ operations require a common window.  This module provides:
   * relative entropy with a genuine ``inf`` sentinel on absolute
     continuity failure,
   * the membership predicate of the equilibrium neighbourhood class,
-  * the entropy (I-)projection onto a TV ball, in closed form.
+  * the entropy (I-)projection onto a TV ball, in closed form,
+  * the one CSV writer and the one JSON writer of every output file.
 """
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -130,12 +132,6 @@ def _one_window(items) -> int:
     return windows[0] if windows else 0
 
 
-def _check_same_window(a: StateDistribution, b: StateDistribution) -> None:
-    if a.z_max != b.z_max:
-        raise TruncationMismatchError(
-            f"z_max mismatch: {a.z_max} vs {b.z_max}")
-
-
 # ---------------------------------------------------------------------------
 # Metric and moments
 # ---------------------------------------------------------------------------
@@ -143,7 +139,7 @@ def _check_same_window(a: StateDistribution, b: StateDistribution) -> None:
 def tv_distance(a: StateDistribution, b: StateDistribution) -> float:
     """Total variation distance, half-L1 convention; clamped to [0, 1],
     since the sum can round above 1 for disjoint supports."""
-    _check_same_window(a, b)
+    _one_window((a, b))
     return min(1.0, 0.5 * float(np.abs(a.probs - b.probs).sum()))
 
 
@@ -166,7 +162,7 @@ def relative_entropy(zeta: StateDistribution, nu: StateDistribution) -> float:
     Returns the ``inf`` sentinel when zeta puts mass where nu does not
     (absolute continuity failure); this is a value, not an error.
     """
-    _check_same_window(zeta, nu)
+    _one_window((zeta, nu))
     zp, np_ = zeta.probs, nu.probs
     pos = zp > 0.0
     if np.any(np_[pos] == 0.0):
@@ -225,8 +221,7 @@ def entropy_projection(nu: StateDistribution, center: StateDistribution,
     """
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    _check_same_window(nu, center)
-    z_max = nu.z_max
+    z_max = _one_window((nu, center))
     nu_p, c = nu.probs, center.probs
     pi = nu_p / nu_p.sum()
     if 0.5 * float(np.abs(pi - c).sum()) <= delta:
@@ -245,15 +240,36 @@ def entropy_projection(nu: StateDistribution, center: StateDistribution,
 
 
 # ---------------------------------------------------------------------------
-# CSV interface:  header "z,prob", one row per state
+# Output files: every CSV and JSON file of the program goes through
+# _write_csv and _write_json
 # ---------------------------------------------------------------------------
 
-def save_distribution_csv(a: StateDistribution, path: str | Path) -> None:
+def _real(x: float) -> str:
+    """A real at 17 significant digits, which round-trips exactly."""
+    return format(float(x), ".17g")
+
+
+def _write_csv(path: str | Path, header: Sequence[str], rows) -> None:
+    """The header, then one line per row: reals (numpy's included)
+    through ``_real``, every other value as csv writes it."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["z", "prob"])
-        for z in range(a.z_max + 1):
-            w.writerow([z, format(float(a.probs[z]), ".17g")])
+        w.writerow(header)
+        w.writerows([_real(x) if isinstance(x, float) else x for x in row]
+                    for row in rows)
+
+
+def _write_json(path: str | Path, payload: dict) -> None:
+    """Sorted keys, a 2-space indent and a final newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+# CSV interface of a distribution: header "z,prob", one row per state
+
+def save_distribution_csv(a: StateDistribution, path: str | Path) -> None:
+    _write_csv(path, ["z", "prob"], enumerate(a.probs))
 
 
 def load_distribution_csv(path: str | Path) -> StateDistribution:

@@ -25,7 +25,6 @@ small perturbations of the equilibrium cheap.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,9 +34,9 @@ import numpy as np
 
 from .cost import (FluxTrajectory, _plan_costs, cost_nonvariational,
                    evolve, save_trajectory, testfunction_lower_bound)
-from .measures import (StateDistribution, relative_entropy,
-                       save_distribution_csv, theta_moment, theta_values,
-                       tv_distance)
+from .measures import (StateDistribution, _one_window, _write_json,
+                       relative_entropy, save_distribution_csv, theta_moment,
+                       theta_values, tv_distance)
 from .models import (EdgeKind, RateModel, is_counterexample,
                      single_particle_stationary)
 
@@ -112,9 +111,7 @@ def connector(from_: StateDistribution,
     Mass conservation keeps every intermediate mass nonnegative, so the
     one check is that the terminal state matches ``to`` within 1e-10.
     """
-    if from_.z_max != to.z_max:
-        raise ValueError("windows differ")
-    z_max, z0 = from_.z_max, choose_z0(to)
+    z_max, z0 = _one_window((from_, to)), choose_z0(to)
     if tv_distance(from_, to) == 0.0:
         return _unit_plan(from_, [])
     moves: list[tuple[float, int]] = []
@@ -370,21 +367,12 @@ def save_trajectory_and_bound(bound: VBound, out_dir: str | Path,
     out = Path(out_dir)
     save_distribution_csv(bound.target, out / target_file)
     save_trajectory(bound.witness, out / witness_file)
-    save_vbound(bound, out / bound_file, target_file, witness_file)
-
-
-def save_vbound(bound: VBound, path: str | Path, target_file: str,
-                witness_file: str) -> None:
-    payload = {
+    T, n, kind = bound.lower_params
+    _write_json(out / bound_file, {
         "target_file": target_file,
         "upper": bound.upper,
         "upper_note": "upper bound (unverified gap)",
         "lower": bound.lower,
         "witness_file": witness_file,
-        "lower_params": {"T": bound.lower_params[0],
-                         "n": bound.lower_params[1],
-                         "kind": bound.lower_params[2]},
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        "lower_params": {"T": T, "n": n, "kind": kind},
+    })

@@ -26,7 +26,6 @@ so exact stationary sampling is a single multinomial draw.
 """
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -35,7 +34,7 @@ from typing import Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
-from .measures import (StateDistribution, entropy_projection,
+from .measures import (StateDistribution, _write_csv, entropy_projection,
                        relative_entropy, theta_values, tv_distance)
 from .models import RateModel, backward_target, single_particle_stationary
 
@@ -484,11 +483,7 @@ def estimate_rate_curve(model: RateModel, event: Event, N_list: Sequence[int],
 # ---------------------------------------------------------------------------
 
 def save_rate_estimates(rows: Iterable[RateEstimate], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["N", "event", "p_hat", "ci_low", "ci_high", "rate",
-                    "seed", "algorithm"])
-        for r in rows:
-            w.writerow([r.N, r.event, format(r.p_hat, ".17g"),
-                        format(r.ci_low, ".17g"), format(r.ci_high, ".17g"),
-                        format(r.rate, ".17g"), r.seed, r.algorithm])
+    _write_csv(path, ["N", "event", "p_hat", "ci_low", "ci_high", "rate",
+                      "seed", "algorithm", "lower_bound_only"],
+               [(r.N, r.event, r.p_hat, r.ci_low, r.ci_high, r.rate, r.seed,
+                 r.algorithm, r.lower_bound_only) for r in rows])

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from audits import sanov_inf_over_ball
 from conftest import geometric
 from meanfield_ldp.measures import (StateDistribution,
-                                    TruncationMismatchError,
+                                    TruncationMismatchError, _write_csv,
                                     entropy_projection, in_class_KDelta,
                                     load_distribution_csv, relative_entropy,
                                     save_distribution_csv, theta_moment,
@@ -69,6 +70,8 @@ def test_tv_truncation_mismatch():
         tv_distance(delta(0, 5), delta(0, 6))
     with pytest.raises(TruncationMismatchError):
         entropy_projection(geometric(0.5, 5), delta(0, 6), 0.1)
+    with pytest.raises(TruncationMismatchError):
+        relative_entropy(delta(0, 5), delta(0, 6))
 
 
 # -- moments -------------------------------------------------------------------
@@ -270,6 +273,30 @@ def test_distribution_csv_rejects_malformed_input(tmp_path, text, match):
     f.write_text(text)
     with pytest.raises(ValueError, match=match):
         load_distribution_csv(f)
+
+
+def test_write_csv_layout(tmp_path):
+    f = tmp_path / "out.csv"
+    _write_csv(f, ["n", "name", "flag", "x"],
+               [(3, "ball(radius=0.1)", True, 0.5), (-2, "a b", False, 2.0)])
+    assert f.read_bytes() == (b"n,name,flag,x\r\n"
+                              b"3,ball(radius=0.1),True,0.5\r\n"
+                              b"-2,a b,False,2\r\n")
+
+
+def test_write_csv_reals_round_trip(tmp_path):
+    reals = [0.1, 1 / 3, 5e-324, 2.2250738585072014e-308, -0.0, math.inf,
+             -math.inf, np.float64(np.pi), np.nextafter(1.0, 2.0)]
+    f = tmp_path / "reals.csv"
+    _write_csv(f, ["x"], [[x] for x in reals])
+    with open(f, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["x"]
+    back = [float(x) for x, in rows[1:]]
+    assert [x.hex() for x in back] == [float(x).hex() for x in reals]
+    assert rows[1:4] == [["0.10000000000000001"], ["0.33333333333333331"],
+                         ["4.9406564584124654e-324"]]
+    assert rows[5:7] == [["-0"], ["inf"]]
 
 
 # -- property tests -----------------------------------------------------------------

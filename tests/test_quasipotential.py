@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from audits import descend_to_equilibrium, moment_inequality_check
-from meanfield_ldp.measures import (StateDistribution, theta_moment,
+from meanfield_ldp.measures import (StateDistribution,
+                                    TruncationMismatchError, theta_moment,
                                     theta_values, tv_distance)
 from meanfield_ldp.mckean_vlasov import find_equilibrium
 from meanfield_ldp.models import (single_particle_stationary,
@@ -16,7 +17,8 @@ from meanfield_ldp.models import (single_particle_stationary,
 from meanfield_ldp import quasipotential
 from meanfield_ldp.cli import _corpus_targets
 from meanfield_ldp.cost import (FluxTrajectory, _plan_costs, _segment_costs,
-                                cost_nonvariational, evolve)
+                                cost_nonvariational, evolve,
+                                testfunction_lower_bound)
 from meanfield_ldp.quasipotential import (_refine_witness, cm_bound, connector,
                                           construct_delta0_to_target,
                                           construct_equilibrium_to_delta0,
@@ -77,6 +79,14 @@ def test_connector_identity(wlan_decay):
     xi_star = find_equilibrium(wlan_decay, 25)
     traj = connector(xi_star, xi_star)
     assert cost_nonvariational(wlan_decay, traj) < 1e-8
+
+
+def test_connector_and_lower_bound_take_one_window(wlan_decay):
+    a, b = StateDistribution.delta(0, 5), StateDistribution.delta(1, 6)
+    with pytest.raises(TruncationMismatchError, match=r"\[5, 6\]"):
+        connector(a, b)
+    with pytest.raises(TruncationMismatchError, match=r"\[5, 6\]"):
+        testfunction_lower_bound(wlan_decay, a, b, 1.0, 2, "theta_n")
 
 
 def test_connector_small_perturbation(wlan_decay):

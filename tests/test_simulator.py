@@ -583,9 +583,14 @@ def test_gillespie_occupation_matches_iid_sampling(mm1):
 
 def test_rate_estimate_csv(tmp_path, mm1):
     rows = estimate_rate_curve(mm1, _whole_space(30), [10], 100, seed=0)
+    # a rule-of-three row is written as the bound it is
+    rows.append(simulator._rule_of_three("not_in_KM(M=2)", 100, 50, 0))
     f = tmp_path / "rates.csv"
     save_rate_estimates(rows, f)
     lines = f.read_text().splitlines()
-    assert lines[0] == "N,event,p_hat,ci_low,ci_high,rate,seed,algorithm"
+    assert lines[0] == ("N,event,p_hat,ci_low,ci_high,rate,seed,algorithm,"
+                        "lower_bound_only")
     assert lines[1].startswith("10,ball(radius=1),1,")
-    assert lines[1].endswith("philox4x64")
+    assert lines[1].endswith("philox4x64,False")
+    assert lines[2].startswith("50,not_in_KM(M=2),0,0,0.029999999999999999,")
+    assert lines[2].endswith("philox4x64,True")
