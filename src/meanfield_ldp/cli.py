@@ -350,7 +350,8 @@ def _run_mve_audit(cfg: ExperimentConfig, out: Path, threads: int) -> None:
         "threshold": report.threshold,
         "passed": report.passed,
         "n_samples": report.n_samples,
-        "time_to_KDelta_from_delta0": t_hit,
+        # null when the flow never enters K(delta): JSON has no inf
+        "time_to_KDelta_from_delta0": t_hit if np.isfinite(t_hit) else None,
         "tv_eventually_decreasing": monotone,
         "verdict": "consistent with global stability over the sampled "
                    "initial conditions",

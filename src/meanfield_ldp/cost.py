@@ -190,18 +190,16 @@ def _segment_costs(model: RateModel, fluxes: np.ndarray, P0: np.ndarray,
     the integral of lam * phi, and a flux f > 0 adds
     f (d (log f - 1) - int log lam - int log phi), inf where its source
     stays empty.  The masses are >= 0, as :func:`evolve` leaves them.
-    Sums run over full rows, so each segment's cost is bitwise the one
-    it has when costed alone."""
+    Each end's rates are ``RateWindow.at`` of its fields (the base row
+    of a family without coupling).  Sums run over full rows, so each
+    segment's cost is bitwise the one it has when costed alone."""
     z_max = P0.shape[1] - 1
-    # a non-interacting model's one table row serves both ends
-    fields = np.stack([P0, P1]) if model.interacting else None
     d = durations[:, None]
     out = np.zeros((2, durations.shape[0]))
-    for k, table in enumerate((model.forward_rates(z_max, fields),
-                               model.backward_rates(z_max, fields))):
+    for k, w in enumerate(model.window(z_max)):
         # column e of family k is the edge out of state e + k
-        lam0, lam1 = table[..., k:k + z_max] if model.interacting else (
-            table[k:k + z_max],) * 2
+        lam0 = w.at(P0)[..., k:k + z_max]
+        lam1 = w.at(P1)[..., k:k + z_max]
         a0, a1 = P0[:, k:k + z_max], P1[:, k:k + z_max]
         f = fluxes[:, k * z_max:(k + 1) * z_max]
         idle = d / 6.0 * (lam0 * (2.0 * a0 + a1) + lam1 * (a0 + 2.0 * a1))
@@ -287,10 +285,8 @@ _ROUNDING = 4e-16
 def _edge_weights(model: RateModel, P: np.ndarray) -> np.ndarray:
     """Edge weights lambda * phi for a (nodes, z_max+1) stack of fields,
     in flux-column order."""
-    z_max = P.shape[1] - 1
-    xi = P if model.interacting else None
-    return np.concatenate([(model.forward_rates(z_max, xi) * P)[:, :-1],
-                           (model.backward_rates(z_max, xi) * P)[:, 1:]],
+    fwd, back = model.window(P.shape[1] - 1)
+    return np.concatenate([(fwd.at(P) * P)[:, :-1], (back.at(P) * P)[:, 1:]],
                           axis=1)
 
 

@@ -260,9 +260,10 @@ def _write_csv(path: str | Path, header: Sequence[str], rows) -> None:
 
 
 def _write_json(path: str | Path, payload: dict) -> None:
-    """Sorted keys, a 2-space indent and a final newline."""
+    """Sorted keys, a 2-space indent and a final newline.  A non-finite
+    float raises ``ValueError``: JSON has no NaN or Infinity."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

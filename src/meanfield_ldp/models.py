@@ -106,11 +106,10 @@ class RateWindow(NamedTuple):
         """The rate table at a field, or one row per field of a
         (..., z_max+1) stack: base + xi(y) c_y, added in the declared
         order, so each row rounds as its field alone does.  Without
-        coupling it is the base itself."""
+        coupling it is the base row itself, which broadcasts."""
         out = self.base
         for y, c in self.coupling:
-            # the mass at y: a scalar of a field, a column of a stack
-            out = out + (xi[y] if xi.ndim == 1 else xi[..., y, None]) * c
+            out = out + xi[..., y, None] * c
         return out
 
 

@@ -141,16 +141,12 @@ def connector(from_: StateDistribution,
     # phase 2: carry eps up to z0+1
     if eps > _MASS_FLOOR:
         moves.extend(_staircase_up(z0 + 1, eps))
-        cur[0] -= eps
-        cur[z0 + 1] += eps
 
     # phase 3: distribute along the tail, top state first
     for z in range(z_max, z0 + 1, -1):
         m = float(to.probs[z])
         if m > _MASS_FLOOR:
             moves.extend(_staircase_up(z, m)[z0 + 1:])
-            cur[z0 + 1] -= m
-            cur[z] += m
 
     # phase 4: reconcile {1..z0}: surpluses down first, then deficits up
     for z in range(1, z0 + 1):
@@ -161,8 +157,6 @@ def connector(from_: StateDistribution,
         deficit = float(to.probs[z] - cur[z])
         if deficit > _MASS_FLOOR:
             moves.extend(_staircase_up(z, deficit))
-            cur[0] -= deficit
-            cur[z] += deficit
 
     traj = _unit_plan(from_, moves)
     end = evolve(traj).final_distribution()

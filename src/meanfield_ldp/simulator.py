@@ -212,8 +212,7 @@ def gillespie_step(work: JumpWorkspace, rng: np.random.Generator
     table = work.tables.get(key)
     if table is None:  # the first visit of these coupled counts
         xi = counts / work.N
-        table = work.tables[key] = np.array(
-            [w.at(xi) if w.coupling else w.base for w in work.window])
+        table = work.tables[key] = np.array([w.at(xi) for w in work.window])
     np.multiply(table, counts, out=work.weights)
     fwd_total, back_total = np.add.reduce(work.weights, axis=1)
     total = float(fwd_total + back_total)
@@ -343,13 +342,11 @@ def estimate_invariant_multi(model: RateModel, config: SimConfig,
 
 def _wilson(hits: int, n: int) -> tuple[float, float]:
     z = _Z975
-    if n == 0:
-        return 0.0, 1.0
     p = hits / n
     denom = 1.0 + z * z / n
     centre = (p + z * z / (2 * n)) / denom
     half = z * math.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
-    lo = 0.0 if hits == 0 else max(0.0, centre - half)
+    lo = max(0.0, centre - half)
     hi = 1.0 if hits == n else min(1.0, centre + half)
     return lo, hi
 
@@ -358,25 +355,26 @@ def _wilson(hits: int, n: int) -> tuple[float, float]:
 _CHUNK_ENTRIES = 2 ** 17
 
 
-def _draws(rng: np.random.Generator, N: int, probs: np.ndarray, n: int,
-           chunk: int) -> Iterator[np.ndarray]:
+def _draws(rng: np.random.Generator, N: int, probs: np.ndarray, n: int
+           ) -> Iterator[np.ndarray]:
     """n i.i.d. empirical measures of N draws from ``probs``, as stacks of
-    at most ``chunk`` rows.
+    at most ``_CHUNK_ENTRIES // probs.size`` rows (at least one).
 
-    Callers size ``chunk`` in entries, ``_CHUNK_ENTRIES // (z_max + 1)``
-    rows: a float64 stack is then 1 MiB, which stays in cache, and the
-    matvec an event or a likelihood ratio applies to it stays below
-    OpenBLAS's gemv threading cutoff (about 460,000 entries), above which
-    each product wakes BLAS threads that contend with the rate-curve pool
-    for the cores and runs an order of magnitude slower.  Multinomial draws
-    consume the stream row by row, so the chunk changes no estimate."""
+    A chunk sized in entries is 1 MiB of float64, which stays in cache,
+    and the matvec an event or a likelihood ratio applies to it stays
+    below OpenBLAS's gemv threading cutoff (about 460,000 entries), above
+    which each product wakes BLAS threads that contend with the
+    rate-curve pool for the cores and runs an order of magnitude slower.
+    Multinomial draws consume the stream row by row, so the chunk changes
+    no estimate."""
+    chunk = max(1, _CHUNK_ENTRIES // probs.size)
     for start in range(0, n, chunk):
         yield rng.multinomial(N, probs, size=min(chunk, n - start)) / N
 
 
 def _tilted_estimate(name: str, event: "BallEvent", pi: StateDistribution,
                      zeta: StateDistribution, N: int, n: int, seed: int,
-                     rng: np.random.Generator, chunk: int) -> RateEstimate:
+                     rng: np.random.Generator) -> RateEstimate:
     """Importance-sampled stationary probability of a ball event that
     pi lies outside: multinomials from the I-projection zeta of pi onto
     the ball, each hit weighted by its likelihood ratio
@@ -392,7 +390,7 @@ def _tilted_estimate(name: str, event: "BallEvent", pi: StateDistribution,
     log_ratio[support] = np.log(pi.probs[support] / zeta.probs[support])
     log_ceiling = N * relative_entropy(zeta, pi)
     hit_weights = []
-    for draws in _draws(rng, N, zeta.probs, n, chunk):
+    for draws in _draws(rng, N, zeta.probs, n):
         hit = event.batch(draws)
         log_w = N * (draws @ log_ratio)[hit] + log_ceiling
         hit_weights.append(np.exp(log_w))
@@ -450,10 +448,6 @@ def estimate_rate_curve(model: RateModel, event: Event, N_list: Sequence[int],
         if (importance and isinstance(event, BallEvent)
                 and tv_distance(pi, event.center) > event.radius):
             zeta = entropy_projection(pi, event.center, event.radius)
-    # chunks sized in entries, not rows (see _draws): each thread holds a
-    # few 1 MiB arrays at once, and no matvec reaches the BLAS threading
-    # cutoff
-    chunk = min(max(1, _CHUNK_ENTRIES // (z_max + 1)), samples_per_N)
 
     def one(i: int, N: int) -> RateEstimate:
         if model.interacting:
@@ -465,9 +459,9 @@ def estimate_rate_curve(model: RateModel, event: Event, N_list: Sequence[int],
         rng = substream(seed, i)
         if zeta is not None:
             return _tilted_estimate(name, event, pi, zeta, N, samples_per_N,
-                                    seed, rng, chunk)
+                                    seed, rng)
         hits = sum(int(event.batch(draws).sum()) for draws
-                   in _draws(rng, N, pi.probs, samples_per_N, chunk))
+                   in _draws(rng, N, pi.probs, samples_per_N))
         if hits == 0:
             return _rule_of_three(name, samples_per_N, N, seed)
         p_hat = hits / samples_per_N

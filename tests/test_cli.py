@@ -405,6 +405,22 @@ delta = 0.05
     assert (out / "equilibrium.csv").exists()
 
 
+def test_mve_audit_writes_null_for_an_unreached_K_delta(tmp_path):
+    """At delta = 1e-12 the flow from delta_0 never enters K(delta), and
+    audit.json holds null there, in JSON that a strict parser reads."""
+    out = tmp_path / "out"
+    cfg = _bundled_with(tmp_path, "mve_audit", {
+        "delta": "1e-12", "n_samples": "1", "horizon": "5"}, out)
+    assert cli.run(cfg, threads=1) == 0
+
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    audit = json.loads((out / "audit.json").read_text(),
+                       parse_constant=refuse)
+    assert audit["time_to_KDelta_from_delta0"] is None
+
+
 def test_version_and_validate_cli(tmp_path, capsys):
     assert cli.main(["version"]) == 0
     assert capsys.readouterr().out.strip()

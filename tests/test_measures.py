@@ -10,6 +10,7 @@ from audits import sanov_inf_over_ball
 from conftest import geometric
 from meanfield_ldp.measures import (StateDistribution,
                                     TruncationMismatchError, _write_csv,
+                                    _write_json,
                                     entropy_projection, in_class_KDelta,
                                     load_distribution_csv, relative_entropy,
                                     save_distribution_csv, theta_moment,
@@ -297,6 +298,14 @@ def test_write_csv_reals_round_trip(tmp_path):
     assert rows[1:4] == [["0.10000000000000001"], ["0.33333333333333331"],
                          ["4.9406564584124654e-324"]]
     assert rows[5:7] == [["-0"], ["inf"]]
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_write_json_refuses_non_finite_reals(tmp_path, x):
+    """JSON has no Infinity or NaN, so no output may hold one."""
+    f = tmp_path / "out.json"
+    with pytest.raises(ValueError):
+        _write_json(f, {"x": x})
 
 
 # -- property tests -----------------------------------------------------------------
