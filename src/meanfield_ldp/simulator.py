@@ -51,7 +51,7 @@ class AbsorbingStateError(RuntimeError):
 
 
 class TruncationOverflowError(RuntimeError):
-    """A particle reached the truncation boundary in interacting mode."""
+    """An interacting run reached z_max, whose forward rate the window cuts."""
 
 
 def substream(seed: int, replica: int) -> np.random.Generator:
@@ -164,8 +164,8 @@ class JumpWorkspace:
     states to the window tables at counts / N (row 0 forward, row 1
     backward, zero on the edges that leave the window, so a table times
     ``counts`` weighs every edge inside it).  ``edges`` holds the
-    (z, z') of each flat slot of the weights.  ``jump`` moves one
-    particle.
+    (z, z') of each flat slot of the weights.  ``truncates`` says whether
+    a particle at z_max overflows the run.  ``jump`` moves one particle.
     """
 
     def __init__(self, model: RateModel, counts: np.ndarray) -> None:
@@ -174,7 +174,10 @@ class JumpWorkspace:
         self.counts = np.array(counts, dtype=float)
         self.N = float(self.counts.sum())
         z_max = self.counts.shape[0] - 1
-        self.interacting = model.interacting
+        # whether the window cuts a declared nonzero forward rate out of z_max
+        self.truncates = model.interacting and any(
+            fn(np.array([z_max]))[0] != 0.0 for fn in
+            (model.forward.base, *(c for _, c in model.forward.coupling)))
         self.window = model.window(z_max)
         self.coupled = tuple(sorted({y for w in self.window
                                      for y, _ in w.coupling}))
@@ -205,7 +208,7 @@ def gillespie_step(work: JumpWorkspace, rng: np.random.Generator
     ``work.jump(z, z')``.  A total rate that is not positive, or is
     NaN, raises ``AbsorbingStateError``."""
     counts = work.counts
-    if work.interacting and counts[-1] > 0:
+    if work.truncates and counts[-1] > 0:
         raise TruncationOverflowError(
             "particle reached z_max; enlarge the window")
     key = tuple(map(counts.item, work.coupled))
@@ -351,8 +354,11 @@ def _wilson(hits: int, n: int) -> tuple[float, float]:
     return lo, hi
 
 
-# entries per sampling chunk: 2**17 float64 values are 1 MiB
-_CHUNK_ENTRIES = 2 ** 17
+# entries per sampling chunk: 2**16 float64 values are 512 KiB
+_CHUNK_ENTRIES = 2 ** 16
+
+# hit weights per block of a tilted estimate's running statistics
+_BLOCK_HITS = 4096
 
 
 def _draws(rng: np.random.Generator, N: int, probs: np.ndarray, n: int
@@ -360,9 +366,10 @@ def _draws(rng: np.random.Generator, N: int, probs: np.ndarray, n: int
     """n i.i.d. empirical measures of N draws from ``probs``, as stacks of
     at most ``_CHUNK_ENTRIES // probs.size`` rows (at least one).
 
-    A chunk sized in entries is 1 MiB of float64, which stays in cache,
-    and the matvec an event or a likelihood ratio applies to it stays
-    below OpenBLAS's gemv threading cutoff (about 460,000 entries), above
+    A chunk sized in entries bounds the sampler's memory by 512 KiB of
+    float64 draws and the integer counts they come from, whatever n, and
+    the matvec an event or a likelihood ratio applies to it stays below
+    OpenBLAS's gemv threading cutoff (about 460,000 entries), above
     which each product wakes BLAS threads that contend with the
     rate-curve pool for the cores and runs an order of magnitude slower.
     Multinomial draws consume the stream row by row, so the chunk changes
@@ -389,20 +396,42 @@ def _tilted_estimate(name: str, event: "BallEvent", pi: StateDistribution,
     log_ratio = np.zeros(zeta.z_max + 1)
     log_ratio[support] = np.log(pi.probs[support] / zeta.probs[support])
     log_ceiling = N * relative_entropy(zeta, pi)
-    hit_weights = []
+    block = np.empty(_BLOCK_HITS)
+    held = count = 0
+    mean = m2 = 0.0  # of the weights merged so far: mean, squared deviations
+
+    def merge(b: np.ndarray) -> None:
+        # the pairwise update of Chan, Golub & LeVeque (1983)
+        nonlocal count, mean, m2
+        b_mean = float(b.sum()) / b.size
+        delta = b_mean - mean
+        total = count + b.size
+        mean += delta * (b.size / total)
+        m2 += (float(((b - b_mean) ** 2).sum())
+               + delta * delta * (count * b.size / total))
+        count = total
+
     for draws in _draws(rng, N, zeta.probs, n):
         hit = event.batch(draws)
-        log_w = N * (draws @ log_ratio)[hit] + log_ceiling
-        hit_weights.append(np.exp(log_w))
-    w = np.concatenate(hit_weights)
-    if w.size == 0:
+        w = np.exp(N * (draws @ log_ratio)[hit] + log_ceiling)
+        while w.size:  # blocks partition the hits, whatever the chunks
+            take = min(_BLOCK_HITS - held, w.size)
+            block[held:held + take] = w[:take]
+            held += take
+            w = w[take:]
+            if held == _BLOCK_HITS:
+                merge(block)
+                held = 0
+    if held:
+        merge(block[:held])
+    if count == 0:
         # rule of three under zeta, carried through the weight ceiling
         return _rule_of_three(name, n, N, seed, log_ceiling)
+    # merge the n - count draws that missed, each of weight zero
+    m2 += mean * mean * (count * (n - count) / n)
+    mean *= count / n
     scale = math.exp(-log_ceiling)
-    mean = float(w.sum()) / n
-    var = (float(((w - mean) ** 2).sum()) + (n - w.size) * mean * mean) \
-        / max(n - 1, 1)
-    half = _Z975 * math.sqrt(var / n)
+    half = _Z975 * math.sqrt(m2 / max(n - 1, 1) / n)
     return RateEstimate(name, min(1.0, mean * scale),
                         max(0.0, mean - half) * scale,
                         min(1.0, (mean + half) * scale),

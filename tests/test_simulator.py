@@ -7,7 +7,8 @@ import pytest
 from audits import affine_rate
 from conftest import geometric
 from meanfield_ldp.measures import (StateDistribution, entropy_projection,
-                                    theta_values, tv_distance)
+                                    relative_entropy, theta_values,
+                                    tv_distance)
 from meanfield_ldp.models import (AffineRate, EdgeKind, RateModel, RateWindow,
                                   single_particle_stationary,
                                   wlan_decay_model)
@@ -198,6 +199,37 @@ def test_occupation_aborts_on_truncation_overflow(interacting):
     cfg = SimConfig(N=20, seed=0, horizon=30.0, burn_in=1.0, z_max=3)
     with pytest.raises(TruncationOverflowError):
         _occupation(interacting, cfg, [_whole_space(3)], replica=0)
+
+
+def test_two_state_window_runs_exactly():
+    """A reset chain whose forward rate above state 0 is declared zero
+    loses nothing to the window z_max = 1, so its interacting run passes
+    the overflow guard.  With kappa = 0.5 it is a birth-death chain in
+    the count n at state 1, with forward rate (N - n)(1 + kappa (1 - x))
+    and reset rate n (1 + kappa x) at x = n / N, so pi_N is a product;
+    the ball of radius 0.13 about (1/2, 1/2) has no lattice point of
+    N = 40 on its sphere, and its occupation interval brackets the exact
+    0.9442 within 3 half-widths."""
+    kappa, N = 0.5, 40
+    at_zero = lambda v: (lambda z: np.where(z == 0, v, 0.0))
+    model = RateModel(
+        kind=EdgeKind.CHAIN_WITH_RESETS,
+        forward=AffineRate(at_zero(1.0), ((0, at_zero(kappa)),)),
+        backward=AffineRate(lambda z: np.full(z.shape, 1.0 + kappa),
+                            ((0, lambda z: np.full(z.shape, -kappa)),)),
+        lambda_upper=1.0 + kappa, lambda_lower=1.0, name="two_state")
+    log_w = np.cumsum([0.0] + [
+        math.log((N - k) * (1 + kappa * (1 - k / N))
+                 / ((k + 1) * (1 + kappa * (k + 1) / N))) for k in range(N)])
+    law = np.exp(log_w - log_w.max())
+    n = np.arange(N + 1)
+    exact = law[np.abs(n / N - 0.5) <= 0.13].sum() / law.sum()
+    assert abs(exact - 0.9442) < 1e-4
+    event = BallEvent(StateDistribution(np.array([0.5, 0.5]), 1), 0.13)
+    r = estimate_invariant_multi(model, SimConfig(N, 0, 200.0, z_max=1),
+                                 [event])[0]
+    assert not r.lower_bound_only
+    assert abs(r.p_hat - exact) <= 3 * (r.ci_high - r.ci_low) / 2
 
 
 # -- the per-jump loops, kept as the reference for the count-vector loops ----------
@@ -494,9 +526,9 @@ def test_plain_hits_do_not_depend_on_chunk(mm1, monkeypatch):
 
 
 def test_rate_curve_memory_is_bounded_by_the_chunk(mm1):
-    """One N of 200,000 tilted draws at z_max 30 holds a few 1 MiB
-    chunk arrays and the hit weights at once: its traced peak was
-    3.9 MiB, where 25,000-row chunks peaked at 18.7 MiB."""
+    """One N of 200,000 tilted draws at z_max 30 holds a few 512 KiB
+    chunk arrays and one block of hit weights at once: its traced peak
+    was 2.3 MiB, where 25,000-row chunks peaked at 18.0 MiB."""
     event = BallEvent(StateDistribution.delta(0, 30), 0.1)
     tracemalloc.start()
     try:
@@ -506,6 +538,76 @@ def test_rate_curve_memory_is_bounded_by_the_chunk(mm1):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
+
+
+def test_tilted_memory_does_not_grow_with_the_samples(mm1):
+    """The hit weights are merged block by block, so one tilted N at
+    z_max 30 peaks within 64 KiB at 400,000 draws of its peak at 50,000
+    (217,000 hits, 1.7 MB of weights if kept)."""
+    pi = single_particle_stationary(mm1, 30)
+    event = BallEvent(StateDistribution.delta(0, 30), 0.1)
+    zeta = entropy_projection(pi, event.center, event.radius)
+    peaks = []
+    for n in (50_000, 400_000):
+        tracemalloc.start()
+        try:
+            _tilted_estimate("ball", event, pi, zeta, 400, n, 0,
+                             substream(0, 0))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 64 * 2 ** 10
+
+
+class _HitsAt:
+    """An event that holds exactly the draws at the given positions of
+    the stream, whatever the draws are."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=np.int64)
+        self.seen = 0
+
+    def batch(self, probs):
+        at = np.arange(self.seen, self.seen + probs.shape[0])
+        self.seen += probs.shape[0]
+        return np.isin(at, self.rows)
+
+    def describe(self):
+        return "hits_at"
+
+
+@pytest.mark.parametrize("rows", [[11], range(0, 20, 2), range(0, 22, 2),
+                                  range(23), []],
+                         ids=["one", "two_blocks", "two_blocks_and_one",
+                              "every_draw", "none"])
+def test_block_merge_matches_two_pass_reference(mm1, monkeypatch, rows):
+    """The blocks' merged mean and squared deviations give the p_hat
+    and half-width of a math.fsum two-pass over the same n weights,
+    zeros included, to 1e-13 relative, with blocks of 5 hits and chunks
+    of 7 draws so that blocks straddle chunks; no hit gives the
+    rule-of-three row."""
+    monkeypatch.setattr(simulator, "_BLOCK_HITS", 5)
+    monkeypatch.setattr(simulator, "_CHUNK_ENTRIES", 7 * 31)
+    pi = single_particle_stationary(mm1, 30)
+    center = StateDistribution.delta(0, 30)
+    zeta = entropy_projection(pi, center, 0.1)
+    N, n = 20, 23
+    r = _tilted_estimate("hits_at", _HitsAt(list(rows)), pi, zeta, N, n, 3,
+                         substream(3, 0))
+    log_ceiling = N * relative_entropy(zeta, pi)
+    if not rows:
+        assert r == simulator._rule_of_three("hits_at", n, N, 3, log_ceiling)
+        return
+    draws = np.concatenate(list(_draws(substream(3, 0), N, zeta.probs, n)))
+    log_ratio = np.log(pi.probs / zeta.probs)
+    w = [math.exp(N * float(d @ log_ratio) + log_ceiling) if i in rows
+         else 0.0 for i, d in enumerate(draws)]
+    mean = math.fsum(w) / n
+    var = math.fsum((x - mean) ** 2 for x in w) / (n - 1)
+    scale = math.exp(-log_ceiling)
+    half = 1.959963984540054 * math.sqrt(var / n) * scale
+    assert r.p_hat == pytest.approx(mean * scale, rel=1e-13)
+    assert r.ci_high - r.p_hat == pytest.approx(half, rel=1e-13)
 
 
 @pytest.mark.parametrize("N_list, samples, match", [
