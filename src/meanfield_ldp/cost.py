@@ -47,8 +47,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .measures import (SampledPath, StateDistribution, _one_window, _real,
-                       theta_values)
+from .measures import (SampledPath, StateDistribution, _law_rows, _one_window,
+                       _real, theta_values)
 from .models import EdgeKind, EdgeNotPresentError, RateModel, edge_list
 
 _E = math.e
@@ -704,29 +704,16 @@ def load_trajectory(path: str | Path) -> FluxTrajectory:
         raise ValueError(f"header rows {lines[:2]}: expected z_max,<int> "
                          "and n_segments,<int>")
     z_max, n_segments = (int(h[1]) for h in head)
-    it = iter(lines[2:])
-    if next(it, None) != "initial":
+    rest = lines[2:]
+    if rest[:1] != ["initial"]:
         raise ValueError("missing initial block")
-    probs = np.zeros(z_max + 1)
-    seen = set()
-    for ln in it:
-        if ln == "end_initial":
-            break
-        key, val = ln.split(",")
-        if key == "tail":
-            raise ValueError(f"initial row {ln!r}: a distribution has no "
-                             "mass beyond its window")
-        z = int(key)
-        if not 0 <= z <= z_max or z in seen:
-            raise ValueError(f"initial row {ln!r}: state outside "
-                             f"0..{z_max} or repeated")
-        seen.add(z)
-        probs[z] = float(val)
-    else:
+    if "end_initial" not in rest:
         raise ValueError("missing end_initial")
-    initial = StateDistribution(probs, z_max)
+    end = rest.index("end_initial")
+    initial = StateDistribution(
+        _law_rows([ln.split(",") for ln in rest[1:end]], z_max), z_max)
     durations, entries = [], {}  # entries: (segment, edge) -> flux
-    for ln in it:
+    for ln in rest[end + 1:]:
         parts = ln.split(",")
         if parts[0] == "duration" and len(parts) == 2:
             durations.append(float(parts[1]))

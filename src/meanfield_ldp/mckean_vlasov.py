@@ -25,8 +25,8 @@ from typing import Callable
 import numpy as np
 
 from .measures import (SampledPath, StateDistribution,
-                       TruncationMismatchError, _one_window, in_class_KDelta,
-                       theta_moment, theta_values, tv_distance)
+                       TruncationMismatchError, _one_window, _tv_rows,
+                       theta_moment, theta_values)
 from .models import RateModel, single_particle_stationary
 
 _MIN_DT = 1e-12
@@ -171,13 +171,12 @@ def _sample_in_KM(rng: np.random.Generator, z_max: int, M: float) -> StateDistri
     w = rng.dirichlet(np.ones(k))
     p = np.zeros(z_max + 1)
     p[support] = w
-    dist = StateDistribution(p, z_max)
+    theta = theta_values(z_max)
     for _ in range(80):
-        if theta_moment(dist) <= M:
-            return dist
+        if np.dot(p, theta) <= M:
+            return StateDistribution(p, z_max)
         p = 0.5 * p
         p[0] += 1.0 - p.sum()
-        dist = StateDistribution(p, z_max)
     return StateDistribution.delta(0, z_max)
 
 
@@ -242,11 +241,10 @@ def monotone_convergence_diagnostic(xi_star: StateDistribution,
     not a property to assert: the flow can approach the equilibrium
     non-monotonically in TV.
     """
-    dists = [tv_distance(StateDistribution(p, path.z_max), xi_star)
-             for p in path.probs]
-    start = int(_SETTLE_FRACTION * len(dists))
-    tail = dists[start:]
-    return all(a >= b - 1e-12 for a, b in zip(tail, tail[1:]))
+    _one_window((path, xi_star))
+    dists = _tv_rows(path.probs, xi_star.probs)
+    tail = dists[int(_SETTLE_FRACTION * dists.size):]
+    return bool(np.all(tail[:-1] >= tail[1:] - 1e-12))
 
 
 def time_to_KDelta(xi_star: StateDistribution, path: SampledPath,
@@ -256,7 +254,8 @@ def time_to_KDelta(xi_star: StateDistribution, path: SampledPath,
     integrates over 10 / lambda_lower."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    for t, p in zip(path.times, path.probs):
-        if in_class_KDelta(StateDistribution(p, path.z_max), xi_star, delta):
-            return float(t)
-    return math.inf
+    _one_window((path, xi_star))
+    gap = np.abs(theta_moment(xi_star) - path.probs @ theta_values(path.z_max))
+    hits = np.flatnonzero((_tv_rows(path.probs, xi_star.probs) <= delta)
+                          & (gap <= delta))
+    return float(path.times[hits[0]]) if hits.size else math.inf

@@ -11,11 +11,10 @@ operations require a common window.  This module provides:
   * ``SampledPath``  -- a piecewise-affine path of such vectors, the
     one path type of the flow integrator and the cost layer,
   * the total variation metric (half-L1 convention, so distances live
-    in [0, 1]),
+    in [0, 1]), of one law or of each row of a stack of laws,
   * the theta-moment against theta(z) = z*log(z),
   * relative entropy with a genuine ``inf`` sentinel on absolute
     continuity failure,
-  * the membership predicate of the equilibrium neighbourhood class,
   * the entropy (I-)projection onto a TV ball, in closed form,
   * the one CSV writer and the one JSON writer of every output file.
 """
@@ -83,18 +82,16 @@ class StateDistribution:
         return StateDistribution(p, z_max)
 
     @staticmethod
-    def from_weights(weights: Sequence[float],
-                     z_max: int | None = None) -> "StateDistribution":
-        """Normalise nonnegative weights into a distribution."""
+    def from_weights(weights: Sequence[float]) -> "StateDistribution":
+        """Normalise nonnegative weights on {0..len(weights)-1} into a
+        distribution."""
         w = np.asarray(weights, dtype=float)
-        if z_max is None:
-            z_max = w.shape[0] - 1
         if np.any(w < 0):
             raise ValueError("weights must be nonnegative")
         s = w.sum()
         if s <= 0:
             raise ValueError("weights sum to zero")
-        return StateDistribution(w / s, z_max)
+        return StateDistribution(w / s, w.shape[0] - 1)
 
     # -- basics ------------------------------------------------------------
 
@@ -136,11 +133,19 @@ def _one_window(items) -> int:
 # Metric and moments
 # ---------------------------------------------------------------------------
 
+def _tv_rows(probs: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Total variation distance of each row of a (..., z_max+1) array to
+    the law ``center``, half-L1 convention; clamped to [0, 1], since the
+    sum can round above 1 for disjoint supports."""
+    gap = probs - center
+    np.abs(gap, out=gap)  # in place: one array the size of probs, not two
+    return np.minimum(0.5 * gap.sum(axis=-1), 1.0)
+
+
 def tv_distance(a: StateDistribution, b: StateDistribution) -> float:
-    """Total variation distance, half-L1 convention; clamped to [0, 1],
-    since the sum can round above 1 for disjoint supports."""
+    """Total variation distance of two laws on one window."""
     _one_window((a, b))
-    return min(1.0, 0.5 * float(np.abs(a.probs - b.probs).sum()))
+    return float(_tv_rows(a.probs, b.probs))
 
 
 def theta_values(z_max: int) -> np.ndarray:
@@ -168,20 +173,6 @@ def relative_entropy(zeta: StateDistribution, nu: StateDistribution) -> float:
     if np.any(np_[pos] == 0.0):
         return math.inf
     return float(np.sum(zp[pos] * (np.log(zp[pos]) - np.log(np_[pos]))))
-
-
-# ---------------------------------------------------------------------------
-# Compact classes
-# ---------------------------------------------------------------------------
-
-def in_class_KDelta(a: StateDistribution, xi_star: StateDistribution,
-                    delta: float) -> bool:
-    """TV-and-theta neighbourhood of the equilibrium xi_star."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    if tv_distance(a, xi_star) > delta:
-        return False
-    return abs(theta_moment(xi_star) - theta_moment(a)) <= delta
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +215,7 @@ def entropy_projection(nu: StateDistribution, center: StateDistribution,
     z_max = _one_window((nu, center))
     nu_p, c = nu.probs, center.probs
     pi = nu_p / nu_p.sum()
-    if 0.5 * float(np.abs(pi - c).sum()) <= delta:
+    if _tv_rows(pi, c) <= delta:
         return StateDistribution(pi, z_max)
     support = pi > 0.0
     lowered = delta - float(c[~support].sum())
@@ -273,37 +264,44 @@ def save_distribution_csv(a: StateDistribution, path: str | Path) -> None:
     _write_csv(path, ["z", "prob"], enumerate(a.probs))
 
 
+def _law_rows(rows, z_max: int | None = None) -> np.ndarray:
+    """The probability vector of ``z,prob`` rows (lists of fields) on
+    {0..z_max}, or up to the largest state listed when z_max is None;
+    states not listed get 0 and empty rows are skipped.  A row that is
+    not two numbers, a ``tail`` row, a negative state, a state past
+    z_max or a repeated state raises ``ValueError`` naming the row."""
+    probs: dict[int, float] = {}
+    for row in filter(None, rows):
+        line = ",".join(field.strip() for field in row)
+        if row[0].strip() == "tail":
+            raise ValueError(f"row {line!r}: a distribution has no mass "
+                             "beyond its window")
+        try:
+            key, val = row
+            z, p = int(key), float(val)
+        except ValueError:
+            raise ValueError(f"row {line!r}: expected z,prob") from None
+        if z < 0 or z in probs or (z_max is not None and z > z_max):
+            raise ValueError(f"row {line!r}: state negative, repeated or "
+                             "past the window")
+        probs[z] = p
+    if not probs:
+        raise ValueError("no state rows")
+    out = np.zeros((max(probs) if z_max is None else z_max) + 1)
+    out[list(probs)] = list(probs.values())
+    return out
+
+
 def load_distribution_csv(path: str | Path) -> StateDistribution:
-    rows: list[tuple[str, str]] = []
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         header = next(r, [])
         if [h.strip() for h in header] != ["z", "prob"]:
             raise ValueError(f"bad header {header!r}: expected z,prob")
-        for row in r:
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError(f"row {','.join(row)!r}: expected z,prob")
-            rows.append((row[0].strip(), row[1].strip()))
-    probs: dict[int, float] = {}
-    for key, val in rows:
-        if key == "tail":
-            raise ValueError(f"row 'tail,{val}': a distribution has no mass "
-                             "beyond its window")
-        z = int(key)
-        if z < 0 or z in probs:
-            raise ValueError(f"row '{key},{val}': state negative or repeated")
-        probs[z] = float(val)
-    if not probs:
-        raise ValueError("no state rows in distribution file")
-    z_max = max(probs)
-    p = np.zeros(z_max + 1)
-    for z, v in probs.items():
-        p[z] = v
+        p = _law_rows(r)
     total = p.sum()
     if not (1.0 - _IO_MASS_TOL <= total <= 1.0 + _IO_MASS_TOL):
         raise ValueError(f"distribution file sums to {total!r}")
     # renormalise the sub-1e-9 slack so the constructor invariant holds exactly
     p /= total
-    return StateDistribution(p, z_max)
+    return StateDistribution(p, p.shape[0] - 1)

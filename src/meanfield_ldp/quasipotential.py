@@ -296,7 +296,7 @@ def heavy_tail_target(K: int) -> StateDistribution:
     z = np.arange(K + 1, dtype=float)
     w = np.zeros(K + 1)
     w[2:] = 1.0 / (z[2:] ** 2 * np.log(z[2:]) ** 2)
-    return StateDistribution.from_weights(w, K)
+    return StateDistribution.from_weights(w)
 
 
 @dataclass(frozen=True)

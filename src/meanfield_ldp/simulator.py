@@ -34,8 +34,9 @@ from typing import Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
-from .measures import (StateDistribution, _write_csv, entropy_projection,
-                       relative_entropy, theta_values, tv_distance)
+from .measures import (StateDistribution, _tv_rows, _write_csv,
+                       entropy_projection, relative_entropy, theta_values,
+                       tv_distance)
 from .models import RateModel, backward_target, single_particle_stationary
 
 RNG_ALGORITHM = "philox4x64"
@@ -126,11 +127,7 @@ class BallEvent:
     radius: float
 
     def batch(self, probs: np.ndarray) -> np.ndarray:
-        gap = probs - self.center.probs[None, :]
-        np.abs(gap, out=gap)  # in place: one array the size of probs, not two
-        d = 0.5 * gap.sum(axis=1)
-        # clamped like tv_distance: disjoint supports can round above 1
-        return np.minimum(d, 1.0) <= self.radius
+        return _tv_rows(probs, self.center.probs) <= self.radius
 
     def describe(self) -> str:
         return f"ball(radius={self.radius:g})"
@@ -165,7 +162,7 @@ class JumpWorkspace:
     backward, zero on the edges that leave the window, so a table times
     ``counts`` weighs every edge inside it).  ``edges`` holds the
     (z, z') of each flat slot of the weights.  ``truncates`` says whether
-    a particle at z_max overflows the run.  ``jump`` moves one particle.
+    a particle at z_max overflows the run.
     """
 
     def __init__(self, model: RateModel, counts: np.ndarray) -> None:
@@ -193,19 +190,14 @@ class JumpWorkspace:
         self.cum_flat = self.cum.reshape(-1)
         self.cum_back = self.cum[1]
 
-    def jump(self, z: int, zp: int) -> None:
-        """Move one particle from state z to state zp."""
-        self.counts[z] -= 1.0
-        self.counts[zp] += 1.0
-
 
 def gillespie_step(work: JumpWorkspace, rng: np.random.Generator
                    ) -> tuple[int, int, float]:
     """One exact jump from the occupancy held in ``work``: an exponential
     holding time at the total rate, then an edge (z, z') chosen
     proportionally to its rate.  Returns (z, z', dt) and writes no field:
-    the caller keeps the held counts and applies the move with
-    ``work.jump(z, z')``.  A total rate that is not positive, or is
+    the caller keeps the held counts and moves one particle from z to z'
+    in ``work.counts``.  A total rate that is not positive, or is
     NaN, raises ``AbsorbingStateError``."""
     counts = work.counts
     if work.truncates and counts[-1] > 0:
@@ -251,6 +243,7 @@ def _occupation(model: RateModel, config: SimConfig, events: Sequence[Event],
     counts = np.zeros(config.z_max + 1)
     counts[0] = config.N
     work = JumpWorkspace(model, counts)
+    counts = work.counts  # the run's own copy, which each jump moves
     n_batches = _N_BATCHES
     batch_len = (config.horizon - burn) / n_batches
     occupied = np.zeros((len(events), n_batches))
@@ -287,14 +280,15 @@ def _occupation(model: RateModel, config: SimConfig, events: Sequence[Event],
         z, zp, dt = gillespie_step(work, rng)
         t_next = t + dt
         if t_next > burn:  # some of the holding interval is past burn-in
-            held[k] = work.counts
+            held[k] = counts
             clock[0, k] = t
             clock[1, k] = t_next
             k += 1
             if k == _BLOCK:
                 flush(k)
                 k = 0
-        work.jump(z, zp)
+        counts[z] -= 1.0
+        counts[zp] += 1.0
         t = t_next
     flush(k)
     fractions = occupied / np.maximum(lengths, 1e-300)[None, :]

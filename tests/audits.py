@@ -8,6 +8,9 @@ rate curves and plans against them:
   * :func:`factorial_decay_bound`, the factorial decay of a
     stationary law;
   * :func:`sanov_inf_over_ball`, the Sanov infimum over a TV ball;
+  * :func:`in_class_KDelta`, membership of the TV-and-theta
+    neighbourhood K(delta) of the equilibrium, one law at a time, which
+    the flow readers' stacked tests equal;
   * :func:`moment_inequality_check`, the theta-moment growth
     inequality along a plan;
   * :func:`flux_from_path`, the plan that the duality check recovers
@@ -27,9 +30,8 @@ import numpy as np
 from meanfield_ldp.cost import (FluxTrajectory, _recover,
                                 cost_nonvariational, evolve)
 from meanfield_ldp.measures import (SampledPath, StateDistribution,
-                                    entropy_projection, in_class_KDelta,
-                                    relative_entropy, theta_values,
-                                    tv_distance)
+                                    entropy_projection, relative_entropy,
+                                    theta_moment, theta_values, tv_distance)
 from meanfield_ldp.mckean_vlasov import StiffnessError, flows
 from meanfield_ldp.models import AffineRate, EdgeKind, RateModel
 from meanfield_ldp.quasipotential import _require_reset_model, connector
@@ -113,6 +115,16 @@ def sanov_inf_over_ball(nu: StateDistribution, center: StateDistribution,
     if zeta is None:
         return math.inf
     return relative_entropy(zeta, nu)
+
+
+def in_class_KDelta(a: StateDistribution, xi_star: StateDistribution,
+                    delta: float) -> bool:
+    """TV-and-theta neighbourhood of the equilibrium xi_star."""
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    if tv_distance(a, xi_star) > delta:
+        return False
+    return abs(theta_moment(xi_star) - theta_moment(a)) <= delta
 
 
 def moment_inequality_check(model: RateModel, traj: FluxTrajectory,

@@ -28,4 +28,4 @@ def interacting():
 
 def geometric(rho: float, z_max: int) -> StateDistribution:
     """The geometric law (1 - rho) rho^z conditioned on {0..z_max}."""
-    return StateDistribution.from_weights(rho ** np.arange(z_max + 1), z_max)
+    return StateDistribution.from_weights(rho ** np.arange(z_max + 1))

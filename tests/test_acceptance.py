@@ -165,7 +165,7 @@ def test_criterion_03_zero_cost_flow():
     models = [mm1_model(1.0, 2.0), wlan_const_model(1.0, 1.0),
               wlan_decay_model(1.0, 1.0), interacting_wlan_model(0.5)]
     worst_var = worst_nonvar = 0.0
-    nu = StateDistribution.from_weights(np.exp(-0.35 * np.arange(41)), 40)
+    nu = StateDistribution.from_weights(np.exp(-0.35 * np.arange(41)))
     for model in models:
         path, = flows(model, [nu], [5.0], tol=1e-10, dt_max=0.002)
         var, = cost_variational(model, [path])

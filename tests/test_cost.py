@@ -107,7 +107,7 @@ def test_evolve_matches_per_edge_loop(request, name):
     # running remainder dips below 0 by rounding and is clamped
     w = np.random.default_rng(0).uniform(size=13)
     w[0] = 0.0
-    stairs = _staircase(model.kind, StateDistribution.from_weights(w, 12))
+    stairs = _staircase(model.kind, StateDistribution.from_weights(w))
     steps = stairs.durations[:, None] * _mass_balance(stairs.fluxes,
                                                       stairs.kind)
     assert np.cumsum(np.concatenate([stairs.initial.probs[None], steps]),
@@ -937,7 +937,7 @@ def test_variational_matches_trapezoid_richardson(request, name):
 
 
 def test_variational_zero_on_flow(wlan_const):
-    nu = StateDistribution.from_weights(np.exp(-0.4 * np.arange(21)), 20)
+    nu = StateDistribution.from_weights(np.exp(-0.4 * np.arange(21)))
     path, = flows(wlan_const, [nu], [2.0], tol=1e-10, dt_max=0.004)
     assert cost_variational(wlan_const, [path])[0] < 1e-6
 
@@ -969,7 +969,7 @@ def test_duality_crosscheck_small(mm1, wlan_const):
 
 
 def test_flux_recovery_on_flow_matches_drift(wlan_const):
-    nu = StateDistribution.from_weights(np.exp(-0.4 * np.arange(13)), 12)
+    nu = StateDistribution.from_weights(np.exp(-0.4 * np.arange(13)))
     path, = flows(wlan_const, [nu], [1.0], tol=1e-10, dt_max=0.01)
     rec = flux_from_path(wlan_const, path, refine=1)
     probs = path.probs
@@ -1045,7 +1045,7 @@ def test_lower_bound_grows_with_truncation(mm1):
 
 
 def test_lower_bound_validity_against_witnesses(wlan_decay):
-    xi = StateDistribution.from_weights(np.exp(-0.8 * np.arange(13)), 12)
+    xi = StateDistribution.from_weights(np.exp(-0.8 * np.arange(13)))
     xi_star = find_equilibrium(wlan_decay, 12)
     bound = v_upper_bound(wlan_decay, xi_star, xi)
     T = bound.witness.duration
@@ -1059,7 +1059,7 @@ def test_lower_bound_validity_against_witnesses(wlan_decay):
 # -- theta-moment inequality -----------------------------------------------------------------
 
 def test_moment_inequality_on_zero_cost_flow(wlan_const):
-    nu = StateDistribution.from_weights(np.exp(-0.4 * np.arange(13)), 12)
+    nu = StateDistribution.from_weights(np.exp(-0.4 * np.arange(13)))
     path, = flows(wlan_const, [nu], [1.0], tol=1e-10, dt_max=0.01)
     rec = flux_from_path(wlan_const, path, refine=1)
     assert moment_inequality_check(wlan_const, rec)
@@ -1189,6 +1189,8 @@ def test_load_trajectory_rejects_tail_row(tmp_path):
     ("0,0.5\n-1,0.5\n", "'-1,0.5'"),  # would wrap around to z_max
     ("0,0.5\n6,0.5\n", "'6,0.5'"),  # past z_max
     ("0,0.5\n1,0.25\n1,0.5\n", "'1,0.5'"),  # would overwrite state 1
+    ("0,0.5,1\n1,0.5\n", "'0,0.5,1'"),  # a field too many
+    ("0\n1,1\n", "row '0'"),  # a state without its mass
 ])
 def test_load_trajectory_rejects_unplaceable_initial_state(tmp_path, initial,
                                                            row):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from audits import drift_reference, integrate
+from audits import drift_reference, in_class_KDelta, integrate
 from conftest import geometric
 from meanfield_ldp.measures import (StateDistribution,
                                     TruncationMismatchError, theta_moment,
@@ -198,6 +198,33 @@ def test_time_to_KDelta_unreached(wlan_const):
                   [10.0 / wlan_const.lambda_lower])
     out = time_to_KDelta(find_equilibrium(wlan_const, 30), path, 1e-9)
     assert out == math.inf
+
+
+@pytest.mark.parametrize("name", ["wlan_const", "interacting"])
+def test_flow_readers_equal_per_node_definitions(name, request):
+    """The stacked readers decide as the per-node definitions do: the TV
+    of one law per node to the equilibrium, and K(delta) membership one
+    law at a time.  The cases cover a flow that starts in K(delta), one
+    that enters later and one that never does."""
+    model = request.getfixturevalue(name)
+    z_max = 25
+    xi_star = find_equilibrium(model, z_max)
+    horizon = 10.0 / model.lambda_lower
+    times = set()
+    for path in flows(model, [xi_star, StateDistribution.delta(0, z_max)],
+                      [horizon, horizon]):
+        laws = [StateDistribution(p, z_max) for p in path.probs]
+        dists = [tv_distance(law, xi_star) for law in laws]
+        tail = dists[int(0.2 * len(dists)):]
+        assert monotone_convergence_diagnostic(xi_star, path) == all(
+            a >= b - 1e-12 for a, b in zip(tail, tail[1:]))
+        for delta in (1e-9, 0.02, 0.05):
+            ref = next((float(t) for t, law in zip(path.times, laws)
+                        if in_class_KDelta(law, xi_star, delta)), math.inf)
+            assert time_to_KDelta(xi_star, path, delta) == ref
+            times.add(ref)
+    assert 0.0 in times and math.inf in times
+    assert any(0.0 < t < math.inf for t in times)
 
 
 def test_integrate_argument_validation(wlan_const):

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from audits import sanov_inf_over_ball
+from audits import in_class_KDelta, sanov_inf_over_ball
 from conftest import geometric
 from meanfield_ldp.measures import (StateDistribution,
-                                    TruncationMismatchError, _write_csv,
-                                    _write_json,
-                                    entropy_projection, in_class_KDelta,
+                                    TruncationMismatchError, _tv_rows,
+                                    _write_csv, _write_json,
+                                    entropy_projection,
                                     load_distribution_csv, relative_entropy,
                                     save_distribution_csv, theta_moment,
                                     tv_distance)
@@ -57,6 +57,26 @@ def test_tv_disjoint_supports_is_one():
     for counts in rng.multinomial(50, np.full(12, 1 / 12), size=3000):
         d = tv_distance(StateDistribution(np.r_[0.0, counts / 50], 12), d0)
         assert 1.0 - 1e-15 <= d <= 1.0
+
+
+def test_tv_rows_equal_tv_distance_bit_for_bit():
+    """Each row of a stack, of any leading shape, is at the distance of
+    its own law, bit for bit; a row of disjoint support whose half-L1
+    sum rounds to 1.0000000000000002 is at exactly 1."""
+    rng = np.random.default_rng(11)
+    center = StateDistribution(rng.dirichlet(np.ones(13)), 12)
+    stack = rng.dirichlet(np.full(13, 0.3), size=(4, 60))
+    d0 = delta(0, 12)
+    disjoint = np.array([np.r_[0.0, c / 50] for c in
+                         rng.multinomial(50, np.full(12, 1 / 12), size=200)])
+    over = 0.5 * np.abs(disjoint - d0.probs).sum(axis=1) > 1.0
+    assert np.any(over)
+    assert np.all(_tv_rows(disjoint[over], d0.probs) == 1.0)
+    for rows, c in [(stack, center), (disjoint, d0), (disjoint, center)]:
+        ref = np.array([tv_distance(StateDistribution(p, 12), c)
+                        for p in rows.reshape(-1, 13)])
+        ref = ref.reshape(rows.shape[:-1])
+        assert _tv_rows(rows, c.probs).tobytes() == ref.tobytes()
 
 
 def test_tv_geometric_vs_delta0():
@@ -268,6 +288,7 @@ def test_distribution_csv_rejects_unplaceable_state(tmp_path, rows, row):
 @pytest.mark.parametrize("text, match", [
     ("", "bad header"),  # an empty file
     ("z,prob\n0\n", "row '0'"),  # a state without its mass
+    ("z,prob\nx,1\n", "row 'x,1'"),  # a state that is not an integer
 ])
 def test_distribution_csv_rejects_malformed_input(tmp_path, text, match):
     f = tmp_path / "bad.csv"

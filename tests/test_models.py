@@ -271,7 +271,7 @@ def test_verify_A2_matches_per_state_loop(model):
     or not at all: the reports a vectorised audit over whole state
     arrays returned on the same models and fields."""
     rng = np.random.default_rng(8)
-    both = StateDistribution.from_weights(np.r_[0.4, 0.4, np.full(29, 0.01)], 30)
+    both = StateDistribution.from_weights(np.r_[0.4, 0.4, np.full(29, 0.01)])
     singles = [StateDistribution.delta(z, 30) for z in (5, 1, 0)]
     fields = [StateDistribution(rng.dirichlet(np.full(31, 0.5)), 30)
               for _ in range(20)]

@@ -44,7 +44,7 @@ def test_delta0_to_delta2(wlan_decay):
 
 
 def test_delta0_to_geometric_cost_below_cm(wlan_decay):
-    xi = StateDistribution.from_weights(0.5 ** np.arange(41), 40)
+    xi = StateDistribution.from_weights(0.5 ** np.arange(41))
     traj = construct_delta0_to_target(xi)
     end = evolve(traj).final_distribution()
     assert tv_distance(end, xi) < 1e-12
@@ -62,7 +62,7 @@ def test_equilibrium_to_delta0_empty(wlan_decay):
 
 
 def test_equilibrium_to_delta0_geometric(wlan_decay):
-    xi = StateDistribution.from_weights(0.5 ** np.arange(31), 30)
+    xi = StateDistribution.from_weights(0.5 ** np.arange(31))
     traj = construct_equilibrium_to_delta0(xi)
     end = evolve(traj).final_distribution()
     assert tv_distance(end, StateDistribution.delta(0, 30)) < 1e-12
@@ -154,7 +154,7 @@ def _random_law(kind, z_max, rng):
         w = rng.dirichlet(np.ones(n))
         k = rng.integers(n)
         w[k + 1:] = 10.0 ** rng.uniform(-40.0, -8.0, z_max - k)
-    return StateDistribution.from_weights(w, z_max)
+    return StateDistribution.from_weights(w)
 
 
 _LAWS = st.sampled_from(["dirichlet", "points", "holes", "tiny"])
@@ -229,7 +229,7 @@ def test_v_upper_at_equilibrium(wlan_decay):
 
 
 def test_v_upper_below_cm_on_geometric(wlan_decay):
-    xi = StateDistribution.from_weights(0.5 ** np.arange(41), 40)
+    xi = StateDistribution.from_weights(0.5 ** np.arange(41))
     xi_star = find_equilibrium(wlan_decay, 40)
     bound = v_upper_bound(wlan_decay, xi_star, xi)
     assert bound.upper <= cm_bound(wlan_decay, xi_star, xi)
@@ -282,7 +282,7 @@ def test_refine_takes_the_winners_idle_cost():
 
 
 def test_refine_never_increases(wlan_decay):
-    xi = StateDistribution.from_weights(np.exp(-0.7 * np.arange(31)), 30)
+    xi = StateDistribution.from_weights(np.exp(-0.7 * np.arange(31)))
     xi_star = find_equilibrium(wlan_decay, 30)
     plain = v_upper_bound(wlan_decay, xi_star, xi, refine=False)
     refined = v_upper_bound(wlan_decay, xi_star, xi, refine=True)
@@ -423,7 +423,7 @@ def test_counterexample_rejects_interacting(interacting):
 # -- export -------------------------------------------------------------------------------------------
 
 def test_vbound_export(tmp_path, wlan_decay):
-    xi = StateDistribution.from_weights(np.exp(-0.9 * np.arange(21)), 20)
+    xi = StateDistribution.from_weights(np.exp(-0.9 * np.arange(21)))
     bound = v_upper_bound(wlan_decay, find_equilibrium(wlan_decay, 20), xi)
     save_trajectory_and_bound(bound, tmp_path, "target.csv", "witness.txt",
                               "vbound.json")
